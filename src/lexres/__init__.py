@@ -23,17 +23,15 @@ from .lexsegment import (
     classify_linear_form,
     enumerate_lexsegment,
     is_completely_lexsegment,
-    is_lexsegment_set,
     make_classified_spec,
     normalize_spec,
     shadow,
 )
-from .powers import PowerIdeal, power_generators, prefix_membership
+from .powers import PowerIdeal, power_generators
 from .quotients import (
     QuotientStructure,
     colon_minimal_generators,
     linear_quotients_check,
-    set_cardinality_profile,
     set_bound_report,
 )
 from .decomposition import (
@@ -54,9 +52,7 @@ from .resolution import (
     SignedVariableMatrix,
     assemble_resolution,
     betti_from_sets,
-    betti_numbers,
     compose_check,
-    compose_check_all,
     minimality_check,
     resolution_basis,
 )

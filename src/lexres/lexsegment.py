@@ -81,18 +81,6 @@ def lex_min(monomials) -> Monomial:
     return min(monomials, key=lex_key)
 
 
-def is_lexsegment_set(monomials) -> bool:
-    """True iff the set is exactly the lex interval between its extremes."""
-    ms = set(monomials)
-    if not ms:
-        raise ValueError("empty set")
-    degs = {m.degree for m in ms}
-    if len(degs) > 1:
-        raise ValueError(f"mixed degrees {sorted(degs)}")
-    segment = enumerate_lexsegment(lex_max(ms), lex_min(ms))
-    return len(segment) == len(ms)
-
-
 @dataclass(frozen=True)
 class LexSegmentSpec:
     """A lexsegment L(u, v) with its ring, degree and (optional) split index.
@@ -247,12 +235,8 @@ def classify_linear_form(spec: LexSegmentSpec) -> Classification:
     return Classification(None, l, f"u = {u}, v = {v} match the linear-resolution shape with l = {l}")
 
 
-def attach_classification(spec: LexSegmentSpec, cls: Classification) -> LexSegmentSpec:
-    return dataclasses.replace(spec, l=cls.linear_form_l)
-
-
 def make_classified_spec(u: Monomial, v: Monomial) -> tuple[LexSegmentSpec, TransformRecord, Classification]:
     """normalize + classify in one step; spec.l is set when the shape holds."""
     spec, record = normalize_spec(u, v)
     cls = classify_linear_form(spec)
-    return attach_classification(spec, cls), record, cls
+    return dataclasses.replace(spec, l=cls.linear_form_l), record, cls

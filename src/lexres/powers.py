@@ -75,11 +75,3 @@ def power_generators(spec: LexSegmentSpec, k: int, budget: int = DEFAULT_PRODUCT
             if bar_degree(m, spec.l) < k:
                 raise AssertionError(f"generator {m} has bar-degree < k={k}")
     return PowerIdeal(spec, k, gens)
-
-
-def prefix_membership(pi: PowerIdeal, w: Monomial, x: Monomial) -> bool:
-    """Is x in the ideal generated by the generators z <=_revlex w?"""
-    iw = pi.index_of(w)
-    xv = np.array(x.exponents, dtype=np.int64)
-    prefix = pi.exponent_matrix[: iw + 1]
-    return bool(np.any(np.all(prefix <= xv, axis=1)))

@@ -97,13 +97,6 @@ def linear_quotients_check(pi: PowerIdeal) -> QuotientStructure:
     return QuotientStructure(power=pi, sets=sets)
 
 
-def set_cardinality_profile(qs: QuotientStructure) -> list[int]:
-    """The multiset {|set(m_i)|}, sorted; the maximum fixes proj dim."""
-    if not qs.is_linear:
-        raise ValueError("quotient structure is not linear")
-    return sorted(len(s) for s in qs.sets)
-
-
 @dataclass(frozen=True)
 class SetBoundViolation:
     bound: str  # "min-bound" or "tilde-min-bound"

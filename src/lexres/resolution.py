@@ -145,15 +145,6 @@ def betti_from_sets(sets) -> tuple[int, ...]:
     return tuple(betti)
 
 
-def betti_numbers(rc: ResolutionComplex) -> tuple[int, ...]:
-    """Recompute the binomial-sum Betti numbers and check the basis ranks."""
-    betti = betti_from_sets(rc.quotients.sets)
-    for i, symbols in rc.bases.items():
-        if betti[i] != len(symbols):
-            raise AssertionError(f"rank F_{i}: basis count {len(symbols)} != beta {betti[i]}")
-    return betti
-
-
 def _g_provider(qs: QuotientStructure, use_oracle: bool, cross_check: bool):
     """Returns g(m_index, s) -> (generator index, coefficient variable)."""
     pi = qs.power
@@ -290,10 +281,6 @@ def compose_check(rc: ResolutionComplex, i: int) -> bool:
         if any(acc.values()):
             return False
     return True
-
-
-def compose_check_all(rc: ResolutionComplex) -> bool:
-    return all(compose_check(rc, i) for i in range(0, rc.proj_dim))
 
 
 def minimality_check(rc: ResolutionComplex) -> bool:

@@ -100,15 +100,26 @@ def test_cli_resolve_nonlinear_is_check_failure(capsys):
 
 
 def test_cli_verify(capsys):
-    code = main(["verify", "--n", "4", "--u", "x1x3", "--v", "x2x4", "--k", "2", "--trials", "2"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "[PASS]" in out and "[FAIL]" not in out
+    for seed in ("0", "-3"):
+        code = main(["verify", "--n", "4", "--u", "x1x3", "--v", "x2x4", "--k", "2",
+                     "--trials", "2", "--seed", seed])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "[PASS]" in out and "[FAIL]" not in out
 
 
 def test_cli_input_error():
     assert main(["gen", "--n", "4", "--u", "x9", "--v", "x2x4"]) == 2
     assert main(["gen", "--n", "4", "--u", "x2x4", "--v", "x1x3"]) == 2
+
+
+def test_cli_verify_rejects_no_trials(capsys):
+    for trials in ("0", "-2"):
+        code = main(["verify", "--n", "4", "--u", "x1x3", "--v", "x2x4", "--trials", trials])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "PASS" not in captured.out
+        assert "input error" in captured.err
 
 
 def test_cli_budget_exit():

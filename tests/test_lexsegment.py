@@ -9,7 +9,6 @@ from lexres import (
     classify_linear_form,
     enumerate_lexsegment,
     is_completely_lexsegment,
-    is_lexsegment_set,
     make_classified_spec,
     normalize_spec,
     shadow,
@@ -83,18 +82,6 @@ def test_iterated_shadow_matches_divisibility(ring4):
     seg = enumerate_lexsegment(M(ring4, 1, 0, 1, 0), M(ring4, 0, 1, 0, 1))
     sh2 = shadow(shadow(seg))
     assert sh2 == support.shadow_by_divisibility(seg, steps=2)
-
-
-def test_is_lexsegment_set(ring4):
-    seg = enumerate_lexsegment(M(ring4, 1, 0, 1, 0), M(ring4, 0, 1, 0, 1))
-    assert is_lexsegment_set(seg)
-    assert is_lexsegment_set([M(ring4, 1, 1, 0, 0)])
-    ctx3 = RingContext(3)
-    assert not is_lexsegment_set([M(ctx3, 1, 1, 0), M(ctx3, 0, 1, 1)])
-    with pytest.raises(ValueError):
-        is_lexsegment_set([])
-    with pytest.raises(ValueError):
-        is_lexsegment_set([M(ctx3, 1, 0, 0), M(ctx3, 2, 0, 0)])
 
 
 def test_completely_lex_failing_case():

@@ -11,7 +11,6 @@ from lexres import (
     bar_degree,
     enumerate_lexsegment,
     power_generators,
-    prefix_membership,
 )
 from lexres.lexsegment import LexSegmentSpec
 
@@ -79,20 +78,6 @@ def test_budget_guard(example_spec):
     with pytest.raises(BudgetError):
         power_generators(example_spec, 12, budget=100)
     assert math.comb(5 + 12 - 1, 12) > 100
-
-
-def test_prefix_membership(example_power):
-    u1, u2, u3, u4, u5 = example_power.generators
-    ctx = example_power.spec.ctx
-    assert prefix_membership(example_power, u1, Monomial(ctx, (0, 2, 0, 1)))  # u1 | x2^2 x4
-    assert not prefix_membership(example_power, u1, Monomial(ctx, (1, 1, 1, 0)))  # only u3, u4 divide
-    assert prefix_membership(example_power, u3, Monomial(ctx, (1, 1, 1, 0)))
-    rng = random.Random(31)
-    for _ in range(50):
-        m = support.random_monomial(rng, ctx, 3) * u5
-        assert prefix_membership(example_power, u5, m)
-    with pytest.raises(ValueError):
-        prefix_membership(example_power, Monomial(ctx, (2, 0, 0, 0)), u1)
 
 
 def test_index_of(example_power):

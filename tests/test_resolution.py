@@ -9,9 +9,7 @@ from lexres import (
     RingContext,
     assemble_resolution,
     betti_from_sets,
-    betti_numbers,
     compose_check,
-    compose_check_all,
     linear_quotients_check,
     minimality_check,
     power_generators,
@@ -64,7 +62,7 @@ def test_example_matrices_exact(example_resolution):
 def test_example_betti_and_shifts(example_resolution):
     assert example_resolution.betti == (1, 5, 6, 2)
     assert example_resolution.shifts == ((0, 1), (-2, 5), (-3, 6), (-4, 2))
-    assert betti_numbers(example_resolution) == (1, 5, 6, 2)
+    assert tuple(len(example_resolution.bases[i]) for i in (1, 2, 3)) == (5, 6, 2)
 
 
 def test_zero_rule_dropped_term(example_resolution):
@@ -76,7 +74,6 @@ def test_zero_rule_dropped_term(example_resolution):
 def test_compose_and_minimality(example_resolution):
     for i in range(0, example_resolution.proj_dim):
         assert compose_check(example_resolution, i)
-    assert compose_check_all(example_resolution)
     assert minimality_check(example_resolution)
 
 
@@ -148,7 +145,7 @@ def test_unclassified_needs_oracle_flag():
         assemble_resolution(qs)
     rc = assemble_resolution(qs, use_oracle=True)
     assert rc.g_mode == "oracle"
-    assert compose_check_all(rc)
+    assert all(compose_check(rc, i) for i in range(rc.proj_dim))
 
 
 def test_family_sample_k3_properties():
@@ -158,7 +155,7 @@ def test_family_sample_k3_properties():
         spec, _ = support.build_family_spec(n, ue, ve)
         qs = linear_quotients_check(power_generators(spec, 3))
         rc = assemble_resolution(qs)
-        assert compose_check_all(rc)
+        assert all(compose_check(rc, i) for i in range(rc.proj_dim))
         assert minimality_check(rc)
         assert rc.proj_dim == 1 + max(len(s) for s in qs.sets)
 

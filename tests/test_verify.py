@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 import support
@@ -17,7 +18,8 @@ from lexres import (
     random_rank_check,
 )
 from lexres.lexsegment import LexSegmentSpec
-from lexres.verify import HilbertNumerator, expected_ranks, rank_positions_ok
+from lexres.modp import rank_mod
+from lexres.verify import HilbertNumerator, _entry_arrays, _evaluate_dense, rank_positions_ok
 
 
 def test_hilbert_example(example_power):
@@ -112,6 +114,8 @@ def test_rank_check_example(example_resolution):
     # determinism: same seed, same points and ranks
     again = random_rank_check(example_resolution, seed=0, trials=5)
     assert [t.point for t in again.trials] == [t.point for t in report.trials]
+    assert rank_positions_ok((1, 2, 1), (1, 1))
+    assert not rank_positions_ok((1, 2, 2), (1, 1))
 
 
 def test_rank_check_squared(example_quotients_squared):
@@ -125,33 +129,20 @@ def test_rank_check_squared(example_quotients_squared):
             assert t.ranks[i] <= min(mat.nrows, mat.ncols)
 
 
-def test_expected_ranks_consistency(example_quotients, example_quotients_squared):
-    for qs in (example_quotients, example_quotients_squared):
-        rc = assemble_resolution(qs)
-        kappa = expected_ranks(qs.sets, rc.betti)
-        assert kappa is not None
-        assert rank_positions_ok(rc.betti, kappa)
-    assert expected_ranks([(), (2,)], (1, 2, 1)) == (1, 1)
-    assert expected_ranks([(), (2,)], (1, 2, 2)) is None
-
-
 def test_witness_tier_agrees_with_dense():
-    import lexres.verify as V
-
-    spec, cls = support.build_family_spec(5, (1, 0, 1, 1, 0), (0, 1, 0, 0, 2))
+    spec, _ = support.build_family_spec(5, (1, 0, 1, 1, 0), (0, 1, 0, 0, 2))
     qs = linear_quotients_check(power_generators(spec, 2))
     rc = assemble_resolution(qs)
-    dense = random_rank_check(rc, seed=3, trials=2)
-    old = V._DENSE_LIMIT
-    V._DENSE_LIMIT = 10
-    try:
-        fast = random_rank_check(rc, seed=3, trials=2)
-    finally:
-        V._DENSE_LIMIT = old
-    assert dense.passed and fast.passed
-    for a, b in zip(dense.trials, fast.trials):
-        assert a.ranks == b.ranks
-    assert any("witness" in t.methods for t in fast.trials)
+    report = random_rank_check(rc, seed=3, trials=2)
+    assert report.passed
+    p = report.modulus
+    for t in report.trials:
+        assert t.methods == ("dense",) + ("witness",) * (rc.proj_dim - 1)
+        point = np.array(t.point, dtype=np.int64)
+        for i in range(1, rc.proj_dim):
+            mat = rc.matrices[i]
+            dense = _evaluate_dense(_entry_arrays(mat), (mat.nrows, mat.ncols), point, p)
+            assert rank_mod(dense, p) == t.ranks[i]
 
 
 def test_rank_check_detects_corruption(example_quotients):
@@ -165,10 +156,10 @@ def test_rank_check_detects_corruption(example_quotients):
     mat.columns[0] = (bad,) + tuple(mat.columns[0][1:])
     report = random_rank_check(rc, seed=5, trials=2)
     assert not report.passed
+    assert all("dense-fallback" in t.methods for t in report.trials)
 
 
 def test_witness_tier_detects_corruption():
-    import lexres.verify as V
     from lexres.resolution import SignedVariableEntry
 
     spec, _ = support.build_family_spec(5, (1, 0, 0, 1, 1), (0, 0, 1, 0, 2))
@@ -178,10 +169,6 @@ def test_witness_tier_detects_corruption():
     e = mat.columns[0][0]
     bad = SignedVariableEntry(row=e.row, col=e.col, sign=-e.sign, var=e.var)
     mat.columns[0] = (bad,) + tuple(mat.columns[0][1:])
-    old = V._DENSE_LIMIT
-    V._DENSE_LIMIT = 10
-    try:
-        report = random_rank_check(rc, seed=6, trials=2)
-    finally:
-        V._DENSE_LIMIT = old
+    report = random_rank_check(rc, seed=6, trials=2)
     assert not report.passed
+    assert all("dense-fallback" in t.methods for t in report.trials)
