@@ -2,69 +2,43 @@
 linear quotients, with independent verification layers."""
 
 from .monomials import (
-    BarTildeSplit,
-    Monomial,
-    RingContext,
-    bar_degree,
-    bar_tilde_split,
-    cmp_lex,
-    cmp_prec,
-    cmp_revlex,
-    min_tilde_index,
-    monomial_from_exponents,
-    one,
-    variable,
+    BarTildeSplit, Monomial, RingContext, bar_degree, bar_tilde_split, cmp_lex, cmp_prec,
+    cmp_revlex, min_tilde_index, monomial_from_exponents, one, variable,
 )
 from .lexsegment import (
-    Classification,
-    CompletelyLexVerdict,
-    LexSegmentSpec,
-    TransformRecord,
-    classify_linear_form,
-    enumerate_lexsegment,
-    is_completely_lexsegment,
-    make_classified_spec,
-    normalize_spec,
-    shadow,
+    Classification, CompletelyLexVerdict, LexSegmentSpec, TransformRecord, classify_linear_form,
+    enumerate_lexsegment, is_completely_lexsegment, make_classified_spec, normalize_spec, shadow,
 )
 from .powers import PowerIdeal, power_generators
 from .quotients import (
-    QuotientStructure,
-    colon_minimal_generators,
-    linear_quotients_check,
-    set_bound_report,
+    QuotientStructure, colon_minimal_generators, linear_quotients_check, set_bound_report,
 )
 from .decomposition import (
-    DecompositionContext,
-    DecompositionRecord,
-    RegularityReport,
-    closed_form_matches_oracle,
-    g_closed_form,
-    g_oracle,
-    g_oracle_index,
-    regularity_check,
-    regularity_check_oracle,
+    DecompositionTable, RegularityReport, closed_form_matches_oracle, closed_form_table, g_oracle,
+    g_oracle_index, oracle_table, regularity_check, regularity_check_oracle,
 )
 from .resolution import (
-    BasisSymbol,
-    ResolutionComplex,
-    SignedVariableEntry,
-    SignedVariableMatrix,
-    assemble_resolution,
-    betti_from_sets,
-    compose_check,
-    minimality_check,
-    resolution_basis,
+    BasisSymbol, ResolutionComplex, SignedVariableEntry, SignedVariableMatrix, assemble_resolution,
+    betti_from_sets, compose_check, minimality_check, resolution_basis,
 )
 from .verify import (
-    HilbertNumerator,
-    RankReport,
-    euler_characteristic_numerator,
-    euler_check,
-    hilbert_numerator,
-    hilbert_numerator_inclusion_exclusion,
-    random_rank_check,
+    HilbertNumerator, RankReport, euler_characteristic_numerator, euler_check, hilbert_numerator,
+    hilbert_numerator_inclusion_exclusion, random_rank_check,
 )
 from .errors import BudgetError
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "BarTildeSplit", "Monomial", "RingContext", "bar_degree", "bar_tilde_split", "cmp_lex",
+    "cmp_prec", "cmp_revlex", "min_tilde_index", "monomial_from_exponents", "one", "variable",
+    "Classification", "CompletelyLexVerdict", "LexSegmentSpec", "TransformRecord",
+    "classify_linear_form", "enumerate_lexsegment", "is_completely_lexsegment",
+    "make_classified_spec", "normalize_spec", "shadow", "PowerIdeal", "power_generators",
+    "QuotientStructure", "colon_minimal_generators", "linear_quotients_check", "set_bound_report",
+    "DecompositionTable", "RegularityReport", "closed_form_matches_oracle", "closed_form_table",
+    "g_oracle", "g_oracle_index", "oracle_table", "regularity_check", "regularity_check_oracle",
+    "BasisSymbol", "ResolutionComplex", "SignedVariableEntry", "SignedVariableMatrix",
+    "assemble_resolution", "betti_from_sets", "compose_check", "minimality_check",
+    "resolution_basis", "HilbertNumerator", "RankReport", "euler_characteristic_numerator",
+    "euler_check", "hilbert_numerator", "hilbert_numerator_inclusion_exclusion",
+    "random_rank_check", "BudgetError",
+]

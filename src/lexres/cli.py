@@ -12,12 +12,7 @@ import re
 import sys
 from dataclasses import dataclass
 
-from .decomposition import (
-    DecompositionContext,
-    closed_form_matches_oracle,
-    regularity_check,
-    regularity_check_oracle,
-)
+from .decomposition import closed_form_matches_oracle, regularity_check, regularity_check_oracle
 from .errors import BudgetError
 from .lexsegment import (
     enumerate_lexsegment,
@@ -214,6 +209,8 @@ class CheckFailure(RuntimeError):
 
 
 def _verify(job: JobSpec) -> int:
+    if job.trials < 1:
+        raise ValueError(f"the rank check needs at least one trial, got {job.trials}")
     spec, _, cls = _spec_pipeline(job)
     pi = power_generators(spec, job.k)
     qs = linear_quotients_check(pi)
@@ -236,11 +233,10 @@ def _verify(job: JobSpec) -> int:
          "" if not lemmas else f"{len(lemmas)} violations, first {lemmas[0]}")
 
     if cls.has_linear_form:
-        ctx = DecompositionContext.from_quotients(qs)
-        agree, mismatch = closed_form_matches_oracle(ctx)
+        agree, mismatch = closed_form_matches_oracle(qs)
         tick("closed-form g equals definitional g", agree,
              "" if agree else f"first mismatch {mismatch}")
-        reg = regularity_check(ctx)
+        reg = regularity_check(qs)
     else:
         reg = regularity_check_oracle(qs)
     tick("decomposition function regular", reg.regular,

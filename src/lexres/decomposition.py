@@ -5,7 +5,8 @@ x_min(tilde m) depending on how x_s*m/x_min(m) compares with v^k in the
 bar-degree-then-lex order, and the definitional oracle, which scans the
 increasing-revlex generator list for the earliest divisor.  The closed form
 is only claimed for classified specs; the oracle is always available and is
-the ground truth whenever the two are run side by side.
+the ground truth whenever the two are run side by side.  Each route is
+evaluated on every pair at once, as a table cached on the quotient structure.
 """
 
 from __future__ import annotations
@@ -14,58 +15,126 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .monomials import Monomial, cmp_prec, min_tilde_index, variable
+from .monomials import Monomial
 from .quotients import QuotientStructure
 
-
-@dataclass(frozen=True)
-class DecompositionContext:
-    """Quotient structure plus the precomputed v^k and split index l."""
-
-    qs: QuotientStructure
-    vk: Monomial
-    l: int
-
-    @classmethod
-    def from_quotients(cls, qs: QuotientStructure) -> "DecompositionContext":
-        spec = qs.power.spec
-        if spec.l is None:
-            raise ValueError("spec is not classified: no split index l")
-        return cls(qs=qs, vk=spec.v**qs.power.k, l=spec.l)
+# (pairs x generators) cells per chunk of the oracle's divisibility scan,
+# so that its boolean temporaries stay near 1 MB each
+_ORACLE_CHUNK_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
-class DecompositionRecord:
-    """One closed-form evaluation: which branch fired and what it produced."""
+class DecompositionTable:
+    """g(x_s * m_i) on every pair (i, s) with s in set(m_i), i first, then s.
 
-    m: Monomial
-    s: int
-    branch: str  # "high": x_s*m/x_min(m) on or above v^k; "low": below
-    g_value: Monomial
-    coefficient: Monomial  # x_s*m / g_value, always a single variable
+    g[p] is the position of g(x_s m_i) in G(I^k) and coeff[p] the 1-based
+    variable x_s m_i / g(x_s m_i).  In the closed form's table, branch[p] is
+    1 where it divided by x_min(m) and 0 where by x_min(tilde m), and fault
+    is (p, message) for the first pair where it broke a guarantee, with g
+    and coeff -1 from p on; the check that reaches p first raises it.
+    """
+
+    gen: np.ndarray
+    s: np.ndarray
+    g: np.ndarray
+    coeff: np.ndarray
+    branch: np.ndarray | None = None
+    fault: tuple[int, str] | None = None
+
+    def raise_fault_before(self, p: int):
+        if self.fault is not None and self.fault[0] <= p:
+            raise ValueError(self.fault[1])
 
 
-def g_closed_form(ctx: DecompositionContext, m: Monomial, s: int) -> DecompositionRecord:
-    """Evaluate the closed form of g at x_s * m for s in set(m)."""
-    pi = ctx.qs.power
-    idx = pi.index_of(m)
-    if s not in ctx.qs.sets[idx]:
-        raise ValueError(f"x{s} is not in set({m})")
-    xs_m = m * variable(m.ctx, s)
-    cand = xs_m.try_divide(variable(m.ctx, m.min_index()))
-    if cmp_prec(cand, ctx.vk, ctx.l) >= 0:
-        branch, g = "high", cand
-    else:
-        branch, g = "low", xs_m.try_divide(variable(m.ctx, min_tilde_index(m, ctx.l)))
-    if not pi.contains_generator(g):
+def _pairs(qs: QuotientStructure):
+    """gen, s and the exponent rows of x_s * m_i for every pair."""
+    gen = np.array([i for i, st in enumerate(qs.sets) for _ in st], dtype=np.int64)
+    s = np.array([t for st in qs.sets for t in st], dtype=np.int64)
+    X = qs.power.exponent_matrix[gen]
+    X[np.arange(len(s)), s - 1] += 1
+    return gen, s, X
+
+
+def _first_true(mask: np.ndarray) -> int:
+    """Index of the first True entry of a 1-d mask, or its length."""
+    return int(mask.argmax()) if mask.any() else len(mask)
+
+
+def _cofactors(X: np.ndarray, G: np.ndarray, g: np.ndarray):
+    """x_s*m / g(x_s*m) per pair, and whether it is a single variable."""
+    C = X - G[g]
+    return C, (C >= 0).all(axis=1) & (C.sum(axis=1) == 1)
+
+
+def closed_form_table(qs: QuotientStructure) -> DecompositionTable:
+    """The closed-form g on every pair, computed once per quotient structure."""
+    if "closed" in qs.g_tables:
+        return qs.g_tables["closed"]
+    pi, l = qs.power, qs.power.spec.l
+    if l is None:
+        raise ValueError("spec is not classified: no split index l")
+    gen, s, X = _pairs(qs)
+    M, rows = pi.exponent_matrix[gen], np.arange(len(s))
+    first = (M > 0).argmax(axis=1)
+    D = X - np.array((pi.spec.v**pi.k).exponents)
+    D[rows, first] -= 1  # x_s*m/x_min(m) - v^k, compared by bar degree, then lex
+    bar, lex = np.sign(D[:, :l].sum(axis=1)), np.sign(D[rows, (D != 0).argmax(axis=1)])
+    high = np.where(bar != 0, bar, lex) >= 0
+    tilde = M[:, l:] > 0
+    no_tilde = ~high & ~tilde.any(axis=1)
+    G_rows = X.copy()
+    G_rows[rows, np.where(high, first, l + tilde.argmax(axis=1))] -= 1
+    g = np.array([pi.position.get(tuple(row), -1) for row in G_rows.tolist()], dtype=np.int64)
+    g[no_tilde] = -1
+    C, single = _cofactors(X, pi.exponent_matrix, g)
+    left = ~no_tilde & (g < 0)
+    coeff, fault = C.argmax(axis=1) + 1, None
+    p = _first_true(no_tilde | left | ((g >= 0) & ~single))
+    if p < len(s):
+        m, sp = pi.generators[gen[p]], int(s[p])
+        if no_tilde[p]:
+            message = f"{m} has no support beyond x{l}"
+        elif left[p]:
+            message = (
+                f"closed form left G(I^k): g(x{sp}*{m}) = {Monomial(m.ctx, G_rows[p])} is not "
+                f"a generator (branch {'high' if high[p] else 'low'}); the instance violates "
+                "the classified shape's guarantees"
+            )
+        else:
+            message = f"coefficient {Monomial(m.ctx, C[p])} of g(x{sp}*{m}) is not a variable"
+        fault = (p, message)
+        g[p:] = coeff[p:] = -1
+    qs.g_tables["closed"] = DecompositionTable(gen, s, g, coeff, high.astype(np.int64), fault)
+    return qs.g_tables["closed"]
+
+
+def oracle_table(qs: QuotientStructure) -> DecompositionTable:
+    """The definitional g on every pair, computed once per quotient structure."""
+    if "oracle" in qs.g_tables:
+        return qs.g_tables["oracle"]
+    pi, G = qs.power, qs.power.exponent_matrix
+    gen, s, X = _pairs(qs)
+    g = np.empty(len(s), dtype=np.int64)
+    step = max(1, _ORACLE_CHUNK_CELLS // len(G))
+    for start in range(0, len(s), step):
+        Xc = X[start : start + step]
+        hits = np.ones((len(Xc), len(G)), dtype=bool)
+        for j in range(G.shape[1]):
+            hits &= G[:, j] <= Xc[:, j, None]
+        g[start : start + step] = first = hits.argmax(axis=1)
+        missing = _first_true(~hits[np.arange(len(Xc)), first])
+        if missing < len(Xc):
+            raise ValueError(f"{Monomial(pi.spec.ctx, Xc[missing])} is not in I^{pi.k}")
+    C, single = _cofactors(X, G, g)
+    p = _first_true(~single)
+    if p < len(s):
+        m = pi.generators[gen[p]]
         raise ValueError(
-            f"closed form left G(I^k): g(x{s}*{m}) = {g} is not a generator "
-            f"(branch {branch}); the instance violates the classified shape's guarantees"
+            f"g(x{int(s[p])}*{m}) = {pi.generators[g[p]]} has non-variable cofactor "
+            f"{Monomial(m.ctx, C[p])}"
         )
-    coeff = xs_m.try_divide(g)
-    if coeff.degree != 1:
-        raise ValueError(f"coefficient {coeff} of g(x{s}*{m}) is not a variable")
-    return DecompositionRecord(m=m, s=s, branch=branch, g_value=g, coefficient=coeff)
+    qs.g_tables["oracle"] = DecompositionTable(gen, s, g, C.argmax(axis=1) + 1)
+    return qs.g_tables["oracle"]
 
 
 def g_oracle_index(qs: QuotientStructure, x: Monomial) -> int:
@@ -84,16 +153,23 @@ def g_oracle(qs: QuotientStructure, x: Monomial) -> Monomial:
     return qs.power.generators[g_oracle_index(qs, x)]
 
 
-def closed_form_matches_oracle(ctx: DecompositionContext):
+def closed_form_matches_oracle(qs: QuotientStructure):
     """Compare both routes on every (m, s); returns (ok, first mismatch)."""
-    qs = ctx.qs
-    for m, st in zip(qs.power.generators, qs.sets):
-        for s in st:
-            rec = g_closed_form(ctx, m, s)
-            orc = g_oracle(qs, m * variable(m.ctx, s))
-            if rec.g_value != orc:
-                return False, (m, s, rec.g_value, orc)
-    return True, None
+    closed, oracle = closed_form_table(qs), oracle_table(qs)
+    p = _first_true(closed.g != oracle.g)
+    closed.raise_fault_before(p)
+    if p == len(closed.g):
+        return True, None
+    gens = qs.power.generators
+    return False, (gens[closed.gen[p]], int(closed.s[p]), gens[closed.g[p]], gens[oracle.g[p]])
+
+
+def require_agreement(qs: QuotientStructure):
+    """Raise at the first pair where the closed form fails or differs from the oracle."""
+    ok, mismatch = closed_form_matches_oracle(qs)
+    if not ok:
+        m, s, closed, oracle = mismatch
+        raise ValueError(f"closed form disagrees with oracle at ({m}, x{s}): {closed} vs {oracle}")
 
 
 @dataclass(frozen=True)
@@ -108,37 +184,30 @@ class RegularityReport:
         return f"not regular: t={t} in set(g(x{s}*{m})) but not in set({m})"
 
 
-def _regularity_scan(qs: QuotientStructure, ctx: DecompositionContext | None) -> RegularityReport:
-    pi = qs.power
-    set_lookup = qs.sets
-    for idx, (m, st) in enumerate(zip(pi.generators, set_lookup)):
-        for s in st:
-            g_idx = g_oracle_index(qs, m * variable(m.ctx, s))
-            if ctx is not None:
-                rec = g_closed_form(ctx, m, s)
-                if pi.index_of(rec.g_value) != g_idx:
-                    raise ValueError(
-                        f"closed form disagrees with oracle at ({m}, x{s}): "
-                        f"{rec.g_value} vs {pi.generators[g_idx]}"
-                    )
-            g_set = set_lookup[g_idx]
-            m_set = set(st)
-            for t in g_set:
-                if t not in m_set:
-                    return RegularityReport(regular=False, counterexample=(m, s, t))
-    return RegularityReport(regular=True)
+def _regularity(qs: QuotientStructure):
+    """The oracle's first pair p with set(g) not inside set(m), and the report."""
+    if not qs.is_linear:
+        raise ValueError("quotient structure is not linear")
+    table = oracle_table(qs)
+    member = np.zeros((len(qs.sets), qs.power.spec.ctx.n + 1), dtype=bool)
+    member[table.gen, table.s] = True
+    outside = member[table.g] & ~member[table.gen]
+    p = _first_true(outside.any(axis=1))
+    if p == len(table.g):
+        return p, RegularityReport(regular=True)
+    m, t = qs.power.generators[table.gen[p]], int(outside[p].argmax())
+    return p, RegularityReport(regular=False, counterexample=(m, int(table.s[p]), t))
 
 
-def regularity_check(ctx: DecompositionContext) -> RegularityReport:
+def regularity_check(qs: QuotientStructure) -> RegularityReport:
     """Verify set(g(x_s*m)) ⊆ set(m) for all (m, s), oracle-evaluated with the
     closed form cross-checked on every evaluation."""
-    if not ctx.qs.is_linear:
-        raise ValueError("quotient structure is not linear")
-    return _regularity_scan(ctx.qs, ctx)
+    p, report = _regularity(qs)
+    if (closed_form_table(qs).g[: p + 1] != oracle_table(qs).g[: p + 1]).any():
+        require_agreement(qs)  # a fault or a disagreement comes at or before p
+    return report
 
 
 def regularity_check_oracle(qs: QuotientStructure) -> RegularityReport:
     """Regularity via the oracle alone; works without a classified spec."""
-    if not qs.is_linear:
-        raise ValueError("quotient structure is not linear")
-    return _regularity_scan(qs, None)
+    return _regularity(qs)[1]

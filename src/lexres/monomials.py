@@ -60,12 +60,6 @@ class Monomial:
                 return i + 1
         raise ValueError("min_index of the monomial 1 is undefined")
 
-    def max_index(self) -> int:
-        for i in range(self.ctx.n - 1, -1, -1):
-            if self.exponents[i]:
-                return i + 1
-        raise ValueError("max_index of the monomial 1 is undefined")
-
     # -- arithmetic --------------------------------------------------------
 
     def __mul__(self, other: "Monomial") -> "Monomial":

@@ -39,9 +39,6 @@ class PowerIdeal:
         except KeyError:
             raise ValueError(f"{m} is not a generator of I^{self.k}") from None
 
-    def contains_generator(self, m: Monomial) -> bool:
-        return m.exponents in self.position
-
     @property
     def exponent_matrix(self) -> np.ndarray:
         """Generators as an int64 (r, n) array, row order = generator order."""

@@ -52,6 +52,8 @@ class QuotientStructure:
     status: str = "linear"
     failure_index: int | None = None
     offending: Monomial | None = None
+    # the decomposition function's tables (lexres.decomposition), by route
+    g_tables: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def is_linear(self) -> bool:

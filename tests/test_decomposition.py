@@ -1,44 +1,58 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import support
 from lexres import (
-    DecompositionContext,
     Monomial,
     RingContext,
+    assemble_resolution,
     closed_form_matches_oracle,
-    g_closed_form,
+    closed_form_table,
     g_oracle,
     g_oracle_index,
     linear_quotients_check,
+    oracle_table,
     power_generators,
     regularity_check,
     regularity_check_oracle,
     variable,
 )
 from lexres.lexsegment import LexSegmentSpec
+from lexres.quotients import QuotientStructure
 
 
-@pytest.fixture
-def example_ctx(example_quotients):
-    return DecompositionContext.from_quotients(example_quotients)
+def _entry(table, i, s):
+    """Position p of the pair (m_i, s) in a decomposition table."""
+    hits = np.nonzero((table.gen == i) & (table.s == s))[0]
+    assert hits.size == 1, (i, s)
+    return int(hits[0])
 
 
-def test_g_closed_form_example_values(example_ctx, example_power):
+def test_closed_form_table_example_values(example_quotients, example_power):
+    table = closed_form_table(example_quotients)
     u1, u2, u3, u4, u5 = example_power.generators
-    rec = g_closed_form(example_ctx, u4, 2)
-    assert rec.branch == "high" and rec.g_value == u3 and str(rec.coefficient) == "x1"
-    rec = g_closed_form(example_ctx, u4, 4)
-    assert rec.branch == "low" and rec.g_value == u2 and str(rec.coefficient) == "x3"
-    rec = g_closed_form(example_ctx, u5, 4)
-    assert rec.branch == "high" and rec.g_value == u1 and str(rec.coefficient) == "x2"
+    for (i, s), (branch, g, coeff) in {
+        (3, 2): (1, u3, "x1"),  # x2*u4: high branch
+        (3, 4): (0, u2, "x3"),  # x4*u4: low branch
+        (4, 4): (1, u1, "x2"),  # x4*u5: high branch
+    }.items():
+        p = _entry(table, i, s)
+        assert table.branch[p] == branch
+        assert example_power.generators[table.g[p]] == g
+        assert str(variable(u1.ctx, int(table.coeff[p]))) == coeff
 
 
-def test_g_closed_form_validates_membership(example_ctx, example_power):
-    u1 = example_power.generators[0]
-    with pytest.raises(ValueError):
-        g_closed_form(example_ctx, u1, 3)  # set(u1) is empty
+def test_tables_cover_exactly_the_set_pairs(example_quotients):
+    # set(u1) is empty, so no entry starts from u1 and (u1, x3) has none
+    pairs = [(i, s) for i, st in enumerate(example_quotients.sets) for s in st]
+    for table in (closed_form_table(example_quotients), oracle_table(example_quotients)):
+        assert list(zip(table.gen.tolist(), table.s.tolist())) == pairs
+        assert 0 not in table.gen
+    assert closed_form_table(example_quotients) is closed_form_table(example_quotients)
 
 
 def test_g_oracle_examples(example_quotients, example_power):
@@ -62,38 +76,83 @@ def test_g_oracle_minimality(example_quotients, example_power):
                 assert not earlier.divides(x)
 
 
-def test_closed_equals_oracle_example(example_ctx):
-    ok, mismatch = closed_form_matches_oracle(example_ctx)
+def test_closed_equals_oracle_example(example_quotients):
+    ok, mismatch = closed_form_matches_oracle(example_quotients)
     assert ok, mismatch
 
 
 def test_closed_equals_oracle_squared(example_quotients_squared):
-    ctx = DecompositionContext.from_quotients(example_quotients_squared)
-    ok, mismatch = closed_form_matches_oracle(ctx)
+    ok, mismatch = closed_form_matches_oracle(example_quotients_squared)
     assert ok, mismatch
 
 
-def test_coefficient_times_g(example_ctx, example_power, example_quotients):
-    for m, st in zip(example_power.generators, example_quotients.sets):
-        for s in st:
-            rec = g_closed_form(example_ctx, m, s)
-            assert rec.coefficient * rec.g_value == m * variable(m.ctx, s)
-            assert rec.coefficient.degree == 1
+def test_coefficient_times_g(example_quotients, example_power):
+    table = closed_form_table(example_quotients)
+    for i, s, g, coeff in zip(*(a.tolist() for a in (table.gen, table.s, table.g, table.coeff))):
+        m = example_power.generators[i]
+        x = variable(m.ctx, coeff)
+        assert x * example_power.generators[g] == m * variable(m.ctx, s)
+        assert x.degree == 1
 
 
-def test_regularity_example(example_ctx):
-    report = regularity_check(example_ctx)
+def test_corrupted_table_entry_is_reported(example_spec):
+    qs = linear_quotients_check(power_generators(example_spec, 1))
+    gens = qs.power.generators
+    table = closed_form_table(qs)
+    p = _entry(table, 3, 4)  # g(x4*u4) = u2
+    table.g[p] = 0
+    ok, mismatch = closed_form_matches_oracle(qs)
+    assert not ok
+    assert mismatch == (gens[3], 4, gens[0], gens[1])
+    with pytest.raises(ValueError, match=r"disagrees with oracle at \(x1x3, x4\)"):
+        regularity_check(qs)
+    with pytest.raises(ValueError, match=r"disagrees with oracle at \(x1x3, x4\)"):
+        assemble_resolution(qs, cross_check=True)
+
+
+_SMALL_SHAPES = [spec for spec in support.theorem_family_specs() if spec[0] <= 5]
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(shape=st.sampled_from(_SMALL_SHAPES), k=st.integers(1, 2))
+def test_tables_agree_property(shape, k):
+    n, d, l, ue, ve = shape
+    spec, _ = support.build_family_spec(n, ue, ve)
+    qs = linear_quotients_check(power_generators(spec, k))
+    closed = closed_form_table(qs)
+    oracle = oracle_table(qs)
+    assert closed.fault is None
+    assert np.array_equal(closed.g, oracle.g)
+    assert np.array_equal(closed.coeff, oracle.coeff)
+    for i, s, g in zip(closed.gen.tolist(), closed.s.tolist(), closed.g.tolist()):
+        m = qs.power.generators[i]
+        assert g_oracle_index(qs, m * variable(m.ctx, s)) == g
+
+
+def test_regularity_example(example_quotients):
+    report = regularity_check(example_quotients)
     assert report.regular
     # spot value: set(g(x4 * u5)) = set(u1) = {} subset of {3, 4}
-    qs = example_ctx.qs
+    qs = example_quotients
     u5 = qs.power.generators[4]
     g = g_oracle(qs, u5 * variable(u5.ctx, 4))
     assert qs.sets[qs.power.index_of(g)] == ()
 
 
 def test_regularity_squared(example_quotients_squared):
-    ctx = DecompositionContext.from_quotients(example_quotients_squared)
-    assert regularity_check(ctx).regular
+    assert regularity_check(example_quotients_squared).regular
+
+
+def test_regularity_reports_first_counterexample(example_power):
+    # with 3 added to set(u2) = set(x1x4), g(x4 * u4) = u2 breaks regularity
+    sets = [(), (2, 3), (4,), (2, 4), (3, 4)]
+    qs = QuotientStructure(power=example_power, sets=sets)
+    report = regularity_check_oracle(qs)
+    assert not report.regular
+    assert report.counterexample == (example_power.generators[3], 4, 3)
+    assert report.describe() == "not regular: t=3 in set(g(x4*x1x3)) but not in set(x1x3)"
+    with pytest.raises(ValueError, match="cannot resolve: decomposition function not regular"):
+        assemble_resolution(qs, use_oracle=True)
 
 
 def test_regularity_single_generator():
@@ -109,8 +168,8 @@ def test_requires_classified_spec():
     u = Monomial(ctx, (1, 1, 0))
     spec = LexSegmentSpec(ctx=ctx, d=2, u=u, v=u)
     qs = linear_quotients_check(power_generators(spec, 1))
-    with pytest.raises(ValueError):
-        DecompositionContext.from_quotients(qs)
+    with pytest.raises(ValueError, match="spec is not classified"):
+        closed_form_table(qs)
 
 
 def test_family_samples_closed_equals_oracle():
@@ -120,7 +179,6 @@ def test_family_samples_closed_equals_oracle():
         spec, _ = support.build_family_spec(n, ue, ve)
         for k in (1, 2):
             qs = linear_quotients_check(power_generators(spec, k))
-            ctx = DecompositionContext.from_quotients(qs)
-            ok, mismatch = closed_form_matches_oracle(ctx)
+            ok, mismatch = closed_form_matches_oracle(qs)
             assert ok, (n, d, l, ue, k, mismatch)
-            assert regularity_check(ctx).regular
+            assert regularity_check(qs).regular
