@@ -18,14 +18,14 @@ from .decomposition import (
     g_oracle_index, oracle_table, regularity_check, regularity_check_oracle,
 )
 from .resolution import (
-    BasisSymbol, ResolutionComplex, SignedVariableEntry, SignedVariableMatrix, assemble_resolution,
-    betti_from_sets, compose_check, minimality_check, resolution_basis,
+    BasisSymbol, DifferentialMatrix, ResolutionComplex, assemble_resolution, betti_from_sets,
+    compose_check, minimality_check, resolution_basis,
 )
 from .verify import (
     HilbertNumerator, RankReport, euler_characteristic_numerator, euler_check, hilbert_numerator,
     hilbert_numerator_inclusion_exclusion, random_rank_check,
 )
-from .errors import BudgetError
+from .errors import BudgetError, CheckFailure, InvariantError
 
 __all__ = [
     "BarTildeSplit", "Monomial", "RingContext", "bar_degree", "bar_tilde_split", "cmp_lex",
@@ -36,9 +36,9 @@ __all__ = [
     "QuotientStructure", "colon_minimal_generators", "linear_quotients_check", "set_bound_report",
     "DecompositionTable", "RegularityReport", "closed_form_matches_oracle", "closed_form_table",
     "g_oracle", "g_oracle_index", "oracle_table", "regularity_check", "regularity_check_oracle",
-    "BasisSymbol", "ResolutionComplex", "SignedVariableEntry", "SignedVariableMatrix",
-    "assemble_resolution", "betti_from_sets", "compose_check", "minimality_check",
-    "resolution_basis", "HilbertNumerator", "RankReport", "euler_characteristic_numerator",
-    "euler_check", "hilbert_numerator", "hilbert_numerator_inclusion_exclusion",
-    "random_rank_check", "BudgetError",
+    "BasisSymbol", "DifferentialMatrix", "ResolutionComplex", "assemble_resolution",
+    "betti_from_sets", "compose_check", "minimality_check", "resolution_basis", "HilbertNumerator",
+    "RankReport", "euler_characteristic_numerator", "euler_check", "hilbert_numerator",
+    "hilbert_numerator_inclusion_exclusion", "random_rank_check", "BudgetError", "CheckFailure",
+    "InvariantError",
 ]

@@ -13,7 +13,7 @@ import sys
 from dataclasses import dataclass
 
 from .decomposition import closed_form_matches_oracle, regularity_check, regularity_check_oracle
-from .errors import BudgetError
+from .errors import BudgetError, CheckFailure
 from .lexsegment import (
     enumerate_lexsegment,
     is_completely_lexsegment,
@@ -202,10 +202,6 @@ def _build_resolution(job: JobSpec):
             f"colon contains {qs.offending}"
         )
     return assemble_resolution(qs, use_oracle=not cls.has_linear_form)
-
-
-class CheckFailure(RuntimeError):
-    pass
 
 
 def _verify(job: JobSpec) -> int:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .monomials import Monomial
-from .quotients import QuotientStructure
+from .quotients import QuotientStructure, high_branch, pair_arrays
 
 # (pairs x generators) cells per chunk of the oracle's divisibility scan,
 # so that its boolean temporaries stay near 1 MB each
@@ -46,15 +46,6 @@ class DecompositionTable:
             raise ValueError(self.fault[1])
 
 
-def _pairs(qs: QuotientStructure):
-    """gen, s and the exponent rows of x_s * m_i for every pair."""
-    gen = np.array([i for i, st in enumerate(qs.sets) for _ in st], dtype=np.int64)
-    s = np.array([t for st in qs.sets for t in st], dtype=np.int64)
-    X = qs.power.exponent_matrix[gen]
-    X[np.arange(len(s)), s - 1] += 1
-    return gen, s, X
-
-
 def _first_true(mask: np.ndarray) -> int:
     """Index of the first True entry of a 1-d mask, or its length."""
     return int(mask.argmax()) if mask.any() else len(mask)
@@ -73,17 +64,12 @@ def closed_form_table(qs: QuotientStructure) -> DecompositionTable:
     pi, l = qs.power, qs.power.spec.l
     if l is None:
         raise ValueError("spec is not classified: no split index l")
-    gen, s, X = _pairs(qs)
-    M, rows = pi.exponent_matrix[gen], np.arange(len(s))
-    first = (M > 0).argmax(axis=1)
-    D = X - np.array((pi.spec.v**pi.k).exponents)
-    D[rows, first] -= 1  # x_s*m/x_min(m) - v^k, compared by bar degree, then lex
-    bar, lex = np.sign(D[:, :l].sum(axis=1)), np.sign(D[rows, (D != 0).argmax(axis=1)])
-    high = np.where(bar != 0, bar, lex) >= 0
-    tilde = M[:, l:] > 0
+    gen, s, X = pair_arrays(qs)
+    first, high = high_branch(pi, gen, X)
+    tilde = pi.exponent_matrix[gen, l:] > 0
     no_tilde = ~high & ~tilde.any(axis=1)
     G_rows = X.copy()
-    G_rows[rows, np.where(high, first, l + tilde.argmax(axis=1))] -= 1
+    G_rows[np.arange(len(s)), np.where(high, first, l + tilde.argmax(axis=1))] -= 1
     g = np.array([pi.position.get(tuple(row), -1) for row in G_rows.tolist()], dtype=np.int64)
     g[no_tilde] = -1
     C, single = _cofactors(X, pi.exponent_matrix, g)
@@ -113,7 +99,7 @@ def oracle_table(qs: QuotientStructure) -> DecompositionTable:
     if "oracle" in qs.g_tables:
         return qs.g_tables["oracle"]
     pi, G = qs.power, qs.power.exponent_matrix
-    gen, s, X = _pairs(qs)
+    gen, s, X = pair_arrays(qs)
     g = np.empty(len(s), dtype=np.int64)
     step = max(1, _ORACLE_CHUNK_CELLS // len(G))
     for start in range(0, len(s), step):

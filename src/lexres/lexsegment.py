@@ -7,6 +7,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
+from .errors import InvariantError
 from .monomials import (
     Monomial,
     RingContext,
@@ -49,7 +50,7 @@ def enumerate_lexsegment(u: Monomial, v: Monomial) -> list[Monomial]:
     while cmp_lex(w, v) > 0:
         w = lex_successor(w)
         if w is None:
-            raise AssertionError("lex walk fell off the end before reaching v")
+            raise InvariantError("lex walk fell off the end before reaching v")
         out.append(w)
     return out
 

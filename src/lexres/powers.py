@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import BudgetError
+from .errors import BudgetError, InvariantError
 from .lexsegment import LexSegmentSpec, enumerate_lexsegment
 from .monomials import Monomial, bar_degree, revlex_key
 
@@ -70,5 +70,5 @@ def power_generators(spec: LexSegmentSpec, k: int, budget: int = DEFAULT_PRODUCT
         # standing fact for the classified shape: deg(bar m) >= k for every generator
         for m in gens:
             if bar_degree(m, spec.l) < k:
-                raise AssertionError(f"generator {m} has bar-degree < k={k}")
+                raise InvariantError(f"generator {m} has bar-degree < k={k}")
     return PowerIdeal(spec, k, gens)

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .monomials import Monomial, min_tilde_index, cmp_prec, variable
+from .errors import InvariantError
+from .monomials import Monomial
 from .powers import PowerIdeal
 
 
@@ -92,7 +93,7 @@ def linear_quotients_check(pi: PowerIdeal) -> QuotientStructure:
         for s in var_cols:
             # increasing revlex forces every colon variable past min(m_i)
             if s + 1 <= m_min:
-                raise AssertionError(
+                raise InvariantError(
                     f"set({pi.generators[i]}) contains x{s + 1} <= x_min"
                 )
         sets.append(tuple(s + 1 for s in var_cols))
@@ -106,28 +107,49 @@ class SetBoundViolation:
     s: int
 
 
+def pair_arrays(qs: QuotientStructure):
+    """gen, s and the exponent rows of x_s * m_i for every pair (i, s) with
+    s in set(m_i), generator first, then s."""
+    gen = np.array([i for i, st in enumerate(qs.sets) for _ in st], dtype=np.int64)
+    s = np.array([t for st in qs.sets for t in st], dtype=np.int64)
+    X = qs.power.exponent_matrix[gen]
+    X[np.arange(len(s)), s - 1] += 1
+    return gen, s, X
+
+
+def high_branch(pi: PowerIdeal, gen: np.ndarray, X: np.ndarray):
+    """Per pair: the column of x_min(m_i), and whether x_s*m/x_min(m) is not
+    below v^k in the bar-degree-then-lex order (needs a classified spec)."""
+    l, rows = pi.spec.l, np.arange(len(gen))
+    first = (pi.exponent_matrix[gen] > 0).argmax(axis=1)
+    D = X - np.array((pi.spec.v**pi.k).exponents)
+    D[rows, first] -= 1
+    bar, lex = np.sign(D[:, :l].sum(axis=1)), np.sign(D[rows, (D != 0).argmax(axis=1)])
+    return first, np.where(bar != 0, bar, lex) >= 0
+
+
 def set_bound_report(qs: QuotientStructure) -> list[SetBoundViolation]:
     """Check s > min(m) for all s in set(m), and s > min(tilde m) whenever
     x_s*m/x_min(m) precedes v^k in the bar-degree-then-lex order.
 
-    Returns the violations (empty = both facts hold).  Needs a classified
-    spec for the second check; the first is order-theoretic and always runs.
+    Returns the violations in pair order (empty = both facts hold).  Needs
+    a classified spec for the second check; the first always runs.
     """
-    violations: list[SetBoundViolation] = []
-    pi = qs.power
-    spec = pi.spec
-    vk = spec.v**pi.k if spec.l is not None else None
-    for m, st in zip(pi.generators, qs.sets):
-        if not st:
-            continue
-        mn = m.min_index()
-        for s in st:
-            if s <= mn:
-                violations.append(SetBoundViolation("min-bound", m, s))
-                continue
-            if vk is None:
-                continue
-            cand = (m * variable(m.ctx, s)).try_divide(variable(m.ctx, mn))
-            if cmp_prec(cand, vk, spec.l) < 0 and s <= min_tilde_index(m, spec.l):
-                violations.append(SetBoundViolation("tilde-min-bound", m, s))
-    return violations
+    pi, l = qs.power, qs.power.spec.l
+    gen, s, X = pair_arrays(qs)
+    M = pi.exponent_matrix[gen]
+    bad_min = s <= (M > 0).argmax(axis=1) + 1
+    bad_tilde = np.zeros_like(bad_min)
+    if l is not None:
+        low = ~bad_min & ~high_branch(pi, gen, X)[1]
+        tilde = M[:, l:] > 0
+        bare = np.flatnonzero(low & ~tilde.any(axis=1))
+        if bare.size:
+            raise ValueError(f"{pi.generators[gen[bare[0]]]} has no support beyond x{l}")
+        bad_tilde = low & (s <= l + 1 + tilde.argmax(axis=1))
+    return [
+        SetBoundViolation(
+            "min-bound" if bad_min[p] else "tilde-min-bound", pi.generators[gen[p]], int(s[p])
+        )
+        for p in np.flatnonzero(bad_min | bad_tilde).tolist()
+    ]

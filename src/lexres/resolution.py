@@ -21,7 +21,10 @@ import itertools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .decomposition import closed_form_table, oracle_table, regularity_check_oracle, require_agreement
+from .errors import InvariantError
 from .quotients import QuotientStructure
 
 
@@ -43,36 +46,55 @@ class BasisSymbol:
         return f"f({{{inner}}};u{self.gen + 1})"
 
 
-@dataclass(frozen=True)
-class SignedVariableEntry:
-    row: int
-    col: int
-    sign: int  # +1 or -1
-    var: int  # 1-based variable index
+class DifferentialMatrix:
+    """A differential whose nonzero entries are all +-(one variable).
 
+    Entry p is signs[p] * x_{vars[p]} at (rows[p], cols[p]), vars 1-based.
+    The four int64 arrays are column-major: cols is non-decreasing, and
+    within a column the entries keep the order the assembly made them in.
+    """
 
-class SignedVariableMatrix:
-    """Sparse matrix whose nonzero entries are all +-(one variable)."""
-
-    def __init__(self, nrows: int, ncols: int, columns):
+    def __init__(self, nrows: int, ncols: int, rows, cols, signs, vars):
         self.nrows = nrows
         self.ncols = ncols
-        self.columns = [tuple(col) for col in columns]  # columns[j] = entries with col=j
+        self.rows, self.cols, self.signs, self.vars = (
+            np.asarray(a, dtype=np.int64) for a in (rows, cols, signs, vars)
+        )
 
-    def entries(self):
-        for col in self.columns:
-            yield from col
+    @property
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        return self.rows, self.cols, self.signs, self.vars
 
     def entry_count(self) -> int:
-        return sum(len(c) for c in self.columns)
+        return len(self.rows)
 
     def __eq__(self, other):
         return (
-            isinstance(other, SignedVariableMatrix)
-            and self.nrows == other.nrows
-            and self.ncols == other.ncols
-            and self.columns == other.columns
+            isinstance(other, DifferentialMatrix)
+            and (self.nrows, self.ncols) == (other.nrows, other.ncols)
+            and all(np.array_equal(a, b) for a, b in zip(self.arrays, other.arrays))
         )
+
+
+class BasisIndex:
+    """One basis as arrays: gen and sigma (one row per symbol, width |sigma|)
+    and sigma's bit mask, with a lookup from (gen, mask) to the symbol's row."""
+
+    def __init__(self, symbols, width: int, n: int):
+        self.shift = n + 1
+        self.gen = np.array([b.gen for b in symbols], dtype=np.int64)
+        sigma = [b.sigma for b in symbols]
+        self.sigma = np.array(sigma, dtype=np.int64).reshape(len(sigma), width)
+        self.mask = (1 << self.sigma).sum(axis=1)
+        keys = (self.gen << self.shift) | self.mask
+        self._order = np.argsort(keys)
+        self._keys = keys[self._order]
+
+    def find(self, gen: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        """Row of f(sigma; gen) for each sigma given by its mask, -1 where absent."""
+        query = (gen << self.shift) | mask
+        pos = np.searchsorted(self._keys, query).clip(max=len(self._keys) - 1)
+        return np.where(self._keys[pos] == query, self._order[pos], -1)
 
 
 class ResolutionComplex:
@@ -168,42 +190,39 @@ def assemble_resolution(
         if cross_check:
             require_agreement(qs)
     table.raise_fault_before(len(table.g))
-    pairs = zip(table.gen.tolist(), table.s.tolist())
-    g_of = dict(zip(pairs, zip(table.g.tolist(), table.coeff.tolist())))  # (w, s) -> (g, coeff)
     bases = resolution_basis(qs)
-    set_lookup = [frozenset(s) for s in qs.sets]
-    positions = {
-        i: {(b.sigma, b.gen): r for r, b in enumerate(symbols)}
-        for i, symbols in bases.items()
-    }
+    n = pi.spec.ctx.n
+    g_of, coeff_of = np.full((2, len(qs.sets), n + 1), -1, dtype=np.int64)
+    g_of[table.gen, table.s], coeff_of[table.gen, table.s] = table.g, table.coeff
+    index = {i: BasisIndex(symbols, i - 1, n) for i, symbols in bases.items()}
 
-    matrices: dict[int, SignedVariableMatrix] = {}
+    matrices: dict[int, DifferentialMatrix] = {}
     for i in sorted(bases):
         if i + 1 not in bases:
             break
-        rows = positions[i]
-        columns = []
-        for c, sym in enumerate(bases[i + 1]):
-            sigma, w = sym.sigma, sym.gen
-            entries = []
-            for pos, s in enumerate(sigma):
-                sign = -1 if pos % 2 else 1  # alpha(sigma; s) = position in sorted sigma
-                tau = sigma[:pos] + sigma[pos + 1 :]
-                g_idx, coeff_var = g_of[w, s]
-                if set(tau) <= set_lookup[g_idx]:
-                    entries.append(
-                        SignedVariableEntry(row=rows[(tau, g_idx)], col=c, sign=sign, var=coeff_var)
-                    )
-                entries.append(
-                    SignedVariableEntry(row=rows[(tau, w)], col=c, sign=-sign, var=s)
-                )
-            columns.append(entries)
-        matrices[i] = SignedVariableMatrix(len(bases[i]), len(bases[i + 1]), columns)
+        # column f(sigma; w) gets, for each s in sigma (pos its position), the
+        # g-term (when tau = sigma minus s lies in set(g)) and then the Koszul term
+        cols = index[i + 1]
+        shape = (len(cols.gen), i, 2)
+        rows, signs, variables = np.empty((3, *shape), dtype=np.int64)
+        for pos in range(i):
+            s = cols.sigma[:, pos]
+            tau = cols.mask - (1 << s)
+            g = g_of[cols.gen, s]
+            rows[:, pos, 0] = index[i].find(g, tau)  # -1 where tau is not in set(g)
+            rows[:, pos, 1] = index[i].find(cols.gen, tau)
+            signs[:, pos] = (-1, 1) if pos % 2 else (1, -1)  # alpha(sigma; s) = pos
+            variables[:, pos, 0], variables[:, pos, 1] = coeff_of[cols.gen, s], s
+        keep = rows.ravel() >= 0
+        col_of = np.repeat(np.arange(shape[0]), 2 * i)
+        matrices[i] = DifferentialMatrix(
+            len(bases[i]), shape[0], *(a.ravel()[keep] for a in (rows, col_of, signs, variables))
+        )
 
     betti = betti_from_sets(qs.sets)
     for i, symbols in bases.items():
         if betti[i] != len(symbols):
-            raise AssertionError(f"rank F_{i}: basis count {len(symbols)} != beta {betti[i]}")
+            raise InvariantError(f"rank F_{i}: basis count {len(symbols)} != beta {betti[i]}")
     kd = pi.generators[0].degree
     shifts = tuple([(0, 1)] + [(-(kd + i - 1), len(bases[i])) for i in sorted(bases)])
     return ResolutionComplex(
@@ -217,36 +236,43 @@ def assemble_resolution(
     )
 
 
+def _cancels(keys: np.ndarray, values: np.ndarray) -> bool:
+    """Whether the values sum to zero over every group of equal keys."""
+    if not len(values):
+        return True
+    _, group = np.unique(keys, return_inverse=True)
+    return not np.bincount(group.ravel(), weights=values).any()
+
+
 def compose_check(rc: ResolutionComplex, i: int) -> bool:
     """Symbolically verify d_i ∘ d_{i+1} = 0."""
     if i == 0:
         if 1 not in rc.matrices:
             return True
-        for col in rc.matrices[1].columns:
-            acc: dict[tuple[int, ...], int] = {}
-            for e in col:
-                gen = rc.d0[e.row]
-                key = tuple(
-                    v + (1 if j == e.var - 1 else 0) for j, v in enumerate(gen.exponents)
-                )
-                acc[key] = acc.get(key, 0) + e.sign
-            if any(acc.values()):
-                return False
-        return True
+        d1 = rc.matrices[1]
+        terms = np.array([g.exponents for g in rc.d0], dtype=np.int64)[d1.rows]
+        # the monomial x_var * d0[row]; a var outside 1..n (minimality fails) adds nothing
+        valid = np.flatnonzero((d1.vars >= 1) & (d1.vars <= terms.shape[1]))
+        terms[valid, d1.vars[valid] - 1] += 1
+        _, monomial = np.unique(terms, axis=0, return_inverse=True)
+        return _cancels(d1.cols * len(terms) + monomial.ravel(), d1.signs)
     upper = rc.matrices.get(i + 1)
     lower = rc.matrices.get(i)
-    if upper is None:
+    if upper is None or not upper.entry_count():
         return True
-    for col in upper.columns:
-        acc = {}
-        for e1 in col:
-            for e2 in lower.columns[e1.row]:
-                pair = (e1.var, e2.var) if e1.var <= e2.var else (e2.var, e1.var)
-                key = (e2.row, pair)
-                acc[key] = acc.get(key, 0) + e1.sign * e2.sign
-        if any(acc.values()):
-            return False
-    return True
+    # pair every entry of d_{i+1} with each entry of the d_i column it lands on
+    # (column j of d_i is starts[j]:starts[j + 1]), and key the product by
+    # (column, row, the two variables sorted)
+    starts = np.searchsorted(lower.cols, np.arange(lower.ncols + 1))
+    first, counts = starts[upper.rows], starts[upper.rows + 1] - starts[upper.rows]
+    ends = np.cumsum(counts)
+    inner = np.repeat(first - ends + counts, counts) + np.arange(ends[-1])
+    v1, v2 = np.repeat(upper.vars, counts), lower.vars[inner]
+    both = np.concatenate([upper.vars, lower.vars])
+    lo, span = both.min(), both.max() - both.min() + 1
+    cell = np.repeat(upper.cols, counts) * lower.nrows + lower.rows[inner]
+    keys = (cell * span + np.minimum(v1, v2) - lo) * span + np.maximum(v1, v2) - lo
+    return _cancels(keys, np.repeat(upper.signs, counts) * lower.signs[inner])
 
 
 def minimality_check(rc: ResolutionComplex) -> bool:
@@ -254,8 +280,7 @@ def minimality_check(rc: ResolutionComplex) -> bool:
     n = rc.power.spec.ctx.n
     if any(g.degree < 1 for g in rc.d0):
         return False
-    for mat in rc.matrices.values():
-        for e in mat.entries():
-            if e.sign not in (1, -1) or not 1 <= e.var <= n:
-                return False
-    return True
+    return all(
+        (np.abs(mat.signs) == 1).all() and ((mat.vars >= 1) & (mat.vars <= n)).all()
+        for mat in rc.matrices.values()
+    )

@@ -5,19 +5,37 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
+
 from .lexsegment import LexSegmentSpec
 from .monomials import Monomial, RingContext
 from .powers import PowerIdeal
 from .quotients import QuotientStructure
-from .resolution import BasisSymbol, ResolutionComplex, SignedVariableEntry, SignedVariableMatrix
+from .resolution import BasisSymbol, DifferentialMatrix, ResolutionComplex
 
 JSON_ORDER_TAG = "increasing-revlex"
 
 
-def resolution_to_dict(rc: ResolutionComplex) -> dict:
-    """JSON-ready dict; key order is part of the format."""
+def _block(items: list[str], indent: int, brackets: str = "[]") -> str:
+    """A container of the given item texts, laid out as json.dumps(indent=2)
+    lays out one that opens at `indent`."""
+    if not items:
+        return brackets
+    return brackets[0] + "\n" + ",\n".join(items) + "\n" + " " * indent + brackets[1]
+
+
+_ENTRY = (
+    '        {\n          "r": %d,\n          "c": %d,\n'
+    '          "sign": %d,\n          "var": %d\n        }'
+)
+
+
+def resolution_to_json(rc: ResolutionComplex) -> str:
+    """The JSON export, byte for byte json.dumps(..., indent=2) of the format
+    in the README; only the header goes through json, and each degree's basis
+    symbols and matrix entries are one %-format over a flat int list."""
     spec = rc.power.spec
-    out = {
+    header = {
         "n": spec.ctx.n,
         "d": spec.d,
         "k": rc.power.k,
@@ -29,27 +47,24 @@ def resolution_to_dict(rc: ResolutionComplex) -> dict:
         "sets": [list(s) for s in rc.quotients.sets],
         "betti": list(rc.betti),
         "shifts": [list(s) for s in rc.shifts],
-        "bases": {
-            str(i): [{"sigma": list(b.sigma), "gen": b.gen} for b in symbols]
-            for i, symbols in sorted(rc.bases.items())
-        },
-        "matrices": {
-            str(i): {
-                "rows": mat.nrows,
-                "cols": mat.ncols,
-                "entries": [
-                    {"r": e.row, "c": e.col, "sign": e.sign, "var": e.var}
-                    for e in mat.entries()
-                ],
-            }
-            for i, mat in sorted(rc.matrices.items())
-        },
     }
-    return out
-
-
-def resolution_to_json(rc: ResolutionComplex) -> str:
-    return json.dumps(resolution_to_dict(rc), indent=2) + "\n"
+    bases = []
+    for i, symbols in sorted(rc.bases.items()):
+        sigma = _block(["          %d"] * (i - 1), 8)
+        symbol = '      {\n        "sigma": ' + sigma + ',\n        "gen": %d\n      }'
+        values = [x for b in symbols for x in (*b.sigma, b.gen)]
+        bases.append(f'    "{i}": ' + _block([symbol] * len(symbols), 4) % tuple(values))
+    matrices = []
+    for i, mat in sorted(rc.matrices.items()):
+        values = np.column_stack(mat.arrays).ravel().tolist()
+        entries = _block([_ENTRY] * mat.entry_count(), 6) % tuple(values)
+        matrices.append(
+            f'    "{i}": {{\n      "rows": {mat.nrows},\n      "cols": {mat.ncols},\n      '
+            f'"entries": {entries}\n    }}'
+        )
+    bases, matrices = _block(bases, 2, "{}"), _block(matrices, 2, "{}")
+    head = json.dumps(header, indent=2)[:-2]  # without its closing "\n}"
+    return head + f',\n  "bases": {bases},\n  "matrices": {matrices}\n}}\n'
 
 
 def resolution_from_dict(data: dict) -> ResolutionComplex:
@@ -75,12 +90,10 @@ def resolution_from_dict(data: dict) -> ResolutionComplex:
     }
     matrices = {}
     for i, mat in data["matrices"].items():
-        columns = [[] for _ in range(mat["cols"])]
-        for e in mat["entries"]:
-            columns[e["c"]].append(
-                SignedVariableEntry(row=e["r"], col=e["c"], sign=e["sign"], var=e["var"])
-            )
-        matrices[int(i)] = SignedVariableMatrix(mat["rows"], mat["cols"], columns)
+        cells = [(e["r"], e["c"], e["sign"], e["var"]) for e in mat["entries"]]
+        cells = np.array(cells, dtype=np.int64).reshape(-1, 4)
+        cells = cells[np.argsort(cells[:, 1], kind="stable")].T.copy()  # column-major
+        matrices[int(i)] = DifferentialMatrix(mat["rows"], mat["cols"], *cells)
     return ResolutionComplex(
         quotients=qs,
         bases=bases,
@@ -102,8 +115,8 @@ def matrix_grid(rc: ResolutionComplex, i: int) -> list[list[str]]:
         return [[str(g) for g in rc.d0]]
     mat = rc.matrices[i]
     grid = [["0"] * mat.ncols for _ in range(mat.nrows)]
-    for e in mat.entries():
-        grid[e.row][e.col] = ("-" if e.sign < 0 else "") + f"x{e.var}"
+    for r, c, sign, var in zip(*(a.tolist() for a in mat.arrays)):
+        grid[r][c] = ("-" if sign < 0 else "") + f"x{var}"
     return grid
 
 

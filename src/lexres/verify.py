@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import BudgetError
 from .modp import DEFAULT_PRIME, rank_mod
-from .resolution import ResolutionComplex
+from .resolution import BasisIndex, DifferentialMatrix, ResolutionComplex
 
 DEFAULT_HILBERT_BUDGET = 200_000
 
@@ -237,18 +237,9 @@ def _evaluate_d0(rc: ResolutionComplex, point, p: int) -> np.ndarray:
     return row
 
 
-def _entry_arrays(mat) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    rows = np.fromiter((e.row for e in mat.entries()), dtype=np.int64)
-    cols = np.fromiter((e.col for e in mat.entries()), dtype=np.int64)
-    signs = np.fromiter((e.sign for e in mat.entries()), dtype=np.int64)
-    variables = np.fromiter((e.var for e in mat.entries()), dtype=np.int64)
-    return rows, cols, signs, variables
-
-
-def _evaluate_dense(arrays, shape, point_arr, p: int) -> np.ndarray:
-    rows, cols, signs, variables = arrays
-    M = np.zeros(shape, dtype=np.int64)
-    M[rows, cols] = (signs * point_arr[variables - 1]) % p
+def _evaluate_dense(mat: DifferentialMatrix, point_arr, p: int) -> np.ndarray:
+    M = np.zeros((mat.nrows, mat.ncols), dtype=np.int64)
+    M[mat.rows, mat.cols] = (mat.signs * point_arr[mat.vars - 1]) % p
     return M
 
 
@@ -263,7 +254,7 @@ class _WitnessStructure:
     upper triangular with diagonal +-x_{s*}: invertible at every point with
     nonzero coordinates.  rank(A) = dim(W) + rank(A22 - A21 W^-1 A12), and
     the Schur complement is zero-probed with random vectors.  All of this is
-    read off the actual entry lists at run time; any deviation from the
+    read off the actual entry arrays at run time; any deviation from the
     expected shape aborts the construction (the caller then falls back to a
     generic elimination).
     """
@@ -276,102 +267,58 @@ class _WitnessStructure:
     )
 
 
-def _build_witness_structure(rc: ResolutionComplex, i: int) -> _WitnessStructure | None:
-    rows_sym = rc.bases[i]
-    cols_sym = rc.bases[i + 1]
-    sets = rc.quotients.sets
-    s_star = {w: min(s) for w, s in enumerate(sets) if s}
-    row_pos = {(b.sigma, b.gen): idx for idx, b in enumerate(rows_sym)}
+def _split(size: int, picked: np.ndarray):
+    """Each index's position among picked (-1 elsewhere), its position among
+    the rest (-1 on picked), and how many the rest are."""
+    among = np.full(size, -1, dtype=np.int64)
+    among[picked] = np.arange(len(picked))
+    other = np.cumsum(among < 0) - 1
+    other[picked] = -1
+    return among, other, size - len(picked)
 
-    wit_row_of_row = {}
-    diag_row = []      # aligned row index per witness j
-    col_to_wit = {}
-    block = []         # generator of witness j
-    for c, b in enumerate(cols_sym):
-        ss = s_star.get(b.gen)
-        if ss is not None and ss in b.sigma:
-            tau = tuple(t for t in b.sigma if t != ss)
-            r = row_pos[(tau, b.gen)]
-            j = len(diag_row)
-            col_to_wit[c] = j
-            diag_row.append(r)
-            block.append(b.gen)
-            wit_row_of_row[r] = j
-    kappa = len(diag_row)
+
+def _build_witness_structure(rc: ResolutionComplex, i: int) -> _WitnessStructure | None:
+    n = rc.power.spec.ctx.n
+    row_ix, col_ix = BasisIndex(rc.bases[i], i - 1, n), BasisIndex(rc.bases[i + 1], i, n)
+    mat = rc.matrices[i]
+    s_star = np.array([min(s) if s else 0 for s in rc.quotients.sets], dtype=np.int64)
+    ss = s_star[col_ix.gen]
+    wit_cols = np.flatnonzero((col_ix.sigma == ss[:, None]).any(axis=1))
+    kappa = len(wit_cols)
     if kappa == 0:
         return None
+    block = col_ix.gen[wit_cols]  # generator of witness j
+    diag_row = row_ix.find(block, col_ix.mask[wit_cols] - (1 << ss[wit_cols]))
+    if (diag_row < 0).any():
+        return None
+    col_wit, col_other, n_other_cols = _split(mat.ncols, wit_cols)
+    row_wit, row_other, n_other_rows = _split(mat.nrows, diag_row)
 
-    other_row_of_row = {}
-    for r in range(len(rows_sym)):
-        if r not in wit_row_of_row:
-            other_row_of_row[r] = len(other_row_of_row)
-    other_col_of_col = {}
-    for c in range(len(cols_sym)):
-        if c not in col_to_wit:
-            other_col_of_col[c] = len(other_col_of_col)
-
-    diag_sign = [0] * kappa
-    diag_var = [0] * kappa
-    n_rows, n_cols, n_sign, n_var = [], [], [], []
-    a12, a21, a22 = ([], [], [], []), ([], [], [], []), ([], [], [], [])
-
-    for c, col in enumerate(rc.matrices[i].columns):
-        j = col_to_wit.get(c)
-        if j is not None:
-            ss = s_star[cols_sym[c].gen]
-            for e in col:
-                if e.row == diag_row[j] and e.var == ss:
-                    diag_sign[j], diag_var[j] = e.sign, e.var
-                    continue
-                j2 = wit_row_of_row.get(e.row)
-                if j2 is not None:
-                    # must point to a strictly earlier generator block
-                    if rows_sym[e.row].gen >= block[j]:
-                        return None
-                    n_rows.append(j2)
-                    n_cols.append(j)
-                    n_sign.append(e.sign)
-                    n_var.append(e.var)
-                else:
-                    a21[0].append(other_row_of_row[e.row])
-                    a21[1].append(j)
-                    a21[2].append(e.sign)
-                    a21[3].append(e.var)
-        else:
-            q = other_col_of_col[c]
-            for e in col:
-                j2 = wit_row_of_row.get(e.row)
-                if j2 is not None:
-                    a12[0].append(j2)
-                    a12[1].append(q)
-                    a12[2].append(e.sign)
-                    a12[3].append(e.var)
-                else:
-                    a22[0].append(other_row_of_row[e.row])
-                    a22[1].append(q)
-                    a22[2].append(e.sign)
-                    a22[3].append(e.var)
-    if any(s == 0 for s in diag_sign):
+    r, c, sign, var = mat.arrays
+    j, j2 = col_wit[c], row_wit[r]
+    on_wit = j >= 0
+    diag = on_wit & (r == diag_row[j]) & (var == ss[c])
+    diag_sign, diag_var = np.zeros((2, kappa), dtype=np.int64)
+    diag_sign[j[diag]], diag_var[j[diag]] = sign[diag], var[diag]
+    upper = on_wit & ~diag & (j2 >= 0)
+    # the rest of W must point to a strictly earlier generator block
+    if not diag_sign.all() or (row_ix.gen[r[upper]] >= col_ix.gen[c[upper]]).any():
         return None
 
+    def coo(mask, rows, cols):
+        return rows[mask], cols[mask], sign[mask], var[mask]
+
     st = _WitnessStructure()
-    st.kappa = kappa
-    st.n_other_rows = len(other_row_of_row)
-    st.n_other_cols = len(other_col_of_col)
-    st.diag_sign = np.array(diag_sign, dtype=np.int64)
-    st.diag_var = np.array(diag_var, dtype=np.int64)
-    order = np.argsort(np.array(n_cols, dtype=np.int64), kind="stable") if n_cols else []
-    st.n_rows = np.array(n_rows, dtype=np.int64)[order] if n_cols else np.empty(0, dtype=np.int64)
-    st.n_cols = np.array(n_cols, dtype=np.int64)[order] if n_cols else np.empty(0, dtype=np.int64)
-    st.n_sign = np.array(n_sign, dtype=np.int64)[order] if n_cols else np.empty(0, dtype=np.int64)
-    st.n_var = np.array(n_var, dtype=np.int64)[order] if n_cols else np.empty(0, dtype=np.int64)
+    st.kappa, st.n_other_rows, st.n_other_cols = kappa, n_other_rows, n_other_cols
+    st.diag_sign, st.diag_var = diag_sign, diag_var
+    order = np.argsort(j[upper], kind="stable")
+    st.n_rows, st.n_cols, st.n_sign, st.n_var = (x[order] for x in coo(upper, j2, j))
     # contiguous ranges of equal generator block, ascending
-    blocks = np.array(block, dtype=np.int64)
-    bounds = [0] + list(np.nonzero(np.diff(blocks))[0] + 1) + [kappa]
+    bounds = [0] + list(np.nonzero(np.diff(block))[0] + 1) + [kappa]
     st.block_ranges = [(bounds[t], bounds[t + 1]) for t in range(len(bounds) - 1)]
-    st.a12 = tuple(np.array(x, dtype=np.int64) for x in a12)
-    st.a21 = tuple(np.array(x, dtype=np.int64) for x in a21)
-    st.a22 = tuple(np.array(x, dtype=np.int64) for x in a22)
+    st.a12 = coo(~on_wit & (j2 >= 0), j2, col_other[c])
+    st.a21 = coo(on_wit & ~diag & (j2 < 0), row_other[r], j)
+    st.a22 = coo(~on_wit & (j2 < 0), row_other[r], col_other[c])
     return st
 
 
@@ -472,9 +419,7 @@ def random_rank_check(
                     ranks.append(r)
                     methods.append("witness")
                     continue
-            mat = rc.matrices[i]
-            dense = _evaluate_dense(_entry_arrays(mat), (mat.nrows, mat.ncols), point_arr, modulus)
-            ranks.append(rank_mod(dense, modulus))
+            ranks.append(rank_mod(_evaluate_dense(rc.matrices[i], point_arr, modulus), modulus))
             methods.append("dense-fallback")
         ranks = tuple(ranks)
         report.trials.append(

@@ -11,8 +11,12 @@ import itertools
 from lexres import (
     Monomial,
     RingContext,
+    cmp_prec,
     make_classified_spec,
+    min_tilde_index,
+    variable,
 )
+from lexres.quotients import SetBoundViolation
 
 
 def brute_cmp_lex(a, b):
@@ -142,3 +146,60 @@ def random_monomial_of_degree(rng, ctx, d):
     for _ in range(d):
         e[rng.randrange(ctx.n)] += 1
     return Monomial(ctx, e)
+
+
+def set_bound_report_loop(qs):
+    """The set(m) bound check pair by pair with monomials and cmp_prec: the
+    loop that lexres.set_bound_report vectorises, kept as its reference."""
+    violations = []
+    pi = qs.power
+    spec = pi.spec
+    vk = spec.v**pi.k if spec.l is not None else None
+    for m, st in zip(pi.generators, qs.sets):
+        if not st:
+            continue
+        mn = m.min_index()
+        for s in st:
+            if s <= mn:
+                violations.append(SetBoundViolation("min-bound", m, s))
+                continue
+            if vk is None:
+                continue
+            cand = (m * variable(m.ctx, s)).try_divide(variable(m.ctx, mn))
+            if cmp_prec(cand, vk, spec.l) < 0 and s <= min_tilde_index(m, spec.l):
+                violations.append(SetBoundViolation("tilde-min-bound", m, s))
+    return violations
+
+
+def compose_check_loop(rc, i):
+    """d_i ∘ d_{i+1} = 0 term by term over the entries, with dicts: the
+    reference for lexres.compose_check."""
+    def columns(mat):
+        out = [[] for _ in range(mat.ncols)]
+        for r, c, sign, var in zip(*(a.tolist() for a in mat.arrays)):
+            out[c].append((r, sign, var))
+        return out
+
+    if i == 0:
+        if 1 not in rc.matrices:
+            return True
+        for col in columns(rc.matrices[1]):
+            acc = {}
+            for r, sign, var in col:
+                key = tuple(e + (j == var - 1) for j, e in enumerate(rc.d0[r].exponents))
+                acc[key] = acc.get(key, 0) + sign
+            if any(acc.values()):
+                return False
+        return True
+    if i + 1 not in rc.matrices:
+        return True
+    lower = columns(rc.matrices[i])
+    for col in columns(rc.matrices[i + 1]):
+        acc = {}
+        for r1, s1, v1 in col:
+            for r2, s2, v2 in lower[r1]:
+                key = (r2, min(v1, v2), max(v1, v2))
+                acc[key] = acc.get(key, 0) + s1 * s2
+        if any(acc.values()):
+            return False
+    return True

@@ -128,6 +128,22 @@ def test_cli_verify_rejects_no_trials(capsys, monkeypatch):
         assert "input error" in captured.err
 
 
+def test_cli_broken_invariant_is_check_failure(capsys, monkeypatch):
+    # a basis count that disagrees with the Betti numbers, and a lex walk that
+    # ends early: both are broken invariants, reported as exit 1 without a traceback
+    monkeypatch.setattr("lexres.resolution.betti_from_sets", lambda sets: (1, 99))
+    code = main(["resolve", "--n", "4", "--u", "x1x3", "--v", "x2x4"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "check failed: rank F_1: basis count 5 != beta 99" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+    monkeypatch.setattr("lexres.lexsegment.lex_successor", lambda m: None)
+    code = main(["gen", "--n", "4", "--u", "x1x3", "--v", "x2x4"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "check failed: lex walk fell off the end before reaching v\n"
+
+
 def test_cli_budget_exit():
     assert main(["power", "--n", "6", "--u", "x1x3", "--v", "x2x6", "--k", "40"]) == 3
 
@@ -146,16 +162,15 @@ def test_cli_json_roundtrip(tmp_path, capsys):
 
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.json"
+PINNED = [
+    (name, inst["id"])
+    for name, workload in json.loads(WORKLOADS.read_text()).items()
+    if isinstance(workload, dict)
+    for inst in workload["instances"]
+]
 
 
-@pytest.mark.parametrize(
-    "workload, instance_id",
-    [
-        ("family", "n4:x1x3:x2x4:k2"),
-        ("family", "n5:x1x4x5:x3x5^2:k2"),
-        ("oracle", "n5:x1x2x3:x4x5^2:k2:oracle"),
-    ],
-)
+@pytest.mark.parametrize("workload, instance_id", PINNED)
 def test_cli_export_matches_pinned_digest(tmp_path, workload, instance_id):
     # the benchmark's pinned sha256 of `lexres export --format json`
     instances = json.loads(WORKLOADS.read_text())[workload]["instances"]

@@ -11,6 +11,7 @@ from lexres import (
 )
 from lexres.lexsegment import LexSegmentSpec
 from lexres.powers import PowerIdeal
+from lexres.quotients import QuotientStructure
 
 
 def test_example_sets(example_quotients):
@@ -122,3 +123,46 @@ def test_set_lemmas_on_family_samples():
             qs = linear_quotients_check(power_generators(spec, k))
             assert qs.is_linear
             assert set_bound_report(qs) == []
+
+
+def _report_or_error(fn, qs):
+    try:
+        return fn(qs)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def test_set_bound_report_matches_loop():
+    rng = random.Random(31)
+    seen = {"min-bound": 0, "tilde-min-bound": 0, "error": 0}
+
+    def compare(qs):
+        got = _report_or_error(set_bound_report, qs)
+        assert got == _report_or_error(support.set_bound_report_loop, qs)
+        if isinstance(got, str):
+            seen["error"] += 1
+        for violation in [] if isinstance(got, str) else got:
+            seen[violation.bound] += 1
+
+    for n, d, l, ue, ve in support.theorem_family_specs():
+        spec, _ = support.build_family_spec(n, ue, ve)
+        for k in (1, 2):
+            qs = linear_quotients_check(power_generators(spec, k))
+            assert set_bound_report(qs) == support.set_bound_report_loop(qs) == []
+            # add a variable to a few set(m), so that either bound can fail
+            sets = [list(st) for st in qs.sets]
+            for w in rng.sample(range(len(sets)), min(4, len(sets))):
+                sets[w] = sorted(set(sets[w]) | {rng.randrange(1, n + 1)})
+            compare(QuotientStructure(power=qs.power, sets=[tuple(st) for st in sets]))
+    # random pairs with a split index forced on them and random sets: here the
+    # tilde test also meets generators without support beyond x_l
+    for _ in range(60):
+        n = rng.randrange(3, 6)
+        ctx = RingContext(n)
+        u, v = support.random_normalized_pair(rng, ctx, rng.randrange(2, 4))
+        spec = LexSegmentSpec(ctx=ctx, d=u.degree, u=u, v=v, l=rng.randrange(2, n))
+        k = rng.randrange(1, 3)
+        pi = PowerIdeal(spec, k, power_generators(LexSegmentSpec(ctx, u.degree, u, v), k).generators)
+        sets = [tuple(sorted(rng.sample(range(1, n + 1), rng.randrange(0, n)))) for _ in pi.generators]
+        compare(QuotientStructure(power=pi, sets=sets))
+    assert all(seen.values()), seen

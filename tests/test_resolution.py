@@ -67,7 +67,8 @@ def test_example_betti_and_shifts(example_resolution):
 
 def test_zero_rule_dropped_term(example_resolution):
     # the column f({3,4};u5) drops the x2 f({3};u1) term since {3} ⊄ set(u1)
-    col = example_resolution.matrices[2].columns[1]
+    mat = example_resolution.matrices[2]
+    col = mat.rows[mat.cols == 1]
     assert len(col) == 3
 
 
@@ -80,8 +81,8 @@ def test_compose_and_minimality(example_resolution):
 def test_degree_homogeneity(example_resolution):
     rc = example_resolution
     for i, mat in rc.matrices.items():
-        for e in mat.entries():
-            assert rc.bases[i][e.row].degree + 1 == rc.bases[i + 1][e.col].degree
+        for row, col in zip(mat.rows.tolist(), mat.cols.tolist()):
+            assert rc.bases[i][row].degree + 1 == rc.bases[i + 1][col].degree
 
 
 def test_alpha_matches_permutation_parity():
@@ -165,3 +166,31 @@ def test_oracle_and_closed_assemblies_agree(example_quotients):
     b = assemble_resolution(example_quotients, use_oracle=True)
     assert a.matrices == b.matrices
     assert a.bases == b.bases
+
+
+def test_compose_check_matches_loop_on_corruptions(example_quotients_squared):
+    rng = random.Random(17)
+    spec, _ = support.build_family_spec(5, (1, 0, 1, 1, 0), (0, 1, 0, 0, 2))
+    failures = 0
+    for qs in (example_quotients_squared, linear_quotients_check(power_generators(spec, 2))):
+        rc = assemble_resolution(qs)
+        n = qs.power.spec.ctx.n
+        for i, mat in rc.matrices.items():
+            for _ in range(12):
+                p = rng.randrange(mat.entry_count())
+                field = rng.choice([mat.signs, mat.vars, mat.rows])
+                old = int(field[p])
+                if field is mat.signs:
+                    field[p] = -old
+                elif field is mat.vars:
+                    # 0 and n + 1 stand for malformed imported entries
+                    field[p] = rng.choice([v for v in range(0, n + 2) if v != old])
+                else:
+                    field[p] = rng.choice([r for r in range(mat.nrows) if r != old] or [old])
+                for j in (i - 1, i):
+                    got = compose_check(rc, j)
+                    assert got == support.compose_check_loop(rc, j), (i, j, p)
+                    failures += not got
+                field[p] = old
+            assert all(compose_check(rc, j) for j in range(rc.proj_dim))
+    assert failures

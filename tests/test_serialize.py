@@ -1,0 +1,82 @@
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import support
+from lexres import (
+    Monomial,
+    RingContext,
+    assemble_resolution,
+    linear_quotients_check,
+    power_generators,
+)
+from lexres.lexsegment import LexSegmentSpec
+from lexres.serialize import resolution_from_dict, resolution_from_json, resolution_to_json
+
+
+def _single_generator():
+    ctx = RingContext(3)
+    u = Monomial(ctx, (1, 1, 0))
+    spec = LexSegmentSpec(ctx=ctx, d=2, u=u, v=u)
+    return assemble_resolution(linear_quotients_check(power_generators(spec, 1)), use_oracle=True)
+
+
+def _family(n, ue, ve, k):
+    spec, _ = support.build_family_spec(n, ue, ve)
+    return assemble_resolution(linear_quotients_check(power_generators(spec, k)))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: _family(4, (1, 0, 1, 0), (0, 1, 0, 1), 1), id="worked-example"),
+        pytest.param(lambda: _family(4, (1, 0, 1, 0), (0, 1, 0, 1), 2), id="worked-example-k2"),
+        pytest.param(lambda: _family(6, (1, 0, 0, 1, 1, 0), (0, 0, 1, 0, 0, 2), 1), id="n6-k1"),
+        pytest.param(_single_generator, id="single-generator"),
+    ],
+)
+def test_json_writer_matches_json_dumps(build):
+    # the direct writer must lay the text out exactly as json.dumps(indent=2)
+    rc = build()
+    text = resolution_to_json(rc)
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+    data = json.loads(text)
+    assert list(data) == ["n", "d", "k", "l", "order", "u", "v", "generators", "sets",
+                          "betti", "shifts", "bases", "matrices"]
+    for i, mat in rc.matrices.items():
+        entries = data["matrices"][str(i)]["entries"]
+        assert [[e["r"], e["c"], e["sign"], e["var"]] for e in entries] == [
+            list(cell) for cell in zip(*(a.tolist() for a in mat.arrays))
+        ]
+    for i, symbols in rc.bases.items():
+        assert data["bases"][str(i)] == [{"sigma": list(b.sigma), "gen": b.gen} for b in symbols]
+
+
+def test_single_generator_has_no_matrices():
+    data = json.loads(resolution_to_json(_single_generator()))
+    assert data["matrices"] == {}
+    assert data["bases"] == {"1": [{"sigma": [], "gen": 0}]}
+
+
+def test_json_import_regroups_entries_by_column():
+    rc = _family(4, (1, 0, 1, 0), (0, 1, 0, 1), 2)
+    data = json.loads(resolution_to_json(rc))
+    for mat in data["matrices"].values():
+        mat["entries"].sort(key=lambda e: -e["c"])  # columns reversed, each kept in order
+    assert resolution_from_dict(data) == rc
+
+
+_SMALL_SHAPES = [spec for spec in support.theorem_family_specs() if spec[0] <= 5]
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(shape=st.sampled_from(_SMALL_SHAPES), k=st.integers(1, 2))
+def test_json_round_trip_property(shape, k):
+    n, d, l, ue, ve = shape
+    rc = _family(n, ue, ve, k)
+    text = resolution_to_json(rc)
+    back = resolution_from_json(text)
+    assert back == rc
+    assert resolution_to_json(back) == text

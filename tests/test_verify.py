@@ -19,7 +19,9 @@ from lexres import (
 )
 from lexres.lexsegment import LexSegmentSpec
 from lexres.modp import rank_mod
-from lexres.verify import HilbertNumerator, _entry_arrays, _evaluate_dense, rank_positions_ok
+from lexres.verify import (
+    HilbertNumerator, _build_witness_structure, _evaluate_dense, rank_positions_ok,
+)
 
 
 def test_hilbert_example(example_power):
@@ -140,35 +142,57 @@ def test_witness_tier_agrees_with_dense():
         assert t.methods == ("dense",) + ("witness",) * (rc.proj_dim - 1)
         point = np.array(t.point, dtype=np.int64)
         for i in range(1, rc.proj_dim):
-            mat = rc.matrices[i]
-            dense = _evaluate_dense(_entry_arrays(mat), (mat.nrows, mat.ncols), point, p)
+            dense = _evaluate_dense(rc.matrices[i], point, p)
             assert rank_mod(dense, p) == t.ranks[i]
 
 
 def test_rank_check_detects_corruption(example_quotients):
-    from lexres.resolution import SignedVariableEntry
-
     rc = assemble_resolution(example_quotients)
-    # corrupt one entry of d1: change its variable
+    # corrupt one entry of d1 (the first of column 0): change its variable
     mat = rc.matrices[1]
-    e = mat.columns[0][0]
-    bad = SignedVariableEntry(row=e.row, col=e.col, sign=e.sign, var=(e.var % 4) + 1)
-    mat.columns[0] = (bad,) + tuple(mat.columns[0][1:])
+    assert mat.cols[0] == 0
+    mat.vars[0] = (mat.vars[0] % 4) + 1
     report = random_rank_check(rc, seed=5, trials=2)
     assert not report.passed
     assert all("dense-fallback" in t.methods for t in report.trials)
 
 
 def test_witness_tier_detects_corruption():
-    from lexres.resolution import SignedVariableEntry
-
     spec, _ = support.build_family_spec(5, (1, 0, 0, 1, 1), (0, 0, 1, 0, 2))
     qs = linear_quotients_check(power_generators(spec, 2))
     rc = assemble_resolution(qs)
+    # flip the sign of the first entry of column 0 of d2
     mat = rc.matrices[2]
-    e = mat.columns[0][0]
-    bad = SignedVariableEntry(row=e.row, col=e.col, sign=-e.sign, var=e.var)
-    mat.columns[0] = (bad,) + tuple(mat.columns[0][1:])
+    assert mat.cols[0] == 0
+    mat.signs[0] = -mat.signs[0]
     report = random_rank_check(rc, seed=6, trials=2)
     assert not report.passed
     assert all("dense-fallback" in t.methods for t in report.trials)
+
+
+def test_witness_structure_rejects_broken_shape():
+    spec, _ = support.build_family_spec(5, (1, 0, 1, 1, 0), (0, 1, 0, 0, 2))
+    qs = linear_quotients_check(power_generators(spec, 2))
+    i = 2
+    s_star = {w: min(st) for w, st in enumerate(qs.sets) if st}
+    for corruption in ("diagonal variable", "later block"):
+        rc = assemble_resolution(qs)
+        assert _build_witness_structure(rc, i) is not None
+        mat, cols = rc.matrices[i], rc.bases[i + 1]
+        c = next(c for c, b in enumerate(cols) if s_star.get(b.gen) in b.sigma)
+        ss = s_star[cols[c].gen]
+        in_col = np.flatnonzero(mat.cols == c)
+        if corruption == "diagonal variable":
+            # the Koszul entry +-x_{s*} of a witness column loses its variable
+            p = next(p for p in in_col if mat.vars[p] == ss)
+            mat.vars[p] = next(v for v in range(1, 6) if v != ss)
+        else:
+            # an off-diagonal entry of W moved to a witness row of a block not before it
+            p = next(p for p in in_col if mat.vars[p] != ss)
+            witness_rows = [
+                r for r, b in enumerate(rc.bases[i]) if b.gen in s_star and s_star[b.gen] not in b.sigma
+            ]
+            mat.rows[p] = max(witness_rows, key=lambda r: rc.bases[i][r].gen)
+        assert _build_witness_structure(rc, i) is None, corruption
+        report = random_rank_check(rc, seed=2, trials=1)
+        assert report.trials[0].methods[i] == "dense-fallback"
