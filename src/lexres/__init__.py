@@ -2,8 +2,8 @@
 linear quotients, with independent verification layers."""
 
 from .monomials import (
-    BarTildeSplit, Monomial, RingContext, bar_degree, bar_tilde_split, cmp_lex, cmp_prec,
-    cmp_revlex, min_tilde_index, monomial_from_exponents, one, variable,
+    Monomial, RingContext, bar_degree, cmp_lex, cmp_prec, cmp_revlex, min_tilde_index, one,
+    variable,
 )
 from .lexsegment import (
     Classification, CompletelyLexVerdict, LexSegmentSpec, TransformRecord, classify_linear_form,
@@ -18,27 +18,26 @@ from .decomposition import (
     g_oracle_index, oracle_table, regularity_check, regularity_check_oracle,
 )
 from .resolution import (
-    BasisSymbol, DifferentialMatrix, ResolutionComplex, assemble_resolution, betti_from_sets,
-    compose_check, minimality_check, resolution_basis,
+    Basis, DifferentialMatrix, ResolutionComplex, assemble_resolution, betti_from_sets,
+    compose_check, minimality_check,
 )
 from .verify import (
-    HilbertNumerator, RankReport, euler_characteristic_numerator, euler_check, hilbert_numerator,
+    HilbertNumerator, RankReport, euler_characteristic_numerator, hilbert_numerator,
     hilbert_numerator_inclusion_exclusion, random_rank_check,
 )
 from .errors import BudgetError, CheckFailure, InvariantError
 
 __all__ = [
-    "BarTildeSplit", "Monomial", "RingContext", "bar_degree", "bar_tilde_split", "cmp_lex",
-    "cmp_prec", "cmp_revlex", "min_tilde_index", "monomial_from_exponents", "one", "variable",
+    "Monomial", "RingContext", "bar_degree", "cmp_lex", "cmp_prec", "cmp_revlex",
+    "min_tilde_index", "one", "variable",
     "Classification", "CompletelyLexVerdict", "LexSegmentSpec", "TransformRecord",
     "classify_linear_form", "enumerate_lexsegment", "is_completely_lexsegment",
     "make_classified_spec", "normalize_spec", "shadow", "PowerIdeal", "power_generators",
     "QuotientStructure", "colon_minimal_generators", "linear_quotients_check", "set_bound_report",
     "DecompositionTable", "RegularityReport", "closed_form_matches_oracle", "closed_form_table",
     "g_oracle", "g_oracle_index", "oracle_table", "regularity_check", "regularity_check_oracle",
-    "BasisSymbol", "DifferentialMatrix", "ResolutionComplex", "assemble_resolution",
-    "betti_from_sets", "compose_check", "minimality_check", "resolution_basis", "HilbertNumerator",
-    "RankReport", "euler_characteristic_numerator", "euler_check", "hilbert_numerator",
-    "hilbert_numerator_inclusion_exclusion", "random_rank_check", "BudgetError", "CheckFailure",
-    "InvariantError",
+    "Basis", "DifferentialMatrix", "ResolutionComplex", "assemble_resolution", "betti_from_sets",
+    "compose_check", "minimality_check", "HilbertNumerator", "RankReport",
+    "euler_characteristic_numerator", "hilbert_numerator", "hilbert_numerator_inclusion_exclusion",
+    "random_rank_check", "BudgetError", "CheckFailure", "InvariantError",
 ]

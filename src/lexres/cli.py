@@ -7,6 +7,7 @@ Exit codes: 0 ok, 1 failed check, 2 input error, 3 budget exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -268,6 +269,7 @@ def _verify(job: JobSpec) -> int:
     return 0 if ok else 1
 
 
+@functools.cache  # built on first use, not at import, and reused by every main() call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lexres",
@@ -326,7 +328,7 @@ def main(argv=None) -> int:
     except CheckFailure as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: an --out that cannot be written
         print(f"input error: {exc}", file=sys.stderr)
         return 2
 

@@ -83,10 +83,6 @@ class Monomial:
         _same_ctx(self, other)
         return Monomial(self.ctx, tuple(min(a, b) for a, b in zip(self.exponents, other.exponents)))
 
-    def lcm(self, other: "Monomial") -> "Monomial":
-        _same_ctx(self, other)
-        return Monomial(self.ctx, tuple(max(a, b) for a, b in zip(self.exponents, other.exponents)))
-
     def divides(self, other: "Monomial") -> bool:
         _same_ctx(self, other)
         return all(a <= b for a, b in zip(self.exponents, other.exponents))
@@ -116,11 +112,6 @@ class Monomial:
 
     def __repr__(self):
         return f"Monomial({self})"
-
-
-def monomial_from_exponents(ctx: RingContext, exponents) -> Monomial:
-    """Build a monomial, validating length and non-negativity."""
-    return Monomial(ctx, exponents)
 
 
 def one(ctx: RingContext) -> Monomial:
@@ -194,27 +185,6 @@ def lex_key(m: Monomial):
 def revlex_key(m: Monomial):
     """Sort key: sorting by this ascending is revlex-increasing."""
     return tuple(-e for e in reversed(m.exponents))
-
-
-# -- the bar/tilde split ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BarTildeSplit:
-    """The unique factorization m = bar * tilde with bar supported on
-    x_1..x_l and tilde on x_{l+1}..x_n."""
-
-    bar: Monomial
-    tilde: Monomial
-    l: int
-
-
-def bar_tilde_split(m: Monomial, l: int) -> BarTildeSplit:
-    check_split_index(m.ctx, l)
-    n = m.ctx.n
-    bar = Monomial(m.ctx, m.exponents[:l] + (0,) * (n - l))
-    tilde = Monomial(m.ctx, (0,) * l + m.exponents[l:])
-    return BarTildeSplit(bar=bar, tilde=tilde, l=l)
 
 
 def min_tilde_index(m: Monomial, l: int) -> int:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,19 +30,6 @@ from .quotients import QuotientStructure
 def alpha(sigma, s) -> int:
     """The sign exponent: how many members of sigma lie below s."""
     return sum(1 for t in sigma if t < s)
-
-
-@dataclass(frozen=True)
-class BasisSymbol:
-    """f(sigma; w): sigma sorted variable indices, gen the generator position."""
-
-    sigma: tuple[int, ...]
-    gen: int
-    degree: int
-
-    def label(self) -> str:
-        inner = ",".join(str(s) for s in self.sigma)
-        return f"f({{{inner}}};u{self.gen + 1})"
 
 
 class DifferentialMatrix:
@@ -76,46 +62,74 @@ class DifferentialMatrix:
         )
 
 
-class BasisIndex:
-    """One basis as arrays: gen and sigma (one row per symbol, width |sigma|)
-    and sigma's bit mask, with a lookup from (gen, mask) to the symbol's row."""
+class Basis:
+    """The symbols f(sigma; w) of one F_i as int64 arrays in matrix order:
+    gen (the generator position of w), sigma (one sorted row per symbol,
+    width i-1) and sigma's bit mask, with a lookup from (gen, mask) to the
+    symbol's row.  Every symbol of F_i has degree kd+i-1."""
 
-    def __init__(self, symbols, width: int, n: int):
-        self.shift = n + 1
-        self.gen = np.array([b.gen for b in symbols], dtype=np.int64)
-        sigma = [b.sigma for b in symbols]
-        self.sigma = np.array(sigma, dtype=np.int64).reshape(len(sigma), width)
+    def __init__(self, gen, sigma, width: int, n: int):
+        self._shift = n + 1
+        self.gen = np.asarray(gen, dtype=np.int64)
+        self.sigma = np.asarray(sigma, dtype=np.int64).reshape(len(self.gen), width)
         self.mask = (1 << self.sigma).sum(axis=1)
-        keys = (self.gen << self.shift) | self.mask
+        keys = (self.gen << self._shift) | self.mask
         self._order = np.argsort(keys)
         self._keys = keys[self._order]
 
+    def __len__(self) -> int:
+        return len(self.gen)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, Basis)
+            and np.array_equal(self.gen, other.gen)
+            and np.array_equal(self.sigma, other.sigma)
+        )
+
     def find(self, gen: np.ndarray, mask: np.ndarray) -> np.ndarray:
         """Row of f(sigma; gen) for each sigma given by its mask, -1 where absent."""
-        query = (gen << self.shift) | mask
+        query = (gen << self._shift) | mask
         pos = np.searchsorted(self._keys, query).clip(max=len(self._keys) - 1)
         return np.where(self._keys[pos] == query, self._order[pos], -1)
 
+    def labels(self) -> list[str]:
+        return [
+            f"f({{{','.join(map(str, sigma))}}};u{gen + 1})"
+            for sigma, gen in zip(self.sigma.tolist(), self.gen.tolist())
+        ]
+
 
 class ResolutionComplex:
-    """The assembled resolution: bases, differentials, Betti numbers, shifts.
+    """The assembled resolution: one Basis and one differential per degree.
 
-    d0 is the 1 x beta_1 generator row; matrices[i] is the map F_{i+1} -> F_i
-    for i >= 1.  bases[i] lists the symbols of F_i for i >= 1 (F_0 = S).
+    bases[i] is the basis of F_i for i >= 1 (F_0 = S); matrices[i] is the map
+    F_{i+1} -> F_i for i >= 1, and d0 is the 1 x beta_1 generator row.  The
+    Betti numbers and shifts are read off the bases: I^k is generated in the
+    single degree kd, so F_i is S(-(kd+i-1))^|bases[i]|.
     """
 
-    def __init__(self, quotients, bases, d0, matrices, betti, shifts, g_mode):
+    def __init__(self, quotients, bases, matrices):
         self.quotients = quotients
         self.bases = bases
-        self.d0 = d0
         self.matrices = matrices
-        self.betti = betti
-        self.shifts = shifts
-        self.g_mode = g_mode
 
     @property
     def power(self):
         return self.quotients.power
+
+    @property
+    def d0(self) -> tuple:
+        return tuple(self.power.generators)
+
+    @property
+    def betti(self) -> tuple[int, ...]:
+        return (1, *(len(self.bases[i]) for i in sorted(self.bases)))
+
+    @property
+    def shifts(self) -> tuple[tuple[int, int], ...]:
+        kd = self.power.generators[0].degree
+        return ((0, 1), *((-(kd + i - 1), len(self.bases[i])) for i in sorted(self.bases)))
 
     @property
     def proj_dim(self) -> int:
@@ -127,28 +141,22 @@ class ResolutionComplex:
             and self.power.generators == other.power.generators
             and self.quotients.sets == other.quotients.sets
             and self.bases == other.bases
-            and self.d0 == other.d0
             and self.matrices == other.matrices
-            and self.betti == other.betti
-            and self.shifts == other.shifts
         )
 
 
-def resolution_basis(qs: QuotientStructure) -> dict[int, list[BasisSymbol]]:
+def resolution_basis(qs: QuotientStructure) -> dict[int, Basis]:
     """All f(sigma; w) with sigma ⊆ set(w), |sigma| = i-1, in matrix order."""
-    if not qs.is_linear:
-        raise ValueError("quotient structure is not linear")
-    kd = qs.power.generators[0].degree if qs.power.generators else 0
-    max_set = max((len(s) for s in qs.sets), default=0)
-    bases: dict[int, list[BasisSymbol]] = {}
-    for i in range(1, max_set + 2):
-        symbols = [
-            BasisSymbol(sigma=sig, gen=w, degree=kd + i - 1)
-            for w, st in enumerate(qs.sets)
-            for sig in itertools.combinations(st, i - 1)
-        ]
-        if symbols:
-            bases[i] = symbols
+    n = qs.power.spec.ctx.n
+    bases: dict[int, Basis] = {}
+    for i in range(1, max((len(s) for s in qs.sets), default=0) + 2):
+        gen, sigma = [], []
+        for w, st in enumerate(qs.sets):
+            combos = list(itertools.combinations(st, i - 1))
+            gen += [w] * len(combos)
+            sigma += combos
+        if gen:
+            bases[i] = Basis(gen, sigma, i - 1, n)
     return bases
 
 
@@ -191,10 +199,12 @@ def assemble_resolution(
             require_agreement(qs)
     table.raise_fault_before(len(table.g))
     bases = resolution_basis(qs)
-    n = pi.spec.ctx.n
-    g_of, coeff_of = np.full((2, len(qs.sets), n + 1), -1, dtype=np.int64)
+    betti = betti_from_sets(qs.sets)
+    for i, basis in bases.items():
+        if betti[i] != len(basis):
+            raise InvariantError(f"rank F_{i}: basis count {len(basis)} != beta {betti[i]}")
+    g_of, coeff_of = np.full((2, len(qs.sets), pi.spec.ctx.n + 1), -1, dtype=np.int64)
     g_of[table.gen, table.s], coeff_of[table.gen, table.s] = table.g, table.coeff
-    index = {i: BasisIndex(symbols, i - 1, n) for i, symbols in bases.items()}
 
     matrices: dict[int, DifferentialMatrix] = {}
     for i in sorted(bases):
@@ -202,15 +212,15 @@ def assemble_resolution(
             break
         # column f(sigma; w) gets, for each s in sigma (pos its position), the
         # g-term (when tau = sigma minus s lies in set(g)) and then the Koszul term
-        cols = index[i + 1]
-        shape = (len(cols.gen), i, 2)
+        cols = bases[i + 1]
+        shape = (len(cols), i, 2)
         rows, signs, variables = np.empty((3, *shape), dtype=np.int64)
         for pos in range(i):
             s = cols.sigma[:, pos]
             tau = cols.mask - (1 << s)
             g = g_of[cols.gen, s]
-            rows[:, pos, 0] = index[i].find(g, tau)  # -1 where tau is not in set(g)
-            rows[:, pos, 1] = index[i].find(cols.gen, tau)
+            rows[:, pos, 0] = bases[i].find(g, tau)  # -1 where tau is not in set(g)
+            rows[:, pos, 1] = bases[i].find(cols.gen, tau)
             signs[:, pos] = (-1, 1) if pos % 2 else (1, -1)  # alpha(sigma; s) = pos
             variables[:, pos, 0], variables[:, pos, 1] = coeff_of[cols.gen, s], s
         keep = rows.ravel() >= 0
@@ -218,22 +228,7 @@ def assemble_resolution(
         matrices[i] = DifferentialMatrix(
             len(bases[i]), shape[0], *(a.ravel()[keep] for a in (rows, col_of, signs, variables))
         )
-
-    betti = betti_from_sets(qs.sets)
-    for i, symbols in bases.items():
-        if betti[i] != len(symbols):
-            raise InvariantError(f"rank F_{i}: basis count {len(symbols)} != beta {betti[i]}")
-    kd = pi.generators[0].degree
-    shifts = tuple([(0, 1)] + [(-(kd + i - 1), len(bases[i])) for i in sorted(bases)])
-    return ResolutionComplex(
-        quotients=qs,
-        bases=bases,
-        d0=tuple(pi.generators),
-        matrices=matrices,
-        betti=betti,
-        shifts=shifts,
-        g_mode="oracle" if use_oracle else "closed",
-    )
+    return ResolutionComplex(quotients=qs, bases=bases, matrices=matrices)
 
 
 def _cancels(keys: np.ndarray, values: np.ndarray) -> bool:

@@ -11,7 +11,7 @@ from .lexsegment import LexSegmentSpec
 from .monomials import Monomial, RingContext
 from .powers import PowerIdeal
 from .quotients import QuotientStructure
-from .resolution import BasisSymbol, DifferentialMatrix, ResolutionComplex
+from .resolution import Basis, DifferentialMatrix, ResolutionComplex
 
 JSON_ORDER_TAG = "increasing-revlex"
 
@@ -49,11 +49,11 @@ def resolution_to_json(rc: ResolutionComplex) -> str:
         "shifts": [list(s) for s in rc.shifts],
     }
     bases = []
-    for i, symbols in sorted(rc.bases.items()):
+    for i, basis in sorted(rc.bases.items()):
         sigma = _block(["          %d"] * (i - 1), 8)
         symbol = '      {\n        "sigma": ' + sigma + ',\n        "gen": %d\n      }'
-        values = [x for b in symbols for x in (*b.sigma, b.gen)]
-        bases.append(f'    "{i}": ' + _block([symbol] * len(symbols), 4) % tuple(values))
+        values = np.column_stack([basis.sigma, basis.gen]).ravel().tolist()
+        bases.append(f'    "{i}": ' + _block([symbol] * len(basis), 4) % tuple(values))
     matrices = []
     for i, mat in sorted(rc.matrices.items()):
         values = np.column_stack(mat.arrays).ravel().tolist()
@@ -80,12 +80,8 @@ def resolution_from_dict(data: dict) -> ResolutionComplex:
     gens = [Monomial(ctx, e) for e in data["generators"]]
     pi = PowerIdeal(spec, data["k"], gens)
     qs = QuotientStructure(power=pi, sets=[tuple(s) for s in data["sets"]])
-    kd = spec.d * data["k"]
     bases = {
-        int(i): [
-            BasisSymbol(sigma=tuple(b["sigma"]), gen=b["gen"], degree=kd + int(i) - 1)
-            for b in symbols
-        ]
+        int(i): Basis([b["gen"] for b in symbols], [b["sigma"] for b in symbols], int(i) - 1, ctx.n)
         for i, symbols in data["bases"].items()
     }
     matrices = {}
@@ -94,15 +90,10 @@ def resolution_from_dict(data: dict) -> ResolutionComplex:
         cells = np.array(cells, dtype=np.int64).reshape(-1, 4)
         cells = cells[np.argsort(cells[:, 1], kind="stable")].T.copy()  # column-major
         matrices[int(i)] = DifferentialMatrix(mat["rows"], mat["cols"], *cells)
-    return ResolutionComplex(
-        quotients=qs,
-        bases=bases,
-        d0=tuple(gens),
-        matrices=matrices,
-        betti=tuple(data["betti"]),
-        shifts=tuple(tuple(s) for s in data["shifts"]),
-        g_mode="imported",
-    )
+    rc = ResolutionComplex(quotients=qs, bases=bases, matrices=matrices)
+    if tuple(data["betti"]) != rc.betti or tuple(map(tuple, data["shifts"])) != rc.shifts:
+        raise ValueError(f"betti/shifts disagree with the bases, which give betti {rc.betti}")
+    return rc
 
 
 def resolution_from_json(text: str) -> ResolutionComplex:
@@ -123,7 +114,7 @@ def matrix_grid(rc: ResolutionComplex, i: int) -> list[list[str]]:
 def _row_labels(rc: ResolutionComplex, i: int) -> list[str]:
     if i == 0:
         return ["1"]
-    return [b.label() for b in rc.bases[i]]
+    return rc.bases[i].labels()
 
 
 def resolution_to_text(rc: ResolutionComplex) -> str:
@@ -151,8 +142,7 @@ def resolution_to_text(rc: ResolutionComplex) -> str:
         labels = _row_labels(rc, i)
         width = max((len(s) for row in grid for s in row), default=1)
         lwidth = max(len(s) for s in labels)
-        col_syms = rc.bases[i + 1]
-        lines.append(" " * (lwidth + 2) + "  ".join(b.label() for b in col_syms))
+        lines.append(" " * (lwidth + 2) + "  ".join(rc.bases[i + 1].labels()))
         for label, row in zip(labels, grid):
             lines.append(f"{label:<{lwidth}}  " + "  ".join(f"{s:>{width}}" for s in row))
     return "\n".join(lines) + "\n"

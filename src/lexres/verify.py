@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import BudgetError
 from .modp import DEFAULT_PRIME, rank_mod
-from .resolution import BasisIndex, DifferentialMatrix, ResolutionComplex
+from .resolution import DifferentialMatrix, ResolutionComplex
 
 DEFAULT_HILBERT_BUDGET = 200_000
 
@@ -172,20 +172,11 @@ def hilbert_numerator_inclusion_exclusion(gens) -> HilbertNumerator:
 
 
 def euler_characteristic_numerator(rc: ResolutionComplex) -> HilbertNumerator:
-    """The alternating basis-degree sum: F_0 contributes +1."""
-    out: dict[int, int] = {0: 1}
-    for i, symbols in rc.bases.items():
-        sign = -1 if i % 2 else 1
-        for b in symbols:
-            out[b.degree] = out.get(b.degree, 0) + sign
+    """sum_i (-1)^i |F_i| t^(kd+i-1), with F_0 = S contributing +1."""
+    out: dict[int, int] = {}
+    for i, (shift, rank) in enumerate(rc.shifts):
+        out[-shift] = out.get(-shift, 0) + (-1) ** i * rank
     return HilbertNumerator.from_dict(out)
-
-
-def euler_check(rc: ResolutionComplex, budget: int = DEFAULT_HILBERT_BUDGET) -> bool:
-    """Alternating basis degrees against the generator-only numerator."""
-    return euler_characteristic_numerator(rc) == hilbert_numerator(
-        rc.power.generators, budget=budget
-    )
 
 
 @dataclass
@@ -278,8 +269,7 @@ def _split(size: int, picked: np.ndarray):
 
 
 def _build_witness_structure(rc: ResolutionComplex, i: int) -> _WitnessStructure | None:
-    n = rc.power.spec.ctx.n
-    row_ix, col_ix = BasisIndex(rc.bases[i], i - 1, n), BasisIndex(rc.bases[i + 1], i, n)
+    row_ix, col_ix = rc.bases[i], rc.bases[i + 1]
     mat = rc.matrices[i]
     s_star = np.array([min(s) if s else 0 for s in rc.quotients.sets], dtype=np.int64)
     ss = s_star[col_ix.gen]
@@ -302,7 +292,7 @@ def _build_witness_structure(rc: ResolutionComplex, i: int) -> _WitnessStructure
     diag_sign[j[diag]], diag_var[j[diag]] = sign[diag], var[diag]
     upper = on_wit & ~diag & (j2 >= 0)
     # the rest of W must point to a strictly earlier generator block
-    if not diag_sign.all() or (row_ix.gen[r[upper]] >= col_ix.gen[c[upper]]).any():
+    if (np.abs(diag_sign) != 1).any() or (row_ix.gen[r[upper]] >= col_ix.gen[c[upper]]).any():
         return None
 
     def coo(mask, rows, cols):
@@ -344,7 +334,9 @@ def _witness_rank(st: _WitnessStructure, point_arr, rng_np, p: int, probes: int 
     n_vals = (st.n_sign * point_arr[st.n_var - 1]) % p
     # back-substitute W x = rhs: W = diag + strictly upper (later blocks)
     x = np.zeros_like(rhs)
-    inv = np.array([pow(int(d), p - 2, p) for d in diag], dtype=np.int64)
+    # diag is +-x_{s*}, so its inverse is +- the inverse coordinate
+    inv_point = np.array([pow(int(c), p - 2, p) for c in point_arr], dtype=np.int64)
+    inv = (st.diag_sign * inv_point[st.diag_var - 1]) % p
     seg_starts = np.searchsorted(st.n_cols, [b for b, _ in st.block_ranges])
     seg_ends = np.searchsorted(st.n_cols, [e for _, e in st.block_ranges])
     for t in range(len(st.block_ranges) - 1, -1, -1):

@@ -115,6 +115,17 @@ def test_cli_input_error():
     assert main(["gen", "--n", "4", "--u", "x2x4", "--v", "x1x3"]) == 2
 
 
+@pytest.mark.parametrize("where", ["missing directory", "a directory"])
+def test_cli_unwritable_out_is_input_error(tmp_path, capsys, where):
+    out = tmp_path / "missing" / "x.json" if where == "missing directory" else tmp_path
+    args = ["export", "--n", "4", "--u", "x1x3", "--v", "x2x4", "--format", "json"]
+    code = main(args + ["--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("input error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 def test_cli_verify_rejects_no_trials(capsys, monkeypatch):
     def no_pipeline(*args, **kwargs):
         raise AssertionError("the pipeline ran before the trial count was checked")

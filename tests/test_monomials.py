@@ -4,16 +4,13 @@ import pytest
 
 import support
 from lexres import (
-    BarTildeSplit,
     Monomial,
     RingContext,
     bar_degree,
-    bar_tilde_split,
     cmp_lex,
     cmp_prec,
     cmp_revlex,
     min_tilde_index,
-    monomial_from_exponents,
     one,
     variable,
 )
@@ -25,20 +22,20 @@ def ctx():
 
 
 def test_from_exponents(ctx):
-    m = monomial_from_exponents(ctx, [1, 0, 1, 0])
+    m = Monomial(ctx, [1, 0, 1, 0])
     assert str(m) == "x1x3"
     assert m.degree == 2
     assert one(ctx).degree == 0
     assert str(one(ctx)) == "1"
-    sq = monomial_from_exponents(ctx, [0, 2, 0, 0])
+    sq = Monomial(ctx, [0, 2, 0, 0])
     assert str(sq) == "x2^2" and sq.degree == 2
 
 
 def test_from_exponents_errors(ctx):
     with pytest.raises(ValueError):
-        monomial_from_exponents(ctx, [1, 0, 1])
+        Monomial(ctx, [1, 0, 1])
     with pytest.raises(ValueError):
-        monomial_from_exponents(ctx, [1, 0, -1, 0])
+        Monomial(ctx, [1, 0, -1, 0])
     with pytest.raises(ValueError):
         RingContext(1)
 
@@ -73,20 +70,7 @@ def test_cmp_prec_examples(ctx):
     assert cmp_prec(x2x4, x2x4, 2) == 0
     with pytest.raises(ValueError):
         cmp_prec(x3x4, x2x4, 4)
-
-
-def test_bar_tilde_split(ctx):
-    m = Monomial(ctx, (1, 0, 1, 0))
-    s = bar_tilde_split(m, 2)
-    assert isinstance(s, BarTildeSplit)
-    assert str(s.bar) == "x1" and str(s.tilde) == "x3"
-    assert s.bar * s.tilde == m
-    m2 = Monomial(ctx, (0, 1, 0, 2))
-    s2 = bar_tilde_split(m2, 2)
-    assert str(s2.bar) == "x2" and str(s2.tilde) == "x4^2"
-    s3 = bar_tilde_split(one(ctx), 2)
-    assert s3.bar.is_one() and s3.tilde.is_one()
-    assert bar_degree(m2, 2) == 1
+    assert bar_degree(Monomial(ctx, (0, 1, 0, 2)), 2) == 1
 
 
 def test_arithmetic(ctx):
@@ -96,7 +80,6 @@ def test_arithmetic(ctx):
     assert u1.try_divide(u1.gcd(u4)) == u1
     assert Monomial(ctx, (1, 1, 0, 1)).try_divide(Monomial(ctx, (1, 0, 0, 1))) == variable(ctx, 2)
     assert Monomial(ctx, (1, 0, 0, 1)).try_divide(Monomial(ctx, (0, 1, 0, 1))) is None
-    assert u1.lcm(u4) == Monomial(ctx, (1, 1, 1, 1))
     assert min_tilde_index(u4, 2) == 3
     assert u4.min_index() == 1
     with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 import support
@@ -13,7 +14,6 @@ from lexres import (
     linear_quotients_check,
     minimality_check,
     power_generators,
-    resolution_basis,
 )
 from lexres.lexsegment import LexSegmentSpec
 from lexres.resolution import alpha
@@ -41,7 +41,7 @@ D2_GRID = [
 
 def test_example_basis_order(example_resolution):
     rc = example_resolution
-    assert [b.label() for b in rc.bases[2]] == [
+    assert rc.bases[2].labels() == [
         "f({2};u2)",
         "f({4};u3)",
         "f({2};u4)",
@@ -49,7 +49,7 @@ def test_example_basis_order(example_resolution):
         "f({3};u5)",
         "f({4};u5)",
     ]
-    assert [b.label() for b in rc.bases[3]] == ["f({2,4};u4)", "f({3,4};u5)"]
+    assert rc.bases[3].labels() == ["f({2,4};u4)", "f({3,4};u5)"]
     assert 4 not in rc.bases
 
 
@@ -78,11 +78,24 @@ def test_compose_and_minimality(example_resolution):
     assert minimality_check(example_resolution)
 
 
-def test_degree_homogeneity(example_resolution):
-    rc = example_resolution
-    for i, mat in rc.matrices.items():
-        for row, col in zip(mat.rows.tolist(), mat.cols.tolist()):
-            assert rc.bases[i][row].degree + 1 == rc.bases[i + 1][col].degree
+def test_degree_homogeneity(example_resolution, example_quotients_squared):
+    # every entry of d_i is multidegree-homogeneous: f(sigma; w) has multidegree
+    # w * prod_{s in sigma} x_s, and the entry's variable makes up the difference
+    for rc in (example_resolution, assemble_resolution(example_quotients_squared)):
+        gens = np.array([g.exponents for g in rc.power.generators])
+        n = gens.shape[1]
+
+        def multidegree(basis, rows):
+            out = gens[basis.gen[rows]].copy()
+            for pos in range(basis.sigma.shape[1]):
+                out[np.arange(len(rows)), basis.sigma[rows, pos] - 1] += 1
+            return out
+
+        for i, mat in rc.matrices.items():
+            var = np.eye(n, dtype=np.int64)[mat.vars - 1]
+            col = multidegree(rc.bases[i + 1], mat.cols)
+            row = multidegree(rc.bases[i], mat.rows)
+            assert (col == row + var).all(), i
 
 
 def test_alpha_matches_permutation_parity():
@@ -116,9 +129,14 @@ def test_single_generator_resolution():
 
 def test_rank_identity_binomials(example_quotients_squared):
     rc = assemble_resolution(example_quotients_squared)
-    assert rc.betti == betti_from_sets(example_quotients_squared.sets)
-    for i, symbols in rc.bases.items():
-        assert len(symbols) == rc.betti[i]
+    sets = example_quotients_squared.sets
+    assert rc.betti == betti_from_sets(sets)
+    for i, basis in rc.bases.items():
+        assert len(basis) == rc.betti[i]
+        # the rows are distinct (i-1)-subsets of set(gen), so the count is the binomial sum
+        assert len(set(zip(basis.gen.tolist(), map(tuple, basis.sigma.tolist())))) == len(basis)
+        for gen, sigma in zip(basis.gen.tolist(), basis.sigma.tolist()):
+            assert sigma == sorted(set(sigma)) and set(sigma) <= set(sets[gen])
 
 
 def test_basis_requires_linear():
@@ -132,8 +150,6 @@ def test_basis_requires_linear():
     pi = PowerIdeal(spec, 1, (b, a))
     qs = lq(pi)
     with pytest.raises(ValueError):
-        resolution_basis(qs)
-    with pytest.raises(ValueError):
         assemble_resolution(qs)
 
 
@@ -145,7 +161,7 @@ def test_unclassified_needs_oracle_flag():
     with pytest.raises(ValueError):
         assemble_resolution(qs)
     rc = assemble_resolution(qs, use_oracle=True)
-    assert rc.g_mode == "oracle"
+    assert "closed" not in qs.g_tables and "oracle" in qs.g_tables
     assert all(compose_check(rc, i) for i in range(rc.proj_dim))
 
 

@@ -50,8 +50,10 @@ def test_json_writer_matches_json_dumps(build):
         assert [[e["r"], e["c"], e["sign"], e["var"]] for e in entries] == [
             list(cell) for cell in zip(*(a.tolist() for a in mat.arrays))
         ]
-    for i, symbols in rc.bases.items():
-        assert data["bases"][str(i)] == [{"sigma": list(b.sigma), "gen": b.gen} for b in symbols]
+    for i, basis in rc.bases.items():
+        assert data["bases"][str(i)] == [
+            {"sigma": sigma, "gen": gen} for sigma, gen in zip(basis.sigma.tolist(), basis.gen.tolist())
+        ]
 
 
 def test_single_generator_has_no_matrices():
@@ -66,6 +68,18 @@ def test_json_import_regroups_entries_by_column():
     for mat in data["matrices"].values():
         mat["entries"].sort(key=lambda e: -e["c"])  # columns reversed, each kept in order
     assert resolution_from_dict(data) == rc
+
+
+@pytest.mark.parametrize(
+    "field, value", [("betti", [1, 5, 6, 3]), ("shifts", [[0, 1], [-2, 5], [-3, 6], [-5, 2]])]
+)
+def test_json_import_rejects_betti_or_shifts_off_the_bases(field, value):
+    # Betti numbers and shifts are read off the bases, so a header that disagrees is refused
+    data = json.loads(resolution_to_json(_family(4, (1, 0, 1, 0), (0, 1, 0, 1), 1)))
+    assert data[field] != value
+    data[field] = value
+    with pytest.raises(ValueError, match="disagree with the bases"):
+        resolution_from_dict(data)
 
 
 _SMALL_SHAPES = [spec for spec in support.theorem_family_specs() if spec[0] <= 5]
