@@ -15,12 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .monomials import Monomial
+from .errors import CheckFailure
+from .monomials import Monomial, first_divisors
 from .quotients import QuotientStructure, high_branch, pair_arrays
-
-# (pairs x generators) cells per chunk of the oracle's divisibility scan,
-# so that its boolean temporaries stay near 1 MB each
-_ORACLE_CHUNK_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -43,7 +40,7 @@ class DecompositionTable:
 
     def raise_fault_before(self, p: int):
         if self.fault is not None and self.fault[0] <= p:
-            raise ValueError(self.fault[1])
+            raise CheckFailure(self.fault[1])
 
 
 def _first_true(mask: np.ndarray) -> int:
@@ -100,22 +97,15 @@ def oracle_table(qs: QuotientStructure) -> DecompositionTable:
         return qs.g_tables["oracle"]
     pi, G = qs.power, qs.power.exponent_matrix
     gen, s, X = pair_arrays(qs)
-    g = np.empty(len(s), dtype=np.int64)
-    step = max(1, _ORACLE_CHUNK_CELLS // len(G))
-    for start in range(0, len(s), step):
-        Xc = X[start : start + step]
-        hits = np.ones((len(Xc), len(G)), dtype=bool)
-        for j in range(G.shape[1]):
-            hits &= G[:, j] <= Xc[:, j, None]
-        g[start : start + step] = first = hits.argmax(axis=1)
-        missing = _first_true(~hits[np.arange(len(Xc)), first])
-        if missing < len(Xc):
-            raise ValueError(f"{Monomial(pi.spec.ctx, Xc[missing])} is not in I^{pi.k}")
+    g = first_divisors(G, X)
+    missing = _first_true(g == len(G))
+    if missing < len(s):
+        raise CheckFailure(f"{Monomial(pi.spec.ctx, X[missing])} is not in I^{pi.k}")
     C, single = _cofactors(X, G, g)
     p = _first_true(~single)
     if p < len(s):
         m = pi.generators[gen[p]]
-        raise ValueError(
+        raise CheckFailure(
             f"g(x{int(s[p])}*{m}) = {pi.generators[g[p]]} has non-variable cofactor "
             f"{Monomial(m.ctx, C[p])}"
         )
@@ -126,12 +116,10 @@ def oracle_table(qs: QuotientStructure) -> DecompositionTable:
 def g_oracle_index(qs: QuotientStructure, x: Monomial) -> int:
     """Position of the earliest generator (increasing revlex) dividing x."""
     pi = qs.power
-    xv = np.array(x.exponents, dtype=np.int64)
-    hits = np.all(pi.exponent_matrix <= xv, axis=1)
-    pos = np.nonzero(hits)[0]
-    if pos.size == 0:
+    pos = int(first_divisors(pi.exponent_matrix, np.array([x.exponents], dtype=np.int64))[0])
+    if pos == len(pi.generators):
         raise ValueError(f"{x} is not in I^{pi.k}")
-    return int(pos[0])
+    return pos
 
 
 def g_oracle(qs: QuotientStructure, x: Monomial) -> Monomial:
@@ -155,7 +143,7 @@ def require_agreement(qs: QuotientStructure):
     ok, mismatch = closed_form_matches_oracle(qs)
     if not ok:
         m, s, closed, oracle = mismatch
-        raise ValueError(f"closed form disagrees with oracle at ({m}, x{s}): {closed} vs {oracle}")
+        raise CheckFailure(f"closed form disagrees with oracle at ({m}, x{s}): {closed} vs {oracle}")
 
 
 @dataclass(frozen=True)

@@ -4,12 +4,20 @@ Everything downstream works with monomials of one ambient ring x_1..x_n,
 compared in plain lex, in increasing reverse-lex (the generator order for
 the colon computations), or in the bar-degree-then-lex order attached to a
 split index l.  Variable indices are 1-based in every public signature;
-the exponent tuple itself is 0-based.
+the exponent tuple itself is 0-based.  Divisibility questions over many
+monomials at once (earliest divisor, minimal generators) take int64
+exponent rows, one monomial per row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
+
+# (rows of X) x (rows of G) cells per chunk of the divisibility scan, so that
+# its boolean temporaries stay near 1 MB each
+_SCAN_CHUNK_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -79,10 +87,6 @@ class Monomial:
             return None
         return Monomial(self.ctx, diff)
 
-    def gcd(self, other: "Monomial") -> "Monomial":
-        _same_ctx(self, other)
-        return Monomial(self.ctx, tuple(min(a, b) for a, b in zip(self.exponents, other.exponents)))
-
     def divides(self, other: "Monomial") -> bool:
         _same_ctx(self, other)
         return all(a <= b for a, b in zip(self.exponents, other.exponents))
@@ -132,6 +136,34 @@ def _same_ctx(a: Monomial, b: Monomial):
 def check_split_index(ctx: RingContext, l: int):
     if not 2 <= l <= ctx.n - 1:
         raise ValueError(f"split index l={l} outside 2..{ctx.n - 1}")
+
+
+# -- divisibility on exponent rows -------------------------------------------
+
+
+def first_divisors(G: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """For each row of X, the position of the first row of G that divides it
+    (no exponent larger), or len(G) when none does."""
+    out = np.full(len(X), len(G), dtype=np.int64)
+    if len(G) == 0:
+        return out
+    step = max(1, _SCAN_CHUNK_CELLS // len(G))
+    for start in range(0, len(X), step):
+        Xc = X[start : start + step]
+        hits = np.ones((len(Xc), len(G)), dtype=bool)
+        for j in range(G.shape[1]):
+            hits &= G[:, j] <= Xc[:, j, None]
+        first = hits.argmax(axis=1)
+        out[start : start + step] = np.where(hits[np.arange(len(Xc)), first], first, len(G))
+    return out
+
+
+def minimal_rows(X: np.ndarray) -> np.ndarray:
+    """The minimal generators of the monomial ideal spanned by the rows of X,
+    sorted by (degree, lex): a row is kept when it is its own first divisor,
+    so a repeated row keeps only its first copy."""
+    X = X[np.lexsort(np.vstack([X.T[::-1], X.sum(axis=1)]))]  # degree, then lex
+    return X[first_divisors(X, X) == np.arange(len(X))]
 
 
 # -- the three orders -------------------------------------------------------

@@ -13,30 +13,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvariantError
-from .monomials import Monomial
+from .errors import CheckFailure, InvariantError
+from .monomials import Monomial, minimal_rows
 from .powers import PowerIdeal
-
-
-def _minimalize(monomials) -> set[Monomial]:
-    """Drop every element divisible by another (distinct) element."""
-    ms = sorted(set(monomials), key=lambda m: (m.degree, m.exponents))
-    out: list[Monomial] = []
-    for m in ms:
-        if not any(g.divides(m) for g in out):
-            out.append(m)
-    return set(out)
 
 
 def colon_minimal_generators(prefix, m: Monomial) -> set[Monomial]:
     """Minimal monomial generators of (prefix) : (m)."""
-    quotients = []
-    for g in prefix:
-        q = g.try_divide(g.gcd(m))
-        if q.is_one():
-            return {q}
-        quotients.append(q)
-    return _minimalize(quotients)
+    P = np.array([g.exponents for g in prefix], dtype=np.int64).reshape(len(prefix), m.ctx.n)
+    quotients = np.clip(P - np.array(m.exponents), 0, None)
+    return {Monomial(m.ctx, row) for row in minimal_rows(quotients).tolist()}
 
 
 @dataclass
@@ -145,7 +131,7 @@ def set_bound_report(qs: QuotientStructure) -> list[SetBoundViolation]:
         tilde = M[:, l:] > 0
         bare = np.flatnonzero(low & ~tilde.any(axis=1))
         if bare.size:
-            raise ValueError(f"{pi.generators[gen[bare[0]]]} has no support beyond x{l}")
+            raise CheckFailure(f"{pi.generators[gen[bare[0]]]} has no support beyond x{l}")
         bad_tilde = low & (s <= l + 1 + tilde.argmax(axis=1))
     return [
         SetBoundViolation(

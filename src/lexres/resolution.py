@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from .decomposition import closed_form_table, oracle_table, regularity_check_oracle, require_agreement
-from .errors import InvariantError
+from .errors import CheckFailure, InvariantError
 from .quotients import QuotientStructure
 
 
@@ -191,7 +191,7 @@ def assemble_resolution(
     if use_oracle:
         report = regularity_check_oracle(qs)
         if not report.regular:
-            raise ValueError(f"cannot resolve: decomposition function {report.describe()}")
+            raise CheckFailure(f"cannot resolve: decomposition function {report.describe()}")
         table = oracle_table(qs)
     else:
         table = closed_form_table(qs)

@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import BudgetError
 from .modp import DEFAULT_PRIME, rank_mod
+from .monomials import minimal_rows
 from .resolution import DifferentialMatrix, ResolutionComplex
 
 DEFAULT_HILBERT_BUDGET = 200_000
@@ -61,43 +62,16 @@ def _pmul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     return out
 
 
-def _minimalize_rows(rows: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    rows = sorted(set(rows), key=lambda r: (sum(r), r))
-    out: list[tuple[int, ...]] = []
-    for r in rows:
-        if not any(all(g <= x for g, x in zip(o, r)) for o in out):
-            out.append(r)
-    return out
-
-
-def _canonical(rows) -> tuple[tuple[int, ...], ...]:
+def _canonical_key(rows: np.ndarray):
     """Memo key: drop unused variables, sort columns, sort rows.
 
     The numerator is unchanged by ambient variables that occur nowhere and
     by permuting variables, so canonical keys pool those subproblems.
     """
-    if not rows:
-        return ()
-    cols = sorted(c for c in zip(*rows) if any(c))
-    if not cols:
-        return ((),)
-    return tuple(sorted(zip(*cols)))
-
-
-def _pivot_variable(rows, policy: str) -> int:
-    """A variable occurring in some non-pure-power generator."""
-    nvars = len(rows[0])
-    counts = [0] * nvars
-    for r in rows:
-        if sum(1 for e in r if e) >= 2:
-            for j, e in enumerate(r):
-                if e:
-                    counts[j] += 1
-    if policy == "occurrence":
-        return max(range(nvars), key=lambda j: counts[j])
-    if policy == "index":
-        return next(j for j in range(nvars) if counts[j])
-    raise ValueError(f"unknown pivot policy {policy!r}")
+    A = rows[:, rows.any(axis=0)]
+    A = A[:, np.lexsort(A[::-1])]  # columns as tuples, top row first
+    A = A[np.lexsort(A.T[::-1])]
+    return A.shape, A.tobytes()
 
 
 def hilbert_numerator(
@@ -109,38 +83,40 @@ def hilbert_numerator(
 
         N(J) = N(J + (x)) + t * N(J : x)
 
-    with closed forms for the empty set and for pure-power generators.
+    with closed forms for the empty set and for pure-power generators.  J is
+    carried as its minimal generators, one exponent row each, sorted by
+    (degree, lex); x is a variable of some non-pure-power generator.
     """
-    rows = _minimalize_rows([tuple(m.exponents) for m in gens])
+    if pivot_policy not in ("occurrence", "index"):
+        raise ValueError(f"unknown pivot policy {pivot_policy!r}")
     memo: dict = {}
     nodes = [0]
 
-    def rec(rows: list[tuple[int, ...]]) -> dict[int, int]:
+    def rec(rows: np.ndarray) -> dict[int, int]:
         nodes[0] += 1
         if nodes[0] > budget:
             raise BudgetError(f"hilbert recursion exceeded {budget} nodes")
-        if not rows:
+        if not len(rows):
             return {0: 1}
-        if any(sum(r) == 0 for r in rows):
+        degs, support = rows.sum(axis=1), (rows > 0).sum(axis=1)
+        if (degs == 0).any():
             return {}
-        if all(sum(1 for e in r if e) == 1 for r in rows):
+        if (support == 1).all():
             out = {0: 1}
-            for r in rows:
-                out = _pmul(out, {0: 1, sum(r): -1})
+            for d in degs.tolist():
+                out = _pmul(out, {0: 1, d: -1})
             return out
-        key = _canonical(rows)
+        key = _canonical_key(rows)
         hit = memo.get(key)
         if hit is not None:
             return hit
-        x = _pivot_variable(rows, pivot_policy)
-        plus = [r for r in rows if r[x] == 0]
-        unit = tuple(1 if j == x else 0 for j in range(len(rows[0])))
-        plus.append(unit)
-        colon = _minimalize_rows(
-            [tuple(e - 1 if j == x and e else e for j, e in enumerate(r)) for r in rows]
-        )
-        n_plus = rec(_minimalize_rows(plus))
-        n_colon = rec(colon)
+        counts = (rows[support >= 2] > 0).sum(axis=0)
+        x = int(counts.argmax() if pivot_policy == "occurrence" else (counts > 0).argmax())
+        unit = np.eye(1, rows.shape[1], x, dtype=np.int64)
+        colon = rows.copy()
+        colon[:, x] = np.maximum(colon[:, x] - 1, 0)
+        n_plus = rec(minimal_rows(np.vstack([rows[rows[:, x] == 0], unit])))
+        n_colon = rec(minimal_rows(colon))
         out = dict(n_plus)
         for deg, coef in n_colon.items():
             out[deg + 1] = out.get(deg + 1, 0) + coef
@@ -148,7 +124,10 @@ def hilbert_numerator(
         memo[key] = out
         return out
 
-    return HilbertNumerator.from_dict(rec(rows))
+    gens = list(gens)
+    n = gens[0].ctx.n if gens else 0
+    rows = np.array([m.exponents for m in gens], dtype=np.int64).reshape(len(gens), n)
+    return HilbertNumerator.from_dict(rec(minimal_rows(rows)))
 
 
 def hilbert_numerator_inclusion_exclusion(gens) -> HilbertNumerator:

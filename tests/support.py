@@ -171,6 +171,27 @@ def set_bound_report_loop(qs):
     return violations
 
 
+def minimal_rows_loop(rows):
+    """Minimal generators of the ideal spanned by exponent tuples, sorted by
+    (degree, lex), by the pairwise scan over tuples: the loop that
+    lexres.monomials.minimal_rows vectorises, kept as its reference."""
+    rows = sorted(set(rows), key=lambda r: (sum(r), r))
+    out = []
+    for r in rows:
+        if not any(all(g <= x for g, x in zip(o, r)) for o in out):
+            out.append(r)
+    return out
+
+
+def first_divisors_loop(G, X):
+    """For each tuple of X, the position of the first tuple of G dividing it,
+    or len(G): the reference for lexres.monomials.first_divisors."""
+    return [
+        next((j for j, g in enumerate(G) if all(a <= b for a, b in zip(g, x))), len(G))
+        for x in X
+    ]
+
+
 def compose_check_loop(rc, i):
     """d_i ∘ d_{i+1} = 0 term by term over the entries, with dicts: the
     reference for lexres.compose_check."""

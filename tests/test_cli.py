@@ -1,12 +1,14 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from lexres import RingContext
+from lexres import RingContext, decomposition, quotients
 from lexres.cli import JobSpec, build_parser, main, parse_monomial, run_command
 from lexres.serialize import resolution_from_json, resolution_to_json
 
@@ -42,10 +44,14 @@ def test_parse_render_roundtrip(ctx):
 
 
 def run_cli(args):
+    # the child finds the package in ./src, as pytest itself does (pyproject.toml)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     return subprocess.run(
         [sys.executable, "-m", "lexres", *args],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)},
     )
 
 
@@ -153,6 +159,75 @@ def test_cli_broken_invariant_is_check_failure(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err == "check failed: lex walk fell off the end before reaching v\n"
+
+
+_EXAMPLE = ["--n", "4", "--u", "x1x3", "--v", "x2x4"]
+_UNCLASSIFIED = ["--n", "3", "--u", "x1x2", "--v", "x2x3", "--oracle-g"]
+# the originals, which the replacements below call while patched over
+_high_branch, _pair_arrays = quotients.high_branch, quotients.pair_arrays
+_closed_form_table = decomposition.closed_form_table
+
+
+def _low_branch_only(pi, gen, X):
+    first, _ = _high_branch(pi, gen, X)
+    return first, np.zeros(len(gen), dtype=bool)
+
+
+def _flipped_branch(pi, gen, X):
+    first, high = _high_branch(pi, gen, X)
+    return first, ~high
+
+
+def _corrupted_closed_form(qs):
+    table = _closed_form_table(qs)
+    table.g[3] = 0  # g(x4*x1x3) = x2x4, not x1x4
+    return table
+
+
+def _not_regular(qs):
+    return decomposition.RegularityReport(False, (qs.power.generators[1], 2, 3))
+
+
+def _first_pair_zeroed(qs):
+    gen, s, X = _pair_arrays(qs)
+    X[0] = 0
+    return gen, s, X
+
+
+def _first_pair_times_x1(qs):
+    gen, s, X = _pair_arrays(qs)
+    X[0, 0] += 1
+    return gen, s, X
+
+
+@pytest.mark.parametrize(
+    "target, replacement, argv, message",
+    [
+        ("lexres.quotients.high_branch", _low_branch_only, ["verify"] + _EXAMPLE,
+         "x2^2 has no support beyond x2"),
+        ("lexres.decomposition.high_branch", _flipped_branch, ["resolve"] + _EXAMPLE,
+         "closed form left G(I^k): g(x2*x1x4) = x1x2 is not a generator (branch low)"),
+        ("lexres.decomposition.closed_form_table", _corrupted_closed_form, ["verify"] + _EXAMPLE,
+         "closed form disagrees with oracle at (x1x3, x4): x2x4 vs x1x4"),
+        ("lexres.resolution.regularity_check_oracle", _not_regular, ["resolve"] + _UNCLASSIFIED,
+         "cannot resolve: decomposition function not regular: t=3 in set(g(x2*x1x3))"),
+        ("lexres.decomposition.pair_arrays", _first_pair_zeroed, ["resolve"] + _UNCLASSIFIED,
+         "1 is not in I^1"),
+        ("lexres.decomposition.pair_arrays", _first_pair_times_x1, ["resolve"] + _UNCLASSIFIED,
+         "g(x2*x1x3) = x2x3 has non-variable cofactor x1^2"),
+    ],
+    ids=["set-bound", "closed-form-fault", "disagreement", "not-regular", "oracle-missing",
+         "oracle-cofactor"],
+)
+def test_cli_failed_check_exits_1(capsys, monkeypatch, target, replacement, argv, message):
+    # each failure is found on well-formed input, so it is a failed check (exit 1),
+    # never an input error (exit 2)
+    monkeypatch.setattr(target, replacement)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("check failed: " + message)
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
 def test_cli_budget_exit():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import support
 from lexres import (
+    CheckFailure,
     Monomial,
     RingContext,
     assemble_resolution,
@@ -104,9 +105,9 @@ def test_corrupted_table_entry_is_reported(example_spec):
     ok, mismatch = closed_form_matches_oracle(qs)
     assert not ok
     assert mismatch == (gens[3], 4, gens[0], gens[1])
-    with pytest.raises(ValueError, match=r"disagrees with oracle at \(x1x3, x4\)"):
+    with pytest.raises(CheckFailure, match=r"disagrees with oracle at \(x1x3, x4\)"):
         regularity_check(qs)
-    with pytest.raises(ValueError, match=r"disagrees with oracle at \(x1x3, x4\)"):
+    with pytest.raises(CheckFailure, match=r"disagrees with oracle at \(x1x3, x4\)"):
         assemble_resolution(qs, cross_check=True)
 
 
@@ -151,7 +152,7 @@ def test_regularity_reports_first_counterexample(example_power):
     assert not report.regular
     assert report.counterexample == (example_power.generators[3], 4, 3)
     assert report.describe() == "not regular: t=3 in set(g(x4*x1x3)) but not in set(x1x3)"
-    with pytest.raises(ValueError, match="cannot resolve: decomposition function not regular"):
+    with pytest.raises(CheckFailure, match="cannot resolve: decomposition function not regular"):
         assemble_resolution(qs, use_oracle=True)
 
 

@@ -1,6 +1,9 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import support
 from lexres import (
@@ -14,6 +17,7 @@ from lexres import (
     one,
     variable,
 )
+from lexres.monomials import first_divisors, minimal_rows
 
 
 @pytest.fixture
@@ -74,10 +78,7 @@ def test_cmp_prec_examples(ctx):
 
 
 def test_arithmetic(ctx):
-    u1 = Monomial(ctx, (0, 1, 0, 1))
     u4 = Monomial(ctx, (1, 0, 1, 0))
-    assert u1.gcd(u4).is_one()
-    assert u1.try_divide(u1.gcd(u4)) == u1
     assert Monomial(ctx, (1, 1, 0, 1)).try_divide(Monomial(ctx, (1, 0, 0, 1))) == variable(ctx, 2)
     assert Monomial(ctx, (1, 0, 0, 1)).try_divide(Monomial(ctx, (0, 1, 0, 1))) is None
     assert min_tilde_index(u4, 2) == 3
@@ -142,3 +143,36 @@ def test_context_mismatch():
         cmp_lex(a, b)
     with pytest.raises(ValueError):
         a * b
+
+
+def _exponent_rows(width):
+    return st.lists(st.tuples(*[st.integers(0, 3)] * width), max_size=12)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(case=st.integers(1, 4).flatmap(lambda w: st.tuples(st.just(w), _exponent_rows(w),
+                                                          _exponent_rows(w))))
+@example(case=(3, [], [(1, 0, 2)]))  # empty G
+@example(case=(3, [(1, 0, 0)], []))  # empty X
+@example(case=(2, [(0, 1), (1, 1), (0, 1)], [(0, 1), (1, 1), (0, 1), (0, 0)]))  # duplicates
+@example(case=(3, [(2, 1, 0), (0, 0, 0)], [(1, 1, 1), (2, 1, 0)]))  # a zero row
+@example(case=(1, [(3,), (1,), (2,), (1,)], [(0,), (2,), (5,)]))  # a single column
+def test_divisibility_scan_matches_loops(case):
+    width, G, X = case
+    Ga, Xa = (np.array(rows, dtype=np.int64).reshape(len(rows), width) for rows in (G, X))
+    assert first_divisors(Ga, Xa).tolist() == support.first_divisors_loop(G, X)
+    for rows, arr in ((G, Ga), (X, Xa)):
+        minimal = minimal_rows(arr)
+        assert minimal.shape[1] == width
+        assert [tuple(r) for r in minimal.tolist()] == support.minimal_rows_loop(rows)
+        # the first divisor of each minimal row is the row itself
+        assert first_divisors(minimal, minimal).tolist() == list(range(len(minimal)))
+
+
+def test_divisibility_scan_across_chunks(monkeypatch):
+    rng = np.random.default_rng(5)
+    G, X = rng.integers(0, 3, size=(7, 3)), rng.integers(0, 4, size=(50, 3))
+    whole = first_divisors(G, X).tolist()
+    monkeypatch.setattr("lexres.monomials._SCAN_CHUNK_CELLS", 10)  # one row of X per chunk
+    assert first_divisors(G, X).tolist() == whole
+    assert whole == support.first_divisors_loop(G.tolist(), X.tolist())

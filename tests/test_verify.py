@@ -76,6 +76,18 @@ def test_hilbert_budget():
         hilbert_numerator(gens, budget=3)
 
 
+def test_hilbert_budget_edge(example_power_squared):
+    # the recursion's node count on the large benchmark instance and on the
+    # worked example at k=2: a drifting memo key or pivot order moves the
+    # budget at which verify prints [SKIP]
+    spec, _ = support.build_family_spec(6, (1, 0, 0, 1, 1, 1), (0, 1, 0, 0, 0, 3))
+    large = power_generators(spec, 2).generators
+    for gens, nodes in ((large, 119), (example_power_squared.generators, 15)):
+        hilbert_numerator(gens, budget=nodes)
+        with pytest.raises(BudgetError, match=f"exceeded {nodes - 1} nodes"):
+            hilbert_numerator(gens, budget=nodes - 1)
+
+
 def test_euler_example(example_resolution):
     assert euler_characteristic_numerator(example_resolution).as_dict() == {
         0: 1,
