@@ -160,10 +160,18 @@ def first_divisors(G: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 def minimal_rows(X: np.ndarray) -> np.ndarray:
     """The minimal generators of the monomial ideal spanned by the rows of X,
-    sorted by (degree, lex): a row is kept when it is its own first divisor,
-    so a repeated row keeps only its first copy."""
-    X = X[np.lexsort(np.vstack([X.T[::-1], X.sum(axis=1)]))]  # degree, then lex
-    return X[first_divisors(X, X) == np.arange(len(X))]
+    sorted by (degree, lex).  Repeated rows are adjacent after the sort and
+    keep one copy; a distinct row can only be divided by a row of strictly
+    lower degree, so each degree is scanned against the rows below it."""
+    degs = X.sum(axis=1)
+    order = np.lexsort(np.vstack([X.T[::-1], degs]))  # degree, then lex
+    X, degs = X[order], degs[order]
+    keep = np.ones(len(X), dtype=bool)
+    keep[1:] = (X[1:] != X[:-1]).any(axis=1)
+    starts = (np.flatnonzero(degs[1:] != degs[:-1]) + 1).tolist()
+    for lo, hi in zip(starts, starts[1:] + [len(X)]):
+        keep[lo:hi] &= first_divisors(X[:lo], X[lo:hi]) == lo
+    return X[keep]
 
 
 # -- the three orders -------------------------------------------------------

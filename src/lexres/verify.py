@@ -13,11 +13,13 @@ dense elimination mod p as the only fallback.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import monomials
 from .errors import BudgetError
 from .modp import DEFAULT_PRIME, rank_mod
 from .monomials import minimal_rows
@@ -196,15 +198,17 @@ class RankReport:
         return "\n".join(lines)
 
 
-def _evaluate_d0(rc: ResolutionComplex, point, p: int) -> np.ndarray:
-    row = np.empty((1, len(rc.d0)), dtype=np.int64)
-    for j, g in enumerate(rc.d0):
+def _d0_rank(rc: ResolutionComplex, point, p: int) -> int:
+    """Rank of the one-row d0 at the point: 1 unless every generator vanishes
+    there, so the scan stops at the first generator that does not."""
+    for g in rc.d0:
         val = 1
-        for i, e in enumerate(g.exponents):
+        for c, e in zip(point, g.exponents):
             if e:
-                val = val * pow(point[i], e, p) % p
-        row[0, j] = val
-    return row
+                val = val * pow(c, e, p) % p
+        if val:
+            return 1
+    return 0
 
 
 def _evaluate_dense(mat: DifferentialMatrix, point_arr, p: int) -> np.ndarray:
@@ -220,20 +224,24 @@ class _WitnessStructure:
 
     Within a generator block the pairing picks out the Koszul entry
     +-x_{s*} on the diagonal, and every other witness entry comes from a
-    g-term pointing to a strictly earlier generator, so in basis order W is
-    upper triangular with diagonal +-x_{s*}: invertible at every point with
-    nonzero coordinates.  rank(A) = dim(W) + rank(A22 - A21 W^-1 A12), and
-    the Schur complement is zero-probed with random vectors.  All of this is
+    g-term pointing to a strictly earlier generator.  So W = D + N with D
+    the diagonal +-x_{s*}, invertible at every point with nonzero
+    coordinates, and N nilpotent: x = D^-1 (rhs - N x) solves W x = rhs one
+    level of N at a time, and the sweeps that find the levels settle after
+    as many sweeps as the longest chain of g-terms, never after more than
+    there are generator blocks (sweep_cap).
+    rank(A) = dim(W) + rank(A22 - A21 W^-1 A12), and the Schur complement
+    is zero-probed with random vectors.  All of this is
     read off the actual entry arrays at run time; any deviation from the
     expected shape aborts the construction (the caller then falls back to a
-    generic elimination).
+    generic elimination).  N, A12, A21 and A22 are (rows, cols, signs, vars)
+    entry arrays.
     """
 
     __slots__ = (
         "kappa", "n_other_rows", "n_other_cols",
-        "diag_sign", "diag_var", "block_ranges",
-        "n_rows", "n_cols", "n_sign", "n_var",
-        "a12", "a21", "a22",
+        "diag_sign", "diag_var", "sweep_cap",
+        "n", "a12", "a21", "a22",
     )
 
 
@@ -275,64 +283,107 @@ def _build_witness_structure(rc: ResolutionComplex, i: int) -> _WitnessStructure
         return None
 
     def coo(mask, rows, cols):
-        return rows[mask], cols[mask], sign[mask], var[mask]
+        at = np.flatnonzero(mask)
+        at = at[np.argsort(rows[at], kind="stable")]  # by row
+        return rows[at], cols[at], sign[at], var[at]
 
     st = _WitnessStructure()
     st.kappa, st.n_other_rows, st.n_other_cols = kappa, n_other_rows, n_other_cols
     st.diag_sign, st.diag_var = diag_sign, diag_var
-    order = np.argsort(j[upper], kind="stable")
-    st.n_rows, st.n_cols, st.n_sign, st.n_var = (x[order] for x in coo(upper, j2, j))
-    # contiguous ranges of equal generator block, ascending
-    bounds = [0] + list(np.nonzero(np.diff(block))[0] + 1) + [kappa]
-    st.block_ranges = [(bounds[t], bounds[t + 1]) for t in range(len(bounds) - 1)]
+    st.sweep_cap = 1 + np.count_nonzero(np.diff(block))  # generator blocks
+    st.n = coo(upper, j2, j)
     st.a12 = coo(~on_wit & (j2 >= 0), j2, col_other[c])
     st.a21 = coo(on_wit & ~diag & (j2 < 0), row_other[r], j)
     st.a22 = coo(~on_wit & (j2 < 0), row_other[r], col_other[c])
     return st
 
 
-def _coo_times_dense(coo, point_arr, nrows, Z, p: int) -> np.ndarray:
+def _coo_times_dense(coo, points, nrows, Z, p: int) -> np.ndarray:
+    """The matrix with the given (rows, cols, signs, vars) entries, sorted by
+    row and evaluated at each of the points (trials, n), times Z (ncols,
+    trials, probes), mod p.  Values and products are formed over chunks of
+    entries, so that the temporaries stay near _SCAN_CHUNK_CELLS cells
+    however many entries there are."""
     rows, cols, signs, variables = coo
-    out = np.zeros((nrows, Z.shape[1]), dtype=np.int64)
-    if len(rows):
-        vals = (signs * point_arr[variables - 1]) % p
-        np.add.at(out, rows, (vals[:, None] * Z[cols]) % p)
+    out = np.zeros((nrows,) + Z.shape[1:], dtype=np.int64)
+    step = max(1, monomials._SCAN_CHUNK_CELLS // max(1, math.prod(Z.shape[1:])))
+    for lo in range(0, len(rows), step):
+        part = slice(lo, lo + step)
+        r = rows[part]
+        vals = signs[part, None] * points[:, variables[part] - 1].T % p
+        starts = np.flatnonzero(np.r_[True, r[1:] != r[:-1]])  # rows are sorted
+        out[r[starts]] += np.add.reduceat(vals[:, :, None] * Z[cols[part]] % p, starts, axis=0)
     return out % p
 
 
-def _witness_rank(st: _WitnessStructure, point_arr, rng_np, p: int, probes: int = 4):
-    """Exact rank via the witness Schur complement, or None if the random
-    probes find the complement nonzero (caller falls back)."""
-    diag = (st.diag_sign * point_arr[st.diag_var - 1]) % p
-    if np.any(diag == 0):
+def _witness_solve(st: _WitnessStructure, points, rhs, p: int):
+    """x with W x = rhs at every point, or None if N is not nilpotent.
+
+    With D the diagonal, x = D^-1 (rhs - N x).  A witness's level is 0 for
+    a row of W without g-terms, else one more than the highest level its
+    g-terms reach.  The sweeps level <- 1 + max(level over the row's
+    g-terms) settle after as many sweeps as the longest chain of g-terms;
+    if they have not after sweep_cap, N has a cycle (only a malformed
+    structure gets there).  x is then solved one level at a time from
+    level 0 (x = D^-1 rhs) up: a row's g-terms reach lower levels only, so
+    each level's x is final when computed and every entry of N is used
+    once.  points is (trials, n), rhs and x are (kappa, trials, probes);
+    every diagonal entry must be nonzero."""
+    rows, cols = st.n[0], st.n[1]
+    dep, first = np.unique(rows, return_index=True)  # rows are sorted
+    level = np.zeros(st.kappa, dtype=np.int64)
+    for _ in range(st.sweep_cap):
+        nxt = np.zeros_like(level)
+        if len(rows):
+            nxt[dep] = 1 + np.maximum.reduceat(level[cols], first)
+        if np.array_equal(nxt, level):
+            break
+        level = nxt
+    else:
         return None
-    if st.n_other_cols == 0 or st.n_other_rows == 0:
-        return st.kappa
-    z = rng_np.integers(0, p, size=(st.n_other_cols, probes), dtype=np.int64)
-    rhs = _coo_times_dense(st.a12, point_arr, st.kappa, z, p)
-    n_vals = (st.n_sign * point_arr[st.n_var - 1]) % p
-    # back-substitute W x = rhs: W = diag + strictly upper (later blocks)
-    x = np.zeros_like(rhs)
-    # diag is +-x_{s*}, so its inverse is +- the inverse coordinate
-    inv_point = np.array([pow(int(c), p - 2, p) for c in point_arr], dtype=np.int64)
-    inv = (st.diag_sign * inv_point[st.diag_var - 1]) % p
-    seg_starts = np.searchsorted(st.n_cols, [b for b, _ in st.block_ranges])
-    seg_ends = np.searchsorted(st.n_cols, [e for _, e in st.block_ranges])
-    for t in range(len(st.block_ranges) - 1, -1, -1):
-        b, e = st.block_ranges[t]
-        x[b:e] = (rhs[b:e] % p) * inv[b:e, None] % p
-        lo, hi = seg_starts[t], seg_ends[t]
-        if hi > lo:
-            np.add.at(
-                rhs,
-                st.n_rows[lo:hi],
-                -((n_vals[lo:hi, None] * x[st.n_cols[lo:hi]]) % p),
-            )
-    lhs = _coo_times_dense(st.a21, point_arr, st.n_other_rows, x, p)
-    direct = _coo_times_dense(st.a22, point_arr, st.n_other_rows, z, p)
-    if np.any((direct - lhs) % p):
-        return None
-    return st.kappa
+    inv_points = np.array(
+        [[pow(c, p - 2, p) for c in pt] for pt in points.tolist()], dtype=np.int64
+    )
+    # the diagonal is +-x_{s*}, so its inverse is +- the inverse coordinate
+    inv = (st.diag_sign[:, None] * inv_points[:, st.diag_var - 1].T % p)[:, :, None]
+    x = rhs * inv % p
+    row_level = level[rows]
+    by_level = np.argsort(row_level, kind="stable")  # and by row within a level
+    bounds = np.searchsorted(row_level[by_level], np.arange(1, level.max() + 2))
+    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        part = by_level[lo:hi]
+        at, local = np.unique(rows[part], return_inverse=True)
+        terms = _coo_times_dense((local, *(a[part] for a in st.n[1:])), points, len(at), x, p)
+        x[at] = (rhs[at] - terms) * inv[at] % p
+    return x
+
+
+def _witness_ranks(st: _WitnessStructure, points, rngs, p: int, probes: int = 4):
+    """Exact rank at each of the points (trials, n) via the witness Schur
+    complement, all points at once; None for a point where the diagonal
+    vanishes or a probe finds the complement nonzero, and for every point
+    if N is not nilpotent (the caller falls back).  rngs holds one numpy
+    generator per point for its probe vectors."""
+    diag = st.diag_sign[:, None] * points[:, st.diag_var - 1].T % p
+    live = np.flatnonzero((diag != 0).all(axis=0))
+    if len(live) and st.n_other_cols and st.n_other_rows:
+        pts = points[live]
+        z = np.stack(
+            [rngs[t].integers(0, p, size=(st.n_other_cols, probes), dtype=np.int64)
+             for t in live.tolist()],
+            axis=1,
+        )
+        x = _witness_solve(st, pts, _coo_times_dense(st.a12, pts, st.kappa, z, p), p)
+        if x is None:
+            live = live[:0]
+        else:
+            lhs = _coo_times_dense(st.a21, pts, st.n_other_rows, x, p)
+            direct = _coo_times_dense(st.a22, pts, st.n_other_rows, z, p)
+            live = live[(direct == lhs).all(axis=(0, 2))]  # both are reduced mod p
+    out = [None] * len(points)
+    for t in live.tolist():
+        out[t] = st.kappa
+    return out
 
 
 def rank_positions_ok(betti, ranks) -> bool:
@@ -360,45 +411,39 @@ def random_rank_check(
     Schur complement (see _WitnessStructure): the witness block is invertible
     by inspection of the evaluated entries, so the rank equals its dimension
     plus the rank of the Schur complement, which random probe vectors test
-    for zero.  Where the structure does not apply or a probe finds the
-    complement nonzero, the evaluated matrix is eliminated densely instead,
-    so reported ranks are always the true evaluated ranks (up to the
+    for zero.  All points are drawn up front and each position is checked
+    at every point at once: the witness block is solved for all trials
+    together, one level of its nilpotent part at a time.  Where the
+    structure does not apply or a probe finds the complement nonzero, the
+    evaluated matrix at that point is eliminated densely instead, so
+    reported ranks are always the true evaluated ranks (up to the
     documented probe failure odds).
     """
     if trials < 1:
         raise ValueError(f"the rank check needs at least one trial, got {trials}")
     rng = random.Random(seed)
     n = rc.power.spec.ctx.n
+    points = [tuple(rng.randrange(1, modulus) for _ in range(n)) for _ in range(trials)]
+    point_arr = np.array(points, dtype=np.int64)
+    ranks = [[_d0_rank(rc, point, modulus)] for point in points]
+    methods = [["dense"] for _ in points]
+    for i in range(1, rc.proj_dim):
+        st = _build_witness_structure(rc, i)
+        found = [None] * trials
+        if st is not None:
+            # numpy seeds must be non-negative; the points come from rng,
+            # so folding the sign only lets two seeds share probe vectors
+            rngs = [np.random.default_rng([abs(seed), t, i, 0x5C0]) for t in range(trials)]
+            found = _witness_ranks(st, point_arr, rngs, modulus)
+        for t, r in enumerate(found):
+            if r is None:
+                r = rank_mod(_evaluate_dense(rc.matrices[i], point_arr[t], modulus), modulus)
+            ranks[t].append(r)
+            methods[t].append("dense-fallback" if found[t] is None else "witness")
     report = RankReport(modulus=modulus, seed=seed, betti=rc.betti)
-    pd = rc.proj_dim
-    witness = {i: _build_witness_structure(rc, i) for i in range(1, pd)}
-
-    for trial in range(trials):
-        point = tuple(rng.randrange(1, modulus) for _ in range(n))
-        point_arr = np.array(point, dtype=np.int64)
-        d0 = _evaluate_d0(rc, point, modulus)
-        ranks = [1 if np.any(d0 % modulus) else 0]
-        methods = ["dense"]
-        for i in range(1, pd):
-            st = witness[i]
-            if st is not None:
-                # numpy seeds must be non-negative; the points come from rng,
-                # so folding the sign only lets two seeds share probe vectors
-                rng_np = np.random.default_rng([abs(seed), trial, i, 0x5C0])
-                r = _witness_rank(st, point_arr, rng_np, modulus)
-                if r is not None:
-                    ranks.append(r)
-                    methods.append("witness")
-                    continue
-            ranks.append(rank_mod(_evaluate_dense(rc.matrices[i], point_arr, modulus), modulus))
-            methods.append("dense-fallback")
-        ranks = tuple(ranks)
+    for point, r, m in zip(points, ranks, methods):
+        r = tuple(r)
         report.trials.append(
-            TrialResult(
-                point=point,
-                ranks=ranks,
-                ok=rank_positions_ok(rc.betti, ranks),
-                methods=tuple(methods),
-            )
+            TrialResult(point=point, ranks=r, ok=rank_positions_ok(rc.betti, r), methods=tuple(m))
         )
     return report

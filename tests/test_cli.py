@@ -256,16 +256,32 @@ PINNED = [
 ]
 
 
+def _pinned(workload, instance_id):
+    """A pinned benchmark instance and the options that select it."""
+    instances = json.loads(WORKLOADS.read_text())[workload]["instances"]
+    inst = next(i for i in instances if i["id"] == instance_id)
+    args = ["--n", str(inst["n"]), "--u", inst["u"], "--v", inst["v"], "--k", str(inst["k"])]
+    return inst, args + (["--oracle-g"] if inst["oracle_g"] else [])
+
+
 @pytest.mark.parametrize("workload, instance_id", PINNED)
 def test_cli_export_matches_pinned_digest(tmp_path, workload, instance_id):
     # the benchmark's pinned sha256 of `lexres export --format json`
-    instances = json.loads(WORKLOADS.read_text())[workload]["instances"]
-    inst = next(i for i in instances if i["id"] == instance_id)
+    inst, args = _pinned(workload, instance_id)
     out_path = tmp_path / "export.json"
-    args = ["export", "--format", "json", "--out", str(out_path), "--n", str(inst["n"]),
-            "--u", inst["u"], "--v", inst["v"], "--k", str(inst["k"])]
-    assert main(args + (["--oracle-g"] if inst["oracle_g"] else [])) == 0
+    assert main(["export", "--format", "json", "--out", str(out_path), *args]) == 0
     assert hashlib.sha256(out_path.read_bytes()).hexdigest() == inst["sha256"]
+
+
+@pytest.mark.parametrize("workload, instance_id", PINNED)
+def test_cli_verify_matches_pinned_checks(capsys, workload, instance_id):
+    # the benchmark's correctness gate on `lexres verify`: exit 0, every line
+    # [PASS], and the pinned check names in order
+    inst, args = _pinned(workload, instance_id)
+    assert main(["verify", *args]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert all(line.startswith("[PASS] ") for line in lines)
+    assert [line[len("[PASS] "):].split(":", 1)[0] for line in lines] == inst["checks"]
 
 
 def test_cli_determinism(tmp_path):

@@ -17,9 +17,10 @@ from lexres import (
     random_rank_check,
 )
 from lexres.lexsegment import LexSegmentSpec
-from lexres.modp import rank_mod
+from lexres.modp import DEFAULT_PRIME, rank_mod
 from lexres.verify import (
-    HilbertNumerator, _build_witness_structure, _evaluate_dense, rank_positions_ok,
+    HilbertNumerator, _build_witness_structure, _d0_rank, _evaluate_dense, _witness_ranks,
+    _witness_solve, rank_positions_ok,
 )
 
 
@@ -215,3 +216,98 @@ def test_witness_structure_rejects_broken_shape():
         assert _build_witness_structure(rc, i) is None, corruption
         report = random_rank_check(rc, seed=2, trials=1)
         assert report.trials[0].methods[i] == "dense-fallback"
+
+
+P = DEFAULT_PRIME
+
+
+def _witness_blocks(rc, i):
+    """The generator of each witness column of d_i, f(sigma; w) with
+    s* = min(set(w)) in sigma, in column order."""
+    cols = rc.bases[i + 1]
+    s_star = [min(s) if s else 0 for s in rc.quotients.sets]
+    return [g for g, sigma in zip(cols.gen.tolist(), cols.sigma.tolist()) if s_star[g] in sigma]
+
+
+def _large_resolution():
+    spec, _ = support.build_family_spec(6, (1, 0, 0, 1, 1, 1), (0, 1, 0, 0, 0, 3))
+    return assemble_resolution(linear_quotients_check(power_generators(spec, 2)))
+
+
+def _oracle_resolution():
+    ctx = RingContext(5)
+    u, v = Monomial(ctx, (1, 2, 0, 0, 0)), Monomial(ctx, (0, 1, 0, 0, 2))
+    spec = LexSegmentSpec(ctx=ctx, d=3, u=u, v=v)
+    return assemble_resolution(linear_quotients_check(power_generators(spec, 2)), use_oracle=True)
+
+
+@pytest.mark.parametrize("build", [_large_resolution, _oracle_resolution], ids=["large", "oracle"])
+def test_witness_sweeps_match_block_loop(build):
+    rc = build()
+    rng = np.random.default_rng(11)
+    points = rng.integers(1, P, size=(3, rc.power.spec.ctx.n))
+    for i in range(1, rc.proj_dim):
+        st = _build_witness_structure(rc, i)
+        rhs = rng.integers(0, P, size=(st.kappa, 3, 4))
+        x = _witness_solve(st, points, rhs, P)
+        block = _witness_blocks(rc, i)
+        for t in range(3):
+            loop = support.witness_solve_loop(st, block, points[t], rhs[:, t], P)
+            assert x[:, t].tolist() == loop
+
+
+def test_witness_sweeps_settle_after_the_longest_chain():
+    # d1 of the large instance has a chain of g-terms 24 witnesses long, so
+    # the 24th sweep is the first that repeats
+    st = _build_witness_structure(_large_resolution(), 1)
+    rng = np.random.default_rng(4)
+    points, rhs = rng.integers(1, P, size=(2, 6)), rng.integers(0, P, size=(st.kappa, 2, 4))
+    assert st.sweep_cap == st.kappa == 339
+    st.sweep_cap = 23
+    assert _witness_solve(st, points, rhs, P) is None
+    st.sweep_cap = 24
+    assert _witness_solve(st, points, rhs, P) is not None
+
+
+def test_witness_sweeps_stop_on_a_cycle():
+    st = _build_witness_structure(_large_resolution(), 2)
+    # a g-term back from witness r to witness c closes a cycle with the
+    # g-term from c to r: N is no longer nilpotent
+    rows, cols, signs, variables = st.n
+    rows, cols = np.append(rows, cols[0]), np.append(cols, rows[0])
+    order = np.argsort(rows, kind="stable")
+    st.n = (rows[order], cols[order], np.append(signs, 1)[order], np.append(variables, 1)[order])
+    rng = np.random.default_rng(8)
+    points = rng.integers(1, P, size=(2, 6))
+    rhs = rng.integers(0, P, size=(st.kappa, 2, 4))
+    assert _witness_solve(st, points, rhs, P) is None
+    rngs = [np.random.default_rng(t) for t in range(2)]
+    assert _witness_ranks(st, points, rngs, P) == [None, None]
+
+
+def test_witness_ranks_zero_diagonal_fails_only_its_trial():
+    st = _build_witness_structure(_large_resolution(), 2)
+    assert st.n_other_rows and st.n_other_cols
+    points = np.random.default_rng(3).integers(1, P, size=(3, 6))
+    points[1, st.diag_var[0] - 1] = 0  # the first diagonal entry vanishes at point 1
+    rngs = [np.random.default_rng(t) for t in range(3)]
+    assert _witness_ranks(st, points, rngs, P) == [st.kappa, None, st.kappa]
+
+
+def test_rank_check_across_chunks(monkeypatch):
+    rc = _oracle_resolution()
+    whole = random_rank_check(rc, seed=4, trials=3)
+    monkeypatch.setattr("lexres.monomials._SCAN_CHUNK_CELLS", 7)  # one entry per chunk
+    chunked = random_rank_check(rc, seed=4, trials=3)
+    assert whole.passed
+    assert [(t.ranks, t.methods) for t in chunked.trials] == [
+        (t.ranks, t.methods) for t in whole.trials
+    ]
+
+
+def test_d0_rank(example_resolution):
+    assert _d0_rank(example_resolution, (1, 1, 1, 1), P) == 1
+    # every generator of L(x1x3, x2x4) vanishes where x1 = x2 = 0; x2^2 and
+    # x2x4 survive x1 = x3 = 0
+    assert _d0_rank(example_resolution, (0, 0, 1, 1), P) == 0
+    assert _d0_rank(example_resolution, (0, 1, 0, 1), P) == 1
