@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# (rows of X) x (rows of G) cells per chunk of the divisibility scan, so that
-# its boolean temporaries stay near 1 MB each
+# (rows of X) x (rows of G) x columns cells per chunk of the divisibility
+# scan, so that its boolean temporary stays near 1 MB
 _SCAN_CHUNK_CELLS = 1 << 20
 
 
@@ -147,14 +147,12 @@ def first_divisors(G: np.ndarray, X: np.ndarray) -> np.ndarray:
     out = np.full(len(X), len(G), dtype=np.int64)
     if len(G) == 0:
         return out
-    step = max(1, _SCAN_CHUNK_CELLS // len(G))
+    GT = np.ascontiguousarray(G.T)  # (columns, rows): each comparison runs along rows of G
+    step = max(1, _SCAN_CHUNK_CELLS // max(1, GT.size))
     for start in range(0, len(X), step):
-        Xc = X[start : start + step]
-        hits = np.ones((len(Xc), len(G)), dtype=bool)
-        for j in range(G.shape[1]):
-            hits &= G[:, j] <= Xc[:, j, None]
+        hits = (GT <= X[start : start + step, :, None]).all(axis=1)
         first = hits.argmax(axis=1)
-        out[start : start + step] = np.where(hits[np.arange(len(Xc)), first], first, len(G))
+        out[start : start + step] = np.where(hits[np.arange(len(hits)), first], first, len(G))
     return out
 
 

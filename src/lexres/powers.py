@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import BudgetError, InvariantError
 from .lexsegment import LexSegmentSpec, enumerate_lexsegment
-from .monomials import Monomial, bar_degree, revlex_key
+from .monomials import Monomial
 
 DEFAULT_PRODUCT_BUDGET = 10**6
 
@@ -48,7 +48,8 @@ class PowerIdeal:
 
 
 def power_generators(spec: LexSegmentSpec, k: int, budget: int = DEFAULT_PRODUCT_BUDGET) -> PowerIdeal:
-    """Enumerate k-multiset products of L(u, v), dedupe, sort increasing revlex."""
+    """Sum the k-multisets of L(u, v) as exponent rows, sort increasing
+    revlex, and keep one row of each run of equal rows."""
     if k < 1:
         raise ValueError("k must be >= 1")
     segment = enumerate_lexsegment(spec.u, spec.v)
@@ -57,18 +58,22 @@ def power_generators(spec: LexSegmentSpec, k: int, budget: int = DEFAULT_PRODUCT
         raise BudgetError(
             f"|L|={len(segment)}, k={k}: {candidates} candidate products exceed budget {budget}"
         )
-    n = spec.ctx.n
-    seen: set[tuple[int, ...]] = set()
-    for combo in itertools.combinations_with_replacement(segment, k):
-        exps = [0] * n
-        for m in combo:
-            for i, e in enumerate(m.exponents):
-                exps[i] += e
-        seen.add(tuple(exps))
-    gens = sorted((Monomial(spec.ctx, e) for e in seen), key=revlex_key)
+    E = np.array([m.exponents for m in segment], dtype=np.int64)
+    multisets = itertools.combinations_with_replacement(range(len(segment)), k)
+    picks = np.fromiter(itertools.chain.from_iterable(multisets), dtype=np.int64, count=candidates * k)
+    picks = picks.reshape(candidates, k)
+    P = E[picks[:, 0]]
+    for c in range(1, k):
+        P += E[picks[:, c]]
+    P = P[np.lexsort(-P.T)]  # the exponent of x_n descending first: increasing revlex
+    P = P[np.r_[True, (P[1:] != P[:-1]).any(axis=1)]]
     if spec.l is not None:
         # standing fact for the classified shape: deg(bar m) >= k for every generator
-        for m in gens:
-            if bar_degree(m, spec.l) < k:
-                raise InvariantError(f"generator {m} has bar-degree < k={k}")
-    return PowerIdeal(spec, k, gens)
+        low = np.flatnonzero(P[:, : spec.l].sum(axis=1) < k)
+        if low.size:
+            raise InvariantError(
+                f"generator {Monomial(spec.ctx, P[low[0]])} has bar-degree < k={k}"
+            )
+    pi = PowerIdeal(spec, k, [Monomial(spec.ctx, e) for e in P.tolist()])
+    pi._matrix = P
+    return pi

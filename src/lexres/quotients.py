@@ -1,10 +1,12 @@
 """Colon ideals of generator prefixes and the linear-quotients check.
 
-For the prefix (m_1,...,m_{i-1}) : (m_i) the candidate generators are the
-quotients m_j / gcd(m_j, m_i); the colon is generated by variables exactly
-when every quotient is divisible by a quotient that is itself a variable.
-That early exit keeps the check near-linear; full minimalization runs only
-on the failure path and in colon_minimal_generators.
+All generators of I^k share one degree, so the quotient m_j / gcd(m_j, m_i)
+is a variable x_s exactly when m_j = m_i * x_s / x_t for some t != s: set(m_i)
+comes from grouping the quotients m_i / x_t of every generator at once.
+The colon (m_1,...,m_{i-1}) : (m_i) is then generated by the x_s, s in
+set(m_i), exactly when no earlier m_j is <= m_i on every column of set(m_i),
+which one earliest-divisor scan per distinct set decides for all i.  Full
+minimalization runs only on the failure path and in colon_minimal_generators.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CheckFailure, InvariantError
-from .monomials import Monomial, minimal_rows
+from .monomials import Monomial, first_divisors, minimal_rows
 from .powers import PowerIdeal
 
 
@@ -47,43 +49,90 @@ class QuotientStructure:
         return self.status == "linear"
 
 
+def _exchange_sets(G: np.ndarray) -> np.ndarray:
+    """in_set[i, s]: some m_j with j < i equals m_i * x_s / x_t for a t != s,
+    that is, m_j / x_s = m_i / x_t.
+
+    The quotients m_i / x_t are grouped by a stable sort of their raw bytes,
+    which is exact for any exponent size and keeps each group in generator
+    order; every member then gains the variables divided out of the members
+    before it."""
+    r, n = G.shape
+    i, t = np.nonzero(G)  # x_t divides m_i
+    down = G[i]
+    down[np.arange(len(i)), t] -= 1
+    down = down.view(np.dtype((np.void, G.itemsize * n))).ravel()
+    order = np.argsort(down, kind="stable")
+    down, i, t = down[order], i[order], t[order]
+    in_set = np.zeros((r, n), dtype=bool)
+    gap = 1
+    while gap < len(down):
+        same = down[gap:] == down[:-gap]
+        if not same.any():  # no group has more than gap members
+            break
+        # equal t means equal generators, which are not exchange neighbours
+        pair = same & (t[gap:] != t[:-gap])
+        in_set[i[gap:][pair], t[:-gap][pair]] = True
+        gap += 1
+    return in_set
+
+
+def _first_uncovered(G: np.ndarray, sets: list[tuple[int, ...]]) -> int:
+    """The first i with an earlier m_j <= m_i on every column of set(m_i),
+    so that x_s, s in set(m_i), do not generate the colon; len(G) if none.
+
+    One earliest-divisor scan per distinct set: m_i divides itself on any
+    columns, so the scan lands below i exactly when the colon fails."""
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for i, st in enumerate(sets):
+        groups.setdefault(st, []).append(i)
+    first = len(G)
+    for st, members in groups.items():
+        members = np.array(members)
+        members = members[members < first]
+        if members.size == 0:
+            continue
+        cols = np.array(st, dtype=np.int64) - 1
+        top = int(members[-1]) + 1
+        found = first_divisors(G[:top, cols], G[members][:, cols])
+        below = members[found < members]
+        if below.size:
+            first = int(below[0])
+    return first
+
+
 def linear_quotients_check(pi: PowerIdeal) -> QuotientStructure:
-    """Walk the increasing-revlex generators, collecting set(m_i)."""
+    """set(m_i) for every increasing-revlex generator, or the first i whose
+    colon is not generated by variables."""
     G = pi.exponent_matrix
-    r = len(pi.generators)
-    sets: list[tuple[int, ...]] = [()]
-    for i in range(1, r):
-        D = G[:i] - G[i]
-        np.clip(D, 0, None, out=D)
-        degs = D.sum(axis=1)
-        unit_rows = np.nonzero(degs == 1)[0]
-        var_cols = sorted(set(int(D[j].argmax()) for j in unit_rows))
-        covered = (
-            np.any(D[:, var_cols] > 0, axis=1) if var_cols else np.zeros(i, dtype=bool)
+    degrees = G.sum(axis=1)
+    if (degrees != degrees[:1]).any():
+        raise InvariantError(
+            f"generators of I^{pi.k} have degrees {sorted(set(degrees.tolist()))}, not one"
         )
-        if not covered.all():
-            colon = colon_minimal_generators(pi.generators[:i], pi.generators[i])
-            bad = sorted(
-                (g for g in colon if g.degree != 1),
-                key=lambda g: g.exponents,
-                reverse=True,
-            )
-            return QuotientStructure(
-                power=pi,
-                sets=sets,
-                status="failure",
-                failure_index=i,
-                offending=bad[0],
-            )
-        m_min = int(np.nonzero(G[i])[0][0]) + 1
-        for s in var_cols:
-            # increasing revlex forces every colon variable past min(m_i)
-            if s + 1 <= m_min:
-                raise InvariantError(
-                    f"set({pi.generators[i]}) contains x{s + 1} <= x_min"
-                )
-        sets.append(tuple(s + 1 for s in var_cols))
-    return QuotientStructure(power=pi, sets=sets)
+    in_set = _exchange_sets(G)
+    cols = (np.nonzero(in_set)[1] + 1).tolist()
+    ends = np.cumsum(in_set.sum(axis=1)).tolist()
+    sets = [tuple(cols[a:b]) for a, b in zip([0] + ends[:-1], ends)]
+    failure = _first_uncovered(G, sets)
+    # increasing revlex forces every colon variable past min(m_i); a failed
+    # colon is reported before a violation at its own or a later index
+    low = in_set.any(axis=1) & (in_set.argmax(axis=1) <= (G > 0).argmax(axis=1))
+    bad = np.flatnonzero(low[:failure])
+    if bad.size:
+        i = int(bad[0])
+        raise InvariantError(f"set({pi.generators[i]}) contains x{sets[i][0]} <= x_min")
+    if failure == len(G):
+        return QuotientStructure(power=pi, sets=sets)
+    colon = colon_minimal_generators(pi.generators[:failure], pi.generators[failure])
+    offending = max((g for g in colon if g.degree != 1), key=lambda g: g.exponents)
+    return QuotientStructure(
+        power=pi,
+        sets=sets[:failure],
+        status="failure",
+        failure_index=failure,
+        offending=offending,
+    )
 
 
 @dataclass(frozen=True)

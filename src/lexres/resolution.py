@@ -146,17 +146,21 @@ class ResolutionComplex:
 
 
 def resolution_basis(qs: QuotientStructure) -> dict[int, Basis]:
-    """All f(sigma; w) with sigma ⊆ set(w), |sigma| = i-1, in matrix order."""
+    """All f(sigma; w) with sigma ⊆ set(w), |sigma| = i-1, in matrix order.
+
+    sigma is taken by position: the (i-1)-subsets of positions, in
+    combinations order, of the padded row of set(w), kept where they stay
+    below |set(w)|."""
     n = qs.power.spec.ctx.n
+    sizes = np.array([len(st) for st in qs.sets], dtype=np.int64)
+    width = int(sizes.max(initial=0))
+    padded = np.zeros((len(sizes), width), dtype=np.int64)
+    padded[np.arange(width) < sizes[:, None]] = list(itertools.chain.from_iterable(qs.sets))
     bases: dict[int, Basis] = {}
-    for i in range(1, max((len(s) for s in qs.sets), default=0) + 2):
-        gen, sigma = [], []
-        for w, st in enumerate(qs.sets):
-            combos = list(itertools.combinations(st, i - 1))
-            gen += [w] * len(combos)
-            sigma += combos
-        if gen:
-            bases[i] = Basis(gen, sigma, i - 1, n)
+    for i in range(1, width + 2):
+        picks = np.array(list(itertools.combinations(range(width), i - 1)), dtype=np.int64)
+        gen, which = np.nonzero((picks < sizes[:, None, None]).all(axis=2))
+        bases[i] = Basis(gen, padded[gen[:, None], picks[which]], i - 1, n)
     return bases
 
 

@@ -3,6 +3,7 @@ in the row-labeled layout, and a Macaulay2 cross-check script."""
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import numpy as np
@@ -30,12 +31,20 @@ _ENTRY = (
 )
 
 
+def _rows_block(rows: list[tuple[int, ...]]) -> str:
+    """A header list of int lists (generators, sets), as json.dumps(indent=2)
+    lays it out under a top-level key."""
+    items = ["    " + _block(["      %d"] * len(row), 4) for row in rows]
+    return _block(items, 2) % tuple(itertools.chain.from_iterable(rows))
+
+
 def resolution_to_json(rc: ResolutionComplex) -> str:
     """The JSON export, byte for byte json.dumps(..., indent=2) of the format
-    in the README; only the header goes through json, and each degree's basis
-    symbols and matrix entries are one %-format over a flat int list."""
+    in the README; only the small header fields go through json, and the
+    generators, the sets and each degree's basis symbols and matrix entries
+    are one %-format over a flat int list."""
     spec = rc.power.spec
-    header = {
+    head = {
         "n": spec.ctx.n,
         "d": spec.d,
         "k": rc.power.k,
@@ -43,11 +52,8 @@ def resolution_to_json(rc: ResolutionComplex) -> str:
         "order": JSON_ORDER_TAG,
         "u": list(spec.u.exponents),
         "v": list(spec.v.exponents),
-        "generators": [list(g.exponents) for g in rc.power.generators],
-        "sets": [list(s) for s in rc.quotients.sets],
-        "betti": list(rc.betti),
-        "shifts": [list(s) for s in rc.shifts],
     }
+    tail = {"betti": list(rc.betti), "shifts": [list(s) for s in rc.shifts]}
     bases = []
     for i, basis in sorted(rc.bases.items()):
         sigma = _block(["          %d"] * (i - 1), 8)
@@ -63,8 +69,14 @@ def resolution_to_json(rc: ResolutionComplex) -> str:
             f'"entries": {entries}\n    }}'
         )
     bases, matrices = _block(bases, 2, "{}"), _block(matrices, 2, "{}")
-    head = json.dumps(header, indent=2)[:-2]  # without its closing "\n}"
-    return head + f',\n  "bases": {bases},\n  "matrices": {matrices}\n}}\n'
+    generators = _rows_block([g.exponents for g in rc.power.generators])
+    sets = _rows_block(rc.quotients.sets)
+    return (
+        json.dumps(head, indent=2)[:-2]  # without its closing "\n}"
+        + f',\n  "generators": {generators},\n  "sets": {sets},\n'
+        + json.dumps(tail, indent=2)[2:-2]  # without "{\n" and "\n}"
+        + f',\n  "bases": {bases},\n  "matrices": {matrices}\n}}\n'
+    )
 
 
 def resolution_from_dict(data: dict) -> ResolutionComplex:

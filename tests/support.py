@@ -7,16 +7,30 @@ power generators from k-tuples instead of multisets.
 """
 
 import itertools
+import math
+import random
+
+import numpy as np
+from hypothesis import strategies
 
 from lexres import (
+    BudgetError,
+    InvariantError,
     Monomial,
     RingContext,
+    bar_degree,
     cmp_prec,
+    colon_minimal_generators,
+    enumerate_lexsegment,
     make_classified_spec,
     min_tilde_index,
     variable,
 )
-from lexres.quotients import SetBoundViolation
+from lexres.lexsegment import LexSegmentSpec
+from lexres.monomials import revlex_key
+from lexres.powers import DEFAULT_PRODUCT_BUDGET, PowerIdeal
+from lexres.quotients import QuotientStructure, SetBoundViolation
+from lexres.resolution import Basis
 
 
 def brute_cmp_lex(a, b):
@@ -141,6 +155,24 @@ def random_normalized_pair(rng, ctx, d):
             return u, v
 
 
+def small_specs():
+    """A hypothesis strategy for lexsegment specs with n <= 5: the classified
+    shapes (split index set), or random normalized pairs of degree 2..3
+    (split index unset, mostly outside the classified shape)."""
+    shapes = [shape for shape in theorem_family_specs() if shape[0] <= 5]
+    classified = strategies.sampled_from(shapes).map(lambda s: build_family_spec(s[0], s[3], s[4])[0])
+
+    def pair(args):
+        n, d, seed = args
+        u, v = random_normalized_pair(random.Random(seed), RingContext(n), d)
+        return LexSegmentSpec(ctx=u.ctx, d=d, u=u, v=v)
+
+    pairs = strategies.tuples(
+        strategies.integers(3, 5), strategies.integers(2, 3), strategies.integers(0, 2**32)
+    ).map(pair)
+    return strategies.one_of(classified, pairs)
+
+
 def random_monomial_of_degree(rng, ctx, d):
     e = [0] * ctx.n
     for _ in range(d):
@@ -250,3 +282,89 @@ def witness_solve_loop(st, block, point, rhs, p):
             for r, val in by_col.get(j, ()):
                 rhs[r] = [(a - val * xv) % p for a, xv in zip(rhs[r], x[j])]
     return x
+
+
+def power_generators_loop(spec, k, budget=DEFAULT_PRODUCT_BUDGET):
+    """G(I^k) from one Python product per k-multiset, deduplicated through a
+    set and sorted by revlex_key: the loop that lexres.power_generators
+    replaces by one array pass, kept as its reference."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    segment = enumerate_lexsegment(spec.u, spec.v)
+    candidates = math.comb(len(segment) + k - 1, k)
+    if candidates > budget:
+        raise BudgetError(
+            f"|L|={len(segment)}, k={k}: {candidates} candidate products exceed budget {budget}"
+        )
+    n = spec.ctx.n
+    seen = set()
+    for combo in itertools.combinations_with_replacement(segment, k):
+        exps = [0] * n
+        for m in combo:
+            for i, e in enumerate(m.exponents):
+                exps[i] += e
+        seen.add(tuple(exps))
+    gens = sorted((Monomial(spec.ctx, e) for e in seen), key=revlex_key)
+    if spec.l is not None:
+        for m in gens:
+            if bar_degree(m, spec.l) < k:
+                raise InvariantError(f"generator {m} has bar-degree < k={k}")
+    return PowerIdeal(spec, k, gens)
+
+
+def linear_quotients_loop(pi):
+    """set(m_i) one generator at a time, each from a fresh G[:i] - G[i], with
+    the first non-linear colon as data: the loop that
+    lexres.linear_quotients_check replaces by exchange neighbours and one
+    divisor scan per distinct set, kept as its reference."""
+    G = pi.exponent_matrix
+    r = len(pi.generators)
+    sets = [()]
+    for i in range(1, r):
+        D = G[:i] - G[i]
+        np.clip(D, 0, None, out=D)
+        degs = D.sum(axis=1)
+        unit_rows = np.nonzero(degs == 1)[0]
+        var_cols = sorted(set(int(D[j].argmax()) for j in unit_rows))
+        covered = (
+            np.any(D[:, var_cols] > 0, axis=1) if var_cols else np.zeros(i, dtype=bool)
+        )
+        if not covered.all():
+            colon = colon_minimal_generators(pi.generators[:i], pi.generators[i])
+            bad = sorted(
+                (g for g in colon if g.degree != 1),
+                key=lambda g: g.exponents,
+                reverse=True,
+            )
+            return QuotientStructure(
+                power=pi,
+                sets=sets,
+                status="failure",
+                failure_index=i,
+                offending=bad[0],
+            )
+        m_min = int(np.nonzero(G[i])[0][0]) + 1
+        for s in var_cols:
+            if s + 1 <= m_min:
+                raise InvariantError(
+                    f"set({pi.generators[i]}) contains x{s + 1} <= x_min"
+                )
+        sets.append(tuple(s + 1 for s in var_cols))
+    return QuotientStructure(power=pi, sets=sets)
+
+
+def resolution_basis_loop(qs):
+    """The bases of the resolution from itertools.combinations of each
+    set(w): the loop that lexres.resolution_basis replaces by subsets of
+    positions in a padded set matrix, kept as its reference."""
+    n = qs.power.spec.ctx.n
+    bases = {}
+    for i in range(1, max((len(s) for s in qs.sets), default=0) + 2):
+        gen, sigma = [], []
+        for w, st in enumerate(qs.sets):
+            combos = list(itertools.combinations(st, i - 1))
+            gen += [w] * len(combos)
+            sigma += combos
+        if gen:
+            bases[i] = Basis(gen, sigma, i - 1, n)
+    return bases

@@ -1,11 +1,15 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import support
 from lexres import (
     BudgetError,
+    InvariantError,
     Monomial,
     RingContext,
     bar_degree,
@@ -85,3 +89,28 @@ def test_index_of(example_power):
         assert example_power.index_of(g) == i
     with pytest.raises(ValueError):
         example_power.index_of(Monomial(example_power.spec.ctx, (2, 0, 0, 0)))
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(spec=support.small_specs(), k=st.integers(1, 3))
+def test_power_generators_match_loop(spec, k):
+    pi = power_generators(spec, k)
+    ref = support.power_generators_loop(spec, k)
+    assert pi.generators == ref.generators
+    assert np.array_equal(pi.exponent_matrix, ref.exponent_matrix)
+    assert pi.position == ref.position
+
+
+def test_bar_degree_violation_matches_loop():
+    # a split index forced onto a segment reaching x3^2 and x4^2, whose bar
+    # degree is 0
+    ctx = RingContext(4)
+    spec = LexSegmentSpec(
+        ctx=ctx, d=2, u=Monomial(ctx, (1, 0, 0, 1)), v=Monomial(ctx, (0, 0, 0, 2)), l=2
+    )
+    for k in (1, 2):
+        with pytest.raises(InvariantError) as got:
+            power_generators(spec, k)
+        with pytest.raises(InvariantError) as ref:
+            support.power_generators_loop(spec, k)
+        assert str(got.value) == str(ref.value) == f"generator x4^{2 * k} has bar-degree < k={k}"

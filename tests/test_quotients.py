@@ -1,8 +1,13 @@
 import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 import support
 from lexres import (
     CheckFailure,
+    InvariantError,
     Monomial,
     RingContext,
     colon_minimal_generators,
@@ -169,3 +174,89 @@ def test_set_bound_report_matches_loop():
         sets = [tuple(sorted(rng.sample(range(1, n + 1), rng.randrange(0, n)))) for _ in pi.generators]
         compare(QuotientStructure(power=pi, sets=sets))
     assert all(seen.values()), seen
+
+
+def _outcome(check, pi):
+    """Everything linear_quotients_check reports, or the error it raises."""
+    try:
+        qs = check(pi)
+    except CheckFailure as exc:
+        return type(exc).__name__, str(exc)
+    return qs.status, qs.sets, qs.failure_index, qs.offending
+
+
+def test_linear_quotients_match_loop_on_powers():
+    seen = set()
+
+    @settings(derandomize=True, database=None, max_examples=120, deadline=None)
+    @given(spec=support.small_specs(), k=st.integers(1, 3))
+    def check(spec, k):
+        pi = power_generators(spec, k)
+        got = _outcome(linear_quotients_check, pi)
+        assert got == _outcome(support.linear_quotients_loop, pi)
+        seen.add(got[0])
+
+    check()
+    assert seen == {"linear", "failure"}
+
+
+def test_linear_quotients_match_loop_on_shuffled_sets():
+    # one-degree generator sets in any order: colons fail, and a variable of
+    # set(m) at or below min(m) breaks the increasing-revlex invariant
+    seen = set()
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(
+        n=st.integers(2, 5),
+        d=st.integers(1, 3),
+        data=st.data(),
+    )
+    def check(n, d, data):
+        ctx = RingContext(n)
+        pool = support.all_monomials(ctx, d)
+        gens = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12, unique=True))
+        gens = data.draw(st.permutations(gens))
+        pi = PowerIdeal(LexSegmentSpec(ctx=ctx, d=d, u=gens[0], v=gens[0]), 1, gens)
+        got = _outcome(linear_quotients_check, pi)
+        assert got == _outcome(support.linear_quotients_loop, pi)
+        seen.add(got[0])
+
+    check()
+    assert seen == {"linear", "failure", "InvariantError"}
+
+
+def test_linear_quotients_across_scan_chunks(monkeypatch, example_power_squared):
+    rng = random.Random(8)
+    spec = example_power_squared.spec
+    shuffled = list(example_power_squared.generators)
+    rng.shuffle(shuffled)
+    cases = [example_power_squared, PowerIdeal(spec, 2, shuffled)]
+    whole = [_outcome(linear_quotients_check, pi) for pi in cases]
+    assert [o[0] for o in whole] == ["linear", "failure"]
+    monkeypatch.setattr("lexres.monomials._SCAN_CHUNK_CELLS", 1)  # one row per chunk
+    assert [_outcome(linear_quotients_check, pi) for pi in cases] == whole
+    assert whole == [_outcome(support.linear_quotients_loop, pi) for pi in cases]
+
+
+def test_mixed_degrees_raise():
+    ctx = RingContext(3)
+    a, b = Monomial(ctx, (1, 1, 0)), Monomial(ctx, (0, 1, 2))
+    pi = PowerIdeal(LexSegmentSpec(ctx=ctx, d=2, u=a, v=a), 1, (a, b))
+    with pytest.raises(InvariantError, match=r"degrees \[2, 3\], not one"):
+        linear_quotients_check(pi)
+
+
+def test_linear_quotients_beyond_int64_row_keys():
+    # a key with one digit per variable in base (max exponent + 2) = 4 needs
+    # 4^40 > 2^63, and in int64 the digits of x33..x40 would wrap to 0; rows
+    # compared as raw bytes stay exact
+    n = 40
+    ue, ve = [0] * n, [0] * n
+    ue[0], ue[2], ve[1], ve[n - 1] = 1, 1, 1, 1  # L(x1x3, x2x40), l = 2
+    spec, cls = support.build_family_spec(n, tuple(ue), tuple(ve))
+    assert cls.linear_form_l == 2
+    pi = power_generators(spec, 1)
+    assert int(pi.exponent_matrix.max()) + 2 == 4
+    got = _outcome(linear_quotients_check, pi)
+    assert got == _outcome(support.linear_quotients_loop, pi)
+    assert got[0] == "linear" and max(map(len, got[1])) >= 2

@@ -16,7 +16,8 @@ from lexres import (
     power_generators,
 )
 from lexres.lexsegment import LexSegmentSpec
-from lexres.resolution import alpha
+from lexres.quotients import QuotientStructure
+from lexres.resolution import alpha, resolution_basis
 from lexres.serialize import matrix_grid
 
 # the three displayed differentials of the worked example, transcribed as
@@ -210,3 +211,17 @@ def test_compose_check_matches_loop_on_corruptions(example_quotients_squared):
                 field[p] = old
             assert all(compose_check(rc, j) for j in range(rc.proj_dim))
     assert failures
+
+
+def test_resolution_basis_matches_loop():
+    rng = random.Random(23)
+    for n, d, l, ue, ve in rng.sample(support.theorem_family_specs(), 12):
+        spec, _ = support.build_family_spec(n, ue, ve)
+        for k in (1, 2):
+            qs = linear_quotients_check(power_generators(spec, k))
+            assert resolution_basis(qs) == support.resolution_basis_loop(qs)
+            # any sorted sets, the empty one and the full range of variables included
+            sets = [tuple(sorted(rng.sample(range(1, n + 1), rng.randrange(0, n + 1))))
+                    for _ in qs.sets]
+            other = QuotientStructure(power=qs.power, sets=sets)
+            assert resolution_basis(other) == support.resolution_basis_loop(other)
