@@ -24,11 +24,7 @@ from .monomials import Monomial, RingContext
 from .powers import power_generators
 from .quotients import linear_quotients_check, set_bound_report
 from .resolution import assemble_resolution, compose_check, minimality_check
-from .serialize import (
-    power_ideal_to_m2,
-    resolution_to_json,
-    resolution_to_text,
-)
+from .serialize import iter_resolution_json, power_ideal_to_m2, resolution_to_text
 from .verify import euler_characteristic_numerator, hilbert_numerator, random_rank_check
 
 _FACTOR = re.compile(r"\*?x(\d+)(?:\^(\d+))?")
@@ -72,12 +68,14 @@ class JobSpec:
     first_shadow_persistence: bool = False
 
 
-def _emit(job: JobSpec, text: str):
+def _emit(job: JobSpec, text):
+    """Write the output, one string or an iterable of chunks, to --out or stdout."""
+    chunks = [text] if isinstance(text, str) else text
     if job.out:
         with open(job.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _spec_pipeline(job: JobSpec):
@@ -174,7 +172,7 @@ def run_command(job: JobSpec) -> int:
     if job.command in ("resolve", "export"):
         rc = _build_resolution(job)
         if job.fmt == "json":
-            _emit(job, resolution_to_json(rc))
+            _emit(job, iter_resolution_json(rc))
         elif job.fmt == "m2":
             _emit(job, power_ideal_to_m2(rc.power))
         else:

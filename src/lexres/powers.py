@@ -74,6 +74,9 @@ def power_generators(spec: LexSegmentSpec, k: int, budget: int = DEFAULT_PRODUCT
             raise InvariantError(
                 f"generator {Monomial(spec.ctx, P[low[0]])} has bar-degree < k={k}"
             )
-    pi = PowerIdeal(spec, k, [Monomial(spec.ctx, e) for e in P.tolist()])
+    if P.shape[1] != spec.ctx.n or (P < 0).any():
+        raise InvariantError(f"exponent rows of shape {P.shape} do not fit n={spec.ctx.n}")
+    degrees = P.sum(axis=1).tolist()
+    pi = PowerIdeal(spec, k, [Monomial.trusted(spec.ctx, tuple(e), d) for e, d in zip(P.tolist(), degrees)])
     pi._matrix = P
     return pi

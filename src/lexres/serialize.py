@@ -3,11 +3,11 @@ in the row-labeled layout, and a Macaulay2 cross-check script."""
 
 from __future__ import annotations
 
-import itertools
 import json
 
 import numpy as np
 
+from .errors import BudgetError
 from .lexsegment import LexSegmentSpec
 from .monomials import Monomial, RingContext
 from .powers import PowerIdeal
@@ -15,68 +15,93 @@ from .quotients import QuotientStructure
 from .resolution import Basis, DifferentialMatrix, ResolutionComplex
 
 JSON_ORDER_TAG = "increasing-revlex"
+TEXT_CELL_BUDGET = 10**7  # cells of the dense text matrices, over all degrees
+CHUNK_RECORDS = 1 << 15  # generators, sets, basis symbols or entries per chunk
 
 
-def _block(items: list[str], indent: int, brackets: str = "[]") -> str:
-    """A container of the given item texts, laid out as json.dumps(indent=2)
-    lays out one that opens at `indent`."""
-    if not items:
-        return brackets
-    return brackets[0] + "\n" + ",\n".join(items) + "\n" + " " * indent + brackets[1]
+def _int_list(values, indent: int) -> str:
+    """A list of ints as json.dumps(indent=2) lays it out when it opens at `indent`."""
+    pad = "\n" + " " * (indent + 2)
+    return "[" + pad + ("," + pad).join(map(str, values)) + "\n" + " " * indent + "]" if values else "[]"
 
 
-_ENTRY = (
-    '        {\n          "r": %d,\n          "c": %d,\n'
-    '          "sign": %d,\n          "var": %d\n        }'
-)
+def _text_table(arrays, render):
+    """A lookup from int64 arrays to object arrays of render(value), with
+    render run once per value, over min..max of `arrays` or, when that
+    range is much wider than they are, over their distinct values."""
+    arrays = [a for a in arrays if a.size]
+    lo = min((int(a.min()) for a in arrays), default=0)
+    hi = max((int(a.max()) for a in arrays), default=-1)
+    if hi - lo <= 2 * sum(a.size for a in arrays) + 1024:
+        texts = np.array([render(v) for v in range(lo, hi + 1)], dtype=object)
+        return lambda a: texts[a - lo]
+    keys = np.unique(np.concatenate(arrays))
+    texts = np.array([render(v) for v in keys.tolist()], dtype=object)
+    return lambda a: texts[np.searchsorted(keys, a)]
 
 
-def _rows_block(rows: list[tuple[int, ...]]) -> str:
-    """A header list of int lists (generators, sets), as json.dumps(indent=2)
-    lays it out under a top-level key."""
-    items = ["    " + _block(["      %d"] * len(row), 4) for row in rows]
-    return _block(items, 2) % tuple(itertools.chain.from_iterable(rows))
+def _records(opening: str, count: int, pieces, indent: int):
+    """`opening` and a list of `count` records that opens at `indent`, in
+    chunks of at most CHUNK_RECORDS records.  pieces(lo, hi) gives the text
+    of records lo..hi-1 as a list of object arrays, one element per record
+    each, read left to right; each record starts with the ",\n" that would
+    follow the record before it."""
+    yield opening + ("[" if count else "[]")
+    for lo in range(0, count, CHUNK_RECORDS):
+        chunk = np.column_stack(pieces(lo, min(lo + CHUNK_RECORDS, count)))
+        if lo == 0:
+            chunk[0, 0] = chunk[0, 0][1:]  # the first record follows "[" without a comma
+        yield "".join(chunk.ravel().tolist())
+    if count:
+        yield "\n" + " " * indent + "]"
+
+
+def _rows(opening: str, rows):
+    """A top-level list of int lists (generators, sets), one record per row."""
+    texts = np.array([",\n    " + _int_list(r, 4) for r in rows], dtype=object)
+    return _records(opening, len(texts), lambda lo, hi: [texts[lo:hi]], 2)
+
+
+def iter_resolution_json(rc: ResolutionComplex):
+    """The JSON export in chunks that concatenate to json.dumps(..., indent=2)
+    of the format in the README, byte for byte.  Only the small header
+    fields go through json.  A matrix entry is ROW[r] + COL[c] + SIGN[sign]
+    + VAR[var] and a basis symbol SIGMA[mask] + GEN[gen], from tables of
+    the JSON text around each value built once per complex (SIGMA once per
+    basis), and a chunk joins at most CHUNK_RECORDS records."""
+    spec = rc.power.spec
+    head = {"n": spec.ctx.n, "d": spec.d, "k": rc.power.k, "l": spec.l, "order": JSON_ORDER_TAG,
+            "u": list(spec.u.exponents), "v": list(spec.v.exponents)}
+    tail = {"betti": list(rc.betti), "shifts": [list(s) for s in rc.shifts]}
+    yield from _rows(json.dumps(head, indent=2)[:-2] + ',\n  "generators": ',  # without "\n}"
+                     [g.exponents for g in rc.power.generators])
+    yield from _rows(',\n  "sets": ', rc.quotients.sets)
+    yield ",\n" + json.dumps(tail, indent=2)[2:-2] + ',\n  "bases": {'  # without "{\n", "\n}"
+    bases, matrices = sorted(rc.bases.items()), sorted(rc.matrices.items())
+    gen = _text_table([b.gen for _, b in bases], lambda g: f"{g}\n      }}")
+    for pos, (i, basis) in enumerate(bases):
+        _, first, sigma_of = np.unique(basis.mask, return_index=True, return_inverse=True)
+        sigma = np.array([f',\n      {{\n        "sigma": {_int_list(s, 8)},\n        "gen": '
+                          for s in basis.sigma[first].tolist()], dtype=object)
+        yield from _records(f'{"," * bool(pos)}\n    "{i}": ', len(basis),
+                            lambda lo, hi: [sigma[sigma_of[lo:hi]], gen(basis.gen[lo:hi])], 4)
+    yield ("\n  }" if bases else "}") + ',\n  "matrices": {'
+    fields = [  # ROW, COL, SIGN, VAR
+        _text_table([m.arrays[f] for _, m in matrices], lambda v, a=a, b=b: f"{a}{v}{b}")
+        for f, (a, b) in enumerate([(',\n        {\n          "r": ', ",\n"), ('          "c": ', ",\n"),
+                                    ('          "sign": ', ",\n"), ('          "var": ', "\n        }")])
+    ]
+    for pos, (i, mat) in enumerate(matrices):
+        opening = f'{"," * bool(pos)}\n    "{i}": {{\n      "rows": {mat.nrows},\n'
+        yield from _records(opening + f'      "cols": {mat.ncols},\n      "entries": ', mat.entry_count(),
+                            lambda lo, hi: [table(a[lo:hi]) for table, a in zip(fields, mat.arrays)], 6)
+        yield "\n    }"
+    yield ("\n  }" if matrices else "}") + "\n}\n"
 
 
 def resolution_to_json(rc: ResolutionComplex) -> str:
-    """The JSON export, byte for byte json.dumps(..., indent=2) of the format
-    in the README; only the small header fields go through json, and the
-    generators, the sets and each degree's basis symbols and matrix entries
-    are one %-format over a flat int list."""
-    spec = rc.power.spec
-    head = {
-        "n": spec.ctx.n,
-        "d": spec.d,
-        "k": rc.power.k,
-        "l": spec.l,
-        "order": JSON_ORDER_TAG,
-        "u": list(spec.u.exponents),
-        "v": list(spec.v.exponents),
-    }
-    tail = {"betti": list(rc.betti), "shifts": [list(s) for s in rc.shifts]}
-    bases = []
-    for i, basis in sorted(rc.bases.items()):
-        sigma = _block(["          %d"] * (i - 1), 8)
-        symbol = '      {\n        "sigma": ' + sigma + ',\n        "gen": %d\n      }'
-        values = np.column_stack([basis.sigma, basis.gen]).ravel().tolist()
-        bases.append(f'    "{i}": ' + _block([symbol] * len(basis), 4) % tuple(values))
-    matrices = []
-    for i, mat in sorted(rc.matrices.items()):
-        values = np.column_stack(mat.arrays).ravel().tolist()
-        entries = _block([_ENTRY] * mat.entry_count(), 6) % tuple(values)
-        matrices.append(
-            f'    "{i}": {{\n      "rows": {mat.nrows},\n      "cols": {mat.ncols},\n      '
-            f'"entries": {entries}\n    }}'
-        )
-    bases, matrices = _block(bases, 2, "{}"), _block(matrices, 2, "{}")
-    generators = _rows_block([g.exponents for g in rc.power.generators])
-    sets = _rows_block(rc.quotients.sets)
-    return (
-        json.dumps(head, indent=2)[:-2]  # without its closing "\n}"
-        + f',\n  "generators": {generators},\n  "sets": {sets},\n'
-        + json.dumps(tail, indent=2)[2:-2]  # without "{\n" and "\n}"
-        + f',\n  "bases": {bases},\n  "matrices": {matrices}\n}}\n'
-    )
+    """The whole JSON export as one string."""
+    return "".join(iter_resolution_json(rc))
 
 
 def resolution_from_dict(data: dict) -> ResolutionComplex:
@@ -123,13 +148,10 @@ def matrix_grid(rc: ResolutionComplex, i: int) -> list[list[str]]:
     return grid
 
 
-def _row_labels(rc: ResolutionComplex, i: int) -> list[str]:
-    if i == 0:
-        return ["1"]
-    return rc.bases[i].labels()
-
-
 def resolution_to_text(rc: ResolutionComplex) -> str:
+    cells = len(rc.d0) + sum(m.nrows * m.ncols for m in rc.matrices.values())
+    if cells > TEXT_CELL_BUDGET:
+        raise BudgetError(f"the text matrices have {cells} cells, over the budget {TEXT_CELL_BUDGET}")
     spec = rc.power.spec
     lines = [
         f"S = K[x1..x{spec.ctx.n}],  I = L({spec.u}, {spec.v}),  k = {rc.power.k}"
@@ -151,7 +173,7 @@ def resolution_to_text(rc: ResolutionComplex) -> str:
         lines.append("")
         lines.append(f"d{i}  (rows F_{i}, cols F_{i + 1}):")
         grid = matrix_grid(rc, i)
-        labels = _row_labels(rc, i)
+        labels = rc.bases[i].labels() if i else ["1"]
         width = max((len(s) for row in grid for s in row), default=1)
         lwidth = max(len(s) for s in labels)
         lines.append(" " * (lwidth + 2) + "  ".join(rc.bases[i + 1].labels()))

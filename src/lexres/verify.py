@@ -68,7 +68,9 @@ def _canonical_key(rows: np.ndarray):
     """Memo key: drop unused variables, sort columns, sort rows.
 
     The numerator is unchanged by ambient variables that occur nowhere and
-    by permuting variables, so canonical keys pool those subproblems.
+    by permuting variables, so canonical keys pool those subproblems.  Any
+    row order gives a sound key, but the column sort reads the columns in
+    row order, so the key is canonical only for rows in (degree, lex) order.
     """
     A = rows[:, rows.any(axis=0)]
     A = A[:, np.lexsort(A[::-1])]  # columns as tuples, top row first
@@ -117,7 +119,9 @@ def hilbert_numerator(
         unit = np.eye(1, rows.shape[1], x, dtype=np.int64)
         colon = rows.copy()
         colon[:, x] = np.maximum(colon[:, x] - 1, 0)
-        n_plus = rec(minimal_rows(np.vstack([rows[rows[:, x] == 0], unit])))
+        # the rows free of x stay minimal and x divides none of them: sort only
+        plus = np.vstack([rows[rows[:, x] == 0], unit])
+        n_plus = rec(plus[np.lexsort(np.vstack([plus.T[::-1], plus.sum(axis=1)]))])
         n_colon = rec(minimal_rows(colon))
         out = dict(n_plus)
         for deg, coef in n_colon.items():

@@ -8,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lexres import RingContext, decomposition, quotients
-from lexres.cli import JobSpec, build_parser, main, parse_monomial, run_command
+from lexres import RingContext, decomposition, quotients, serialize
+from lexres.cli import JobSpec, _build_resolution, build_parser, main, parse_monomial, run_command
 from lexres.serialize import resolution_from_json, resolution_to_json
 
 
@@ -232,6 +232,40 @@ def test_cli_failed_check_exits_1(capsys, monkeypatch, target, replacement, argv
 
 def test_cli_budget_exit():
     assert main(["power", "--n", "6", "--u", "x1x3", "--v", "x2x6", "--k", "40"]) == 3
+
+
+def _text_cells(args):
+    rc = _build_resolution(JobSpec(command="resolve", **args))
+    return len(rc.d0) + sum(m.nrows * m.ncols for m in rc.matrices.values())
+
+
+def test_cli_text_budget_edge(monkeypatch, capsys):
+    # the dense text matrices are counted before any is built
+    argv = ["resolve", "--n", "4", "--u", "x1x3", "--v", "x2x4", "--k", "2"]
+    cells = _text_cells({"n": 4, "u": "x1x3", "v": "x2x4", "k": 2})
+    monkeypatch.setattr(serialize, "TEXT_CELL_BUDGET", cells)
+    assert main(argv) == 0
+    assert "betti: (1, 14, 24, 13, 2)" in capsys.readouterr().out
+    monkeypatch.setattr(serialize, "TEXT_CELL_BUDGET", cells - 1)
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"budget exceeded: the text matrices have {cells} cells, over the budget {cells - 1}\n"
+
+
+def test_cli_text_budget_default_admits_large_only():
+    # the default renders the large benchmark instance and refuses the n=7 ladder row
+    large = _text_cells({"n": 6, "u": "x1x4x5x6", "v": "x2x6^3", "k": 2})
+    assert large == 5_597_078 <= serialize.TEXT_CELL_BUDGET
+    assert main(["resolve", "--n", "7", "--u", "x1x4x5x6x7", "--v", "x2x7^4", "--k", "2"]) == 3
+
+
+def test_cli_json_stdout_matches_out(tmp_path, capsys):
+    args = ["export", "--n", "5", "--u", "x1x4x5", "--v", "x2x5^2", "--k", "2", "--format", "json"]
+    assert main(args) == 0
+    out_path = tmp_path / "res.json"
+    assert main([*args, "--out", str(out_path)]) == 0
+    assert capsys.readouterr().out.encode() == out_path.read_bytes()
 
 
 def test_cli_json_roundtrip(tmp_path, capsys):

@@ -97,6 +97,9 @@ def test_power_generators_match_loop(spec, k):
     pi = power_generators(spec, k)
     ref = support.power_generators_loop(spec, k)
     assert pi.generators == ref.generators
+    # the trusted constructor gives what validation would: int tuples and their degree
+    assert [(g.ctx, g.degree) for g in pi.generators] == [(g.ctx, g.degree) for g in ref.generators]
+    assert all(type(e) is int for g in pi.generators for e in g.exponents)
     assert np.array_equal(pi.exponent_matrix, ref.exponent_matrix)
     assert pi.position == ref.position
 

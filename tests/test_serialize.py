@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -12,8 +13,15 @@ from lexres import (
     linear_quotients_check,
     power_generators,
 )
+from lexres import serialize
 from lexres.lexsegment import LexSegmentSpec
-from lexres.serialize import resolution_from_dict, resolution_from_json, resolution_to_json
+from lexres.resolution import Basis, DifferentialMatrix, ResolutionComplex
+from lexres.serialize import (
+    iter_resolution_json,
+    resolution_from_dict,
+    resolution_from_json,
+    resolution_to_json,
+)
 
 
 def _single_generator():
@@ -94,3 +102,66 @@ def test_json_round_trip_property(shape, k):
     back = resolution_from_json(text)
     assert back == rc
     assert resolution_to_json(back) == text
+
+
+def _dumped(text):
+    return json.dumps(json.loads(text), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("records", [1, 3])
+@pytest.mark.parametrize("build", [lambda: _family(4, (1, 0, 1, 0), (0, 1, 0, 1), 2), _single_generator])
+def test_json_chunks_join_to_the_same_bytes(monkeypatch, build, records):
+    # chunk boundaries fall inside every list: generators, sets, bases and entries
+    rc = build()
+    whole = resolution_to_json(rc)
+    monkeypatch.setattr(serialize, "CHUNK_RECORDS", records)
+    assert "".join(iter_resolution_json(rc)) == whole == _dumped(whole)
+
+
+def test_json_renders_any_int64_as_json_dumps():
+    # values no assembled complex has: a sign of -3, variables past 9 and at
+    # the int64 limits, and row and column indices that cross digit widths
+    data = json.loads(resolution_to_json(_family(4, (1, 0, 1, 0), (0, 1, 0, 1), 2)))
+    for mat in data["matrices"].values():
+        for p, e in enumerate(mat["entries"]):
+            e["r"], e["c"] = e["r"] * 37 + 5, e["c"] * 1001  # columns stay in order
+            e["sign"] = (-3, 1, -1, -(2**63))[p % 4]
+            e["var"] = (10, 2**63 - 1, 99, 4)[p % 4]
+    text = resolution_to_json(resolution_from_dict(data))
+    assert text == json.dumps(data, indent=2) + "\n"
+
+
+def test_json_empty_basis_and_empty_matrix():
+    rc = _single_generator()
+    rc = ResolutionComplex(
+        quotients=rc.quotients,
+        bases={**rc.bases, 2: Basis([], [], 1, 3)},
+        matrices={1: DifferentialMatrix(1, 0, [], [], [], [])},
+    )
+    text = resolution_to_json(rc)
+    assert text == _dumped(text)
+    data = json.loads(text)
+    assert data["bases"]["2"] == [] and data["matrices"]["1"] == {"rows": 1, "cols": 0, "entries": []}
+
+
+def test_json_chunks_are_bounded_by_records(monkeypatch):
+    rc = _family(6, (1, 0, 0, 1, 1, 0), (0, 0, 1, 0, 0, 2), 1)
+    monkeypatch.setattr(serialize, "CHUNK_RECORDS", 4)
+    chunks = list(iter_resolution_json(rc))
+    assert sum(map(len, chunks)) > 20_000
+    assert max(c.count('"r": ') + c.count('"gen": ') for c in chunks) == 4
+    assert max(map(len, chunks)) < 600  # the header, or four records of the widest kind
+
+
+def test_streamed_n7_ladder_export_digest():
+    # ladder row n=7, x1x4x5x6x7 / x2x7^4, k=2: hashed chunk by chunk, no
+    # file and no whole document in memory
+    rc = _family(7, (1, 0, 0, 1, 1, 1, 1), (0, 1, 0, 0, 0, 0, 4), 2)
+    digest, size, widest = hashlib.sha256(), 0, 0
+    for chunk in iter_resolution_json(rc):
+        raw = chunk.encode()
+        digest.update(raw)
+        size, widest = size + len(raw), max(widest, len(raw))
+    assert size == 39_971_156
+    assert digest.hexdigest() == "1e3c243d97c6279181d039ee2fe14765cded00f85fa31d989965912266e5fee6"
+    assert widest <= serialize.CHUNK_RECORDS * 128
