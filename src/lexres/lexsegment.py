@@ -112,10 +112,6 @@ class TransformRecord:
     shift: int
     ring_drop: bool
 
-    @property
-    def changed(self) -> bool:
-        return self.shift > 0
-
 
 def normalize_spec(u: Monomial, v: Monomial) -> tuple[LexSegmentSpec, TransformRecord]:
     """Reduce to the standing assumption x1 | u, x1 ∤ v.

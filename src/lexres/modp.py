@@ -1,12 +1,12 @@
-"""Exact dense linear algebra modulo a word-size prime.
+"""Exact rank of a sparse integer matrix modulo a word-size prime.
 
-Products of two residues below 2^31 overflow the 53-bit float mantissa, so
-matmul_mod splits each operand into 16-bit halves and combines float64 BLAS
-products; every partial dot product stays below 2^53 for inner dimensions
-up to 2^21, which keeps the arithmetic exact.  rank_mod is a recursive
-blocked echelon elimination: narrow panels are factored on contiguous
-copies with int64 outer-product updates, and all trailing work is deferred
-up the recursion so it runs as large matmul_mod calls at BLAS speed.
+rank_mod is the rank check's fallback for evaluated differentials, whose
+entries are +-x_j at a point: a column of d_i has at most 2i nonzero
+entries.  Each pivot therefore updates only the rows that are nonzero in
+its column and the columns that are nonzero in its row.  On dense random
+matrices this is several times slower than a blocked elimination would be,
+but no caller produces them.  Products of two residues are formed in int64,
+which is exact only for a prime p < 2^31.
 """
 
 from __future__ import annotations
@@ -14,139 +14,23 @@ from __future__ import annotations
 import numpy as np
 
 DEFAULT_PRIME = 2**31 - 1
-_MAX_INNER = 1 << 21
-_PANEL = 64
 
 
-def matmul_mod(A: np.ndarray, B: np.ndarray, p: int = DEFAULT_PRIME) -> np.ndarray:
-    """(A @ B) mod p, exact, for int64 operands with entries in [0, p)."""
-    if A.shape[1] != B.shape[0]:
-        raise ValueError(f"shape mismatch {A.shape} @ {B.shape}")
-    if A.shape[1] > _MAX_INNER:
-        raise ValueError(f"inner dimension {A.shape[1]} exceeds exactness bound {_MAX_INNER}")
-    a_hi = (A >> 16).astype(np.float64)
-    a_lo = (A & 0xFFFF).astype(np.float64)
-    b_hi = (B >> 16).astype(np.float64)
-    b_lo = (B & 0xFFFF).astype(np.float64)
-    s_hh = (a_hi @ b_hi).astype(np.int64) % p
-    s_mid = ((a_hi @ b_lo) + (a_lo @ b_hi)).astype(np.int64) % p
-    s_ll = (a_lo @ b_lo).astype(np.int64) % p
-    c32 = (1 << 32) % p
-    out = (s_hh * c32) % p
-    out += (s_mid << 16) % p
-    out += s_ll
-    return out % p
-
-
-def rank_mod_reference(M, p: int = DEFAULT_PRIME) -> int:
-    """Plain row-reduction rank; the oracle for rank_mod."""
+def rank_mod(M) -> int:
+    """Rank of an integer matrix mod DEFAULT_PRIME, by row reduction: each
+    column's pivot is its first nonzero row not yet used as a pivot."""
+    p = DEFAULT_PRIME
     A = np.array(M, dtype=np.int64) % p
-    m, n = A.shape
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        nz = np.nonzero(A[r:, c])[0]
-        if nz.size == 0:
+    live = np.ones(A.shape[0], dtype=bool)  # rows not yet used as pivots
+    for c in range(A.shape[1]):
+        rows = np.flatnonzero(live & (A[:, c] != 0))
+        if not len(rows):
             continue
-        piv = r + int(nz[0])
-        if piv != r:
-            A[[r, piv]] = A[[piv, r]]
-        inv = pow(int(A[r, c]), p - 2, p)
-        mult = (A[r + 1 :, c] * inv) % p
-        A[r + 1 :, c:] = (A[r + 1 :, c:] - mult[:, None] * A[r, c:]) % p
-        r += 1
-    return r
-
-
-def _factor_panel(A, p, r, cs, ce):
-    """Unblocked echelon on columns [cs, ce) from row r, working on a
-    contiguous panel copy; multipliers stored in place.  Row swaps are
-    applied to the whole matrix.  Returns absolute pivot columns."""
-    m = A.shape[0]
-    panel = np.ascontiguousarray(A[r:, cs:ce])
-    rows, w = panel.shape
-    piv_cols: list[int] = []
-    swaps: list[tuple[int, int]] = []
-    for j in range(w):
-        rr = len(piv_cols)
-        if rr == rows:
-            break
-        nz = np.nonzero(panel[rr:, j])[0]
-        if nz.size == 0:
-            continue
-        pr = rr + int(nz[0])
-        if pr != rr:
-            panel[[rr, pr]] = panel[[pr, rr]]
-            swaps.append((rr, pr))
-        inv = pow(int(panel[rr, j]), p - 2, p)
-        mult = (panel[rr + 1 :, j] * inv) % p
-        panel[rr + 1 :, j] = mult
-        if j + 1 < w:
-            panel[rr + 1 :, j + 1 :] = (panel[rr + 1 :, j + 1 :] - mult[:, None] * panel[rr, j + 1 :]) % p
-        piv_cols.append(cs + j)
-    for a, b in swaps:
-        A[[r + a, r + b]] = A[[r + b, r + a]]
-    A[r:, cs:ce] = panel
-    return piv_cols
-
-
-def _unit_lower_inverse(L, p):
-    """Inverse of a small unit lower triangular matrix (strict part of L)."""
-    blk = L.shape[0]
-    inv = np.eye(blk, dtype=np.int64)
-    for t in range(1, blk):
-        inv[t, :t] = (-matmul_mod(L[t : t + 1, :t], inv[:t, :t], p)[0]) % p
-    return inv
-
-
-def _solve_unit_lower(L, B, p):
-    """L^-1 B for unit lower triangular L (diagonal ignored), recursively,
-    so the off-diagonal updates run as fat matmuls."""
-    np_ = L.shape[0]
-    if np_ <= _PANEL:
-        return matmul_mod(_unit_lower_inverse(L, p), B, p)
-    mid = np_ // 2
-    X1 = _solve_unit_lower(L[:mid, :mid], B[:mid], p)
-    B2 = (B[mid:] - matmul_mod(np.ascontiguousarray(L[mid:, :mid]), X1, p)) % p
-    X2 = _solve_unit_lower(L[mid:, mid:], B2, p)
-    return np.vstack([X1, X2])
-
-
-def _eliminate(A, p, r, cs, ce, chunk):
-    """Echelon-eliminate columns [cs, ce) below row r; trailing updates for
-    the left half are applied to the right half in one blocked pass."""
-    m = A.shape[0]
-    if r >= m or cs >= ce:
-        return []
-    if ce - cs <= _PANEL:
-        return _factor_panel(A, p, r, cs, ce)
-    mid = (cs + ce) // 2
-    piv1 = _eliminate(A, p, r, cs, mid, chunk)
-    np1 = len(piv1)
-    if np1:
-        r2 = r + np1
-        cols = np.array(piv1, dtype=np.intp)
-        L11 = np.ascontiguousarray(A[r:r2][:, cols])
-        U = _solve_unit_lower(L11, np.ascontiguousarray(A[r:r2, mid:ce]), p)
-        A[r:r2, mid:ce] = U
-        if r2 < m:
-            L21 = np.ascontiguousarray(A[r2:][:, cols])
-            for c0 in range(0, ce - mid, chunk):
-                c1 = min(c0 + chunk, ce - mid)
-                A[r2:, mid + c0 : mid + c1] = (
-                    A[r2:, mid + c0 : mid + c1] - matmul_mod(L21, U[:, c0:c1], p)
-                ) % p
-    piv2 = _eliminate(A, p, r + np1, mid, ce, chunk)
-    return piv1 + piv2
-
-
-def rank_mod(M, p: int = DEFAULT_PRIME, chunk: int = 2048) -> int:
-    """Rank of an integer matrix mod p."""
-    A = np.ascontiguousarray(np.array(M, dtype=np.int64) % p)
-    if A.size == 0:
-        return 0
-    m, n = A.shape
-    if min(m, n) <= 128:
-        return rank_mod_reference(A, p)
-    return len(_eliminate(A, p, 0, 0, n, chunk))
+        r, rows = rows[0], rows[1:]
+        live[r] = False
+        cols = c + 1 + np.flatnonzero(A[r, c + 1 :])
+        if len(rows) and len(cols):
+            mult = A[rows, c] * pow(int(A[r, c]), p - 2, p) % p
+            block = np.ix_(rows, cols)
+            A[block] = (A[block] - mult[:, None] * A[r, cols]) % p
+    return A.shape[0] - int(live.sum())

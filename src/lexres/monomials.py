@@ -63,9 +63,6 @@ class Monomial:
         """nu_i: the exponent of x_i (1-based)."""
         return self.exponents[i - 1]
 
-    def support(self) -> tuple[int, ...]:
-        return tuple(i + 1 for i, e in enumerate(self.exponents) if e)
-
     def is_one(self) -> bool:
         return self.degree == 0
 

@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .decomposition import closed_form_table, oracle_table, regularity_check_oracle, require_agreement
+from .decomposition import closed_form_table, oracle_table, regularity_check_oracle
 from .errors import CheckFailure, InvariantError
 from .quotients import QuotientStructure
 
@@ -173,16 +173,12 @@ def betti_from_sets(sets) -> tuple[int, ...]:
     return tuple(betti)
 
 
-def assemble_resolution(
-    qs: QuotientStructure,
-    use_oracle: bool = False,
-    cross_check: bool = False,
-) -> ResolutionComplex:
+def assemble_resolution(qs: QuotientStructure, use_oracle: bool = False) -> ResolutionComplex:
     """Build bases and differentials for the full resolution of S/I^k.
 
-    Classified specs use the closed-form g (optionally shadowed by the
-    oracle); with use_oracle the definitional g is used instead, which
-    requires the decomposition function to be regular and is checked here.
+    Classified specs use the closed-form g; with use_oracle the definitional
+    g is used instead, which requires the decomposition function to be
+    regular and is checked here.
     """
     if not qs.is_linear:
         raise ValueError("cannot resolve: linear quotients fail")
@@ -199,8 +195,6 @@ def assemble_resolution(
         table = oracle_table(qs)
     else:
         table = closed_form_table(qs)
-        if cross_check:
-            require_agreement(qs)
     table.raise_fault_before(len(table.g))
     bases = resolution_basis(qs)
     betti = betti_from_sets(qs.sets)

@@ -137,15 +137,23 @@ def resolution_from_json(text: str) -> ResolutionComplex:
     return resolution_from_dict(json.loads(text))
 
 
+def _cell_grid(rc: ResolutionComplex, i: int):
+    """d_i as an int grid, rows x cols, of codes into a list of its distinct
+    cell strings: code 0 is "0", and each entry's code stands for its
+    (sign < 0, var) pair ("x1", "-x3"); d0's cells are its generators."""
+    if i == 0:
+        return np.arange(1, len(rc.d0) + 1)[None, :], ["0"] + [str(g) for g in rc.d0]
+    mat = rc.matrices[i]
+    keys, code = np.unique(2 * mat.vars + (mat.signs < 0), return_inverse=True)
+    grid = np.zeros((mat.nrows, mat.ncols), dtype=np.int64)
+    grid[mat.rows, mat.cols] = code + 1
+    return grid, ["0"] + [("-" if key & 1 else "") + f"x{key >> 1}" for key in keys.tolist()]
+
+
 def matrix_grid(rc: ResolutionComplex, i: int) -> list[list[str]]:
     """The entries of d_i as strings ("x1", "-x3", "0"), rows x cols."""
-    if i == 0:
-        return [[str(g) for g in rc.d0]]
-    mat = rc.matrices[i]
-    grid = [["0"] * mat.ncols for _ in range(mat.nrows)]
-    for r, c, sign, var in zip(*(a.tolist() for a in mat.arrays)):
-        grid[r][c] = ("-" if sign < 0 else "") + f"x{var}"
-    return grid
+    grid, cells = _cell_grid(rc, i)
+    return np.array(cells, dtype=object)[grid].tolist()
 
 
 def resolution_to_text(rc: ResolutionComplex) -> str:
@@ -172,13 +180,14 @@ def resolution_to_text(rc: ResolutionComplex) -> str:
     for i in range(0, rc.proj_dim):
         lines.append("")
         lines.append(f"d{i}  (rows F_{i}, cols F_{i + 1}):")
-        grid = matrix_grid(rc, i)
+        grid, cells = _cell_grid(rc, i)
+        width = max(map(len, cells))
+        padded = np.array([f"{s:>{width}}" for s in cells], dtype=object)
         labels = rc.bases[i].labels() if i else ["1"]
-        width = max((len(s) for row in grid for s in row), default=1)
         lwidth = max(len(s) for s in labels)
         lines.append(" " * (lwidth + 2) + "  ".join(rc.bases[i + 1].labels()))
         for label, row in zip(labels, grid):
-            lines.append(f"{label:<{lwidth}}  " + "  ".join(f"{s:>{width}}" for s in row))
+            lines.append(f"{label:<{lwidth}}  " + "  ".join(padded[row].tolist()))
     return "\n".join(lines) + "\n"
 
 

@@ -78,21 +78,16 @@ def _canonical_key(rows: np.ndarray):
     return A.shape, A.tobytes()
 
 
-def hilbert_numerator(
-    gens,
-    budget: int = DEFAULT_HILBERT_BUDGET,
-    pivot_policy: str = "occurrence",
-) -> HilbertNumerator:
+def hilbert_numerator(gens, budget: int = DEFAULT_HILBERT_BUDGET) -> HilbertNumerator:
     """N(t) for S/(gens) by splitting on a pivot variable x:
 
         N(J) = N(J + (x)) + t * N(J : x)
 
     with closed forms for the empty set and for pure-power generators.  J is
     carried as its minimal generators, one exponent row each, sorted by
-    (degree, lex); x is a variable of some non-pure-power generator.
+    (degree, lex); x is the variable occurring in the most generators that
+    are not pure powers.
     """
-    if pivot_policy not in ("occurrence", "index"):
-        raise ValueError(f"unknown pivot policy {pivot_policy!r}")
     memo: dict = {}
     nodes = [0]
 
@@ -115,7 +110,7 @@ def hilbert_numerator(
         if hit is not None:
             return hit
         counts = (rows[support >= 2] > 0).sum(axis=0)
-        x = int(counts.argmax() if pivot_policy == "occurrence" else (counts > 0).argmax())
+        x = int(counts.argmax())
         unit = np.eye(1, rows.shape[1], x, dtype=np.int64)
         colon = rows.copy()
         colon[:, x] = np.maximum(colon[:, x] - 1, 0)
@@ -402,14 +397,9 @@ def rank_positions_ok(betti, ranks) -> bool:
     return ranks[pd - 1] == betti[pd]
 
 
-def random_rank_check(
-    rc: ResolutionComplex,
-    seed: int = 0,
-    trials: int = 5,
-    modulus: int = DEFAULT_PRIME,
-) -> RankReport:
-    """Evaluate all differentials at random nonzero points mod the prime and
-    test rank additivity at every position, `trials` times.
+def random_rank_check(rc: ResolutionComplex, seed: int = 0, trials: int = 5) -> RankReport:
+    """Evaluate all differentials at random nonzero points mod DEFAULT_PRIME
+    and test rank additivity at every position, `trials` times.
 
     d0 is a single row.  Every later differential goes through the witness
     Schur complement (see _WitnessStructure): the witness block is invertible
@@ -425,11 +415,12 @@ def random_rank_check(
     """
     if trials < 1:
         raise ValueError(f"the rank check needs at least one trial, got {trials}")
+    p = DEFAULT_PRIME
     rng = random.Random(seed)
     n = rc.power.spec.ctx.n
-    points = [tuple(rng.randrange(1, modulus) for _ in range(n)) for _ in range(trials)]
+    points = [tuple(rng.randrange(1, p) for _ in range(n)) for _ in range(trials)]
     point_arr = np.array(points, dtype=np.int64)
-    ranks = [[_d0_rank(rc, point, modulus)] for point in points]
+    ranks = [[_d0_rank(rc, point, p)] for point in points]
     methods = [["dense"] for _ in points]
     for i in range(1, rc.proj_dim):
         st = _build_witness_structure(rc, i)
@@ -438,13 +429,13 @@ def random_rank_check(
             # numpy seeds must be non-negative; the points come from rng,
             # so folding the sign only lets two seeds share probe vectors
             rngs = [np.random.default_rng([abs(seed), t, i, 0x5C0]) for t in range(trials)]
-            found = _witness_ranks(st, point_arr, rngs, modulus)
+            found = _witness_ranks(st, point_arr, rngs, p)
         for t, r in enumerate(found):
             if r is None:
-                r = rank_mod(_evaluate_dense(rc.matrices[i], point_arr[t], modulus), modulus)
+                r = rank_mod(_evaluate_dense(rc.matrices[i], point_arr[t], p))
             ranks[t].append(r)
             methods[t].append("dense-fallback" if found[t] is None else "witness")
-    report = RankReport(modulus=modulus, seed=seed, betti=rc.betti)
+    report = RankReport(modulus=p, seed=seed, betti=rc.betti)
     for point, r, m in zip(points, ranks, methods):
         r = tuple(r)
         report.trials.append(

@@ -8,6 +8,7 @@ from lexres import (
     make_classified_spec,
     power_generators,
 )
+from lexres.decomposition import require_agreement
 
 
 @pytest.fixture(scope="session")
@@ -37,7 +38,8 @@ def example_quotients(example_power):
 
 @pytest.fixture(scope="session")
 def example_resolution(example_quotients):
-    return assemble_resolution(example_quotients, cross_check=True)
+    require_agreement(example_quotients)
+    return assemble_resolution(example_quotients)
 
 
 @pytest.fixture(scope="session")

@@ -27,6 +27,7 @@ from lexres import (
     variable,
 )
 from lexres.lexsegment import LexSegmentSpec
+from lexres.modp import DEFAULT_PRIME
 from lexres.monomials import revlex_key
 from lexres.powers import DEFAULT_PRODUCT_BUDGET, PowerIdeal
 from lexres.quotients import QuotientStructure, SetBoundViolation
@@ -282,6 +283,28 @@ def witness_solve_loop(st, block, point, rhs, p):
             for r, val in by_col.get(j, ()):
                 rhs[r] = [(a - val * xv) % p for a, xv in zip(rhs[r], x[j])]
     return x
+
+
+def rank_mod_loop(M, p: int = DEFAULT_PRIME) -> int:
+    """Plain row-reduction rank, every row below the pivot updated over
+    every later column: the reference for lexres.modp.rank_mod."""
+    A = np.array(M, dtype=np.int64) % p
+    m, n = A.shape
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        nz = np.nonzero(A[r:, c])[0]
+        if nz.size == 0:
+            continue
+        piv = r + int(nz[0])
+        if piv != r:
+            A[[r, piv]] = A[[piv, r]]
+        inv = pow(int(A[r, c]), p - 2, p)
+        mult = (A[r + 1 :, c] * inv) % p
+        A[r + 1 :, c:] = (A[r + 1 :, c:] - mult[:, None] * A[r, c:]) % p
+        r += 1
+    return r
 
 
 def power_generators_loop(spec, k, budget=DEFAULT_PRODUCT_BUDGET):

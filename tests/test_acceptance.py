@@ -34,6 +34,7 @@ from lexres import (
     set_bound_report,
     shadow,
 )
+from lexres.decomposition import require_agreement
 from lexres.lexsegment import LexSegmentSpec, lex_max, lex_min
 from lexres.serialize import matrix_grid
 
@@ -93,7 +94,8 @@ def test_criterion_1_golden_worked_example():
     assert [str(g) for g in pi.generators] == ["x2x4", "x1x4", "x2x3", "x1x3", "x2^2"]
     qs = linear_quotients_check(pi)
     assert qs.sets == [(), (2,), (4,), (2, 4), (3, 4)]
-    rc = assemble_resolution(qs, cross_check=True)
+    require_agreement(qs)
+    rc = assemble_resolution(qs)
     assert rc.betti == (1, 5, 6, 2)
     assert matrix_grid(rc, 0) == [["x2x4", "x1x4", "x2x3", "x1x3", "x2^2"]]
     assert matrix_grid(rc, 1) == [

@@ -22,6 +22,7 @@ from lexres import (
     regularity_check_oracle,
     variable,
 )
+from lexres.decomposition import require_agreement
 from lexres.lexsegment import LexSegmentSpec
 from lexres.quotients import QuotientStructure
 
@@ -108,7 +109,7 @@ def test_corrupted_table_entry_is_reported(example_spec):
     with pytest.raises(CheckFailure, match=r"disagrees with oracle at \(x1x3, x4\)"):
         regularity_check(qs)
     with pytest.raises(CheckFailure, match=r"disagrees with oracle at \(x1x3, x4\)"):
-        assemble_resolution(qs, cross_check=True)
+        require_agreement(qs)
 
 
 _SMALL_SHAPES = [spec for spec in support.theorem_family_specs() if spec[0] <= 5]

@@ -150,7 +150,7 @@ def test_normalize_shift(ring4):
 
 def test_normalize_identity(ring4):
     spec, record = normalize_spec(M(ring4, 1, 0, 1, 0), M(ring4, 0, 1, 0, 1))
-    assert not record.changed
+    assert record.shift == 0
     assert spec.u == M(ring4, 1, 0, 1, 0)
 
 

@@ -1,38 +1,9 @@
 import numpy as np
-import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from lexres.modp import DEFAULT_PRIME, matmul_mod, rank_mod, rank_mod_reference
-
-
-def exact_matmul(A, B, p):
-    return (A.astype(object) @ B.astype(object)) % p
-
-
-def test_matmul_mod_exact_small():
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        m, k, n = rng.integers(1, 40, size=3)
-        A = rng.integers(0, DEFAULT_PRIME, size=(m, k), dtype=np.int64)
-        B = rng.integers(0, DEFAULT_PRIME, size=(k, n), dtype=np.int64)
-        got = matmul_mod(A, B)
-        want = exact_matmul(A, B, DEFAULT_PRIME).astype(np.int64)
-        assert np.array_equal(got, want)
-
-
-def test_matmul_mod_extreme_values():
-    p = DEFAULT_PRIME
-    A = np.full((3, 500), p - 1, dtype=np.int64)
-    B = np.full((500, 3), p - 1, dtype=np.int64)
-    got = matmul_mod(A, B)
-    want = (500 * (p - 1) * (p - 1)) % p
-    assert np.all(got == want)
-
-
-def test_matmul_mod_shape_error():
-    A = np.zeros((2, 3), dtype=np.int64)
-    B = np.zeros((4, 2), dtype=np.int64)
-    with pytest.raises(ValueError):
-        matmul_mod(A, B)
+import support
+from lexres.modp import DEFAULT_PRIME, rank_mod
 
 
 def rank_over_rationals(A):
@@ -64,16 +35,18 @@ def test_rank_reference_vs_rationals():
         A = B @ C
         want = rank_over_rationals(A)
         # a rank drop mod p is possible in theory but not with entries this small
-        assert rank_mod_reference(A % DEFAULT_PRIME) == want
+        assert rank_mod(A) == want
 
 
 def test_blocked_rank_matches_reference():
+    # dense products of rank r: B has residues up to p, C entries in {-1, 0, 1},
+    # so B @ C is exact in int64 before it is reduced mod p
     rng = np.random.default_rng(2)
     for m, n, r in [(300, 200, 150), (200, 300, 199), (260, 260, 100), (513, 400, 380)]:
         B = rng.integers(0, DEFAULT_PRIME, size=(m, r), dtype=np.int64)
-        C = rng.integers(0, DEFAULT_PRIME, size=(r, n), dtype=np.int64)
-        A = matmul_mod(B, C)
-        assert rank_mod(A) == rank_mod_reference(A) == r
+        C = rng.integers(-1, 2, size=(r, n), dtype=np.int64)
+        A = B @ C % DEFAULT_PRIME
+        assert rank_mod(A) == support.rank_mod_loop(A) == r
 
 
 def test_rank_structured_matrices():
@@ -83,12 +56,12 @@ def test_rank_structured_matrices():
     A = np.zeros((400, 400), dtype=np.int64)
     A[:200, :200] = rng.integers(0, DEFAULT_PRIME, (200, 200))
     A[250:, 250:] = A[:150, :150]
-    assert rank_mod(A) == rank_mod_reference(A)
+    assert rank_mod(A) == support.rank_mod_loop(A)
     # duplicated rows and zero columns
     B = rng.integers(0, DEFAULT_PRIME, size=(150, 260), dtype=np.int64)
     B[60:120] = B[0:60]
     B[:, 100:140] = 0
-    assert rank_mod(B) == rank_mod_reference(B)
+    assert rank_mod(B) == support.rank_mod_loop(B)
 
 
 def test_rank_identity_and_edges():
@@ -98,3 +71,29 @@ def test_rank_identity_and_edges():
     assert rank_mod(np.zeros((5, 0), dtype=np.int64)) == 0
     one = np.array([[DEFAULT_PRIME]], dtype=np.int64)  # p = 0 mod p
     assert rank_mod(one) == 0
+
+
+@st.composite
+def _sparse_matrices(draw):
+    """Integer matrices up to 40 x 40 with a few nonzero entries per row
+    (small, negative, or near p), then some rows copied over others and
+    some columns zeroed."""
+    m, n = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    values = st.one_of(st.integers(-3, 3), st.integers(DEFAULT_PRIME - 3, DEFAULT_PRIME + 3))
+    entries = draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, n - 1), values),
+                            max_size=3 * max(m, n)))
+    A = np.zeros((m, n), dtype=np.int64)
+    for r, c, v in entries:
+        A[r, c] = v
+    for dst, src in draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, m - 1)), max_size=4)):
+        A[dst] = A[src]
+    A[:, draw(st.lists(st.integers(0, n - 1), max_size=4))] = 0
+    return A
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(A=_sparse_matrices())
+@example(A=np.array([[1, 1]]))  # one row: used as a pivot once only
+@example(A=np.array([[1, 1], [1, 0]]))  # fill-in where only the pivot row is nonzero
+def test_sparse_rank_matches_loop(A):
+    assert rank_mod(A) == support.rank_mod_loop(A)
