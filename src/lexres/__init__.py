@@ -23,7 +23,7 @@ from .resolution import (
 )
 from .verify import (
     HilbertNumerator, RankReport, euler_characteristic_numerator, hilbert_numerator,
-    hilbert_numerator_inclusion_exclusion, random_rank_check,
+    random_rank_check,
 )
 from .errors import BudgetError, CheckFailure, InvariantError
 
@@ -38,6 +38,6 @@ __all__ = [
     "g_oracle", "g_oracle_index", "oracle_table", "regularity_check", "regularity_check_oracle",
     "Basis", "DifferentialMatrix", "ResolutionComplex", "assemble_resolution", "betti_from_sets",
     "compose_check", "minimality_check", "HilbertNumerator", "RankReport",
-    "euler_characteristic_numerator", "hilbert_numerator", "hilbert_numerator_inclusion_exclusion",
+    "euler_characteristic_numerator", "hilbert_numerator",
     "random_rank_check", "BudgetError", "CheckFailure", "InvariantError",
 ]

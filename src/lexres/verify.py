@@ -7,8 +7,11 @@ pipeline that never saw the differentials.  The randomized rank check
 evaluates the differentials at random nonzero points mod a large prime and
 tests rank additivity at every homological position; it is a necessary
 condition for exactness, never a proof.  Its one fast route is the witness
-Schur complement that the linear quotients give every differential, with
-dense elimination mod p as the only fallback.
+Schur complement that the linear quotients give every differential: the
+differentials of consecutive positions, up to a cap on their entries, form
+one block-diagonal witness structure, solved for all of them at all points
+at once, and the probe vectors of a whole check come from one generator.
+Dense elimination mod p, per position and point, is the only fallback.
 """
 
 from __future__ import annotations
@@ -131,26 +134,6 @@ def hilbert_numerator(gens, budget: int = DEFAULT_HILBERT_BUDGET) -> HilbertNume
     return HilbertNumerator.from_dict(rec(minimal_rows(rows)))
 
 
-def hilbert_numerator_inclusion_exclusion(gens) -> HilbertNumerator:
-    """The exponential oracle: sum over all generator subsets A of
-    (-1)^|A| t^deg(lcm A).  Only sane for a dozen or so generators."""
-    gens = list(gens)
-    if len(gens) > 22:
-        raise BudgetError(f"{len(gens)} generators: inclusion-exclusion oracle refuses > 22")
-    n = gens[0].ctx.n if gens else 0
-    out: dict[int, int] = {0: 1}
-
-    def rec(lcm_exp, start, sign):
-        for j in range(start, len(gens)):
-            new = tuple(max(a, b) for a, b in zip(lcm_exp, gens[j].exponents))
-            d = sum(new)
-            out[d] = out.get(d, 0) - sign  # subset gains one element: sign flips
-            rec(new, j + 1, -sign)
-
-    rec((0,) * n, 0, 1)
-    return HilbertNumerator.from_dict(out)
-
-
 def euler_characteristic_numerator(rc: ResolutionComplex) -> HilbertNumerator:
     """sum_i (-1)^i |F_i| t^(kd+i-1), with F_0 = S contributing +1."""
     out: dict[int, int] = {}
@@ -200,14 +183,7 @@ class RankReport:
 def _d0_rank(rc: ResolutionComplex, point, p: int) -> int:
     """Rank of the one-row d0 at the point: 1 unless every generator vanishes
     there, so the scan stops at the first generator that does not."""
-    for g in rc.d0:
-        val = 1
-        for c, e in zip(point, g.exponents):
-            if e:
-                val = val * pow(c, e, p) % p
-        if val:
-            return 1
-    return 0
+    return int(any(math.prod(pow(c, e, p) for c, e in zip(point, g.exponents)) % p for g in rc.d0))
 
 
 def _evaluate_dense(mat: DifferentialMatrix, point_arr, p: int) -> np.ndarray:
@@ -216,229 +192,251 @@ def _evaluate_dense(mat: DifferentialMatrix, point_arr, p: int) -> np.ndarray:
     return M
 
 
-class _WitnessStructure:
-    """One differential's decomposition A = [[W, A12], [A21, A22]] where the
-    witness block W pairs each column f(sigma; w) with s* = min(set(w)) in
-    sigma against the row f(sigma \\ s*; w).
+_GROUP_ENTRIES = 1 << 20  # matrix entries of the positions checked together
 
-    Within a generator block the pairing picks out the Koszul entry
-    +-x_{s*} on the diagonal, and every other witness entry comes from a
-    g-term pointing to a strictly earlier generator.  So W = D + N with D
-    the diagonal +-x_{s*}, invertible at every point with nonzero
-    coordinates, and N nilpotent: x = D^-1 (rhs - N x) solves W x = rhs one
-    level of N at a time, and the sweeps that find the levels settle after
-    as many sweeps as the longest chain of g-terms, never after more than
-    there are generator blocks (sweep_cap).
-    rank(A) = dim(W) + rank(A22 - A21 W^-1 A12), and the Schur complement
-    is zero-probed with random vectors.  All of this is
-    read off the actual entry arrays at run time; any deviation from the
-    expected shape aborts the construction (the caller then falls back to a
-    generic elimination).  N, A12, A21 and A22 are (rows, cols, signs, vars)
-    entry arrays.
+
+class _WitnessStructure:
+    """The witness decomposition A = [[W, A12], [A21, A22]] of d_i for
+    consecutive positions i, stacked block-diagonally.
+
+    W pairs each column f(sigma; w) with s* = min(set(w)) in sigma against
+    the row f(sigma \\ s*; w).  Its diagonal D is the Koszul entries
+    +-x_{s*}, invertible at points with nonzero coordinates, and its other
+    entries are g-terms pointing to strictly earlier generators, so the
+    rest N is nilpotent.  rank(A) = dim(W) + rank(A22 - A21 W^-1 A12), and
+    random vectors probe the Schur complement for zero.  shaped marks the
+    positions whose actual entries have this shape; the others are left to
+    the dense fallback.
+
+    Rows and columns are renumbered witnesses first (witness j is row and
+    column j), position by position within each part.  kappa counts each
+    position's witnesses; wit_pos and low_pos give the position (its index
+    in the run) of each witness and each other row.  n (N), a12 (-A12)
+    and low = [A21 | A22] are (rows, cols, signs, vars) arrays sorted by
+    row, the rows of low counting other rows only; sweep_cap (the generator
+    blocks) bounds N's chains of g-terms.
     """
 
     __slots__ = (
-        "kappa", "n_other_rows", "n_other_cols",
-        "diag_sign", "diag_var", "sweep_cap",
-        "n", "a12", "a21", "a22",
+        "shaped", "kappa", "wit_pos", "low_pos", "ncols",
+        "diag_sign", "diag_var", "sweep_cap", "n", "a12", "low",
     )
 
 
-def _split(size: int, picked: np.ndarray):
-    """Each index's position among picked (-1 elsewhere), its position among
-    the rest (-1 on picked), and how many the rest are."""
-    among = np.full(size, -1, dtype=np.int64)
-    among[picked] = np.arange(len(picked))
-    other = np.cumsum(among < 0) - 1
-    other[picked] = -1
-    return among, other, size - len(picked)
+def _witnesses_first(size: int, picked: np.ndarray) -> np.ndarray:
+    """Each index's place when the picked ones come first, then the rest."""
+    rest = np.ones(size, dtype=bool)
+    rest[picked] = False
+    place = np.cumsum(rest) - 1 + len(picked)
+    place[picked] = np.arange(len(picked))
+    return place
 
 
-def _build_witness_structure(rc: ResolutionComplex, i: int) -> _WitnessStructure | None:
-    row_ix, col_ix = rc.bases[i], rc.bases[i + 1]
-    mat = rc.matrices[i]
+def _stack(arrays, offsets=None) -> np.ndarray:
+    """The arrays end to end, each plus its offset; one array is not copied."""
+    if offsets is not None:
+        arrays = [a + o if o else a for a, o in zip(arrays, offsets.tolist())]
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+def _build_witness_structure(rc: ResolutionComplex, positions) -> _WitnessStructure:
+    """The stacked structure of a run of consecutive positions (a list)."""
+    mats = [rc.matrices[i] for i in positions]
+    row_off = np.cumsum([0] + [m.nrows for m in mats])
+    col_off = np.cumsum([0] + [m.ncols for m in mats])
     s_star = np.array([min(s) if s else 0 for s in rc.quotients.sets], dtype=np.int64)
-    ss = s_star[col_ix.gen]
-    wit_cols = np.flatnonzero((col_ix.sigma == ss[:, None]).any(axis=1))
-    kappa = len(wit_cols)
-    if kappa == 0:
-        return None
-    block = col_ix.gen[wit_cols]  # generator of witness j
-    diag_row = row_ix.find(block, col_ix.mask[wit_cols] - (1 << ss[wit_cols]))
-    if (diag_row < 0).any():
-        return None
-    col_wit, col_other, n_other_cols = _split(mat.ncols, wit_cols)
-    row_wit, row_other, n_other_rows = _split(mat.nrows, diag_row)
+    col_gen = _stack([rc.bases[i + 1].gen for i in positions])
+    col_mask = _stack([rc.bases[i + 1].mask for i in positions])
+    ss = s_star[col_gen]
+    wit_cols = np.flatnonzero(col_mask >> ss & 1)
+    # each one's row f(sigma \\ s*; w) by (generator, mask), which is unique
+    # over all positions; a column without that row is no witness
+    shift = rc.power.spec.ctx.n + 1
+    keys = _stack([rc.bases[i].gen << shift | rc.bases[i].mask for i in positions])
+    order = np.argsort(keys)
+    query = col_gen[wit_cols] << shift | col_mask[wit_cols] - (1 << ss[wit_cols])
+    found = order[np.searchsorted(keys[order], query).clip(max=len(keys) - 1)]
+    wit_cols, diag_row = wit_cols[keys[found] == query], found[keys[found] == query]
+    kappa, kap = np.diff(np.searchsorted(wit_cols, col_off)), len(wit_cols)
+    wit_pos = np.repeat(np.arange(len(positions)), kappa)
+    block = col_gen[wit_cols]  # generator of witness j
 
-    r, c, sign, var = mat.arrays
-    j, j2 = col_wit[c], row_wit[r]
-    on_wit = j >= 0
-    diag = on_wit & (r == diag_row[j]) & (var == ss[c])
-    diag_sign, diag_var = np.zeros((2, kappa), dtype=np.int64)
-    diag_sign[j[diag]], diag_var[j[diag]] = sign[diag], var[diag]
-    upper = on_wit & ~diag & (j2 >= 0)
+    # renumbered witnesses first, witness j is row j and column j
+    r = _witnesses_first(row_off[-1], diag_row)[_stack([m.rows for m in mats], row_off)]
+    c = _stack([m.cols for m in mats], col_off)
+    sign, var = _stack([m.signs for m in mats]), _stack([m.vars for m in mats])
+    diag = var == ss[c]
+    c = _witnesses_first(col_off[-1], wit_cols)[c]
+    diag &= (r == c) & (r < kap)
+    diag_sign, diag_var = np.zeros((2, kap), dtype=np.int64)
+    diag_sign[r[diag]], diag_var[r[diag]] = sign[diag], var[diag]
+    upper = np.flatnonzero((r < kap) & (c < kap) & ~diag)
     # the rest of W must point to a strictly earlier generator block
-    if (np.abs(diag_sign) != 1).any() or (row_ix.gen[r[upper]] >= col_ix.gen[c[upper]]).any():
-        return None
+    shaped = np.ones(len(positions), dtype=bool)
+    shaped[wit_pos[np.abs(diag_sign) != 1]] = False
+    shaped[wit_pos[c[upper[block[r[upper]] >= block[c[upper]]]]]] = False
 
-    def coo(mask, rows, cols):
-        at = np.flatnonzero(mask)
-        at = at[np.argsort(rows[at], kind="stable")]  # by row
-        return rows[at], cols[at], sign[at], var[at]
+    def coo(at, row_shift=0, flip=1):
+        at = at[np.argsort(r[at])]  # by row; a row's entries in any order
+        return r[at] - row_shift, c[at], flip * sign[at], var[at]
 
     st = _WitnessStructure()
-    st.kappa, st.n_other_rows, st.n_other_cols = kappa, n_other_rows, n_other_cols
+    st.shaped, st.kappa, st.wit_pos, st.ncols = shaped, kappa, wit_pos, col_off[-1]
+    st.low_pos = np.repeat(np.arange(len(positions)), np.diff(row_off) - kappa)
     st.diag_sign, st.diag_var = diag_sign, diag_var
     st.sweep_cap = 1 + np.count_nonzero(np.diff(block))  # generator blocks
-    st.n = coo(upper, j2, j)
-    st.a12 = coo(~on_wit & (j2 >= 0), j2, col_other[c])
-    st.a21 = coo(on_wit & ~diag & (j2 < 0), row_other[r], j)
-    st.a22 = coo(~on_wit & (j2 < 0), row_other[r], col_other[c])
+    st.n = coo(upper)
+    st.a12 = coo(np.flatnonzero((r < kap) & (c >= kap)), flip=-1)
+    st.low = coo(np.flatnonzero(r >= kap), kap)
     return st
 
 
+def _times(vals, Z, p: int) -> np.ndarray:
+    """Z (entries, trials, probes) times vals (entries, trials) mod p, in place."""
+    Z *= vals[:, :, None]
+    Z %= p
+    return Z
+
+
 def _coo_times_dense(coo, points, nrows, Z, p: int) -> np.ndarray:
-    """The matrix with the given (rows, cols, signs, vars) entries, sorted by
-    row and evaluated at each of the points (trials, n), times Z (ncols,
-    trials, probes), mod p.  Values and products are formed over chunks of
-    entries, so that the temporaries stay near _SCAN_CHUNK_CELLS cells
-    however many entries there are."""
+    """The (rows, cols, signs, vars) entries, sorted by row, at each of the
+    points (trials, n), times Z (ncols, trials, probes), mod p; formed over
+    chunks of entries whose temporaries stay near _SCAN_CHUNK_CELLS / 64
+    cells: that keeps a whole run's peak near one position's, at no cost."""
     rows, cols, signs, variables = coo
     out = np.zeros((nrows,) + Z.shape[1:], dtype=np.int64)
-    step = max(1, monomials._SCAN_CHUNK_CELLS // max(1, math.prod(Z.shape[1:])))
+    step = max(1, monomials._SCAN_CHUNK_CELLS // 64 // max(1, math.prod(Z.shape[1:])))
     for lo in range(0, len(rows), step):
         part = slice(lo, lo + step)
         r = rows[part]
         vals = signs[part, None] * points[:, variables[part] - 1].T % p
-        starts = np.flatnonzero(np.r_[True, r[1:] != r[:-1]])  # rows are sorted
-        out[r[starts]] += np.add.reduceat(vals[:, :, None] * Z[cols[part]] % p, starts, axis=0)
+        starts = np.flatnonzero(np.diff(r, prepend=-1))  # rows are sorted
+        out[r[starts]] += np.add.reduceat(_times(vals, Z[cols[part]], p), starts, axis=0)
     return out % p
 
 
-def _witness_solve(st: _WitnessStructure, points, rhs, p: int):
-    """x with W x = rhs at every point, or None if N is not nilpotent.
+def _witness_solve(st: _WitnessStructure, points, inv_points, x, p: int) -> np.ndarray:
+    """Solve W x = b in place at the points (trials, n), inv_points their
+    inverses mod p; x (kappa, trials, probes) holds b on entry.  Return for
+    each position whether its N passed the level sweeps.
 
-    With D the diagonal, x = D^-1 (rhs - N x).  A witness's level is 0 for
-    a row of W without g-terms, else one more than the highest level its
-    g-terms reach.  The sweeps level <- 1 + max(level over the row's
-    g-terms) settle after as many sweeps as the longest chain of g-terms;
-    if they have not after sweep_cap, N has a cycle (only a malformed
-    structure gets there).  x is then solved one level at a time from
-    level 0 (x = D^-1 rhs) up: a row's g-terms reach lower levels only, so
-    each level's x is final when computed and every entry of N is used
-    once.  points is (trials, n), rhs and x are (kappa, trials, probes);
-    every diagonal entry must be nonzero."""
-    rows, cols = st.n[0], st.n[1]
-    dep, first = np.unique(rows, return_index=True)  # rows are sorted
-    level = np.zeros(st.kappa, dtype=np.int64)
+    A witness's level is 0 for a row of W without g-terms, else one more
+    than the highest level its g-terms reach; the sweeps settle after as
+    many sweeps as the longest chain.  A position whose levels still move
+    after sweep_cap sweeps has a cycle: its g-terms are dropped and its x is
+    meaningless.  x = D^-1 (b - N x) is then solved one level at a time from
+    0 up, for all positions together, so each entry of N is used once."""
+    rows, cols, signs, variables = st.n
+    first = np.flatnonzero(np.diff(rows, prepend=-1))  # each row's first g-term
+    level = np.zeros(len(x), dtype=np.int64)
     for _ in range(st.sweep_cap):
         nxt = np.zeros_like(level)
-        if len(rows):
-            nxt[dep] = 1 + np.maximum.reduceat(level[cols], first)
-        if np.array_equal(nxt, level):
+        nxt[rows[first]] = 1 + np.maximum.reduceat(level[cols], first)
+        moved, level = nxt != level, nxt
+        if not moved.any():
             break
-        level = nxt
-    else:
-        return None
-    inv_points = np.array(
-        [[pow(c, p - 2, p) for c in pt] for pt in points.tolist()], dtype=np.int64
-    )
+    settled = np.bincount(st.wit_pos[moved], minlength=len(st.kappa)) == 0
+    level[~settled[st.wit_pos]] = 0
     # the diagonal is +-x_{s*}, so its inverse is +- the inverse coordinate
-    inv = (st.diag_sign[:, None] * inv_points[:, st.diag_var - 1].T % p)[:, :, None]
-    x = rhs * inv % p
-    row_level = level[rows]
-    by_level = np.argsort(row_level, kind="stable")  # and by row within a level
-    bounds = np.searchsorted(row_level[by_level], np.arange(1, level.max() + 2))
-    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-        part = by_level[lo:hi]
-        at, local = np.unique(rows[part], return_inverse=True)
-        terms = _coo_times_dense((local, *(a[part] for a in st.n[1:])), points, len(at), x, p)
-        x[at] = (rhs[at] - terms) * inv[at] % p
-    return x
+    inv = st.diag_sign[:, None] * inv_points[:, st.diag_var - 1].T % p
+    x[:] = x * inv[:, :, None] % p
+    # N's entries by level (rows of level 0 use none) and row, valued at the
+    # points times -D^-1; each batch holds rows of one level, about step entries
+    lev = level[rows]
+    order = np.argsort(lev * len(x) + rows)[np.count_nonzero(lev == 0):]
+    rows, cols = rows[order], cols[order]
+    vals = -signs[order, None] * points[:, variables[order] - 1].T % p * inv[rows] % p
+    head = np.flatnonzero(np.diff(rows, prepend=-1))
+    step = max(1, monomials._SCAN_CHUNK_CELLS // 64 // max(1, math.prod(x.shape[1:])))
+    key = level[rows[head]] * len(rows) + head // step
+    cut = np.flatnonzero(np.diff(key, prepend=-1)).tolist() + [len(head)]
+    edge, at = np.append(head, len(rows)).tolist(), rows[head]
+    for lo, hi in zip(cut[:-1], cut[1:]):
+        part = slice(edge[lo], edge[hi])
+        terms = np.add.reduceat(_times(vals[part], x[cols[part]], p), head[lo:hi] - edge[lo])
+        x[at[lo:hi]] = (x[at[lo:hi]] + terms) % p
+    return settled
 
 
-def _witness_ranks(st: _WitnessStructure, points, rngs, p: int, probes: int = 4):
-    """Exact rank at each of the points (trials, n) via the witness Schur
-    complement, all points at once; None for a point where the diagonal
-    vanishes or a probe finds the complement nonzero, and for every point
-    if N is not nilpotent (the caller falls back).  rngs holds one numpy
-    generator per point for its probe vectors."""
-    diag = st.diag_sign[:, None] * points[:, st.diag_var - 1].T % p
-    live = np.flatnonzero((diag != 0).all(axis=0))
-    if len(live) and st.n_other_cols and st.n_other_rows:
-        pts = points[live]
-        z = np.stack(
-            [rngs[t].integers(0, p, size=(st.n_other_cols, probes), dtype=np.int64)
-             for t in live.tolist()],
-            axis=1,
-        )
-        x = _witness_solve(st, pts, _coo_times_dense(st.a12, pts, st.kappa, z, p), p)
-        if x is None:
-            live = live[:0]
-        else:
-            lhs = _coo_times_dense(st.a21, pts, st.n_other_rows, x, p)
-            direct = _coo_times_dense(st.a22, pts, st.n_other_rows, z, p)
-            live = live[(direct == lhs).all(axis=(0, 2))]  # both are reduced mod p
-    out = [None] * len(points)
-    for t in live.tolist():
-        out[t] = st.kappa
-    return out
+def _witness_ranks(st: _WitnessStructure, points, inv_points, rng, p: int, probes: int = 4):
+    """Whether each position of st has the witness rank kappa at each of the
+    points (trials, n): a (positions, trials) array, False where the position
+    is not shaped, a diagonal vanishes, N is not nilpotent or a probe finds
+    the Schur complement nonzero.
+
+    rng draws probe vectors z on the other columns, shared by all points.  v
+    stacks the x with W x = -A12 z over z, so that the top rows of A v vanish
+    and the others are A21 x + A22 z, the Schur complement times z."""
+    kap = len(st.diag_sign)
+    v = np.empty((st.ncols, len(points), probes), dtype=np.int64)
+    v[kap:] = rng.integers(0, p, size=(st.ncols - kap, 1, probes), dtype=np.int64)
+    v[:kap] = _coo_times_dense(st.a12, points, kap, v, p)
+    settled = _witness_solve(st, points, inv_points, v[:kap], p)
+    ok = np.repeat((settled & st.shaped)[:, None], len(points), axis=1)
+    w, t = np.nonzero(points[:, st.diag_var - 1].T == 0)
+    ok[st.wit_pos[w], t] = False
+    r, t = np.nonzero(_coo_times_dense(st.low, points, len(st.low_pos), v, p).any(axis=2))
+    ok[st.low_pos[r], t] = False
+    return ok
+
+
+def _position_groups(rc: ResolutionComplex) -> list[list[int]]:
+    """Positions 1..pd-1 in runs of consecutive ones with at most
+    _GROUP_ENTRIES entries together, a bigger differential alone."""
+    groups, size = [], math.inf
+    for i in range(1, rc.proj_dim):
+        entries = rc.matrices[i].entry_count()
+        if size + entries > _GROUP_ENTRIES:
+            groups, size = groups + [[]], 0
+        groups[-1].append(i)
+        size += entries
+    return groups
 
 
 def rank_positions_ok(betti, ranks) -> bool:
     """rank d_{i-1} + rank d_i = beta_i at inner positions, with rank d_0 = 1
     and the last differential's rank equal to the last Betti number."""
     pd = len(betti) - 1
-    if ranks[0] != 1:
-        return False
-    for i in range(1, pd):
-        if ranks[i - 1] + ranks[i] != betti[i]:
-            return False
-    return ranks[pd - 1] == betti[pd]
+    inner = all(ranks[i - 1] + ranks[i] == betti[i] for i in range(1, pd))
+    return ranks[0] == 1 and inner and ranks[pd - 1] == betti[pd]
 
 
 def random_rank_check(rc: ResolutionComplex, seed: int = 0, trials: int = 5) -> RankReport:
     """Evaluate all differentials at random nonzero points mod DEFAULT_PRIME
     and test rank additivity at every position, `trials` times.
 
-    d0 is a single row.  Every later differential goes through the witness
-    Schur complement (see _WitnessStructure): the witness block is invertible
-    by inspection of the evaluated entries, so the rank equals its dimension
-    plus the rank of the Schur complement, which random probe vectors test
-    for zero.  All points are drawn up front and each position is checked
-    at every point at once: the witness block is solved for all trials
-    together, one level of its nilpotent part at a time.  Where the
-    structure does not apply or a probe finds the complement nonzero, the
-    evaluated matrix at that point is eliminated densely instead, so
-    reported ranks are always the true evaluated ranks (up to the
-    documented probe failure odds).
+    d0 is a single row.  The later positions go through the witness Schur
+    complement (see _WitnessStructure) in runs of consecutive positions with
+    at most _GROUP_ENTRIES entries together (a bigger one alone), each run
+    one structure checked at all points with one level sweep and one solve;
+    the points, their inverses and the probe generator are made once.  Only
+    a position without the witness shape, or at a point where its diagonal
+    vanishes or a probe finds its complement nonzero, is eliminated densely,
+    so reported ranks are the true evaluated ranks (up to the probe odds).
     """
     if trials < 1:
         raise ValueError(f"the rank check needs at least one trial, got {trials}")
     p = DEFAULT_PRIME
-    rng = random.Random(seed)
-    n = rc.power.spec.ctx.n
+    rng, n = random.Random(seed), rc.power.spec.ctx.n
     points = [tuple(rng.randrange(1, p) for _ in range(n)) for _ in range(trials)]
     point_arr = np.array(points, dtype=np.int64)
-    ranks = [[_d0_rank(rc, point, p)] for point in points]
-    methods = [["dense"] for _ in points]
-    for i in range(1, rc.proj_dim):
-        st = _build_witness_structure(rc, i)
-        found = [None] * trials
-        if st is not None:
-            # numpy seeds must be non-negative; the points come from rng,
-            # so folding the sign only lets two seeds share probe vectors
-            rngs = [np.random.default_rng([abs(seed), t, i, 0x5C0]) for t in range(trials)]
-            found = _witness_ranks(st, point_arr, rngs, p)
-        for t, r in enumerate(found):
-            if r is None:
-                r = rank_mod(_evaluate_dense(rc.matrices[i], point_arr[t], p))
-            ranks[t].append(r)
-            methods[t].append("dense-fallback" if found[t] is None else "witness")
+    inv_points = np.array([[pow(c, -1, p) for c in pt] for pt in points], dtype=np.int64)
+    # numpy seeds must be non-negative; the points come from rng, so folding
+    # the sign only lets two seeds share probe vectors
+    probe_rng = np.random.default_rng([abs(seed), 0x5C0])
+    found = np.full((rc.proj_dim, trials), -1, dtype=np.int64)  # -1: no witness rank
+    for group in _position_groups(rc):
+        st = _build_witness_structure(rc, group)
+        ok = _witness_ranks(st, point_arr, inv_points, probe_rng, p)
+        found[group] = np.where(ok, st.kappa[:, None], -1)
     report = RankReport(modulus=p, seed=seed, betti=rc.betti)
-    for point, r, m in zip(points, ranks, methods):
-        r = tuple(r)
-        report.trials.append(
-            TrialResult(point=point, ranks=r, ok=rank_positions_ok(rc.betti, r), methods=tuple(m))
-        )
+    for t, point in enumerate(points):
+        ranks, methods = [_d0_rank(rc, point, p)], ["dense"]
+        for i, r in enumerate(found[1:, t].tolist(), start=1):
+            methods.append("witness" if r >= 0 else "dense-fallback")
+            if r < 0:
+                r = rank_mod(_evaluate_dense(rc.matrices[i], point_arr[t], p))
+            ranks.append(r)
+        ok = rank_positions_ok(rc.betti, ranks)
+        report.trials.append(TrialResult(point, tuple(ranks), ok, tuple(methods)))
     return report

@@ -15,6 +15,7 @@ from hypothesis import strategies
 
 from lexres import (
     BudgetError,
+    HilbertNumerator,
     InvariantError,
     Monomial,
     RingContext,
@@ -262,16 +263,16 @@ def compose_check_loop(rc, i):
 def witness_solve_loop(st, block, point, rhs, p):
     """W x = rhs at one point for a lexres.verify witness structure, by
     back-substitution one generator block at a time, last block first, with
-    Python ints: the loop that lexres.verify._witness_solve replaces by a
-    solve over all points at once, one level of N at a time, kept as its
-    reference.  block holds the generator of each witness; rhs is
-    (kappa, probes)."""
+    Python ints: the loop that lexres.verify._witness_solve replaces by one
+    solve over all stacked positions and all points at once, one level of N
+    at a time, kept as its reference.  block holds the generator of each
+    witness; rhs is (witnesses, probes)."""
     point = [int(c) for c in point]
     by_col = {}
     for r, c, sign, var in zip(*(a.tolist() for a in st.n)):
         by_col.setdefault(c, []).append((r, sign * point[var - 1]))
     rhs = rhs.tolist()
-    x = [None] * st.kappa
+    x = [None] * len(st.diag_sign)
     block = list(block)
     ends = [j + 1 for j in range(len(block)) if j + 1 == len(block) or block[j + 1] != block[j]]
     for b, e in reversed(list(zip([0] + ends[:-1], ends))):
@@ -283,6 +284,27 @@ def witness_solve_loop(st, block, point, rhs, p):
             for r, val in by_col.get(j, ()):
                 rhs[r] = [(a - val * xv) % p for a, xv in zip(rhs[r], x[j])]
     return x
+
+
+def hilbert_numerator_inclusion_exclusion(gens) -> HilbertNumerator:
+    """The exponential oracle for lexres.hilbert_numerator: the sum over all
+    generator subsets A of (-1)^|A| t^deg(lcm A).  Only sane for a dozen or
+    so generators."""
+    gens = list(gens)
+    if len(gens) > 22:
+        raise BudgetError(f"{len(gens)} generators: inclusion-exclusion oracle refuses > 22")
+    n = gens[0].ctx.n if gens else 0
+    out: dict[int, int] = {0: 1}
+
+    def rec(lcm_exp, start, sign):
+        for j in range(start, len(gens)):
+            new = tuple(max(a, b) for a, b in zip(lcm_exp, gens[j].exponents))
+            d = sum(new)
+            out[d] = out.get(d, 0) - sign  # subset gains one element: sign flips
+            rec(new, j + 1, -sign)
+
+    rec((0,) * n, 0, 1)
+    return HilbertNumerator.from_dict(out)
 
 
 def rank_mod_loop(M, p: int = DEFAULT_PRIME) -> int:

@@ -1,4 +1,6 @@
+import json
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,16 +13,16 @@ from lexres import (
     assemble_resolution,
     euler_characteristic_numerator,
     hilbert_numerator,
-    hilbert_numerator_inclusion_exclusion,
     linear_quotients_check,
     power_generators,
     random_rank_check,
 )
+from lexres.cli import JobSpec, _build_resolution
 from lexres.lexsegment import LexSegmentSpec
 from lexres.modp import DEFAULT_PRIME, rank_mod
 from lexres.verify import (
-    HilbertNumerator, _build_witness_structure, _d0_rank, _evaluate_dense, _witness_ranks,
-    _witness_solve, rank_positions_ok,
+    HilbertNumerator, _build_witness_structure, _d0_rank, _evaluate_dense, _position_groups,
+    _witness_ranks, _witness_solve, rank_positions_ok,
 )
 
 
@@ -44,8 +46,8 @@ def test_hilbert_pure_powers(ring4):
 
 
 def test_hilbert_matches_inclusion_exclusion(example_power):
-    assert hilbert_numerator(example_power.generators) == hilbert_numerator_inclusion_exclusion(
-        example_power.generators
+    assert hilbert_numerator(example_power.generators) == (
+        support.hilbert_numerator_inclusion_exclusion(example_power.generators)
     )
 
 
@@ -58,7 +60,7 @@ def test_hilbert_inclusion_exclusion_random():
             gens = [g for g in gens if not g.is_one()]
             if not gens:
                 continue
-            assert hilbert_numerator(gens) == hilbert_numerator_inclusion_exclusion(gens)
+            assert hilbert_numerator(gens) == support.hilbert_numerator_inclusion_exclusion(gens)
 
 
 def test_hilbert_budget():
@@ -156,6 +158,11 @@ def test_witness_tier_agrees_with_dense():
             assert rank_mod(dense) == t.ranks[i]
 
 
+def _fallback_only_at(i, proj_dim):
+    """The methods of a trial where d_i alone left the witness route."""
+    return ("dense",) + tuple("dense-fallback" if j == i else "witness" for j in range(1, proj_dim))
+
+
 def test_rank_check_detects_corruption(example_quotients):
     rc = assemble_resolution(example_quotients)
     # corrupt one entry of d1 (the first of column 0): change its variable
@@ -164,7 +171,7 @@ def test_rank_check_detects_corruption(example_quotients):
     mat.vars[0] = (mat.vars[0] % 4) + 1
     report = random_rank_check(rc, seed=5, trials=2)
     assert not report.passed
-    assert all("dense-fallback" in t.methods for t in report.trials)
+    assert all(t.methods == _fallback_only_at(1, rc.proj_dim) for t in report.trials)
 
 
 def test_witness_tier_detects_corruption():
@@ -177,7 +184,7 @@ def test_witness_tier_detects_corruption():
     mat.signs[0] = -mat.signs[0]
     report = random_rank_check(rc, seed=6, trials=2)
     assert not report.passed
-    assert all("dense-fallback" in t.methods for t in report.trials)
+    assert all(t.methods == _fallback_only_at(2, rc.proj_dim) for t in report.trials)
 
 
 def test_witness_structure_rejects_broken_shape():
@@ -187,7 +194,9 @@ def test_witness_structure_rejects_broken_shape():
     s_star = {w: min(st) for w, st in enumerate(qs.sets) if st}
     for corruption in ("diagonal variable", "diagonal sign", "later block"):
         rc = assemble_resolution(qs)
-        assert _build_witness_structure(rc, i) is not None
+        everywhere = list(range(1, rc.proj_dim))
+        assert _build_witness_structure(rc, [i]).shaped.tolist() == [True]
+        assert _build_witness_structure(rc, everywhere).shaped.all()
         mat, rows, cols = rc.matrices[i], rc.bases[i], rc.bases[i + 1]
         gens, sigmas = cols.gen.tolist(), cols.sigma.tolist()
         c = next(c for c, g in enumerate(gens) if s_star.get(g) in sigmas[c])
@@ -209,12 +218,19 @@ def test_witness_structure_rejects_broken_shape():
                 if g in s_star and s_star[g] not in sigma
             ]
             mat.rows[p] = max(witness_rows, key=lambda r: rows.gen[r])
-        assert _build_witness_structure(rc, i) is None, corruption
+        assert _build_witness_structure(rc, [i]).shaped.tolist() == [False], corruption
+        # stacked with the others, the broken position alone falls back
+        shaped = _build_witness_structure(rc, everywhere).shaped
+        assert shaped.tolist() == [j != i for j in everywhere]
         report = random_rank_check(rc, seed=2, trials=1)
-        assert report.trials[0].methods[i] == "dense-fallback"
+        assert report.trials[0].methods == _fallback_only_at(i, rc.proj_dim), corruption
 
 
 P = DEFAULT_PRIME
+
+
+def _inverses(points):
+    return np.array([[pow(int(c), P - 2, P) for c in pt] for pt in points], dtype=np.int64)
 
 
 def _witness_blocks(rc, i):
@@ -239,17 +255,25 @@ def _oracle_resolution():
 
 @pytest.mark.parametrize("build", [_large_resolution, _oracle_resolution], ids=["large", "oracle"])
 def test_witness_sweeps_match_block_loop(build):
+    # one solve over every position stacked, against the loop on each
+    # position's own structure
     rc = build()
+    positions = list(range(1, rc.proj_dim))
+    st = _build_witness_structure(rc, positions)
+    assert st.shaped.all()
     rng = np.random.default_rng(11)
     points = rng.integers(1, P, size=(3, rc.power.spec.ctx.n))
-    for i in range(1, rc.proj_dim):
-        st = _build_witness_structure(rc, i)
-        rhs = rng.integers(0, P, size=(st.kappa, 3, 4))
-        x = _witness_solve(st, points, rhs, P)
+    rhs = rng.integers(0, P, size=(len(st.diag_sign), 3, 4))
+    x = rhs.copy()
+    assert _witness_solve(st, points, _inverses(points), x, P).all()
+    ends = np.cumsum([0, *st.kappa])
+    for k, i in enumerate(positions):
+        own = _build_witness_structure(rc, [i])
+        part = slice(ends[k], ends[k + 1])
         block = _witness_blocks(rc, i)
         for t in range(3):
-            loop = support.witness_solve_loop(st, block, points[t], rhs[:, t], P)
-            assert x[:, t].tolist() == loop
+            loop = support.witness_solve_loop(own, block, points[t], rhs[part, t], P)
+            assert x[part, t].tolist() == loop
 
 
 @pytest.mark.parametrize("build", [_shape_resolution, _oracle_resolution], ids=["classified", "oracle"])
@@ -268,39 +292,75 @@ def test_sparse_rank_matches_loop_on_differentials(build):
 def test_witness_sweeps_settle_after_the_longest_chain():
     # d1 of the large instance has a chain of g-terms 24 witnesses long, so
     # the 24th sweep is the first that repeats
-    st = _build_witness_structure(_large_resolution(), 1)
+    st = _build_witness_structure(_large_resolution(), [1])
     rng = np.random.default_rng(4)
-    points, rhs = rng.integers(1, P, size=(2, 6)), rng.integers(0, P, size=(st.kappa, 2, 4))
-    assert st.sweep_cap == st.kappa == 339
+    points = rng.integers(1, P, size=(2, 6))
+    rhs = rng.integers(0, P, size=(len(st.diag_sign), 2, 4))
+    assert st.sweep_cap == st.kappa[0] == 339
     st.sweep_cap = 23
-    assert _witness_solve(st, points, rhs, P) is None
+    assert _witness_solve(st, points, _inverses(points), rhs.copy(), P).tolist() == [False]
     st.sweep_cap = 24
-    assert _witness_solve(st, points, rhs, P) is not None
+    assert _witness_solve(st, points, _inverses(points), rhs.copy(), P).tolist() == [True]
 
 
 def test_witness_sweeps_stop_on_a_cycle():
-    st = _build_witness_structure(_large_resolution(), 2)
+    rc = _large_resolution()
+    positions = list(range(1, rc.proj_dim))
+    st = _build_witness_structure(rc, positions)
+    k = positions.index(2)
     # a g-term back from witness r to witness c closes a cycle with the
-    # g-term from c to r: N is no longer nilpotent
+    # g-term from c to r, both of d2: its N is no longer nilpotent
     rows, cols, signs, variables = st.n
-    rows, cols = np.append(rows, cols[0]), np.append(cols, rows[0])
+    e = int(np.flatnonzero(st.wit_pos[rows] == k)[0])
+    rows, cols = np.append(rows, cols[e]), np.append(cols, rows[e])
     order = np.argsort(rows, kind="stable")
     st.n = (rows[order], cols[order], np.append(signs, 1)[order], np.append(variables, 1)[order])
     rng = np.random.default_rng(8)
     points = rng.integers(1, P, size=(2, 6))
-    rhs = rng.integers(0, P, size=(st.kappa, 2, 4))
-    assert _witness_solve(st, points, rhs, P) is None
-    rngs = [np.random.default_rng(t) for t in range(2)]
-    assert _witness_ranks(st, points, rngs, P) == [None, None]
+    rhs = rng.integers(0, P, size=(len(st.diag_sign), 2, 4))
+    others = [j != k for j in range(len(positions))]
+    assert _witness_solve(st, points, _inverses(points), rhs, P).tolist() == others
+    ok = _witness_ranks(st, points, _inverses(points), np.random.default_rng(0), P)
+    assert ok.tolist() == [[j != k] * 2 for j in range(len(positions))]
 
 
 def test_witness_ranks_zero_diagonal_fails_only_its_trial():
-    st = _build_witness_structure(_large_resolution(), 2)
-    assert st.n_other_rows and st.n_other_cols
+    rc = _large_resolution()
+    st = _build_witness_structure(rc, [2])
+    assert len(st.low_pos) and st.ncols > st.kappa[0]
     points = np.random.default_rng(3).integers(1, P, size=(3, 6))
-    points[1, st.diag_var[0] - 1] = 0  # the first diagonal entry vanishes at point 1
-    rngs = [np.random.default_rng(t) for t in range(3)]
-    assert _witness_ranks(st, points, rngs, P) == [st.kappa, None, st.kappa]
+    var = st.diag_var[0]
+    points[1, var - 1] = 0  # the first diagonal entry vanishes at point 1
+    ok = _witness_ranks(st, points, _inverses(points), np.random.default_rng(0), P)
+    assert ok.tolist() == [[True, False, True]]
+    # stacked with the other positions: x6 is on the diagonal of d1 only, so
+    # its zero fails point 1 at d1, and elsewhere leaves the true verdict
+    positions = list(range(1, rc.proj_dim))
+    st = _build_witness_structure(rc, positions)
+    points[1, var - 1], points[1, 5] = 1, 0
+    ok = _witness_ranks(st, points, _inverses(points), np.random.default_rng(0), P)
+    assert ok[:, [0, 2]].all()
+    on_diagonal = [6 in st.diag_var[st.wit_pos == k] for k in range(len(positions))]
+    assert on_diagonal == [True, False, False, False, False]
+    assert not ok[0, 1]
+    for k, i in enumerate(positions[1:], start=1):
+        assert ok[k, 1] == (rank_mod(_evaluate_dense(rc.matrices[i], points[1], P)) == st.kappa[k])
+
+
+@pytest.mark.parametrize("build", [_large_resolution, _oracle_resolution], ids=["large", "oracle"])
+def test_rank_check_across_groups(build, monkeypatch):
+    rc = build()
+    positions = list(range(1, rc.proj_dim))
+    assert _position_groups(rc) == [positions]
+    whole = random_rank_check(rc, seed=4, trials=3)
+    entries = [rc.matrices[i].entry_count() for i in positions]
+    monkeypatch.setattr("lexres.verify._GROUP_ENTRIES", entries[0] + entries[1])
+    assert _position_groups(rc)[0] == [1, 2]
+    monkeypatch.setattr("lexres.verify._GROUP_ENTRIES", 1)  # one position per group
+    assert _position_groups(rc) == [[i] for i in positions]
+    split = random_rank_check(rc, seed=4, trials=3)
+    assert whole.passed
+    assert split == whole
 
 
 def test_rank_check_across_chunks(monkeypatch):
@@ -312,6 +372,27 @@ def test_rank_check_across_chunks(monkeypatch):
     assert [(t.ranks, t.methods) for t in chunked.trials] == [
         (t.ranks, t.methods) for t in whole.trials
     ]
+
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.json"
+
+
+@pytest.mark.parametrize("seed", [0, 7, -3])
+def test_witness_ranks_are_true_ranks_on_pinned_instances(seed):
+    # every pinned family, oracle and self-test instance of the benchmark
+    pinned = json.loads(WORKLOADS.read_text())
+    for name in ("family", "oracle", "selftest"):
+        for inst in pinned[name]["instances"]:
+            rc = _build_resolution(JobSpec(
+                "verify", inst["n"], inst["u"], inst["v"], inst["k"], oracle_g=inst["oracle_g"]
+            ))
+            report = random_rank_check(rc, seed=seed, trials=2)
+            assert report.passed, inst["id"]
+            for t in report.trials:
+                assert t.methods == ("dense",) + ("witness",) * (rc.proj_dim - 1), inst["id"]
+                point = np.array(t.point, dtype=np.int64)
+                for i in range(1, rc.proj_dim):
+                    assert t.ranks[i] == rank_mod(_evaluate_dense(rc.matrices[i], point, P))
 
 
 def test_d0_rank(example_resolution):
