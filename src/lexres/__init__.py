@@ -1,10 +1,7 @@
 """Minimal graded free resolutions of powers of lexsegment ideals with
 linear quotients, with independent verification layers."""
 
-from .monomials import (
-    Monomial, RingContext, bar_degree, cmp_lex, cmp_prec, cmp_revlex, min_tilde_index, one,
-    variable,
-)
+from .monomials import Monomial, RingContext, cmp_lex, one, variable
 from .lexsegment import (
     Classification, CompletelyLexVerdict, LexSegmentSpec, TransformRecord, classify_linear_form,
     enumerate_lexsegment, is_completely_lexsegment, make_classified_spec, normalize_spec, shadow,
@@ -14,7 +11,7 @@ from .quotients import (
     QuotientStructure, colon_minimal_generators, linear_quotients_check, set_bound_report,
 )
 from .decomposition import (
-    DecompositionTable, RegularityReport, closed_form_matches_oracle, closed_form_table, g_oracle,
+    DecompositionTable, RegularityReport, closed_form_matches_oracle, closed_form_table,
     g_oracle_index, oracle_table, regularity_check, regularity_check_oracle,
 )
 from .resolution import (
@@ -28,14 +25,13 @@ from .verify import (
 from .errors import BudgetError, CheckFailure, InvariantError
 
 __all__ = [
-    "Monomial", "RingContext", "bar_degree", "cmp_lex", "cmp_prec", "cmp_revlex",
-    "min_tilde_index", "one", "variable",
+    "Monomial", "RingContext", "cmp_lex", "one", "variable",
     "Classification", "CompletelyLexVerdict", "LexSegmentSpec", "TransformRecord",
     "classify_linear_form", "enumerate_lexsegment", "is_completely_lexsegment",
     "make_classified_spec", "normalize_spec", "shadow", "PowerIdeal", "power_generators",
     "QuotientStructure", "colon_minimal_generators", "linear_quotients_check", "set_bound_report",
     "DecompositionTable", "RegularityReport", "closed_form_matches_oracle", "closed_form_table",
-    "g_oracle", "g_oracle_index", "oracle_table", "regularity_check", "regularity_check_oracle",
+    "g_oracle_index", "oracle_table", "regularity_check", "regularity_check_oracle",
     "Basis", "DifferentialMatrix", "ResolutionComplex", "assemble_resolution", "betti_from_sets",
     "compose_check", "minimality_check", "HilbertNumerator", "RankReport",
     "euler_characteristic_numerator", "hilbert_numerator",

@@ -185,7 +185,9 @@ def run_command(job: JobSpec) -> int:
     raise ValueError(f"unknown command {job.command!r}")
 
 
-def _build_resolution(job: JobSpec):
+def _resolvable_spec(job: JobSpec):
+    """The spec and its classification, refusing a shape outside the
+    classified form unless --oracle-g allows the definitional g."""
     spec, _, cls = _spec_pipeline(job)
     if not cls.has_linear_form and not job.oracle_g:
         raise ValueError(
@@ -193,6 +195,11 @@ def _build_resolution(job: JobSpec):
             f"({cls.notes}); rerun with --oracle-g to build from the definitional "
             "decomposition function (requires linear quotients and regularity)"
         )
+    return spec, cls
+
+
+def _build_resolution(job: JobSpec):
+    spec, cls = _resolvable_spec(job)
     pi = power_generators(spec, job.k)
     qs = linear_quotients_check(pi)
     if not qs.is_linear:
@@ -206,7 +213,7 @@ def _build_resolution(job: JobSpec):
 def _verify(job: JobSpec) -> int:
     if job.trials < 1:
         raise ValueError(f"the rank check needs at least one trial, got {job.trials}")
-    spec, _, cls = _spec_pipeline(job)
+    spec, cls = _resolvable_spec(job)
     pi = power_generators(spec, job.k)
     qs = linear_quotients_check(pi)
     lines = []

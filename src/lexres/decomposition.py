@@ -122,11 +122,6 @@ def g_oracle_index(qs: QuotientStructure, x: Monomial) -> int:
     return pos
 
 
-def g_oracle(qs: QuotientStructure, x: Monomial) -> Monomial:
-    """The decomposition function by definition: earliest dividing generator."""
-    return qs.power.generators[g_oracle_index(qs, x)]
-
-
 def closed_form_matches_oracle(qs: QuotientStructure):
     """Compare both routes on every (m, s); returns (ok, first mismatch)."""
     closed, oracle = closed_form_table(qs), oracle_table(qs)

@@ -1,12 +1,10 @@
-"""Exponent-vector monomials over a fixed ring and the three orders on them.
+"""Exponent-vector monomials over a fixed ring, and the lex order on them.
 
 Everything downstream works with monomials of one ambient ring x_1..x_n,
-compared in plain lex, in increasing reverse-lex (the generator order for
-the colon computations), or in the bar-degree-then-lex order attached to a
-split index l.  Variable indices are 1-based in every public signature;
-the exponent tuple itself is 0-based.  Divisibility questions over many
-monomials at once (earliest divisor, minimal generators) take int64
-exponent rows, one monomial per row.
+compared in plain lex.  Variable indices are 1-based in every public
+signature; the exponent tuple itself is 0-based.  Divisibility questions
+over many monomials at once (earliest divisor, minimal generators) take
+int64 exponent rows, one monomial per row.
 """
 
 from __future__ import annotations
@@ -138,11 +136,6 @@ def _same_ctx(a: Monomial, b: Monomial):
         raise ValueError(f"ring context mismatch: n={a.ctx.n} vs n={b.ctx.n}")
 
 
-def check_split_index(ctx: RingContext, l: int):
-    if not 2 <= l <= ctx.n - 1:
-        raise ValueError(f"split index l={l} outside 2..{ctx.n - 1}")
-
-
 # -- divisibility on exponent rows -------------------------------------------
 
 
@@ -177,9 +170,7 @@ def minimal_rows(X: np.ndarray) -> np.ndarray:
     return X[keep]
 
 
-# -- the three orders -------------------------------------------------------
-# Comparators return negative / 0 / positive so that one sorting code path
-# (functools.cmp_to_key or the explicit key functions below) serves all.
+# -- the lex order ------------------------------------------------------------
 
 
 def cmp_lex(a: Monomial, b: Monomial) -> int:
@@ -191,49 +182,6 @@ def cmp_lex(a: Monomial, b: Monomial) -> int:
     return 0
 
 
-def cmp_revlex(a: Monomial, b: Monomial) -> int:
-    """Reverse lex on equal degrees: a < b iff at the last differing index s
-    the exponent of a is the larger one."""
-    _same_ctx(a, b)
-    if a.degree != b.degree:
-        raise ValueError(f"revlex needs equal degrees, got {a.degree} and {b.degree}")
-    for i in range(a.ctx.n - 1, -1, -1):
-        ea, eb = a.exponents[i], b.exponents[i]
-        if ea != eb:
-            return -1 if ea > eb else 1
-    return 0
-
-
-def bar_degree(m: Monomial, l: int) -> int:
-    """Degree of the factor of m supported on x_1..x_l."""
-    check_split_index(m.ctx, l)
-    return sum(m.exponents[:l])
-
-
-def cmp_prec(a: Monomial, b: Monomial, l: int) -> int:
-    """Compare by bar-degree first, then by lex (on equal total degree)."""
-    _same_ctx(a, b)
-    check_split_index(a.ctx, l)
-    da, db = bar_degree(a, l), bar_degree(b, l)
-    if da != db:
-        return -1 if da < db else 1
-    return cmp_lex(a, b)
-
-
 def lex_key(m: Monomial):
     """Sort key: sorting by this ascending is lex-ascending."""
     return m.exponents
-
-
-def revlex_key(m: Monomial):
-    """Sort key: sorting by this ascending is revlex-increasing."""
-    return tuple(-e for e in reversed(m.exponents))
-
-
-def min_tilde_index(m: Monomial, l: int) -> int:
-    """min of supp(m) restricted to x_{l+1}..x_n."""
-    check_split_index(m.ctx, l)
-    for i in range(l, m.ctx.n):
-        if m.exponents[i]:
-            return i + 1
-    raise ValueError(f"{m} has no support beyond x{l}")

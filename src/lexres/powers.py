@@ -32,13 +32,6 @@ class PowerIdeal:
     def __len__(self):
         return len(self.generators)
 
-    def index_of(self, m: Monomial) -> int:
-        """Position of a generator in the increasing-revlex order."""
-        try:
-            return self.position[m.exponents]
-        except KeyError:
-            raise ValueError(f"{m} is not a generator of I^{self.k}") from None
-
     @property
     def exponent_matrix(self) -> np.ndarray:
         """Generators as an int64 (r, n) array, row order = generator order."""

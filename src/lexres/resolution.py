@@ -233,8 +233,10 @@ def _cancels(keys: np.ndarray, values: np.ndarray) -> bool:
     """Whether the values sum to zero over every group of equal keys."""
     if not len(values):
         return True
-    _, group = np.unique(keys, return_inverse=True)
-    return not np.bincount(group.ravel(), weights=values).any()
+    order = np.argsort(keys, kind="stable")
+    keys, values = keys[order], values[order]
+    starts = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
+    return not np.add.reduceat(values, starts).any()
 
 
 def compose_check(rc: ResolutionComplex, i: int) -> bool:
@@ -243,29 +245,37 @@ def compose_check(rc: ResolutionComplex, i: int) -> bool:
         if 1 not in rc.matrices:
             return True
         d1 = rc.matrices[1]
-        terms = np.array([g.exponents for g in rc.d0], dtype=np.int64)[d1.rows]
-        # the monomial x_var * d0[row]; a var outside 1..n (minimality fails) adds nothing
-        valid = np.flatnonzero((d1.vars >= 1) & (d1.vars <= terms.shape[1]))
-        terms[valid, d1.vars[valid] - 1] += 1
-        _, monomial = np.unique(terms, axis=0, return_inverse=True)
-        return _cancels(d1.cols * len(terms) + monomial.ravel(), d1.signs)
+        gens = np.array([g.exponents for g in rc.d0], dtype=np.int64)
+        # the column, then the monomial x_var * d0[row]; a var outside 1..n
+        # (minimality fails) adds nothing
+        terms = np.column_stack([d1.cols, gens[d1.rows]])
+        valid = np.flatnonzero((d1.vars >= 1) & (d1.vars <= gens.shape[1]))
+        terms[valid, d1.vars[valid]] += 1
+        # each row is one raw-byte key, which no packed integer can overflow
+        keys = terms.view(np.dtype((np.void, terms.itemsize * terms.shape[1]))).ravel()
+        return _cancels(keys, d1.signs)
     upper = rc.matrices.get(i + 1)
     lower = rc.matrices.get(i)
     if upper is None or not upper.entry_count():
         return True
+    # a product x_a x_b at (column, row) is keyed by the column, the row, a + b
+    # and a^2 + b^2, which fix {a, b}: the key is one term of the d_{i+1}
+    # entry plus one of the d_i entry, with a and b counted from the least var
+    both = np.concatenate([upper.vars, lower.vars])
+    lo, span = both.min(), int(both.max() - both.min()) + 1
+    sq = 2 * span * span  # bounds a^2 + b^2
+    per_cell = 2 * span * sq  # bounds (a + b) sq + a^2 + b^2
+    a, b = upper.vars - lo, lower.vars - lo
+    up = upper.cols * lower.nrows * per_cell + a * sq + a * a
+    low = lower.rows * per_cell + b * sq + b * b
     # pair every entry of d_{i+1} with each entry of the d_i column it lands on
-    # (column j of d_i is starts[j]:starts[j + 1]), and key the product by
-    # (column, row, the two variables sorted)
+    # (column j of d_i is starts[j]:starts[j + 1])
     starts = np.searchsorted(lower.cols, np.arange(lower.ncols + 1))
     first, counts = starts[upper.rows], starts[upper.rows + 1] - starts[upper.rows]
     ends = np.cumsum(counts)
     inner = np.repeat(first - ends + counts, counts) + np.arange(ends[-1])
-    v1, v2 = np.repeat(upper.vars, counts), lower.vars[inner]
-    both = np.concatenate([upper.vars, lower.vars])
-    lo, span = both.min(), both.max() - both.min() + 1
-    cell = np.repeat(upper.cols, counts) * lower.nrows + lower.rows[inner]
-    keys = (cell * span + np.minimum(v1, v2) - lo) * span + np.maximum(v1, v2) - lo
-    return _cancels(keys, np.repeat(upper.signs, counts) * lower.signs[inner])
+    return _cancels(np.repeat(up, counts) + low[inner],
+                    np.repeat(upper.signs, counts) * lower.signs[inner])
 
 
 def minimality_check(rc: ResolutionComplex) -> bool:

@@ -19,20 +19,76 @@ from lexres import (
     InvariantError,
     Monomial,
     RingContext,
-    bar_degree,
-    cmp_prec,
+    cmp_lex,
     colon_minimal_generators,
     enumerate_lexsegment,
+    g_oracle_index,
     make_classified_spec,
-    min_tilde_index,
     variable,
 )
 from lexres.lexsegment import LexSegmentSpec
 from lexres.modp import DEFAULT_PRIME
-from lexres.monomials import revlex_key
+from lexres.monomials import _same_ctx, minimal_rows
 from lexres.powers import DEFAULT_PRODUCT_BUDGET, PowerIdeal
 from lexres.quotients import QuotientStructure, SetBoundViolation
 from lexres.resolution import Basis
+from lexres.verify import DEFAULT_HILBERT_BUDGET, _pmul
+
+
+# -- the orders and indices of the paper that only the references use --------
+
+
+def check_split_index(ctx, l):
+    if not 2 <= l <= ctx.n - 1:
+        raise ValueError(f"split index l={l} outside 2..{ctx.n - 1}")
+
+
+def cmp_revlex(a, b):
+    """Reverse lex on equal degrees: a < b iff at the last differing index s
+    the exponent of a is the larger one."""
+    _same_ctx(a, b)
+    if a.degree != b.degree:
+        raise ValueError(f"revlex needs equal degrees, got {a.degree} and {b.degree}")
+    for i in range(a.ctx.n - 1, -1, -1):
+        ea, eb = a.exponents[i], b.exponents[i]
+        if ea != eb:
+            return -1 if ea > eb else 1
+    return 0
+
+
+def bar_degree(m, l):
+    """Degree of the factor of m supported on x_1..x_l."""
+    check_split_index(m.ctx, l)
+    return sum(m.exponents[:l])
+
+
+def cmp_prec(a, b, l):
+    """Compare by bar-degree first, then by lex (on equal total degree)."""
+    _same_ctx(a, b)
+    check_split_index(a.ctx, l)
+    da, db = bar_degree(a, l), bar_degree(b, l)
+    if da != db:
+        return -1 if da < db else 1
+    return cmp_lex(a, b)
+
+
+def revlex_key(m):
+    """Sort key: sorting by this ascending is revlex-increasing."""
+    return tuple(-e for e in reversed(m.exponents))
+
+
+def min_tilde_index(m, l):
+    """min of supp(m) restricted to x_{l+1}..x_n."""
+    check_split_index(m.ctx, l)
+    for i in range(l, m.ctx.n):
+        if m.exponents[i]:
+            return i + 1
+    raise ValueError(f"{m} has no support beyond x{l}")
+
+
+def g_oracle(qs, x):
+    """The decomposition function by definition: earliest dividing generator."""
+    return qs.power.generators[g_oracle_index(qs, x)]
 
 
 def brute_cmp_lex(a, b):
@@ -305,6 +361,75 @@ def hilbert_numerator_inclusion_exclusion(gens) -> HilbertNumerator:
 
     rec((0,) * n, 0, 1)
     return HilbertNumerator.from_dict(out)
+
+
+def _canonical_key(rows: np.ndarray):
+    """Memo key: drop unused variables, sort columns, sort rows.
+
+    The numerator is unchanged by ambient variables that occur nowhere and
+    by permuting variables, so canonical keys pool those subproblems.  Any
+    row order gives a sound key, but the column sort reads the columns in
+    row order, so the key is canonical only for rows in (degree, lex) order.
+    """
+    A = rows[:, rows.any(axis=0)]
+    A = A[:, np.lexsort(A[::-1])]  # columns as tuples, top row first
+    A = A[np.lexsort(A.T[::-1])]
+    return A.shape, A.tobytes()
+
+
+def hilbert_numerator_loop(gens, budget: int = DEFAULT_HILBERT_BUDGET) -> HilbertNumerator:
+    """N(t) for S/(gens) by splitting on a pivot variable x:
+
+        N(J) = N(J + (x)) + t * N(J : x)
+
+    with closed forms for the empty set and for pure-power generators.  J is
+    carried as its minimal generators, one exponent row each, sorted by
+    (degree, lex); x is the variable occurring in the most generators that
+    are not pure powers.  The same recursion, pivots, memo and node count as
+    lexres.hilbert_numerator, on numpy rows with minimal_rows at every
+    colon: the reference it is checked against.
+    """
+    memo: dict = {}
+    nodes = [0]
+
+    def rec(rows: np.ndarray) -> dict[int, int]:
+        nodes[0] += 1
+        if nodes[0] > budget:
+            raise BudgetError(f"hilbert recursion exceeded {budget} nodes")
+        if not len(rows):
+            return {0: 1}
+        degs, support = rows.sum(axis=1), (rows > 0).sum(axis=1)
+        if (degs == 0).any():
+            return {}
+        if (support == 1).all():
+            out = {0: 1}
+            for d in degs.tolist():
+                out = _pmul(out, {0: 1, d: -1})
+            return out
+        key = _canonical_key(rows)
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        counts = (rows[support >= 2] > 0).sum(axis=0)
+        x = int(counts.argmax())
+        unit = np.eye(1, rows.shape[1], x, dtype=np.int64)
+        colon = rows.copy()
+        colon[:, x] = np.maximum(colon[:, x] - 1, 0)
+        # the rows free of x stay minimal and x divides none of them: sort only
+        plus = np.vstack([rows[rows[:, x] == 0], unit])
+        n_plus = rec(plus[np.lexsort(np.vstack([plus.T[::-1], plus.sum(axis=1)]))])
+        n_colon = rec(minimal_rows(colon))
+        out = dict(n_plus)
+        for deg, coef in n_colon.items():
+            out[deg + 1] = out.get(deg + 1, 0) + coef
+        out = {k: v for k, v in out.items() if v}
+        memo[key] = out
+        return out
+
+    gens = list(gens)
+    n = gens[0].ctx.n if gens else 0
+    rows = np.array([m.exponents for m in gens], dtype=np.int64).reshape(len(gens), n)
+    return HilbertNumerator.from_dict(rec(minimal_rows(rows)))
 
 
 def rank_mod_loop(M, p: int = DEFAULT_PRIME) -> int:

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import os
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lexres import RingContext, decomposition, quotients, serialize
+from lexres import RingContext, decomposition, quotients, serialize, verify
 from lexres.cli import JobSpec, _build_resolution, build_parser, main, parse_monomial, run_command
 from lexres.serialize import resolution_from_json, resolution_to_json
 
@@ -114,6 +115,37 @@ def test_cli_verify(capsys):
         out = capsys.readouterr().out
         assert code == 0
         assert "[PASS]" in out and "[FAIL]" not in out
+
+
+def test_cli_verify_refuses_unclassified(capsys):
+    # degree 1 is outside the classified shape: verify needs --oracle-g, as
+    # resolve and export do
+    args = ["verify", "--n", "3", "--u", "x1", "--v", "x3", "--k", "3", "--trials", "2"]
+    code = main(args)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("input error: the (u, v) shape is outside the classified")
+    code = main(args + ["--oracle-g"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "[PASS] Euler characteristic equals Hilbert numerator: 1 - 10t^3 + 15t^4 - 6t^5" in out
+    assert "[FAIL]" not in out
+
+
+def test_cli_verify_skips_hilbert_over_budget(capsys, monkeypatch):
+    args = ["verify", *_EXAMPLE, "--k", "2", "--trials", "2"]
+    assert main(args) == 0
+    passed = capsys.readouterr().out.splitlines()
+    assert all(line.startswith("[PASS] ") for line in passed)
+    # the default budget is bound when hilbert_numerator is defined, so the
+    # function cli calls is replaced by one with a budget of one node
+    monkeypatch.setattr("lexres.cli.hilbert_numerator",
+                        functools.partial(verify.hilbert_numerator, budget=1))
+    assert main(args) == 0
+    skip = "[SKIP] Euler/Hilbert identity: hilbert recursion exceeded 1 nodes"
+    assert capsys.readouterr().out.splitlines() == [
+        skip if line.startswith("[PASS] Euler characteristic") else line for line in passed
+    ]
 
 
 def test_cli_input_error():

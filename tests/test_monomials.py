@@ -6,18 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import support
-from lexres import (
-    Monomial,
-    RingContext,
-    bar_degree,
-    cmp_lex,
-    cmp_prec,
-    cmp_revlex,
-    min_tilde_index,
-    one,
-    variable,
-)
+from lexres import Monomial, RingContext, cmp_lex, one, variable
 from lexres.monomials import first_divisors, minimal_rows
+from support import bar_degree, cmp_prec, cmp_revlex, min_tilde_index
 
 
 @pytest.fixture

@@ -16,6 +16,7 @@ from lexres import (
     power_generators,
 )
 from lexres.lexsegment import LexSegmentSpec
+from lexres.powers import PowerIdeal
 from lexres.quotients import QuotientStructure
 from lexres.resolution import alpha, resolution_basis
 from lexres.serialize import matrix_grid
@@ -142,7 +143,6 @@ def test_rank_identity_binomials(example_quotients_squared):
 
 def test_basis_requires_linear():
     ctx = RingContext(3)
-    from lexres.powers import PowerIdeal
     from lexres.quotients import linear_quotients_check as lq
 
     a = Monomial(ctx, (2, 0, 0))
@@ -198,7 +198,9 @@ def test_compose_check_matches_loop_on_corruptions(example_quotients_squared):
                 field = rng.choice([mat.signs, mat.vars, mat.rows])
                 old = int(field[p])
                 if field is mat.signs:
-                    field[p] = -old
+                    # a flipped, doubled or zeroed sign, so that groups also sum
+                    # values other than +-1
+                    field[p] = rng.choice([-old, 2 * old, 0])
                 elif field is mat.vars:
                     # 0 and n + 1 stand for malformed imported entries
                     field[p] = rng.choice([v for v in range(0, n + 2) if v != old])
@@ -211,6 +213,34 @@ def test_compose_check_matches_loop_on_corruptions(example_quotients_squared):
                 field[p] = old
             assert all(compose_check(rc, j) for j in range(rc.proj_dim))
     assert failures
+
+
+@pytest.mark.parametrize("n, power", [(40, 1), (4, 2**32 - 1)], ids=["n40", "x1^(2^32-1)"])
+def test_compose_check_d0_beyond_int64_row_keys(n, power):
+    # u1 = x1^a x2 x_{n-1} and u2 = x1^a x2 x_n: d1 sends f({n-1}; u2) to
+    # x_n u1 - x_{n-1} u2.  With the g-term's x_n changed to x_{n-1}, the
+    # terms x_{n-1} u1 and x_{n-1} u2 differ only in the exponents of x_{n-1}
+    # and x_n.  Packed into one int64 with a field per variable, as wide as
+    # the largest exponent needs, both of those fields lie past bit 64 and
+    # the two keys would be equal; rows compared as raw bytes stay apart
+    ctx = RingContext(n)
+    e1 = [0] * n
+    e1[0], e1[1] = power, 1
+    e2 = list(e1)
+    e1[n - 2], e2[n - 1] = 1, 1
+    u1, u2 = Monomial(ctx, e1), Monomial(ctx, e2)
+    pi = PowerIdeal(LexSegmentSpec(ctx=ctx, d=u1.degree, u=u1, v=u2), 1, (u1, u2))
+    rc = assemble_resolution(linear_quotients_check(pi), use_oracle=True)
+    d1 = rc.matrices[1]
+    assert d1.vars.tolist() == [n, n - 1] and compose_check(rc, 0)
+    d1.vars[0] = n - 1
+    terms = [tuple(e + (j == v - 1) for j, e in enumerate(rc.d0[r].exponents))
+             for r, v in zip(d1.rows.tolist(), d1.vars.tolist())]
+    width = max(map(max, terms)).bit_length()
+    packed = [sum(e << (width * j) for j, e in enumerate(t)) % 2**64 for t in terms]
+    assert terms[0] != terms[1] and packed[0] == packed[1]
+    assert not compose_check(rc, 0)
+    assert not support.compose_check_loop(rc, 0)
 
 
 def test_resolution_basis_matches_loop():

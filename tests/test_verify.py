@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import support
 from lexres import (
@@ -82,6 +84,71 @@ def test_hilbert_budget_edge(example_power_squared):
         hilbert_numerator(gens, budget=nodes)
         with pytest.raises(BudgetError, match=f"exceeded {nodes - 1} nodes"):
             hilbert_numerator(gens, budget=nodes - 1)
+
+
+def _hilbert_nodes(gens) -> int:
+    """The least budget hilbert_numerator accepts, by bisection."""
+    refused, accepted = 0, 1
+    while True:
+        try:
+            hilbert_numerator(gens, budget=accepted)
+            break
+        except BudgetError:
+            refused, accepted = accepted, 2 * accepted
+    while accepted - refused > 1:
+        mid = (refused + accepted) // 2
+        try:
+            hilbert_numerator(gens, budget=mid)
+            accepted = mid
+        except BudgetError:
+            refused = mid
+    return accepted
+
+
+def _exponent_lists():
+    """n <= 8 and up to 9 exponent rows of mixed degrees, duplicates and the
+    unit monomial included; one exponent may be raised to either side of the
+    one-byte field of the packed divisibility test (127, 128)."""
+
+    def build(args):
+        n, rows, dups, big, at = args
+        rows = [list(r) for r in rows + [rows[i % len(rows)] for i in dups if rows]]
+        if rows and big:
+            rows[at % len(rows)][at % n] = big
+        return n, [tuple(r) for r in rows]
+
+    small = st.sampled_from((0, 0, 0, 1, 1, 2, 3))
+    return st.integers(2, 8).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.tuples(*[small] * n), max_size=9),
+        st.lists(st.integers(0, 8), max_size=3), st.sampled_from((0, 127, 128)),
+        st.integers(0, 71),
+    )).map(build)
+
+
+@pytest.mark.parametrize("cut", [0, 10**9], ids=["scan", "packed"])
+def test_hilbert_matches_loop_with_exact_budget(cut, monkeypatch):
+    # the colon's divisibility test by one first_divisors scan (cut 0) and by
+    # packed ints only (a huge cut): the same numerator as the numpy loop, and
+    # the same node count, so the same budget boundary
+    monkeypatch.setattr("lexres.verify._COLON_SCAN_PAIRS", cut)
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(case=_exponent_lists())
+    @example(case=(3, []))
+    @example(case=(4, [(0, 0, 0, 0), (1, 2, 0, 0), (1, 2, 0, 0)]))  # the unit ideal
+    @example(case=(3, [(127, 1, 0), (128, 0, 1), (0, 1, 1), (127, 0, 1)]))
+    @example(case=(3, [(128, 128, 0), (127, 128, 1), (1, 0, 128)]))
+    def check(case):
+        n, rows = case
+        gens = [Monomial(RingContext(n), r) for r in rows]
+        nodes = _hilbert_nodes(gens)
+        got = hilbert_numerator(gens, budget=nodes)
+        assert got == support.hilbert_numerator_loop(gens, budget=nodes)
+        for hilbert in (hilbert_numerator, support.hilbert_numerator_loop):
+            with pytest.raises(BudgetError, match=f"exceeded {nodes - 1} nodes"):
+                hilbert(gens, budget=nodes - 1)
+
+    check()
 
 
 def test_euler_example(example_resolution):
