@@ -23,8 +23,12 @@ import math
 import numpy as np
 
 from .decomposition import closed_form_table, oracle_table, regularity_check_oracle
-from .errors import CheckFailure, InvariantError
+from .errors import BudgetError, CheckFailure, InvariantError
 from .quotients import QuotientStructure
+
+# bound on the matrix entries of a complex, sum_i 2 i beta_{i+1}, checked
+# before any is built; n=8, k=2 (x1x4..x8 / x2x8^5) bounds 6,178,528
+ENTRY_BUDGET = 8 * 10**6
 
 
 def alpha(sigma, s) -> int:
@@ -178,7 +182,9 @@ def assemble_resolution(qs: QuotientStructure, use_oracle: bool = False) -> Reso
 
     Classified specs use the closed-form g; with use_oracle the definitional
     g is used instead, which requires the decomposition function to be
-    regular and is checked here.
+    regular and is checked here.  The complex is refused (BudgetError) before
+    anything is built when its entry bound exceeds ENTRY_BUDGET: a column of
+    d_i has at most 2i entries.
     """
     if not qs.is_linear:
         raise ValueError("cannot resolve: linear quotients fail")
@@ -188,6 +194,10 @@ def assemble_resolution(qs: QuotientStructure, use_oracle: bool = False) -> Reso
             "spec is not of the classified linear-resolution shape; "
             "pass use_oracle=True to build from the definitional g"
         )
+    betti = betti_from_sets(qs.sets)
+    bound = sum(2 * i * b for i, b in enumerate(betti[2:], start=1))
+    if bound > ENTRY_BUDGET:
+        raise BudgetError(f"the complex may have {bound} entries, over the budget {ENTRY_BUDGET}")
     if use_oracle:
         report = regularity_check_oracle(qs)
         if not report.regular:
@@ -197,7 +207,6 @@ def assemble_resolution(qs: QuotientStructure, use_oracle: bool = False) -> Reso
         table = closed_form_table(qs)
     table.raise_fault_before(len(table.g))
     bases = resolution_basis(qs)
-    betti = betti_from_sets(qs.sets)
     for i, basis in bases.items():
         if betti[i] != len(basis):
             raise InvariantError(f"rank F_{i}: basis count {len(basis)} != beta {betti[i]}")
@@ -239,8 +248,27 @@ def _cancels(keys: np.ndarray, values: np.ndarray) -> bool:
     return not np.add.reduceat(values, starts).any()
 
 
+# product pairs of d_{i+1} and d_i entries cancelled together by compose_check
+_COMPOSE_PAIRS = 1 << 21
+
+
+def _products_cancel(up, up_signs, first, counts, ends, low, low_signs) -> bool:
+    """Whether the products cancel when d_{i+1} entry e (key up, sign) meets
+    the counts[e] entries of d_i from first[e] on; ends = cumsum(counts)."""
+    inner = np.repeat(first - ends + counts, counts) + np.arange(ends[-1])
+    return _cancels(np.repeat(up, counts) + low[inner], np.repeat(up_signs, counts) * low_signs[inner])
+
+
 def compose_check(rc: ResolutionComplex, i: int) -> bool:
-    """Symbolically verify d_i ∘ d_{i+1} = 0."""
+    """Symbolically verify d_i ∘ d_{i+1} = 0.
+
+    Every product of a d_{i+1} entry with an entry of the d_i column it
+    lands on is keyed by its cell and its two variables, and the signs must
+    sum to zero over each key.  The key holds the d_{i+1} column, so no group
+    spans two columns: d_{i+1} is cut at column boundaries into ranges of at
+    most _COMPOSE_PAIRS products, a bigger column alone, and each range is
+    cancelled on its own, which bounds the memory by the cap rather than by
+    the degree.  A degree within the cap is one range."""
     if i == 0:
         if 1 not in rc.matrices:
             return True
@@ -273,9 +301,21 @@ def compose_check(rc: ResolutionComplex, i: int) -> bool:
     starts = np.searchsorted(lower.cols, np.arange(lower.ncols + 1))
     first, counts = starts[upper.rows], starts[upper.rows + 1] - starts[upper.rows]
     ends = np.cumsum(counts)
-    inner = np.repeat(first - ends + counts, counts) + np.arange(ends[-1])
-    return _cancels(np.repeat(up, counts) + low[inner],
-                    np.repeat(upper.signs, counts) * lower.signs[inner])
+    if ends[-1] <= _COMPOSE_PAIRS:
+        return _products_cancel(up, upper.signs, first, counts, ends, low, lower.signs)
+    # each range takes the most whole columns whose products fit under the
+    # cap, at least one; column_ends holds the entry after each column
+    column_ends = np.append(np.flatnonzero(np.diff(upper.cols)) + 1, len(counts))
+    done = ends[column_ends - 1]  # products up to each column's end
+    lo = base = c = 0
+    while lo < len(counts):
+        c = max(int(np.searchsorted(done, base + _COMPOSE_PAIRS, side="right")) - 1, c)
+        part = slice(lo, int(column_ends[c]))
+        if not _products_cancel(up[part], upper.signs[part], first[part], counts[part],
+                                ends[part] - base, low, lower.signs):
+            return False
+        lo, base, c = part.stop, int(done[c]), c + 1
+    return True
 
 
 def minimality_check(rc: ResolutionComplex) -> bool:

@@ -13,8 +13,10 @@ condition for exactness, never a proof.  Its one fast route is the witness
 Schur complement that the linear quotients give every differential: the
 differentials of consecutive positions, up to a cap on their entries, form
 one block-diagonal witness structure, solved for all of them at all points
-at once, and the probe vectors of a whole check come from one generator.
-Dense elimination mod p, per position and point, is the only fallback.
+at once.  The probe vectors come from the random.Random that draws the
+points, after them, as exactly uniform residues (31-bit words below p), so
+the check never loads numpy.random.  Dense elimination mod p, per position
+and point, is the only fallback.
 """
 
 from __future__ import annotations
@@ -391,18 +393,30 @@ def _witness_solve(st: _WitnessStructure, points, inv_points, x, p: int) -> np.n
     return settled
 
 
+def _residues(rng: random.Random, count: int, p: int) -> np.ndarray:
+    """count residues mod p <= 2^31, exactly uniform: the first count words
+    below p in rng's stream of 31-bit words, so a word >= p is rejected
+    rather than reduced, which would favour the low residues."""
+    out = np.empty(0, dtype=np.int64)
+    while len(out) < count:
+        words = np.frombuffer(rng.randbytes(4 * (count - len(out))), dtype="<u4") & 0x7FFFFFFF
+        out = np.concatenate([out, words[words < p]])
+    return out
+
+
 def _witness_ranks(st: _WitnessStructure, points, inv_points, rng, p: int, probes: int = 4):
     """Whether each position of st has the witness rank kappa at each of the
     points (trials, n): a (positions, trials) array, False where the position
     is not shaped, a diagonal vanishes, N is not nilpotent or a probe finds
     the Schur complement nonzero.
 
-    rng draws probe vectors z on the other columns, shared by all points.  v
-    stacks the x with W x = -A12 z over z, so that the top rows of A v vanish
-    and the others are A21 x + A22 z, the Schur complement times z."""
+    rng (a random.Random) draws probe vectors z on the other columns, shared
+    by all points.  v stacks the x with W x = -A12 z over z, so that the top
+    rows of A v vanish and the others are A21 x + A22 z, the Schur complement
+    times z."""
     kap = len(st.diag_sign)
     v = np.empty((st.ncols, len(points), probes), dtype=np.int64)
-    v[kap:] = rng.integers(0, p, size=(st.ncols - kap, 1, probes), dtype=np.int64)
+    v[kap:] = _residues(rng, (st.ncols - kap) * probes, p).reshape(-1, 1, probes)
     v[:kap] = _coo_times_dense(st.a12, points, kap, v, p)
     settled = _witness_solve(st, points, inv_points, v[:kap], p)
     ok = np.repeat((settled & st.shaped)[:, None], len(points), axis=1)
@@ -442,7 +456,9 @@ def random_rank_check(rc: ResolutionComplex, seed: int = 0, trials: int = 5) -> 
     complement (see _WitnessStructure) in runs of consecutive positions with
     at most _GROUP_ENTRIES entries together (a bigger one alone), each run
     one structure checked at all points with one level sweep and one solve;
-    the points, their inverses and the probe generator are made once.  Only
+    the points and their inverses are made once, and the probe vectors of
+    every run are drawn after the points from the same random.Random(seed),
+    exactly uniform mod p (see _residues).  Only
     a position without the witness shape, or at a point where its diagonal
     vanishes or a probe finds its complement nonzero, is eliminated densely,
     so reported ranks are the true evaluated ranks (up to the probe odds).
@@ -454,13 +470,10 @@ def random_rank_check(rc: ResolutionComplex, seed: int = 0, trials: int = 5) -> 
     points = [tuple(rng.randrange(1, p) for _ in range(n)) for _ in range(trials)]
     point_arr = np.array(points, dtype=np.int64)
     inv_points = np.array([[pow(c, -1, p) for c in pt] for pt in points], dtype=np.int64)
-    # numpy seeds must be non-negative; the points come from rng, so folding
-    # the sign only lets two seeds share probe vectors
-    probe_rng = np.random.default_rng([abs(seed), 0x5C0])
     found = np.full((rc.proj_dim, trials), -1, dtype=np.int64)  # -1: no witness rank
     for group in _position_groups(rc):
         st = _build_witness_structure(rc, group)
-        ok = _witness_ranks(st, point_arr, inv_points, probe_rng, p)
+        ok = _witness_ranks(st, point_arr, inv_points, rng, p)
         found[group] = np.where(ok, st.kappa[:, None], -1)
     report = RankReport(modulus=p, seed=seed, betti=rc.betti)
     for t, point in enumerate(points):

@@ -100,22 +100,6 @@ def brute_cmp_lex(a, b):
     return 0
 
 
-def brute_cmp_revlex(a, b):
-    """a < b iff there is s with equal exponents above s and nu_s(a) > nu_s(b)."""
-    for s in range(a.ctx.n - 1, -1, -1):
-        if a.exponents[s] != b.exponents[s]:
-            return -1 if a.exponents[s] > b.exponents[s] else 1
-    return 0
-
-
-def brute_cmp_prec(a, b, l):
-    da = sum(a.exponents[:l])
-    db = sum(b.exponents[:l])
-    if da != db:
-        return -1 if da < db else 1
-    return brute_cmp_lex(a, b)
-
-
 def all_monomials(ctx, d):
     """Every degree-d monomial via combinations with repetition."""
     out = []

@@ -1,5 +1,7 @@
+import contextlib
 import functools
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -8,9 +10,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lexres import RingContext, decomposition, quotients, serialize, verify
+from lexres import RingContext, decomposition, quotients, resolution, serialize, verify
 from lexres.cli import JobSpec, _build_resolution, build_parser, main, parse_monomial, run_command
+from lexres.lexsegment import make_classified_spec
+from lexres.powers import power_generators
+from lexres.quotients import linear_quotients_check
 from lexres.serialize import resolution_from_json, resolution_to_json
 
 
@@ -44,16 +51,20 @@ def test_parse_render_roundtrip(ctx):
         assert parse_monomial(str(m), ctx) == m
 
 
-def run_cli(args):
+def run_python(args):
     # the child finds the package in ./src, as pytest itself does (pyproject.toml)
     src = str(Path(__file__).resolve().parents[1] / "src")
     paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     return subprocess.run(
-        [sys.executable, "-m", "lexres", *args],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)},
     )
+
+
+def run_cli(args):
+    return run_python(["-m", "lexres", *args])
 
 
 def test_cli_gen(capsys):
@@ -266,6 +277,27 @@ def test_cli_budget_exit():
     assert main(["power", "--n", "6", "--u", "x1x3", "--v", "x2x6", "--k", "40"]) == 3
 
 
+def test_complex_budget_edge(monkeypatch, capsys):
+    # the entry bound sum_i 2 i beta_{i+1} of the worked example squared,
+    # betti (1, 14, 24, 13, 2), is 2*24 + 4*13 + 6*2 = 112; the actual count is 100
+    argv = ["export", *_EXAMPLE, "--k", "2", "--format", "json", "--out", os.devnull]
+    monkeypatch.setattr(resolution, "ENTRY_BUDGET", 112)
+    assert main(argv) == 0
+    monkeypatch.setattr(resolution, "ENTRY_BUDGET", 111)
+    for command in (["export", "--format", "json"], ["verify", "--trials", "2"]):
+        assert main([*command, *_EXAMPLE, "--k", "2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "budget exceeded: the complex may have 112 entries, over the budget 111\n"
+
+
+def test_complex_budget_default_admits_n8():
+    spec, _, _ = make_classified_spec(*(parse_monomial(m, RingContext(8)) for m in ("x1x4x5x6x7x8", "x2x8^5")))
+    betti = resolution.betti_from_sets(linear_quotients_check(power_generators(spec, 2)).sets)
+    bound = sum(2 * i * b for i, b in enumerate(betti[2:], start=1))
+    assert bound == 6_178_528 <= resolution.ENTRY_BUDGET
+
+
 def _text_cells(args):
     rc = _build_resolution(JobSpec(command="resolve", **args))
     return len(rc.d0) + sum(m.nrows * m.ncols for m in rc.matrices.values())
@@ -368,6 +400,21 @@ def test_cli_m2_export(capsys):
     assert "betti C" in out
 
 
+def test_cli_never_loads_numpy_random():
+    # the rank check draws its probes from the random.Random of its points
+    code = (
+        "import os, sys\n"
+        "from lexres.cli import main\n"
+        f"args = {_EXAMPLE + ['--k', '2', '--out', os.devnull]!r}\n"
+        "assert main(['verify', *args]) == 0\n"
+        "assert main(['export', '--format', 'json', *args]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))\n"
+    )
+    proc = run_python(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_cli_subprocess_entrypoint():
     proc = run_cli(["gen", "--n", "4", "--u", "x1x3", "--v", "x2x4"])
     assert proc.returncode == 0
@@ -387,3 +434,39 @@ def test_run_command_jobspec(capsys):
     assert run_command(job) == 0
     out = capsys.readouterr().out
     assert out.splitlines() == ["x1^2", "x1x2", "x2^2"]
+
+
+def _render(exponents) -> str:
+    return "".join(f"x{i + 1}" + (f"^{e}" if e > 1 else "") for i, e in enumerate(exponents) if e)
+
+
+@st.composite
+def _cli_inputs(draw):
+    """Options for every command: n <= 5, u and v of one degree d <= 3, k <= 2,
+    with or without --oracle-g.  Most pairs are normalized, x1 | u and
+    x1 ∤ v; the others are any two monomials."""
+    n, d = draw(st.integers(2, 5)), draw(st.integers(1, 3))
+
+    def monomial(low, x1):
+        # x1 times d - x1 variables from x_{low+1} on, as exponents
+        rest = draw(st.lists(st.integers(low, n - 1), min_size=d - x1, max_size=d - x1))
+        return tuple(map(([0] * x1 + rest).count, range(n)))
+
+    if draw(st.integers(0, 3)):
+        u, v = monomial(0, 1), monomial(1, 0)
+    else:
+        u, v = monomial(0, 0), monomial(0, 0)
+    args = ["--n", str(n), "--u", _render(u), "--v", _render(v), "--k", str(draw(st.integers(1, 2)))]
+    return args + (["--oracle-g"] if draw(st.booleans()) else [])
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(args=_cli_inputs())
+def test_cli_exit_codes_property(args):
+    # every command ends in a documented exit code, never in a traceback
+    for command in ("gen", "classify", "power", "quotients", "resolve", "verify", "export"):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, *args])
+        assert code in (0, 1, 2, 3), (command, args)
+        assert "Traceback" not in err.getvalue(), (command, args)

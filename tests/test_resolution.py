@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -213,6 +214,34 @@ def test_compose_check_matches_loop_on_corruptions(example_quotients_squared):
                 field[p] = old
             assert all(compose_check(rc, j) for j in range(rc.proj_dim))
     assert failures
+
+
+@pytest.mark.parametrize("cap", [40, 1])
+def test_compose_check_matches_loop_on_corruptions_in_ranges(example_quotients_squared,
+                                                             monkeypatch, cap):
+    # with a pair cap of 1 every column is a range of its own; 40 puts a few
+    # columns together
+    monkeypatch.setattr("lexres.resolution._COMPOSE_PAIRS", cap)
+    test_compose_check_matches_loop_on_corruptions(example_quotients_squared)
+
+
+def test_compose_check_ranges_bound_its_memory(monkeypatch):
+    # d2 ∘ d3 of the large benchmark instance: 22,822 products in one
+    # range at the default cap, ranges of at most 4,096 below it
+    spec, _ = support.build_family_spec(6, (1, 0, 0, 1, 1, 1), (0, 1, 0, 0, 0, 3))
+    rc = assemble_resolution(linear_quotients_check(power_generators(spec, 2)))
+
+    def peak():
+        tracemalloc.start()
+        try:
+            assert compose_check(rc, 2)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    whole = peak()
+    monkeypatch.setattr("lexres.resolution._COMPOSE_PAIRS", 1 << 12)
+    assert peak() < whole / 2
 
 
 @pytest.mark.parametrize("n, power", [(40, 1), (4, 2**32 - 1)], ids=["n40", "x1^(2^32-1)"])

@@ -24,7 +24,7 @@ from lexres.lexsegment import LexSegmentSpec
 from lexres.modp import DEFAULT_PRIME, rank_mod
 from lexres.verify import (
     HilbertNumerator, _build_witness_structure, _d0_rank, _evaluate_dense, _position_groups,
-    _witness_ranks, _witness_solve, rank_positions_ok,
+    _residues, _witness_ranks, _witness_solve, rank_positions_ok,
 )
 
 
@@ -300,6 +300,36 @@ def _inverses(points):
     return np.array([[pow(int(c), P - 2, P) for c in pt] for pt in points], dtype=np.int64)
 
 
+class _Words:
+    """Stands in for random.Random: its random bytes are the given 32-bit words."""
+
+    def __init__(self, words):
+        self.stream = b"".join(w.to_bytes(4, "little") for w in words)
+
+    def randbytes(self, n):
+        out, self.stream = self.stream[:n], self.stream[n:]
+        return out
+
+
+def test_residues_reject_words_from_p_up():
+    # p itself is rejected, not reduced to 0; the top bit of a word is
+    # dropped, and a rejected word is replaced from the words that follow
+    rng = _Words([5, P, 2**31 + 7, P - 1, 0])
+    assert _residues(rng, 3, P).tolist() == [5, 7, P - 1]
+    assert rng.stream == (0).to_bytes(4, "little")
+    assert _residues(_Words([]), 0, P).dtype == np.int64
+
+
+def test_residues_are_the_words_below_p_in_order():
+    # a modulus that rejects about half the words, against one word at a time
+    p, ref, expected = 2**30 + 3, random.Random(3), []
+    while len(expected) < 1000:
+        word = ref.getrandbits(32) & 0x7FFFFFFF
+        if word < p:
+            expected.append(word)
+    assert _residues(random.Random(3), 1000, p).tolist() == expected
+
+
 def _witness_blocks(rc, i):
     """The generator of each witness column of d_i, f(sigma; w) with
     s* = min(set(w)) in sigma, in column order."""
@@ -387,7 +417,7 @@ def test_witness_sweeps_stop_on_a_cycle():
     rhs = rng.integers(0, P, size=(len(st.diag_sign), 2, 4))
     others = [j != k for j in range(len(positions))]
     assert _witness_solve(st, points, _inverses(points), rhs, P).tolist() == others
-    ok = _witness_ranks(st, points, _inverses(points), np.random.default_rng(0), P)
+    ok = _witness_ranks(st, points, _inverses(points), random.Random(0), P)
     assert ok.tolist() == [[j != k] * 2 for j in range(len(positions))]
 
 
@@ -398,14 +428,14 @@ def test_witness_ranks_zero_diagonal_fails_only_its_trial():
     points = np.random.default_rng(3).integers(1, P, size=(3, 6))
     var = st.diag_var[0]
     points[1, var - 1] = 0  # the first diagonal entry vanishes at point 1
-    ok = _witness_ranks(st, points, _inverses(points), np.random.default_rng(0), P)
+    ok = _witness_ranks(st, points, _inverses(points), random.Random(0), P)
     assert ok.tolist() == [[True, False, True]]
     # stacked with the other positions: x6 is on the diagonal of d1 only, so
     # its zero fails point 1 at d1, and elsewhere leaves the true verdict
     positions = list(range(1, rc.proj_dim))
     st = _build_witness_structure(rc, positions)
     points[1, var - 1], points[1, 5] = 1, 0
-    ok = _witness_ranks(st, points, _inverses(points), np.random.default_rng(0), P)
+    ok = _witness_ranks(st, points, _inverses(points), random.Random(0), P)
     assert ok[:, [0, 2]].all()
     on_diagonal = [6 in st.diag_var[st.wit_pos == k] for k in range(len(positions))]
     assert on_diagonal == [True, False, False, False, False]
