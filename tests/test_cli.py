@@ -13,11 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexres import RingContext, decomposition, quotients, resolution, serialize, verify
+import support
+from lexres import (
+    Monomial, RingContext, decomposition, linear_quotients_check, power_generators, quotients,
+    resolution, serialize, verify,
+)
 from lexres.cli import JobSpec, _build_resolution, build_parser, main, parse_monomial, run_command
-from lexres.lexsegment import make_classified_spec
-from lexres.powers import power_generators
-from lexres.quotients import linear_quotients_check
 from lexres.serialize import resolution_from_json, resolution_to_json
 
 
@@ -42,8 +43,6 @@ def test_parse_monomial_errors(ctx):
 
 def test_parse_render_roundtrip(ctx):
     import random
-
-    import support
 
     rng = random.Random(8)
     for _ in range(200):
@@ -292,7 +291,7 @@ def test_complex_budget_edge(monkeypatch, capsys):
 
 
 def test_complex_budget_default_admits_n8():
-    spec, _, _ = make_classified_spec(*(parse_monomial(m, RingContext(8)) for m in ("x1x4x5x6x7x8", "x2x8^5")))
+    spec, _ = support.build_family_spec(8, (1, 0, 0, 1, 1, 1, 1, 1), (0, 1, 0, 0, 0, 0, 0, 5))
     betti = resolution.betti_from_sets(linear_quotients_check(power_generators(spec, 2)).sets)
     bound = sum(2 * i * b for i, b in enumerate(betti[2:], start=1))
     assert bound == 6_178_528 <= resolution.ENTRY_BUDGET
@@ -436,10 +435,6 @@ def test_run_command_jobspec(capsys):
     assert out.splitlines() == ["x1^2", "x1x2", "x2^2"]
 
 
-def _render(exponents) -> str:
-    return "".join(f"x{i + 1}" + (f"^{e}" if e > 1 else "") for i, e in enumerate(exponents) if e)
-
-
 @st.composite
 def _cli_inputs(draw):
     """Options for every command: n <= 5, u and v of one degree d <= 3, k <= 2,
@@ -448,15 +443,15 @@ def _cli_inputs(draw):
     n, d = draw(st.integers(2, 5)), draw(st.integers(1, 3))
 
     def monomial(low, x1):
-        # x1 times d - x1 variables from x_{low+1} on, as exponents
+        # x1 times d - x1 variables from x_{low+1} on
         rest = draw(st.lists(st.integers(low, n - 1), min_size=d - x1, max_size=d - x1))
-        return tuple(map(([0] * x1 + rest).count, range(n)))
+        return str(Monomial(RingContext(n), list(map(([0] * x1 + rest).count, range(n)))))
 
     if draw(st.integers(0, 3)):
         u, v = monomial(0, 1), monomial(1, 0)
     else:
         u, v = monomial(0, 0), monomial(0, 0)
-    args = ["--n", str(n), "--u", _render(u), "--v", _render(v), "--k", str(draw(st.integers(1, 2)))]
+    args = ["--n", str(n), "--u", u, "--v", v, "--k", str(draw(st.integers(1, 2)))]
     return args + (["--oracle-g"] if draw(st.booleans()) else [])
 
 
