@@ -301,20 +301,18 @@ def compose_check(rc: ResolutionComplex, i: int) -> bool:
     starts = np.searchsorted(lower.cols, np.arange(lower.ncols + 1))
     first, counts = starts[upper.rows], starts[upper.rows + 1] - starts[upper.rows]
     ends = np.cumsum(counts)
-    if ends[-1] <= _COMPOSE_PAIRS:
-        return _products_cancel(up, upper.signs, first, counts, ends, low, lower.signs)
     # each range takes the most whole columns whose products fit under the
     # cap, at least one; column_ends holds the entry after each column
     column_ends = np.append(np.flatnonzero(np.diff(upper.cols)) + 1, len(counts))
     done = ends[column_ends - 1]  # products up to each column's end
-    lo = base = c = 0
-    while lo < len(counts):
+    start = base = c = 0
+    while start < len(counts):
         c = max(int(np.searchsorted(done, base + _COMPOSE_PAIRS, side="right")) - 1, c)
-        part = slice(lo, int(column_ends[c]))
+        part = slice(start, int(column_ends[c]))
         if not _products_cancel(up[part], upper.signs[part], first[part], counts[part],
                                 ends[part] - base, low, lower.signs):
             return False
-        lo, base, c = part.stop, int(done[c]), c + 1
+        start, base, c = part.stop, int(done[c]), c + 1
     return True
 
 

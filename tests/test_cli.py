@@ -290,11 +290,20 @@ def test_complex_budget_edge(monkeypatch, capsys):
         assert captured.err == "budget exceeded: the complex may have 112 entries, over the budget 111\n"
 
 
-def test_complex_budget_default_admits_n8():
+def test_complex_budget_default_admits_n8(monkeypatch):
+    # n=8, k=2 bounds 6,178,528 entries; the call after the budget check
+    # stops the build, so the complex itself is never allocated
+    class PastBudget(Exception):
+        pass
+
+    def stop(qs):
+        raise PastBudget
+
     spec, _ = support.build_family_spec(8, (1, 0, 0, 1, 1, 1, 1, 1), (0, 1, 0, 0, 0, 0, 0, 5))
-    betti = resolution.betti_from_sets(linear_quotients_check(power_generators(spec, 2)).sets)
-    bound = sum(2 * i * b for i, b in enumerate(betti[2:], start=1))
-    assert bound == 6_178_528 <= resolution.ENTRY_BUDGET
+    qs = linear_quotients_check(power_generators(spec, 2))
+    monkeypatch.setattr(resolution, "closed_form_table", stop)
+    with pytest.raises(PastBudget):
+        resolution.assemble_resolution(qs)
 
 
 def _text_cells(args):
