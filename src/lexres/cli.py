@@ -91,10 +91,11 @@ def _json_dumps(obj) -> str:
 
 def run_command(job: JobSpec) -> int:
     if job.command == "gen":
-        spec, _, _ = _spec_pipeline(job)
-        segment = enumerate_lexsegment(spec.u, spec.v)
+        _, record, _ = _spec_pipeline(job)  # the same input checks as every command
+        u = record.original_u
+        segment = enumerate_lexsegment(u, record.original_v)
         if job.fmt == "json":
-            _emit(job, _json_dumps({"n": job.n, "d": spec.d, "monomials": [list(m.exponents) for m in segment]}))
+            _emit(job, _json_dumps({"n": job.n, "d": u.degree, "monomials": [list(m.exponents) for m in segment]}))
         else:
             _emit(job, "\n".join(str(m) for m in segment) + "\n")
         return 0

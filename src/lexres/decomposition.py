@@ -2,10 +2,12 @@
 
 Two routes to g(x_s * m): the closed form, which divides out x_min(m) or
 x_min(tilde m) depending on how x_s*m/x_min(m) compares with v^k in the
-bar-degree-then-lex order, and the definitional oracle, which scans the
-increasing-revlex generator list for the earliest divisor.  The closed form
-is only claimed for classified specs; the oracle is always available and is
-the ground truth whenever the two are run side by side.  Each route is
+bar-degree-then-lex order, and the definitional oracle, the earliest
+generator in increasing revlex that divides x_s * m.  The closed form is only
+claimed for classified specs; the oracle is always available and is the
+ground truth whenever the two are run side by side.  All generators share one
+degree, so the generators dividing x_s * m are its exchange neighbours
+x_s * m / x_t, and both routes read PowerIdeal.neighbours.  Each route is
 evaluated on every pair at once, as a table cached on the quotient structure.
 """
 
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CheckFailure
-from .monomials import Monomial, first_divisors
+from .monomials import Monomial
 from .quotients import QuotientStructure, high_branch, pair_arrays
 
 
@@ -48,12 +50,6 @@ def _first_true(mask: np.ndarray) -> int:
     return int(mask.argmax()) if mask.any() else len(mask)
 
 
-def _cofactors(X: np.ndarray, G: np.ndarray, g: np.ndarray):
-    """x_s*m / g(x_s*m) per pair, and whether it is a single variable."""
-    C = X - G[g]
-    return C, (C >= 0).all(axis=1) & (C.sum(axis=1) == 1)
-
-
 def closed_form_table(qs: QuotientStructure) -> DecompositionTable:
     """The closed-form g on every pair, computed once per quotient structure."""
     if "closed" in qs.g_tables:
@@ -65,26 +61,21 @@ def closed_form_table(qs: QuotientStructure) -> DecompositionTable:
     first, high = high_branch(pi, gen, X)
     tilde = pi.exponent_matrix[gen, l:] > 0
     no_tilde = ~high & ~tilde.any(axis=1)
-    G_rows = X.copy()
-    G_rows[np.arange(len(s)), np.where(high, first, l + tilde.argmax(axis=1))] -= 1
-    g = np.array([pi.position.get(tuple(row), -1) for row in G_rows.tolist()], dtype=np.int64)
-    g[no_tilde] = -1
-    C, single = _cofactors(X, pi.exponent_matrix, g)
-    left = ~no_tilde & (g < 0)
-    coeff, fault = C.argmax(axis=1) + 1, None
-    p = _first_true(no_tilde | left | ((g >= 0) & ~single))
+    col = np.where(high, first, l + tilde.argmax(axis=1))
+    g, coeff, fault = pi.neighbours[gen, s - 1, col], col + 1, None
+    p = _first_true(no_tilde | (g == len(pi)))
     if p < len(s):
         m, sp = pi.generators[gen[p]], int(s[p])
         if no_tilde[p]:
             message = f"{m} has no support beyond x{l}"
-        elif left[p]:
+        else:
+            row = X[p]
+            row[col[p]] -= 1
             message = (
-                f"closed form left G(I^k): g(x{sp}*{m}) = {Monomial(m.ctx, G_rows[p])} is not "
+                f"closed form left G(I^k): g(x{sp}*{m}) = {Monomial(m.ctx, row)} is not "
                 f"a generator (branch {'high' if high[p] else 'low'}); the instance violates "
                 "the classified shape's guarantees"
             )
-        else:
-            message = f"coefficient {Monomial(m.ctx, C[p])} of g(x{sp}*{m}) is not a variable"
         fault = (p, message)
         g[p:] = coeff[p:] = -1
     qs.g_tables["closed"] = DecompositionTable(gen, s, g, coeff, high.astype(np.int64), fault)
@@ -95,31 +86,12 @@ def oracle_table(qs: QuotientStructure) -> DecompositionTable:
     """The definitional g on every pair, computed once per quotient structure."""
     if "oracle" in qs.g_tables:
         return qs.g_tables["oracle"]
-    pi, G = qs.power, qs.power.exponent_matrix
-    gen, s, X = pair_arrays(qs)
-    g = first_divisors(G, X)
-    missing = _first_true(g == len(G))
-    if missing < len(s):
-        raise CheckFailure(f"{Monomial(pi.spec.ctx, X[missing])} is not in I^{pi.k}")
-    C, single = _cofactors(X, G, g)
-    p = _first_true(~single)
-    if p < len(s):
-        m = pi.generators[gen[p]]
-        raise CheckFailure(
-            f"g(x{int(s[p])}*{m}) = {pi.generators[g[p]]} has non-variable cofactor "
-            f"{Monomial(m.ctx, C[p])}"
-        )
-    qs.g_tables["oracle"] = DecompositionTable(gen, s, g, C.argmax(axis=1) + 1)
+    gen, s, _ = pair_arrays(qs)
+    # the generators dividing x_s * m_i are its neighbours x_s * m_i / x_t
+    candidates = qs.power.neighbours[gen, s - 1]
+    t = candidates.argmin(axis=1)
+    qs.g_tables["oracle"] = DecompositionTable(gen, s, candidates[np.arange(len(s)), t], t + 1)
     return qs.g_tables["oracle"]
-
-
-def g_oracle_index(qs: QuotientStructure, x: Monomial) -> int:
-    """Position of the earliest generator (increasing revlex) dividing x."""
-    pi = qs.power
-    pos = int(first_divisors(pi.exponent_matrix, np.array([x.exponents], dtype=np.int64))[0])
-    if pos == len(pi.generators):
-        raise ValueError(f"{x} is not in I^{pi.k}")
-    return pos
 
 
 def closed_form_matches_oracle(qs: QuotientStructure):

@@ -208,11 +208,14 @@ def classify_linear_form(spec: LexSegmentSpec) -> Classification:
     """Recognize u = x1*x_{l+1}^{a_{l+1}}...x_n^{a_n}, v = x_l*x_n^(d-1).
 
     l is read off as min(supp(v)) and must satisfy 2 <= l <= n-1.  The spec
-    must be normalized (x1 | u, x1 ∤ v).
+    must be normalized (x1 ∤ v); x1 ∤ u as well means normalize_spec made a
+    ring drop, which is outside the shape.
     """
     u, v, n, d = spec.u, spec.v, spec.ctx.n, spec.d
-    if u.exponent(1) < 1 or v.exponent(1) != 0:
-        raise ValueError("classify_linear_form needs a normalized spec (x1 | u, x1 ∤ v)")
+    if v.exponent(1) != 0:
+        raise InvariantError(f"classify_linear_form needs a normalized spec, but x1 divides v = {v}")
+    if u.exponent(1) == 0:
+        return Classification(None, None, "ring drop: u and v have the same power of x1, so L(u, v) lives in x2..xn")
     if d < 2:
         return Classification(None, None, f"degree {d} < 2")
     if u.exponent(1) != 1:

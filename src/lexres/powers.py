@@ -20,14 +20,14 @@ DEFAULT_PRODUCT_BUDGET = 10**6
 
 
 class PowerIdeal:
-    """G(I^k) as an increasing-revlex sequence, with lookup helpers."""
+    """G(I^k) as an increasing-revlex sequence, with its arrays built on first use."""
 
     def __init__(self, spec: LexSegmentSpec, k: int, generators):
         self.spec = spec
         self.k = k
         self.generators = tuple(generators)
-        self.position = {m.exponents: i for i, m in enumerate(self.generators)}
         self._matrix = None
+        self._neighbours = None
 
     def __len__(self):
         return len(self.generators)
@@ -38,6 +38,48 @@ class PowerIdeal:
         if self._matrix is None:
             self._matrix = np.array([m.exponents for m in self.generators], dtype=np.int64)
         return self._matrix
+
+    @property
+    def neighbours(self) -> np.ndarray:
+        """neighbours[i, s-1, t-1] is the position of m_i * x_s / x_t in G, or
+        len(G) where that is not a generator; its diagonal is i."""
+        if self._neighbours is None:
+            self._neighbours = _exchange_neighbours(self.exponent_matrix, self.k)
+        return self._neighbours
+
+
+def _exchange_neighbours(G: np.ndarray, k: int) -> np.ndarray:
+    """The neighbours table of the generator rows G, which must share one degree.
+
+    Two generators are exchange neighbours, m_j = m_i * x_s / x_t, exactly
+    when they share a quotient m_i / x_t = m_j / x_s.  The quotients of all
+    generators are grouped by a stable sort of their raw bytes, which is exact
+    for any exponent size, and every two members of a group fill each
+    other's entries.  With one degree kd these are all the generators that
+    divide some x_s * m_i, so every reader of the table may rely on that."""
+    r, n = G.shape
+    degrees = G.sum(axis=1)
+    if (degrees != degrees[:1]).any():
+        raise InvariantError(f"generators of I^{k} have degrees {sorted(set(degrees.tolist()))}, not one")
+    i, t = np.nonzero(G)  # x_t divides m_i
+    down = G[i]
+    down[np.arange(len(i)), t] -= 1
+    down = down.view(np.dtype((np.void, G.itemsize * n))).ravel()
+    order = np.argsort(down, kind="stable")
+    down, i, t = down[order], i[order], t[order]
+    table = np.full((r, n, n), r, dtype=np.int64)
+    gap = 1
+    while gap < len(down):
+        same = down[gap:] == down[:-gap]
+        if not same.any():  # no group has more than gap members
+            break
+        a = np.flatnonzero(same)
+        b = a + gap
+        table[i[a], t[b], t[a]] = i[b]
+        table[i[b], t[a], t[b]] = i[a]
+        gap += 1
+    table[:, np.arange(n), np.arange(n)] = np.arange(r)[:, None]
+    return table
 
 
 def power_generators(spec: LexSegmentSpec, k: int, budget: int = DEFAULT_PRODUCT_BUDGET) -> PowerIdeal:

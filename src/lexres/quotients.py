@@ -2,7 +2,7 @@
 
 All generators of I^k share one degree, so the quotient m_j / gcd(m_j, m_i)
 is a variable x_s exactly when m_j = m_i * x_s / x_t for some t != s: set(m_i)
-comes from grouping the quotients m_i / x_t of every generator at once.
+is read off the exchange-neighbour table PowerIdeal.neighbours.
 The colon (m_1,...,m_{i-1}) : (m_i) is then generated by the x_s, s in
 set(m_i), exactly when no earlier m_j is <= m_i on every column of set(m_i),
 which one earliest-divisor scan per distinct set decides for all i.  Full
@@ -49,34 +49,6 @@ class QuotientStructure:
         return self.status == "linear"
 
 
-def _exchange_sets(G: np.ndarray) -> np.ndarray:
-    """in_set[i, s]: some m_j with j < i equals m_i * x_s / x_t for a t != s,
-    that is, m_j / x_s = m_i / x_t.
-
-    The quotients m_i / x_t are grouped by a stable sort of their raw bytes,
-    which is exact for any exponent size and keeps each group in generator
-    order; every member then gains the variables divided out of the members
-    before it."""
-    r, n = G.shape
-    i, t = np.nonzero(G)  # x_t divides m_i
-    down = G[i]
-    down[np.arange(len(i)), t] -= 1
-    down = down.view(np.dtype((np.void, G.itemsize * n))).ravel()
-    order = np.argsort(down, kind="stable")
-    down, i, t = down[order], i[order], t[order]
-    in_set = np.zeros((r, n), dtype=bool)
-    gap = 1
-    while gap < len(down):
-        same = down[gap:] == down[:-gap]
-        if not same.any():  # no group has more than gap members
-            break
-        # equal t means equal generators, which are not exchange neighbours
-        pair = same & (t[gap:] != t[:-gap])
-        in_set[i[gap:][pair], t[:-gap][pair]] = True
-        gap += 1
-    return in_set
-
-
 def _first_uncovered(G: np.ndarray, sets: list[tuple[int, ...]]) -> int:
     """The first i with an earlier m_j <= m_i on every column of set(m_i),
     so that x_s, s in set(m_i), do not generate the colon; len(G) if none.
@@ -105,12 +77,8 @@ def linear_quotients_check(pi: PowerIdeal) -> QuotientStructure:
     """set(m_i) for every increasing-revlex generator, or the first i whose
     colon is not generated by variables."""
     G = pi.exponent_matrix
-    degrees = G.sum(axis=1)
-    if (degrees != degrees[:1]).any():
-        raise InvariantError(
-            f"generators of I^{pi.k} have degrees {sorted(set(degrees.tolist()))}, not one"
-        )
-    in_set = _exchange_sets(G)
+    # x_s is in set(m_i) when an earlier generator is m_i * x_s / x_t
+    in_set = (pi.neighbours < np.arange(len(G))[:, None, None]).any(axis=2)
     cols = (np.nonzero(in_set)[1] + 1).tolist()
     ends = np.cumsum(in_set.sum(axis=1)).tolist()
     sets = [tuple(cols[a:b]) for a, b in zip([0] + ends[:-1], ends)]

@@ -22,13 +22,12 @@ from lexres import (
     cmp_lex,
     colon_minimal_generators,
     enumerate_lexsegment,
-    g_oracle_index,
     make_classified_spec,
     variable,
 )
 from lexres.lexsegment import LexSegmentSpec
 from lexres.modp import DEFAULT_PRIME
-from lexres.monomials import _same_ctx, minimal_rows
+from lexres.monomials import _same_ctx, first_divisors, minimal_rows
 from lexres.powers import DEFAULT_PRODUCT_BUDGET, PowerIdeal
 from lexres.quotients import QuotientStructure, SetBoundViolation
 from lexres.resolution import Basis
@@ -86,9 +85,38 @@ def min_tilde_index(m, l):
     raise ValueError(f"{m} has no support beyond x{l}")
 
 
+def g_oracle_index(qs, x):
+    """Position of the earliest generator (increasing revlex) dividing the
+    monomial x, of any degree, by one earliest-divisor scan: the definition
+    that lexres.oracle_table reads off the exchange neighbours."""
+    pi = qs.power
+    pos = int(first_divisors(pi.exponent_matrix, np.array([x.exponents], dtype=np.int64))[0])
+    if pos == len(pi.generators):
+        raise ValueError(f"{x} is not in I^{pi.k}")
+    return pos
+
+
 def g_oracle(qs, x):
     """The decomposition function by definition: earliest dividing generator."""
     return qs.power.generators[g_oracle_index(qs, x)]
+
+
+def neighbours_loop(pi):
+    """neighbours[i][s-1][t-1]: the position of m_i * x_s / x_t among the
+    generators, or len(G), by a dict of exponent tuples over every (i, s, t):
+    the reference for lexres.PowerIdeal.neighbours."""
+    position = {m.exponents: j for j, m in enumerate(pi.generators)}
+    r, n = len(pi.generators), pi.spec.ctx.n
+    table = [[[r] * n for _ in range(n)] for _ in range(r)]
+    for i, m in enumerate(pi.generators):
+        for s in range(n):
+            for t in range(n):
+                e = list(m.exponents)
+                e[s] += 1
+                e[t] -= 1
+                if e[t] >= 0:
+                    table[i][s][t] = position.get(tuple(e), r)
+    return table
 
 
 def brute_cmp_lex(a, b):

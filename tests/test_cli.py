@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 import support
 from lexres import (
-    Monomial, RingContext, decomposition, linear_quotients_check, power_generators, quotients,
-    resolution, serialize, verify,
+    Monomial, RingContext, decomposition, lexsegment, linear_quotients_check, power_generators,
+    quotients, resolution, serialize, verify,
 )
 from lexres.cli import JobSpec, _build_resolution, build_parser, main, parse_monomial, run_command
 from lexres.serialize import resolution_from_json, resolution_to_json
@@ -71,6 +71,43 @@ def test_cli_gen(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out.splitlines() == ["x1x3", "x1x4", "x2^2", "x2x3", "x2x4"]
+
+
+def test_cli_gen_prints_the_pair_as_given(capsys):
+    # the later commands divide out the common power of x1; gen does not
+    args = ["--n", "4", "--u", "x1^2x2", "--v", "x1x3^2"]
+    assert main(["gen", *args]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "x1^2x2", "x1^2x3", "x1^2x4", "x1x2^2", "x1x2x3", "x1x2x4", "x1x3^2",
+    ]
+    assert main(["gen", *args, "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["d"] == 3 and data["monomials"][0] == [2, 1, 0, 0]
+    # power and the later commands work on the normalized pair L(x1x2, x3^2)
+    assert main(["power", *args]) == 0
+    divided = capsys.readouterr().out
+    assert main(["power", "--n", "4", "--u", "x1x2", "--v", "x3^2"]) == 0
+    assert capsys.readouterr().out == divided
+
+
+def test_cli_ring_drop(capsys):
+    # equal powers of x1 in u and v leave L(x2, x3): outside the classified
+    # shape, so only the commands that need no classification succeed
+    args = ["--n", "4", "--u", "x1x2", "--v", "x1x3"]
+    for command in ("gen", "classify", "power", "quotients"):
+        assert main([command, *args]) == 0, command
+        assert capsys.readouterr().err == ""
+    assert main(["classify", *args, "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["ring_drop"] and data["linear_form"] == {"status": "no", "l": None}
+    assert data["notes"].startswith("ring drop: ")
+    for command in ("resolve", "verify", "export"):
+        assert main([command, *args]) == 2, command
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "input error: the (u, v) shape is outside the classified linear-resolution form (ring drop: "
+        )
 
 
 def test_cli_classify_json(capsys):
@@ -206,8 +243,8 @@ def test_cli_broken_invariant_is_check_failure(capsys, monkeypatch):
 _EXAMPLE = ["--n", "4", "--u", "x1x3", "--v", "x2x4"]
 _UNCLASSIFIED = ["--n", "3", "--u", "x1x2", "--v", "x2x3", "--oracle-g"]
 # the originals, which the replacements below call while patched over
-_high_branch, _pair_arrays = quotients.high_branch, quotients.pair_arrays
-_closed_form_table = decomposition.closed_form_table
+_high_branch, _closed_form_table = quotients.high_branch, decomposition.closed_form_table
+_enumerate_lexsegment = lexsegment.enumerate_lexsegment
 
 
 def _low_branch_only(pi, gen, X):
@@ -230,16 +267,8 @@ def _not_regular(qs):
     return decomposition.RegularityReport(False, (qs.power.generators[1], 2, 3))
 
 
-def _first_pair_zeroed(qs):
-    gen, s, X = _pair_arrays(qs)
-    X[0] = 0
-    return gen, s, X
-
-
-def _first_pair_times_x1(qs):
-    gen, s, X = _pair_arrays(qs)
-    X[0, 0] += 1
-    return gen, s, X
+def _segment_with_x3_cubed(u, v):
+    return _enumerate_lexsegment(u, v) + [Monomial(u.ctx, (0, 0, 3))]
 
 
 @pytest.mark.parametrize(
@@ -253,13 +282,10 @@ def _first_pair_times_x1(qs):
          "closed form disagrees with oracle at (x1x3, x4): x2x4 vs x1x4"),
         ("lexres.resolution.regularity_check_oracle", _not_regular, ["resolve"] + _UNCLASSIFIED,
          "cannot resolve: decomposition function not regular: t=3 in set(g(x2*x1x3))"),
-        ("lexres.decomposition.pair_arrays", _first_pair_zeroed, ["resolve"] + _UNCLASSIFIED,
-         "1 is not in I^1"),
-        ("lexres.decomposition.pair_arrays", _first_pair_times_x1, ["resolve"] + _UNCLASSIFIED,
-         "g(x2*x1x3) = x2x3 has non-variable cofactor x1^2"),
+        ("lexres.powers.enumerate_lexsegment", _segment_with_x3_cubed, ["resolve"] + _UNCLASSIFIED,
+         "generators of I^1 have degrees [2, 3], not one"),
     ],
-    ids=["set-bound", "closed-form-fault", "disagreement", "not-regular", "oracle-missing",
-         "oracle-cofactor"],
+    ids=["set-bound", "closed-form-fault", "disagreement", "not-regular", "mixed-degree"],
 )
 def test_cli_failed_check_exits_1(capsys, monkeypatch, target, replacement, argv, message):
     # each failure is found on well-formed input, so it is a failed check (exit 1),

@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 import support
 from lexres import (
     CheckFailure,
+    InvariantError,
     Monomial,
     RingContext,
     assemble_resolution,
     closed_form_matches_oracle,
     closed_form_table,
-    g_oracle_index,
     linear_quotients_check,
     oracle_table,
     power_generators,
@@ -23,6 +23,7 @@ from lexres import (
 )
 from lexres.decomposition import require_agreement
 from lexres.lexsegment import LexSegmentSpec
+from lexres.powers import PowerIdeal
 from lexres.quotients import QuotientStructure
 
 
@@ -72,7 +73,7 @@ def test_g_oracle_minimality(example_quotients, example_power):
     for m, st in zip(example_power.generators, example_quotients.sets):
         for s in st:
             x = m * variable(m.ctx, s)
-            idx = g_oracle_index(example_quotients, x)
+            idx = support.g_oracle_index(example_quotients, x)
             for earlier in example_power.generators[:idx]:
                 assert not earlier.divides(x)
 
@@ -127,7 +128,7 @@ def test_tables_agree_property(shape, k):
     assert np.array_equal(closed.coeff, oracle.coeff)
     for i, s, g in zip(closed.gen.tolist(), closed.s.tolist(), closed.g.tolist()):
         m = qs.power.generators[i]
-        assert g_oracle_index(qs, m * variable(m.ctx, s)) == g
+        assert support.g_oracle_index(qs, m * variable(m.ctx, s)) == g
 
 
 def test_regularity_example(example_quotients):
@@ -137,7 +138,7 @@ def test_regularity_example(example_quotients):
     qs = example_quotients
     u5 = qs.power.generators[4]
     g = support.g_oracle(qs, u5 * variable(u5.ctx, 4))
-    assert qs.sets[qs.power.position[g.exponents]] == ()
+    assert qs.sets[qs.power.generators.index(g)] == ()
 
 
 def test_regularity_squared(example_quotients_squared):
@@ -183,3 +184,35 @@ def test_family_samples_closed_equals_oracle():
             ok, mismatch = closed_form_matches_oracle(qs)
             assert ok, (n, d, l, ue, k, mismatch)
             assert regularity_check(qs).regular
+
+
+def test_oracle_on_mixed_degrees_raises():
+    # a hand-built structure skips linear_quotients_check, so the table it
+    # reads raises for it: x_s * m_i may then have divisors that are not
+    # exchange neighbours
+    ctx = RingContext(3)
+    a, b = Monomial(ctx, (1, 1, 0)), Monomial(ctx, (0, 1, 2))
+    pi = PowerIdeal(LexSegmentSpec(ctx=ctx, d=2, u=a, v=a), 1, (a, b))
+    qs = QuotientStructure(power=pi, sets=[(), (1,)])
+    with pytest.raises(InvariantError, match=r"degrees \[2, 3\], not one"):
+        oracle_table(qs)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(n=st.integers(2, 5), d=st.integers(1, 3), data=st.data())
+def test_oracle_table_matches_scan_on_any_sets(n, d, data):
+    # one-degree generators in any order with arbitrary sets: the neighbour
+    # lookup gives the earliest divisor and its cofactor on every pair
+    ctx = RingContext(n)
+    gens = data.draw(st.lists(st.sampled_from(support.all_monomials(ctx, d)), min_size=1,
+                              max_size=10, unique=True))
+    gens = data.draw(st.permutations(gens))
+    subsets = st.sets(st.integers(1, n)).map(lambda st_: tuple(sorted(st_)))
+    sets = data.draw(st.lists(subsets, min_size=len(gens), max_size=len(gens)))
+    pi = PowerIdeal(LexSegmentSpec(ctx=ctx, d=d, u=gens[0], v=gens[0]), 1, gens)
+    qs = QuotientStructure(power=pi, sets=sets)
+    table = oracle_table(qs)
+    for i, s, g, coeff in zip(*(a.tolist() for a in (table.gen, table.s, table.g, table.coeff))):
+        x = gens[i] * variable(ctx, s)
+        assert g == support.g_oracle_index(qs, x)
+        assert gens[g] * variable(ctx, coeff) == x

@@ -4,6 +4,7 @@ import pytest
 
 import support
 from lexres import (
+    InvariantError,
     Monomial,
     RingContext,
     classify_linear_form,
@@ -178,6 +179,21 @@ def test_classify_negative():
     spec, _ = normalize_spec(M(ctx, 1, 1, 0), M(ctx, 0, 2, 0))
     cls = classify_linear_form(spec)
     assert cls.linear_form_l is None  # v = x2^2 is not x2x3
+
+
+def test_classify_ring_drop():
+    # (x1^2x2, x1^2x3) normalizes to (x2, x3): x1 divides neither end
+    ctx = RingContext(3)
+    spec, record = normalize_spec(M(ctx, 2, 1, 0), M(ctx, 2, 0, 1))
+    cls = classify_linear_form(spec)
+    assert record.ring_drop and cls.linear_form_l is None
+    assert cls.notes.startswith("ring drop: ")
+
+
+def test_classify_needs_x1_free_v(ring4):
+    spec = LexSegmentSpec(ctx=ring4, d=2, u=M(ring4, 2, 0, 0, 0), v=M(ring4, 1, 0, 0, 1))
+    with pytest.raises(InvariantError, match="x1 divides v = x1x4"):
+        classify_linear_form(spec)
 
 
 def test_classify_degree3(ring4):

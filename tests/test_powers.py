@@ -16,6 +16,7 @@ from lexres import (
     power_generators,
 )
 from lexres.lexsegment import LexSegmentSpec
+from lexres.powers import PowerIdeal
 
 
 def test_example_order_k1(example_power):
@@ -81,10 +82,40 @@ def test_budget_guard(example_spec):
     assert math.comb(5 + 12 - 1, 12) > 100
 
 
-def test_index_of(example_power):
-    for i, g in enumerate(example_power.generators):
-        assert example_power.position[g.exponents] == i
-    assert (2, 0, 0, 0) not in example_power.position
+def test_neighbours_example(example_power):
+    # generators x2x4, x1x4, x2x3, x1x3, x2^2: x2 * x1x4 / x1 = x2x4, and
+    # x3 * x1x4 / x4 = x1x3; x2 does not divide x3 * x1x4
+    N = example_power.neighbours
+    assert N.shape == (5, 4, 4) and N is example_power.neighbours
+    assert N[1, 1, 0] == 0 and N[1, 2, 3] == 3
+    assert N[1, 2, 1] == 5 and N[1, 0, 3] == 5  # x1^2 is not a generator
+    assert all((N[i].diagonal() == i).all() for i in range(5))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(n=st.integers(2, 5), d=st.integers(1, 3), data=st.data())
+def test_neighbours_match_loop_on_shuffled_sets(n, d, data):
+    # one-degree generator sets in any order, every (i, s, t) against the dict loop
+    ctx = RingContext(n)
+    gens = data.draw(st.lists(st.sampled_from(support.all_monomials(ctx, d)), min_size=1,
+                              max_size=12, unique=True))
+    gens = data.draw(st.permutations(gens))
+    pi = PowerIdeal(LexSegmentSpec(ctx=ctx, d=d, u=gens[0], v=gens[0]), 1, gens)
+    assert pi.neighbours.tolist() == support.neighbours_loop(pi)
+
+
+def test_neighbours_beyond_int64_row_keys():
+    # quotient rows with one digit per variable in base 4 would need 4^40 > 2^63;
+    # compared as raw bytes they stay exact
+    n = 40
+    ue, ve = [0] * n, [0] * n
+    ue[0], ue[2], ve[1], ve[n - 1] = 1, 1, 1, 1  # L(x1x3, x2x40)
+    spec, _ = support.build_family_spec(n, tuple(ue), tuple(ve))
+    pi = power_generators(spec, 1)
+    assert int(pi.exponent_matrix.max()) + 2 == 4
+    N = pi.neighbours
+    assert N.tolist() == support.neighbours_loop(pi)
+    assert (N < len(pi)).sum() > len(pi) * n  # neighbours off the diagonal
 
 
 @settings(derandomize=True, database=None, max_examples=80, deadline=None)
@@ -97,7 +128,6 @@ def test_power_generators_match_loop(spec, k):
     assert [(g.ctx, g.degree) for g in pi.generators] == [(g.ctx, g.degree) for g in ref.generators]
     assert all(type(e) is int for g in pi.generators for e in g.exponents)
     assert np.array_equal(pi.exponent_matrix, ref.exponent_matrix)
-    assert pi.position == ref.position
 
 
 def test_bar_degree_violation_matches_loop():
