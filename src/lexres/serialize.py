@@ -123,10 +123,20 @@ def resolution_from_dict(data: dict) -> ResolutionComplex:
     }
     matrices = {}
     for i, mat in data["matrices"].items():
+        i, shape = int(i), (mat["rows"], mat["cols"])
+        if i not in bases or i + 1 not in bases or shape != (len(bases[i]), len(bases[i + 1])):
+            raise ValueError(f"d{i} is {shape[0]} x {shape[1]}, which its bases F_{i}, F_{i + 1} do not give")
         cells = [(e["r"], e["c"], e["sign"], e["var"]) for e in mat["entries"]]
         cells = np.array(cells, dtype=np.int64).reshape(-1, 4)
         cells = cells[np.argsort(cells[:, 1], kind="stable")].T.copy()  # column-major
-        matrices[int(i)] = DifferentialMatrix(mat["rows"], mat["cols"], *cells)
+        r, c, _, var = cells
+        if ((r < 0) | (r >= shape[0]) | (c < 0) | (c >= shape[1])).any():
+            raise ValueError(f"d{i} has an entry outside its {shape[0]} x {shape[1]} cells")
+        if ((var < 1) | (var > ctx.n)).any():
+            raise ValueError(f"d{i} has an entry whose variable is outside x1..x{ctx.n}")
+        if len(np.unique(r * shape[1] + c)) < len(r):
+            raise ValueError(f"d{i} has two entries in one cell")
+        matrices[i] = DifferentialMatrix(*shape, *cells)
     rc = ResolutionComplex(quotients=qs, bases=bases, matrices=matrices)
     if tuple(data["betti"]) != rc.betti or tuple(map(tuple, data["shifts"])) != rc.shifts:
         raise ValueError(f"betti/shifts disagree with the bases, which give betti {rc.betti}")

@@ -9,14 +9,13 @@ each colon runs on exponents packed into Python ints, or as one numpy scan
 when the colon is large.  The randomized rank check
 evaluates the differentials at random nonzero points mod a large prime and
 tests rank additivity at every homological position; it is a necessary
-condition for exactness, never a proof.  Its one fast route is the witness
-Schur complement that the linear quotients give every differential: the
-differentials of consecutive positions, up to a cap on their entries, form
-one block-diagonal witness structure, solved for all of them at all points
-at once.  The probe vectors come from the random.Random that draws the
-points, after them, as exactly uniform residues (31-bit words below p), so
-the check never loads numpy.random.  Dense elimination mod p, per position
-and point, is the only fallback.
+condition for exactness, never a proof.  Most ranks need no elimination:
+the linear quotients give every differential a witness block, triangular
+with the diagonal +-x_{s*}, which bounds its rank from below at a point
+with nonzero coordinates, and d∘d = 0 with Pascal's rule on the basis
+bounds it from above by the same number.  Where the arrays have that shape
+and compose_check passes, the rank is certified; dense elimination mod p,
+per position and point, is the only fallback.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import monomials
+from . import resolution
 from .errors import BudgetError
 from .modp import DEFAULT_PRIME, rank_mod
 from .monomials import first_divisors, minimal_rows
@@ -191,13 +190,18 @@ class RankReport:
 
     The test is a necessary condition for exactness; passing never claims
     exactness, and a generic-rank drop at an unlucky point can only cause a
-    spurious failure, never a spurious pass.
+    spurious failure, never a spurious pass.  A rank tagged "witness" is
+    certified equal to kappa_i, the size of d_i's witness block; "dense" and
+    "dense-fallback" ranks come from elimination at the point.  composed[i]
+    is the verdict of compose_check(rc, i), d_i ∘ d_{i+1} = 0, which the
+    certificate rests on.
     """
 
     modulus: int
     seed: int
     betti: tuple[int, ...]
     trials: list[TrialResult] = field(default_factory=list)
+    composed: list[bool] = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
@@ -227,217 +231,38 @@ def _evaluate_dense(mat: DifferentialMatrix, point_arr, p: int) -> np.ndarray:
     return M
 
 
-_GROUP_ENTRIES = 1 << 20  # matrix entries of the positions checked together
+def _witness_shape(rc: ResolutionComplex, i: int) -> tuple[int, bool]:
+    """kappa, the number of witness columns of d_i, and whether d_i has the
+    witness shape, from one pass over its arrays.
 
-
-class _WitnessStructure:
-    """The witness decomposition A = [[W, A12], [A21, A22]] of d_i for
-    consecutive positions i, stacked block-diagonally.
-
-    W pairs each column f(sigma; w) with s* = min(set(w)) in sigma against
-    the row f(sigma \\ s*; w).  Its diagonal D is the Koszul entries
-    +-x_{s*}, invertible at points with nonzero coordinates, and its other
-    entries are g-terms pointing to strictly earlier generators, so the
-    rest N is nilpotent.  rank(A) = dim(W) + rank(A22 - A21 W^-1 A12), and
-    random vectors probe the Schur complement for zero.  shaped marks the
-    positions whose actual entries have this shape; the others are left to
-    the dense fallback.
-
-    Rows and columns are renumbered witnesses first (witness j is row and
-    column j), position by position within each part.  kappa counts each
-    position's witnesses; wit_pos and low_pos give the position (its index
-    in the run) of each witness and each other row.  n (N), a12 (-A12)
-    and low = [A21 | A22] are (rows, cols, signs, vars) arrays sorted by
-    row, the rows of low counting other rows only; sweep_cap (the generator
-    blocks) bounds N's chains of g-terms.
-    """
-
-    __slots__ = (
-        "shaped", "kappa", "wit_pos", "low_pos", "ncols",
-        "diag_sign", "diag_var", "sweep_cap", "n", "a12", "low",
+    A witness column is f(sigma; w) with s* = min(set(w)) in sigma, and its
+    own row is f(sigma \\ s*; w); W is d_i on these rows and columns.  d_i is
+    shaped when every witness column has exactly one entry on its own row,
+    +-x_{s*}, and every other entry of W lies in a row of a strictly earlier
+    generator.  Ordered by generator, W is then block triangular with
+    diagonal blocks that are diagonal, so det W = prod +-x_{s*}, nonzero at
+    every point with nonzero coordinates."""
+    mat, rows, cols = rc.matrices[i], rc.bases[i], rc.bases[i + 1]
+    s_star = np.array([min(s) if s else 0 for s in rc.quotients.sets], dtype=np.int64)[cols.gen]
+    wit = np.flatnonzero(cols.mask >> s_star & 1)
+    own = rows.find(cols.gen[wit], cols.mask[wit] - (1 << s_star[wit]))
+    # the witness column whose own row each row is, in a slot past the last
+    # row for a column without one (find gives -1), which no entry reads: a
+    # column without its own row, or sharing it, finds no entry there
+    owner = np.full(len(rows) + 1, -1, dtype=np.int64)
+    owner[own] = wit
+    is_wit = np.zeros(len(cols), dtype=bool)
+    is_wit[wit] = True
+    at = owner[mat.rows]
+    diag = at == mat.cols
+    rest = is_wit[mat.cols] & (at >= 0) & ~diag
+    shaped = (
+        (np.bincount(mat.cols[diag], minlength=len(cols))[wit] == 1).all()
+        and (np.abs(mat.signs[diag]) == 1).all()
+        and (mat.vars[diag] == s_star[mat.cols[diag]]).all()
+        and (rows.gen[mat.rows[rest]] < cols.gen[mat.cols[rest]]).all()
     )
-
-
-def _witnesses_first(size: int, picked: np.ndarray) -> np.ndarray:
-    """Each index's place when the picked ones come first, then the rest."""
-    rest = np.ones(size, dtype=bool)
-    rest[picked] = False
-    place = np.cumsum(rest) - 1 + len(picked)
-    place[picked] = np.arange(len(picked))
-    return place
-
-
-def _stack(arrays, offsets=None) -> np.ndarray:
-    """The arrays end to end, each plus its offset; one array is not copied."""
-    if offsets is not None:
-        arrays = [a + o if o else a for a, o in zip(arrays, offsets.tolist())]
-    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
-
-
-def _build_witness_structure(rc: ResolutionComplex, positions) -> _WitnessStructure:
-    """The stacked structure of a run of consecutive positions (a list)."""
-    mats = [rc.matrices[i] for i in positions]
-    row_off = np.cumsum([0] + [m.nrows for m in mats])
-    col_off = np.cumsum([0] + [m.ncols for m in mats])
-    s_star = np.array([min(s) if s else 0 for s in rc.quotients.sets], dtype=np.int64)
-    col_gen = _stack([rc.bases[i + 1].gen for i in positions])
-    col_mask = _stack([rc.bases[i + 1].mask for i in positions])
-    ss = s_star[col_gen]
-    wit_cols = np.flatnonzero(col_mask >> ss & 1)
-    # each one's row f(sigma \\ s*; w) by (generator, mask), which is unique
-    # over all positions; a column without that row is no witness
-    shift = rc.power.spec.ctx.n + 1
-    keys = _stack([rc.bases[i].gen << shift | rc.bases[i].mask for i in positions])
-    order = np.argsort(keys)
-    query = col_gen[wit_cols] << shift | col_mask[wit_cols] - (1 << ss[wit_cols])
-    found = order[np.searchsorted(keys[order], query).clip(max=len(keys) - 1)]
-    wit_cols, diag_row = wit_cols[keys[found] == query], found[keys[found] == query]
-    kappa, kap = np.diff(np.searchsorted(wit_cols, col_off)), len(wit_cols)
-    wit_pos = np.repeat(np.arange(len(positions)), kappa)
-    block = col_gen[wit_cols]  # generator of witness j
-
-    # renumbered witnesses first, witness j is row j and column j
-    r = _witnesses_first(row_off[-1], diag_row)[_stack([m.rows for m in mats], row_off)]
-    c = _stack([m.cols for m in mats], col_off)
-    sign, var = _stack([m.signs for m in mats]), _stack([m.vars for m in mats])
-    diag = var == ss[c]
-    c = _witnesses_first(col_off[-1], wit_cols)[c]
-    diag &= (r == c) & (r < kap)
-    diag_sign, diag_var = np.zeros((2, kap), dtype=np.int64)
-    diag_sign[r[diag]], diag_var[r[diag]] = sign[diag], var[diag]
-    upper = np.flatnonzero((r < kap) & (c < kap) & ~diag)
-    # the rest of W must point to a strictly earlier generator block
-    shaped = np.ones(len(positions), dtype=bool)
-    shaped[wit_pos[np.abs(diag_sign) != 1]] = False
-    shaped[wit_pos[c[upper[block[r[upper]] >= block[c[upper]]]]]] = False
-
-    def coo(at, row_shift=0, flip=1):
-        at = at[np.argsort(r[at])]  # by row; a row's entries in any order
-        return r[at] - row_shift, c[at], flip * sign[at], var[at]
-
-    st = _WitnessStructure()
-    st.shaped, st.kappa, st.wit_pos, st.ncols = shaped, kappa, wit_pos, col_off[-1]
-    st.low_pos = np.repeat(np.arange(len(positions)), np.diff(row_off) - kappa)
-    st.diag_sign, st.diag_var = diag_sign, diag_var
-    st.sweep_cap = 1 + np.count_nonzero(np.diff(block))  # generator blocks
-    st.n = coo(upper)
-    st.a12 = coo(np.flatnonzero((r < kap) & (c >= kap)), flip=-1)
-    st.low = coo(np.flatnonzero(r >= kap), kap)
-    return st
-
-
-def _times(vals, Z, p: int) -> np.ndarray:
-    """Z (entries, trials, probes) times vals (entries, trials) mod p, in place."""
-    Z *= vals[:, :, None]
-    Z %= p
-    return Z
-
-
-def _coo_times_dense(coo, points, nrows, Z, p: int) -> np.ndarray:
-    """The (rows, cols, signs, vars) entries, sorted by row, at each of the
-    points (trials, n), times Z (ncols, trials, probes), mod p; formed over
-    chunks of entries whose temporaries stay near _SCAN_CHUNK_CELLS / 64
-    cells: that keeps a whole run's peak near one position's, at no cost."""
-    rows, cols, signs, variables = coo
-    out = np.zeros((nrows,) + Z.shape[1:], dtype=np.int64)
-    step = max(1, monomials._SCAN_CHUNK_CELLS // 64 // max(1, math.prod(Z.shape[1:])))
-    for lo in range(0, len(rows), step):
-        part = slice(lo, lo + step)
-        r = rows[part]
-        vals = signs[part, None] * points[:, variables[part] - 1].T % p
-        starts = np.flatnonzero(np.diff(r, prepend=-1))  # rows are sorted
-        out[r[starts]] += np.add.reduceat(_times(vals, Z[cols[part]], p), starts, axis=0)
-    return out % p
-
-
-def _witness_solve(st: _WitnessStructure, points, inv_points, x, p: int) -> np.ndarray:
-    """Solve W x = b in place at the points (trials, n), inv_points their
-    inverses mod p; x (kappa, trials, probes) holds b on entry.  Return for
-    each position whether its N passed the level sweeps.
-
-    A witness's level is 0 for a row of W without g-terms, else one more
-    than the highest level its g-terms reach; the sweeps settle after as
-    many sweeps as the longest chain.  A position whose levels still move
-    after sweep_cap sweeps has a cycle: its g-terms are dropped and its x is
-    meaningless.  x = D^-1 (b - N x) is then solved one level at a time from
-    0 up, for all positions together, so each entry of N is used once."""
-    rows, cols, signs, variables = st.n
-    first = np.flatnonzero(np.diff(rows, prepend=-1))  # each row's first g-term
-    level = np.zeros(len(x), dtype=np.int64)
-    for _ in range(st.sweep_cap):
-        nxt = np.zeros_like(level)
-        nxt[rows[first]] = 1 + np.maximum.reduceat(level[cols], first)
-        moved, level = nxt != level, nxt
-        if not moved.any():
-            break
-    settled = np.bincount(st.wit_pos[moved], minlength=len(st.kappa)) == 0
-    level[~settled[st.wit_pos]] = 0
-    # the diagonal is +-x_{s*}, so its inverse is +- the inverse coordinate
-    inv = st.diag_sign[:, None] * inv_points[:, st.diag_var - 1].T % p
-    x[:] = x * inv[:, :, None] % p
-    # N's entries by level (rows of level 0 use none) and row, valued at the
-    # points times -D^-1; each batch holds rows of one level, about step entries
-    lev = level[rows]
-    order = np.argsort(lev * len(x) + rows)[np.count_nonzero(lev == 0):]
-    rows, cols = rows[order], cols[order]
-    vals = -signs[order, None] * points[:, variables[order] - 1].T % p * inv[rows] % p
-    head = np.flatnonzero(np.diff(rows, prepend=-1))
-    step = max(1, monomials._SCAN_CHUNK_CELLS // 64 // max(1, math.prod(x.shape[1:])))
-    key = level[rows[head]] * len(rows) + head // step
-    cut = np.flatnonzero(np.diff(key, prepend=-1)).tolist() + [len(head)]
-    edge, at = np.append(head, len(rows)).tolist(), rows[head]
-    for lo, hi in zip(cut[:-1], cut[1:]):
-        part = slice(edge[lo], edge[hi])
-        terms = np.add.reduceat(_times(vals[part], x[cols[part]], p), head[lo:hi] - edge[lo])
-        x[at[lo:hi]] = (x[at[lo:hi]] + terms) % p
-    return settled
-
-
-def _residues(rng: random.Random, count: int, p: int) -> np.ndarray:
-    """count residues mod p <= 2^31, exactly uniform: the first count words
-    below p in rng's stream of 31-bit words, so a word >= p is rejected
-    rather than reduced, which would favour the low residues."""
-    out = np.empty(0, dtype=np.int64)
-    while len(out) < count:
-        words = np.frombuffer(rng.randbytes(4 * (count - len(out))), dtype="<u4") & 0x7FFFFFFF
-        out = np.concatenate([out, words[words < p]])
-    return out
-
-
-def _witness_ranks(st: _WitnessStructure, points, inv_points, rng, p: int, probes: int = 4):
-    """Whether each position of st has the witness rank kappa at each of the
-    points (trials, n): a (positions, trials) array, False where the position
-    is not shaped, a diagonal vanishes, N is not nilpotent or a probe finds
-    the Schur complement nonzero.
-
-    rng (a random.Random) draws probe vectors z on the other columns, shared
-    by all points.  v stacks the x with W x = -A12 z over z, so that the top
-    rows of A v vanish and the others are A21 x + A22 z, the Schur complement
-    times z."""
-    kap = len(st.diag_sign)
-    v = np.empty((st.ncols, len(points), probes), dtype=np.int64)
-    v[kap:] = _residues(rng, (st.ncols - kap) * probes, p).reshape(-1, 1, probes)
-    v[:kap] = _coo_times_dense(st.a12, points, kap, v, p)
-    settled = _witness_solve(st, points, inv_points, v[:kap], p)
-    ok = np.repeat((settled & st.shaped)[:, None], len(points), axis=1)
-    w, t = np.nonzero(points[:, st.diag_var - 1].T == 0)
-    ok[st.wit_pos[w], t] = False
-    r, t = np.nonzero(_coo_times_dense(st.low, points, len(st.low_pos), v, p).any(axis=2))
-    ok[st.low_pos[r], t] = False
-    return ok
-
-
-def _position_groups(rc: ResolutionComplex) -> list[list[int]]:
-    """Positions 1..pd-1 in runs of consecutive ones with at most
-    _GROUP_ENTRIES entries together, a bigger differential alone."""
-    groups, size = [], math.inf
-    for i in range(1, rc.proj_dim):
-        entries = rc.matrices[i].entry_count()
-        if size + entries > _GROUP_ENTRIES:
-            groups, size = groups + [[]], 0
-        groups[-1].append(i)
-        size += entries
-    return groups
+    return len(wit), bool(shaped)
 
 
 def rank_positions_ok(betti, ranks) -> bool:
@@ -452,37 +277,37 @@ def random_rank_check(rc: ResolutionComplex, seed: int = 0, trials: int = 5) -> 
     """Evaluate all differentials at random nonzero points mod DEFAULT_PRIME
     and test rank additivity at every position, `trials` times.
 
-    d0 is a single row.  The later positions go through the witness Schur
-    complement (see _WitnessStructure) in runs of consecutive positions with
-    at most _GROUP_ENTRIES entries together (a bigger one alone), each run
-    one structure checked at all points with one level sweep and one solve;
-    the points and their inverses are made once, and the probe vectors of
-    every run are drawn after the points from the same random.Random(seed),
-    exactly uniform mod p (see _residues).  Only
-    a position without the witness shape, or at a point where its diagonal
-    vanishes or a probe finds its complement nonzero, is eliminated densely,
-    so reported ranks are the true evaluated ranks (up to the probe odds).
+    d0 is a single row, ranked at each point.  At a point p with nonzero
+    coordinates, a shaped d_i (see _witness_shape) has rank >= kappa_i, as
+    its witness block is invertible, and d_{i-1} d_i = 0 bounds it by
+    beta_i - rank d_{i-1}(p) <= beta_i - kappa_{i-1}.  So where d_i and
+    d_{i-1} are shaped, d_{i-1} ∘ d_i = 0 and kappa_{i-1} + kappa_i = beta_i
+    (Pascal's rule on the basis), rank d_i(p) = kappa_i is proved; for
+    i = 1 the point's rank of d0 stands in for kappa_0.  Every other
+    position is eliminated densely at each point, so reported ranks are the
+    exact evaluated ranks.  compose_check runs here for every i, through
+    the resolution module, and its verdicts are kept on the report.
     """
     if trials < 1:
         raise ValueError(f"the rank check needs at least one trial, got {trials}")
     p = DEFAULT_PRIME
     rng, n = random.Random(seed), rc.power.spec.ctx.n
     points = [tuple(rng.randrange(1, p) for _ in range(n)) for _ in range(trials)]
-    point_arr = np.array(points, dtype=np.int64)
-    inv_points = np.array([[pow(c, -1, p) for c in pt] for pt in points], dtype=np.int64)
-    found = np.full((rc.proj_dim, trials), -1, dtype=np.int64)  # -1: no witness rank
-    for group in _position_groups(rc):
-        st = _build_witness_structure(rc, group)
-        ok = _witness_ranks(st, point_arr, inv_points, rng, p)
-        found[group] = np.where(ok, st.kappa[:, None], -1)
-    report = RankReport(modulus=p, seed=seed, betti=rc.betti)
-    for t, point in enumerate(points):
-        ranks, methods = [_d0_rank(rc, point, p)], ["dense"]
-        for i, r in enumerate(found[1:, t].tolist(), start=1):
-            methods.append("witness" if r >= 0 else "dense-fallback")
-            if r < 0:
-                r = rank_mod(_evaluate_dense(rc.matrices[i], point_arr[t], p))
-            ranks.append(r)
+    composed = [resolution.compose_check(rc, i) for i in range(rc.proj_dim)]
+    shapes = [_witness_shape(rc, i) for i in range(1, rc.proj_dim)]
+    kappa, shaped = [0] + [k for k, _ in shapes], [True] + [s for _, s in shapes]
+    report = RankReport(modulus=p, seed=seed, betti=rc.betti, composed=composed)
+    for point in points:
+        kappa[0] = _d0_rank(rc, point, p)
+        ranks, methods = [kappa[0]], ["dense"]
+        for i in range(1, rc.proj_dim):
+            mat = rc.matrices[i]
+            if shaped[i - 1] and shaped[i] and composed[i - 1] and kappa[i - 1] + kappa[i] == mat.nrows:
+                ranks.append(kappa[i])
+                methods.append("witness")
+            else:
+                ranks.append(rank_mod(_evaluate_dense(mat, np.array(point, dtype=np.int64), p)))
+                methods.append("dense-fallback")
         ok = rank_positions_ok(rc.betti, ranks)
         report.trials.append(TrialResult(point, tuple(ranks), ok, tuple(methods)))
     return report

@@ -328,32 +328,6 @@ def compose_check_loop(rc, i):
     return True
 
 
-def witness_solve_loop(st, block, point, rhs, p):
-    """W x = rhs at one point for a lexres.verify witness structure, by
-    back-substitution one generator block at a time, last block first, with
-    Python ints: the loop that lexres.verify._witness_solve replaces by one
-    solve over all stacked positions and all points at once, one level of N
-    at a time, kept as its reference.  block holds the generator of each
-    witness; rhs is (witnesses, probes)."""
-    point = [int(c) for c in point]
-    by_col = {}
-    for r, c, sign, var in zip(*(a.tolist() for a in st.n)):
-        by_col.setdefault(c, []).append((r, sign * point[var - 1]))
-    rhs = rhs.tolist()
-    x = [None] * len(st.diag_sign)
-    block = list(block)
-    ends = [j + 1 for j in range(len(block)) if j + 1 == len(block) or block[j + 1] != block[j]]
-    for b, e in reversed(list(zip([0] + ends[:-1], ends))):
-        for j in range(b, e):
-            inv = pow(int(st.diag_sign[j]) * point[int(st.diag_var[j]) - 1] % p, p - 2, p)
-            x[j] = [v * inv % p for v in rhs[j]]
-        # the block's g-terms point to strictly earlier blocks only
-        for j in range(b, e):
-            for r, val in by_col.get(j, ()):
-                rhs[r] = [(a - val * xv) % p for a, xv in zip(rhs[r], x[j])]
-    return x
-
-
 def hilbert_numerator_inclusion_exclusion(gens) -> HilbertNumerator:
     """The exponential oracle for lexres.hilbert_numerator: the sum over all
     generator subsets A of (-1)^|A| t^deg(lcm A).  Only sane for a dozen or

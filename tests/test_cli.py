@@ -435,7 +435,7 @@ def test_cli_m2_export(capsys):
 
 
 def test_cli_never_loads_numpy_random():
-    # the rank check draws its probes from the random.Random of its points
+    # the rank check draws its points from random.Random
     code = (
         "import os, sys\n"
         "from lexres.cli import main\n"

@@ -120,15 +120,52 @@ def test_json_chunks_join_to_the_same_bytes(monkeypatch, build, records):
 
 def test_json_renders_any_int64_as_json_dumps():
     # values no assembled complex has: a sign of -3, variables past 9 and at
-    # the int64 limits, and row and column indices that cross digit widths
-    data = json.loads(resolution_to_json(_family(4, (1, 0, 1, 0), (0, 1, 0, 1), 2)))
-    for mat in data["matrices"].values():
+    # the int64 limits, and row and column indices that cross digit widths;
+    # the import refuses such matrices, so they are built in memory
+    rc = _family(4, (1, 0, 1, 0), (0, 1, 0, 1), 2)
+    data = json.loads(resolution_to_json(rc))
+    for i, mat in data["matrices"].items():
         for p, e in enumerate(mat["entries"]):
             e["r"], e["c"] = e["r"] * 37 + 5, e["c"] * 1001  # columns stay in order
             e["sign"] = (-3, 1, -1, -(2**63))[p % 4]
             e["var"] = (10, 2**63 - 1, 99, 4)[p % 4]
-    text = resolution_to_json(resolution_from_dict(data))
-    assert text == json.dumps(data, indent=2) + "\n"
+        cells = [[e[key] for e in mat["entries"]] for key in ("r", "c", "sign", "var")]
+        rc.matrices[int(i)] = DifferentialMatrix(mat["rows"], mat["cols"], *cells)
+    assert resolution_to_json(rc) == json.dumps(data, indent=2) + "\n"
+
+
+def _set_entry(field, value):
+    def corrupt(data):
+        data["matrices"]["1"]["entries"][3][field] = value
+    return corrupt
+
+
+def _duplicate_entry(data):
+    entries = data["matrices"]["1"]["entries"]
+    entries.insert(4, dict(entries[3]))
+
+
+def _grow_rows(data):
+    data["matrices"]["1"]["rows"] += 1
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_grow_rows, "which its bases F_1, F_2 do not give"),
+    (_set_entry("r", 10**6), "outside its 14 x 24 cells"),
+    (_set_entry("c", -1), "outside its 14 x 24 cells"),
+    (_set_entry("var", 0), r"variable is outside x1\.\.x4"),
+    (_set_entry("var", 9), r"variable is outside x1\.\.x4"),
+    (_duplicate_entry, "two entries in one cell"),
+], ids=["shape", "row", "column", "var-0", "var-9", "duplicate"])
+def test_json_import_rejects_malformed_matrices(corrupt, message):
+    # each would otherwise load: an IndexError later in the rank check, x0
+    # read as x4, or two entries that the evaluation and compose_check
+    # would combine differently
+    data = json.loads(resolution_to_json(_family(4, (1, 0, 1, 0), (0, 1, 0, 1), 2)))
+    resolution_from_dict(json.loads(json.dumps(data)))
+    corrupt(data)
+    with pytest.raises(ValueError, match=message):
+        resolution_from_dict(data)
 
 
 def test_json_empty_basis_and_empty_matrix():

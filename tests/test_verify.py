@@ -22,9 +22,10 @@ from lexres import (
 from lexres.cli import JobSpec, _build_resolution
 from lexres.lexsegment import LexSegmentSpec
 from lexres.modp import DEFAULT_PRIME, rank_mod
+from lexres import resolution, verify
+from lexres.resolution import Basis, DifferentialMatrix, ResolutionComplex, compose_check
 from lexres.verify import (
-    HilbertNumerator, _build_witness_structure, _d0_rank, _evaluate_dense, _position_groups,
-    _residues, _witness_ranks, _witness_solve, rank_positions_ok,
+    HilbertNumerator, _d0_rank, _evaluate_dense, _witness_shape, rank_positions_ok,
 )
 
 
@@ -207,51 +208,67 @@ def test_rank_check_squared(example_quotients_squared):
             assert t.ranks[i] <= min(mat.nrows, mat.ncols)
 
 
+P = DEFAULT_PRIME
+
+
 def _shape_resolution():
     spec, _ = support.build_family_spec(5, (1, 0, 1, 1, 0), (0, 1, 0, 0, 2))
     return assemble_resolution(linear_quotients_check(power_generators(spec, 2)))
+
+
+def _assert_true_ranks(rc, report):
+    """Every reported rank is the rank of the evaluated matrix at its point."""
+    for t in report.trials:
+        point = np.array(t.point, dtype=np.int64)
+        assert t.ranks[0] == _d0_rank(rc, t.point, P)
+        for i in range(1, rc.proj_dim):
+            assert t.ranks[i] == rank_mod(_evaluate_dense(rc.matrices[i], point, P)), (i, t.point)
 
 
 def test_witness_tier_agrees_with_dense():
     rc = _shape_resolution()
     report = random_rank_check(rc, seed=3, trials=2)
     assert report.passed
-    p = report.modulus
     for t in report.trials:
         assert t.methods == ("dense",) + ("witness",) * (rc.proj_dim - 1)
-        point = np.array(t.point, dtype=np.int64)
-        for i in range(1, rc.proj_dim):
-            dense = _evaluate_dense(rc.matrices[i], point, p)
-            assert rank_mod(dense) == t.ranks[i]
+    _assert_true_ranks(rc, report)
 
 
-def _fallback_only_at(i, proj_dim):
-    """The methods of a trial where d_i alone left the witness route."""
-    return ("dense",) + tuple("dense-fallback" if j == i else "witness" for j in range(1, proj_dim))
+def _fallback_only_at(positions, proj_dim):
+    """The methods of a trial where the given positions alone left the witness route."""
+    return ("dense",) + tuple("dense-fallback" if j in positions else "witness" for j in range(1, proj_dim))
 
 
 def test_rank_check_detects_corruption(example_quotients):
     rc = assemble_resolution(example_quotients)
-    # corrupt one entry of d1 (the first of column 0): change its variable
+    # corrupt one entry of d1 (the first of column 0): change its variable;
+    # d1 then composes to nonzero with d0 and with d2
     mat = rc.matrices[1]
     assert mat.cols[0] == 0
     mat.vars[0] = (mat.vars[0] % 4) + 1
     report = random_rank_check(rc, seed=5, trials=2)
     assert not report.passed
-    assert all(t.methods == _fallback_only_at(1, rc.proj_dim) for t in report.trials)
+    assert report.composed == [False, False, True]
+    assert [t.ranks for t in report.trials] == [(1, 5, 2)] * 2
+    assert all(t.methods == _fallback_only_at({1, 2}, rc.proj_dim) for t in report.trials)
+    _assert_true_ranks(rc, report)
 
 
 def test_witness_tier_detects_corruption():
     spec, _ = support.build_family_spec(5, (1, 0, 0, 1, 1), (0, 0, 1, 0, 2))
     qs = linear_quotients_check(power_generators(spec, 2))
     rc = assemble_resolution(qs)
-    # flip the sign of the first entry of column 0 of d2
+    # flip the sign of the first entry of column 0 of d2: the shapes hold,
+    # d1 ∘ d2 and d2 ∘ d3 do not vanish
     mat = rc.matrices[2]
     assert mat.cols[0] == 0
     mat.signs[0] = -mat.signs[0]
     report = random_rank_check(rc, seed=6, trials=2)
     assert not report.passed
-    assert all(t.methods == _fallback_only_at(2, rc.proj_dim) for t in report.trials)
+    assert report.composed == [True, False, False, True, True]
+    assert [t.ranks for t in report.trials] == [(1, 92, 169, 99, 17)] * 2
+    assert all(t.methods == _fallback_only_at({2, 3}, rc.proj_dim) for t in report.trials)
+    _assert_true_ranks(rc, report)
 
 
 def test_witness_structure_rejects_broken_shape():
@@ -259,83 +276,83 @@ def test_witness_structure_rejects_broken_shape():
     qs = linear_quotients_check(power_generators(spec, 2))
     i = 2
     s_star = {w: min(st) for w, st in enumerate(qs.sets) if st}
-    for corruption in ("diagonal variable", "diagonal sign", "later block"):
+    corruptions = ("diagonal variable", "diagonal sign", "later block", "same block",
+                   "diagonal dropped", "cancelled diagonal", "duplicated column symbol")
+    for corruption in corruptions:
         rc = assemble_resolution(qs)
-        everywhere = list(range(1, rc.proj_dim))
-        assert _build_witness_structure(rc, [i]).shaped.tolist() == [True]
-        assert _build_witness_structure(rc, everywhere).shaped.all()
+        everywhere = range(1, rc.proj_dim)
+        kappa = [_witness_shape(rc, j)[0] for j in everywhere]
+        assert [_witness_shape(rc, j) for j in everywhere] == [(k, True) for k in kappa]
         mat, rows, cols = rc.matrices[i], rc.bases[i], rc.bases[i + 1]
         gens, sigmas = cols.gen.tolist(), cols.sigma.tolist()
-        c = next(c for c, g in enumerate(gens) if s_star.get(g) in sigmas[c])
+        # witness rows f(tau; w), s* not in tau, by generator
+        witness_rows = [
+            r for r, (g, tau) in enumerate(zip(rows.gen.tolist(), rows.sigma.tolist()))
+            if g in s_star and s_star[g] not in tau
+        ]
+        # a witness column with a g-term, whose generator has another witness row
+        c = next(
+            c for c, g in enumerate(gens)
+            if s_star.get(g) in sigmas[c] and (mat.vars[mat.cols == c] != s_star[g]).any()
+            and sum(rows.gen[r] == g for r in witness_rows) > 1
+        )
         ss = s_star[gens[c]]
+        own = rows.find(cols.gen[c:c + 1], cols.mask[c:c + 1] - (1 << ss))[0]
         in_col = np.flatnonzero(mat.cols == c)
+        diagonal = next(p for p in in_col if mat.vars[p] == ss)
+        g_term = next(p for p in in_col if mat.vars[p] != ss)
         if corruption == "diagonal variable":
             # the Koszul entry +-x_{s*} of a witness column loses its variable
-            p = next(p for p in in_col if mat.vars[p] == ss)
-            mat.vars[p] = next(v for v in range(1, 6) if v != ss)
+            mat.vars[diagonal] = next(v for v in range(1, 6) if v != ss)
         elif corruption == "diagonal sign":
-            # a diagonal entry 2*x_{s*}: the inverse would no longer be +-1/x_{s*}
-            p = next(p for p in in_col if mat.vars[p] == ss)
-            mat.signs[p] = 2 * mat.signs[p]
+            # a diagonal entry 2*x_{s*}: the determinant is no longer a monomial
+            mat.signs[diagonal] = 2 * mat.signs[diagonal]
+        elif corruption == "later block":
+            # an off-diagonal entry of W moved to a witness row of a later block
+            mat.rows[g_term] = max(witness_rows, key=lambda r: rows.gen[r])
+        elif corruption == "same block":
+            # ... or to another witness row of the column's own block
+            mat.rows[g_term] = next(r for r in witness_rows if rows.gen[r] == gens[c] and r != own)
+        elif corruption == "diagonal dropped":
+            keep = np.arange(mat.entry_count()) != diagonal
+            mat.rows, mat.cols, mat.signs, mat.vars = (a[keep] for a in mat.arrays)
+        elif corruption == "cancelled diagonal":
+            # a second +-x_{s*} in the diagonal cell, of the other sign: the cell is 0
+            mat.rows, mat.cols, mat.signs, mat.vars = (
+                np.insert(a, diagonal + 1, v) for a, v in zip(mat.arrays, (own, c, -mat.signs[diagonal], ss))
+            )
         else:
-            # an off-diagonal entry of W moved to a witness row of a block not before it
-            p = next(p for p in in_col if mat.vars[p] != ss)
-            witness_rows = [
-                r for r, (g, sigma) in enumerate(zip(rows.gen.tolist(), rows.sigma.tolist()))
-                if g in s_star and s_star[g] not in sigma
-            ]
-            mat.rows[p] = max(witness_rows, key=lambda r: rows.gen[r])
-        assert _build_witness_structure(rc, [i]).shaped.tolist() == [False], corruption
-        # stacked with the others, the broken position alone falls back
-        shaped = _build_witness_structure(rc, everywhere).shaped
-        assert shaped.tolist() == [j != i for j in everywhere]
+            # another witness column takes c's symbol: the two share an own row
+            other = next(d for d, g in enumerate(gens) if d != c and s_star.get(g) in sigmas[d])
+            gen, sigma = cols.gen.copy(), cols.sigma.copy()
+            gen[other], sigma[other] = gen[c], sigma[c]
+            rc.bases[i + 1] = Basis(gen, sigma, i, rc.power.spec.ctx.n)
+        # kappa counts the witness columns, whatever their entries
+        shapes = [_witness_shape(rc, j) for j in everywhere]
+        assert shapes == [(k, j != i) for j, k in zip(everywhere, kappa)], corruption
+        # d_i falls back for its own shape, d_{i+1} for d_i's
         report = random_rank_check(rc, seed=2, trials=1)
-        assert report.trials[0].methods == _fallback_only_at(i, rc.proj_dim), corruption
+        assert report.trials[0].methods == _fallback_only_at({i, i + 1}, rc.proj_dim), corruption
+        _assert_true_ranks(rc, report)
 
 
-P = DEFAULT_PRIME
-
-
-def _inverses(points):
-    return np.array([[pow(int(c), P - 2, P) for c in pt] for pt in points], dtype=np.int64)
-
-
-class _Words:
-    """Stands in for random.Random: its random bytes are the given 32-bit words."""
-
-    def __init__(self, words):
-        self.stream = b"".join(w.to_bytes(4, "little") for w in words)
-
-    def randbytes(self, n):
-        out, self.stream = self.stream[:n], self.stream[n:]
-        return out
-
-
-def test_residues_reject_words_from_p_up():
-    # p itself is rejected, not reduced to 0; the top bit of a word is
-    # dropped, and a rejected word is replaced from the words that follow
-    rng = _Words([5, P, 2**31 + 7, P - 1, 0])
-    assert _residues(rng, 3, P).tolist() == [5, 7, P - 1]
-    assert rng.stream == (0).to_bytes(4, "little")
-    assert _residues(_Words([]), 0, P).dtype == np.int64
-
-
-def test_residues_are_the_words_below_p_in_order():
-    # a modulus that rejects about half the words, against one word at a time
-    p, ref, expected = 2**30 + 3, random.Random(3), []
-    while len(expected) < 1000:
-        word = ref.getrandbits(32) & 0x7FFFFFFF
-        if word < p:
-            expected.append(word)
-    assert _residues(random.Random(3), 1000, p).tolist() == expected
-
-
-def _witness_blocks(rc, i):
-    """The generator of each witness column of d_i, f(sigma; w) with
-    s* = min(set(w)) in sigma, in column order."""
-    cols = rc.bases[i + 1]
-    s_star = [min(s) if s else 0 for s in rc.quotients.sets]
-    return [g for g, sigma in zip(cols.gen.tolist(), cols.sigma.tolist()) if s_star[g] in sigma]
+def test_witness_shape_needs_every_own_row():
+    rc = _shape_resolution()
+    i = 2
+    kappa, shaped = _witness_shape(rc, i)
+    assert shaped
+    # the last row, a witness row, renamed to a symbol of u1, whose set is
+    # empty: the column it belonged to has no own row left, but still its
+    # +-x_{s*} entry in that row
+    rows = rc.bases[i]
+    assert min(rc.quotients.sets[rows.gen[-1]]) not in rows.sigma[-1]
+    gen = rows.gen.copy()
+    gen[-1] = 0
+    rc.bases[i] = Basis(gen, rows.sigma, i - 1, rc.power.spec.ctx.n)
+    assert _witness_shape(rc, i) == (kappa, False)
+    report = random_rank_check(rc, seed=2, trials=1)
+    assert report.trials[0].methods[i] == "dense-fallback"
+    _assert_true_ranks(rc, report)
 
 
 def _large_resolution():
@@ -348,29 +365,6 @@ def _oracle_resolution():
     u, v = Monomial(ctx, (1, 2, 0, 0, 0)), Monomial(ctx, (0, 1, 0, 0, 2))
     spec = LexSegmentSpec(ctx=ctx, d=3, u=u, v=v)
     return assemble_resolution(linear_quotients_check(power_generators(spec, 2)), use_oracle=True)
-
-
-@pytest.mark.parametrize("build", [_large_resolution, _oracle_resolution], ids=["large", "oracle"])
-def test_witness_sweeps_match_block_loop(build):
-    # one solve over every position stacked, against the loop on each
-    # position's own structure
-    rc = build()
-    positions = list(range(1, rc.proj_dim))
-    st = _build_witness_structure(rc, positions)
-    assert st.shaped.all()
-    rng = np.random.default_rng(11)
-    points = rng.integers(1, P, size=(3, rc.power.spec.ctx.n))
-    rhs = rng.integers(0, P, size=(len(st.diag_sign), 3, 4))
-    x = rhs.copy()
-    assert _witness_solve(st, points, _inverses(points), x, P).all()
-    ends = np.cumsum([0, *st.kappa])
-    for k, i in enumerate(positions):
-        own = _build_witness_structure(rc, [i])
-        part = slice(ends[k], ends[k + 1])
-        block = _witness_blocks(rc, i)
-        for t in range(3):
-            loop = support.witness_solve_loop(own, block, points[t], rhs[part, t], P)
-            assert x[part, t].tolist() == loop
 
 
 @pytest.mark.parametrize("build", [_shape_resolution, _oracle_resolution], ids=["classified", "oracle"])
@@ -386,89 +380,101 @@ def test_sparse_rank_matches_loop_on_differentials(build):
             assert rank_mod(dense) == support.rank_mod_loop(dense)
 
 
-def test_witness_sweeps_settle_after_the_longest_chain():
-    # d1 of the large instance has a chain of g-terms 24 witnesses long, so
-    # the 24th sweep is the first that repeats
-    st = _build_witness_structure(_large_resolution(), [1])
-    rng = np.random.default_rng(4)
-    points = rng.integers(1, P, size=(2, 6))
-    rhs = rng.integers(0, P, size=(len(st.diag_sign), 2, 4))
-    assert st.sweep_cap == st.kappa[0] == 339
-    st.sweep_cap = 23
-    assert _witness_solve(st, points, _inverses(points), rhs.copy(), P).tolist() == [False]
-    st.sweep_cap = 24
-    assert _witness_solve(st, points, _inverses(points), rhs.copy(), P).tolist() == [True]
-
-
-def test_witness_sweeps_stop_on_a_cycle():
-    rc = _large_resolution()
-    positions = list(range(1, rc.proj_dim))
-    st = _build_witness_structure(rc, positions)
-    k = positions.index(2)
-    # a g-term back from witness r to witness c closes a cycle with the
-    # g-term from c to r, both of d2: its N is no longer nilpotent
-    rows, cols, signs, variables = st.n
-    e = int(np.flatnonzero(st.wit_pos[rows] == k)[0])
-    rows, cols = np.append(rows, cols[e]), np.append(cols, rows[e])
-    order = np.argsort(rows, kind="stable")
-    st.n = (rows[order], cols[order], np.append(signs, 1)[order], np.append(variables, 1)[order])
-    rng = np.random.default_rng(8)
-    points = rng.integers(1, P, size=(2, 6))
-    rhs = rng.integers(0, P, size=(len(st.diag_sign), 2, 4))
-    others = [j != k for j in range(len(positions))]
-    assert _witness_solve(st, points, _inverses(points), rhs, P).tolist() == others
-    ok = _witness_ranks(st, points, _inverses(points), random.Random(0), P)
-    assert ok.tolist() == [[j != k] * 2 for j in range(len(positions))]
-
-
-def test_witness_ranks_zero_diagonal_fails_only_its_trial():
-    rc = _large_resolution()
-    st = _build_witness_structure(rc, [2])
-    assert len(st.low_pos) and st.ncols > st.kappa[0]
-    points = np.random.default_rng(3).integers(1, P, size=(3, 6))
-    var = st.diag_var[0]
-    points[1, var - 1] = 0  # the first diagonal entry vanishes at point 1
-    ok = _witness_ranks(st, points, _inverses(points), random.Random(0), P)
-    assert ok.tolist() == [[True, False, True]]
-    # stacked with the other positions: x6 is on the diagonal of d1 only, so
-    # its zero fails point 1 at d1, and elsewhere leaves the true verdict
-    positions = list(range(1, rc.proj_dim))
-    st = _build_witness_structure(rc, positions)
-    points[1, var - 1], points[1, 5] = 1, 0
-    ok = _witness_ranks(st, points, _inverses(points), random.Random(0), P)
-    assert ok[:, [0, 2]].all()
-    on_diagonal = [6 in st.diag_var[st.wit_pos == k] for k in range(len(positions))]
-    assert on_diagonal == [True, False, False, False, False]
-    assert not ok[0, 1]
-    for k, i in enumerate(positions[1:], start=1):
-        assert ok[k, 1] == (rank_mod(_evaluate_dense(rc.matrices[i], points[1], P)) == st.kappa[k])
-
-
 @pytest.mark.parametrize("build", [_large_resolution, _oracle_resolution], ids=["large", "oracle"])
-def test_rank_check_across_groups(build, monkeypatch):
+def test_rank_check_premises_each_alone(build, monkeypatch):
+    # each premise of the certificate broken alone, on a correct complex
     rc = build()
-    positions = list(range(1, rc.proj_dim))
-    assert _position_groups(rc) == [positions]
-    whole = random_rank_check(rc, seed=4, trials=3)
-    entries = [rc.matrices[i].entry_count() for i in positions]
-    monkeypatch.setattr("lexres.verify._GROUP_ENTRIES", entries[0] + entries[1])
-    assert _position_groups(rc)[0] == [1, 2]
-    monkeypatch.setattr("lexres.verify._GROUP_ENTRIES", 1)  # one position per group
-    assert _position_groups(rc) == [[i] for i in positions]
-    split = random_rank_check(rc, seed=4, trials=3)
-    assert whole.passed
-    assert split == whole
+    pd, j = rc.proj_dim, 2
+    clean = random_rank_check(rc, seed=4, trials=2)
+    assert clean.composed == [compose_check(rc, i) for i in range(pd)] == [True] * pd
+    assert all(t.methods == _fallback_only_at(set(), pd) for t in clean.trials)
+
+    def run(target, fake):
+        with monkeypatch.context() as m:
+            m.setattr(target, fake)
+            report = random_rank_check(rc, seed=4, trials=2)
+        assert [t.ranks for t in report.trials] == [t.ranks for t in clean.trials]
+        return report
+
+    # d_j unshaped: d_j loses its lower bound, d_{j+1} its upper bound
+    shape = verify._witness_shape
+    report = run("lexres.verify._witness_shape", lambda rc, i: (shape(rc, i)[0], i != j))
+    assert all(t.methods == _fallback_only_at({j, j + 1}, pd) for t in report.trials)
+    # d_{j-1} ∘ d_j unproved: only d_j's upper bound goes
+    compose = resolution.compose_check
+    report = run("lexres.resolution.compose_check", lambda rc, i: i != j - 1 and compose(rc, i))
+    assert report.composed == [i != j - 1 for i in range(pd)]
+    assert all(t.methods == _fallback_only_at({j}, pd) for t in report.trials)
+    # a d0 that vanished at the point would break Pascal's rule at d1
+    with monkeypatch.context() as m:
+        m.setattr("lexres.verify._d0_rank", lambda rc, point, p: 0)
+        report = random_rank_check(rc, seed=4, trials=2)
+    assert all(t.methods == _fallback_only_at({1}, pd) and not t.ok for t in report.trials)
+    assert [t.ranks[1:] for t in report.trials] == [t.ranks[1:] for t in clean.trials]
 
 
-def test_rank_check_across_chunks(monkeypatch):
-    rc = _oracle_resolution()
-    whole = random_rank_check(rc, seed=4, trials=3)
-    monkeypatch.setattr("lexres.monomials._SCAN_CHUNK_CELLS", 7)  # one entry per chunk
-    chunked = random_rank_check(rc, seed=4, trials=3)
-    assert whole.passed
-    assert [(t.ranks, t.methods) for t in chunked.trials] == [
-        (t.ranks, t.methods) for t in whole.trials
+def test_rank_check_composition_premise_with_shapes_intact():
+    # a flipped Koszul sign in a column of d_j that is no witness: both
+    # shapes hold, but d_{j-1} ∘ d_j and d_j ∘ d_{j+1} no longer vanish
+    rc = _large_resolution()
+    pd, j = rc.proj_dim, 2
+    mat, cols = rc.matrices[j], rc.bases[j + 1]
+    s_star = np.array([min(s) if s else 0 for s in rc.quotients.sets])[cols.gen]
+    koszul = cols.gen[mat.cols] == rc.bases[j].gen[mat.rows]
+    e = np.flatnonzero(koszul & ~(cols.mask[mat.cols] >> s_star[mat.cols] & 1).astype(bool))[0]
+    mat.signs[e] *= -1
+    assert all(_witness_shape(rc, i)[1] for i in range(1, pd))
+    report = random_rank_check(rc, seed=4, trials=2)
+    assert report.composed == [compose_check(rc, i) for i in range(pd)]
+    assert report.composed == [i not in (j - 1, j) for i in range(pd)]
+    assert all(t.methods == _fallback_only_at({j, j + 1}, pd) for t in report.trials)
+    _assert_true_ranks(rc, report)
+
+
+def _small_pinned():
+    pinned = json.loads(WORKLOADS.read_text())
+    return [
+        _build_resolution(JobSpec("verify", i["n"], i["u"], i["v"], i["k"], oracle_g=i["oracle_g"]))
+        for name in ("family", "oracle") for i in pinned[name]["instances"] if i["n"] <= 5
     ]
+
+
+def test_mutated_complexes_report_true_ranks():
+    # one entry of a small pinned complex mutated: flipped or doubled sign,
+    # another variable, moved to an empty cell of its column, or dropped;
+    # whatever the certificate decides, every rank is the evaluated rank
+    complexes = _small_pinned()
+
+    @settings(derandomize=True, database=None, max_examples=120, deadline=None)
+    @given(which=st.integers(0, len(complexes) - 1), i=st.integers(1, 8), at=st.floats(0, 1),
+           kind=st.sampled_from(("sign", "var", "move", "drop", "double")), seed=st.integers(0, 9))
+    def check(which, i, at, kind, seed):
+        rc0 = complexes[which]
+        i = 1 + (i - 1) % (rc0.proj_dim - 1)
+        matrices = {
+            j: DifferentialMatrix(m.nrows, m.ncols, *(a.copy() for a in m.arrays))
+            for j, m in rc0.matrices.items()
+        }
+        rc = ResolutionComplex(rc0.quotients, rc0.bases, matrices)
+        mat, n = rc.matrices[i], rc.power.spec.ctx.n
+        e = min(int(at * mat.entry_count()), mat.entry_count() - 1)
+        if kind == "sign":
+            mat.signs[e] *= -1
+        elif kind == "double":
+            mat.signs[e] *= 2
+        elif kind == "var":
+            mat.vars[e] = mat.vars[e] % n + 1
+        elif kind == "drop":
+            keep = np.arange(mat.entry_count()) != e
+            mat.rows, mat.cols, mat.signs, mat.vars = (a[keep] for a in mat.arrays)
+        else:
+            empty = np.setdiff1d(np.arange(mat.nrows), mat.rows[mat.cols == mat.cols[e]])
+            if not len(empty):
+                return
+            mat.rows[e] = empty[e % len(empty)]
+        _assert_true_ranks(rc, random_rank_check(rc, seed=seed, trials=2))
+
+    check()
 
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.json"
@@ -486,10 +492,8 @@ def test_witness_ranks_are_true_ranks_on_pinned_instances(seed):
             report = random_rank_check(rc, seed=seed, trials=2)
             assert report.passed, inst["id"]
             for t in report.trials:
-                assert t.methods == ("dense",) + ("witness",) * (rc.proj_dim - 1), inst["id"]
-                point = np.array(t.point, dtype=np.int64)
-                for i in range(1, rc.proj_dim):
-                    assert t.ranks[i] == rank_mod(_evaluate_dense(rc.matrices[i], point, P))
+                assert t.methods == _fallback_only_at(set(), rc.proj_dim), inst["id"]
+            _assert_true_ranks(rc, report)
 
 
 def test_d0_rank(example_resolution):
