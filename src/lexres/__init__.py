@@ -12,7 +12,7 @@ from .quotients import (
 )
 from .decomposition import (
     DecompositionTable, RegularityReport, closed_form_matches_oracle, closed_form_table,
-    oracle_table, regularity_check, regularity_check_oracle,
+    oracle_table, regularity_check_oracle,
 )
 from .resolution import (
     Basis, DifferentialMatrix, ResolutionComplex, assemble_resolution, betti_from_sets,
@@ -31,7 +31,7 @@ __all__ = [
     "make_classified_spec", "normalize_spec", "shadow", "PowerIdeal", "power_generators",
     "QuotientStructure", "colon_minimal_generators", "linear_quotients_check", "set_bound_report",
     "DecompositionTable", "RegularityReport", "closed_form_matches_oracle", "closed_form_table",
-    "oracle_table", "regularity_check", "regularity_check_oracle",
+    "oracle_table", "regularity_check_oracle",
     "Basis", "DifferentialMatrix", "ResolutionComplex", "assemble_resolution", "betti_from_sets",
     "compose_check", "minimality_check", "HilbertNumerator", "RankReport",
     "euler_characteristic_numerator", "hilbert_numerator",

@@ -11,9 +11,8 @@ import functools
 import json
 import re
 import sys
-from dataclasses import dataclass
 
-from .decomposition import closed_form_matches_oracle, regularity_check, regularity_check_oracle
+from .decomposition import closed_form_matches_oracle, regularity_check_oracle
 from .errors import BudgetError, CheckFailure
 from .lexsegment import (
     enumerate_lexsegment,
@@ -52,36 +51,20 @@ def parse_monomial(text: str, ctx: RingContext) -> Monomial:
     return Monomial(ctx, exps)
 
 
-@dataclass
-class JobSpec:
-    command: str
-    n: int
-    u: str
-    v: str
-    k: int = 1
-    depth: int | None = None
-    seed: int = 0
-    trials: int = 5
-    fmt: str = "text"
-    out: str | None = None
-    oracle_g: bool = False
-    first_shadow_persistence: bool = False
-
-
-def _emit(job: JobSpec, text):
+def _emit(args: argparse.Namespace, text):
     """Write the output, one string or an iterable of chunks, to --out or stdout."""
     chunks = [text] if isinstance(text, str) else text
-    if job.out:
-        with open(job.out, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.writelines(chunks)
     else:
         sys.stdout.writelines(chunks)
 
 
-def _spec_pipeline(job: JobSpec):
-    ctx = RingContext(job.n)
-    u = parse_monomial(job.u, ctx)
-    v = parse_monomial(job.v, ctx)
+def _spec_pipeline(args: argparse.Namespace):
+    ctx = RingContext(args.n)
+    u = parse_monomial(args.u, ctx)
+    v = parse_monomial(args.v, ctx)
     return make_classified_spec(u, v)
 
 
@@ -89,25 +72,26 @@ def _json_dumps(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def run_command(job: JobSpec) -> int:
-    if job.command == "gen":
-        _, record, _ = _spec_pipeline(job)  # the same input checks as every command
+def run_command(args: argparse.Namespace) -> int:
+    """Run one parsed command line (build_parser().parse_args) and return its exit code."""
+    if args.command == "gen":
+        _, record, _ = _spec_pipeline(args)  # the same input checks as every command
         u = record.original_u
         segment = enumerate_lexsegment(u, record.original_v)
-        if job.fmt == "json":
-            _emit(job, _json_dumps({"n": job.n, "d": u.degree, "monomials": [list(m.exponents) for m in segment]}))
+        if args.fmt == "json":
+            _emit(args, _json_dumps({"n": args.n, "d": u.degree, "monomials": [list(m.exponents) for m in segment]}))
         else:
-            _emit(job, "\n".join(str(m) for m in segment) + "\n")
+            _emit(args, "\n".join(str(m) for m in segment) + "\n")
         return 0
 
-    if job.command == "classify":
-        spec, record, cls = _spec_pipeline(job)
+    if args.command == "classify":
+        spec, record, cls = _spec_pipeline(args)
         verdict = is_completely_lexsegment(
-            spec, depth=job.depth, first_shadow_persistence=job.first_shadow_persistence
+            spec, depth=args.depth, first_shadow_persistence=args.first_shadow_persistence
         )
-        if job.fmt == "json":
+        if args.fmt == "json":
             payload = {
-                "n": job.n,
+                "n": args.n,
                 "d": spec.d,
                 "normalized_u": list(spec.u.exponents),
                 "normalized_v": list(spec.v.exponents),
@@ -122,7 +106,7 @@ def run_command(job: JobSpec) -> int:
                 "linear_form": {"status": "yes" if cls.has_linear_form else "no", "l": cls.linear_form_l},
                 "notes": cls.notes,
             }
-            _emit(job, _json_dumps(payload))
+            _emit(args, _json_dumps(payload))
         else:
             lines = [
                 f"normalized: u = {spec.u}, v = {spec.v}"
@@ -132,32 +116,32 @@ def run_command(job: JobSpec) -> int:
                 + (f"yes with l = {cls.linear_form_l}" if cls.has_linear_form else "no"),
                 f"notes: {cls.notes}",
             ]
-            _emit(job, "\n".join(lines) + "\n")
+            _emit(args, "\n".join(lines) + "\n")
         return 0
 
-    if job.command == "power":
-        spec, _, _ = _spec_pipeline(job)
-        pi = power_generators(spec, job.k)
-        if job.fmt == "json":
-            _emit(job, _json_dumps({"n": job.n, "d": spec.d, "k": job.k, "generators": [list(g.exponents) for g in pi.generators]}))
+    if args.command == "power":
+        spec, _, _ = _spec_pipeline(args)
+        pi = power_generators(spec, args.k)
+        if args.fmt == "json":
+            _emit(args, _json_dumps({"n": args.n, "d": spec.d, "k": args.k, "generators": [list(g.exponents) for g in pi.generators]}))
         else:
-            _emit(job, "\n".join(f"u{j + 1} = {g}" for j, g in enumerate(pi.generators)) + "\n")
+            _emit(args, "\n".join(f"u{j + 1} = {g}" for j, g in enumerate(pi.generators)) + "\n")
         return 0
 
-    if job.command == "quotients":
-        spec, _, _ = _spec_pipeline(job)
-        qs = linear_quotients_check(power_generators(spec, job.k))
-        if job.fmt == "json":
+    if args.command == "quotients":
+        spec, _, _ = _spec_pipeline(args)
+        qs = linear_quotients_check(power_generators(spec, args.k))
+        if args.fmt == "json":
             payload = {
-                "n": job.n,
+                "n": args.n,
                 "d": spec.d,
-                "k": job.k,
+                "k": args.k,
                 "status": qs.status,
                 "failure_index": qs.failure_index,
                 "offending": list(qs.offending.exponents) if qs.offending else None,
                 "sets": [list(s) for s in qs.sets],
             }
-            _emit(job, _json_dumps(payload))
+            _emit(args, _json_dumps(payload))
         else:
             lines = [f"status: {qs.status}"]
             if not qs.is_linear:
@@ -167,56 +151,48 @@ def run_command(job: JobSpec) -> int:
             lines += [
                 f"set(u{j + 1}) = {{{', '.join(map(str, s))}}}" for j, s in enumerate(qs.sets)
             ]
-            _emit(job, "\n".join(lines) + "\n")
+            _emit(args, "\n".join(lines) + "\n")
         return 1 if not qs.is_linear else 0
 
-    if job.command in ("resolve", "export"):
-        rc = _build_resolution(job)
-        if job.fmt == "json":
-            _emit(job, iter_resolution_json(rc))
-        elif job.fmt == "m2":
-            _emit(job, power_ideal_to_m2(rc.power))
+    if args.command in ("resolve", "export"):
+        cls, qs = _quotients(args)
+        if not qs.is_linear:
+            raise CheckFailure(
+                f"linear quotients fail at u{qs.failure_index + 1}: colon contains {qs.offending}"
+            )
+        rc = assemble_resolution(qs, use_oracle=not cls.has_linear_form)
+        if args.fmt == "json":
+            _emit(args, iter_resolution_json(rc))
+        elif args.fmt == "m2":
+            _emit(args, power_ideal_to_m2(rc.power))
         else:
-            _emit(job, resolution_to_text(rc))
+            _emit(args, resolution_to_text(rc))
         return 0
 
-    if job.command == "verify":
-        return _verify(job)
+    if args.command == "verify":
+        return _verify(args)
 
-    raise ValueError(f"unknown command {job.command!r}")
+    raise ValueError(f"unknown command {args.command!r}")
 
 
-def _resolvable_spec(job: JobSpec):
-    """The spec and its classification, refusing a shape outside the
-    classified form unless --oracle-g allows the definitional g."""
-    spec, _, cls = _spec_pipeline(job)
-    if not cls.has_linear_form and not job.oracle_g:
+def _quotients(args: argparse.Namespace):
+    """The classification and the linear-quotient structure of G(I^k),
+    refusing a shape outside the classified form unless --oracle-g allows
+    the definitional g."""
+    spec, _, cls = _spec_pipeline(args)
+    if not cls.has_linear_form and not args.oracle_g:
         raise ValueError(
             "the (u, v) shape is outside the classified linear-resolution form "
             f"({cls.notes}); rerun with --oracle-g to build from the definitional "
             "decomposition function (requires linear quotients and regularity)"
         )
-    return spec, cls
+    return cls, linear_quotients_check(power_generators(spec, args.k))
 
 
-def _build_resolution(job: JobSpec):
-    spec, cls = _resolvable_spec(job)
-    pi = power_generators(spec, job.k)
-    qs = linear_quotients_check(pi)
-    if not qs.is_linear:
-        raise CheckFailure(
-            f"linear quotients fail at u{qs.failure_index + 1}: "
-            f"colon contains {qs.offending}"
-        )
-    return assemble_resolution(qs, use_oracle=not cls.has_linear_form)
-
-
-def _verify(job: JobSpec) -> int:
-    if job.trials < 1:
-        raise ValueError(f"the rank check needs at least one trial, got {job.trials}")
-    spec, cls = _resolvable_spec(job)
-    pi = power_generators(spec, job.k)
-    qs = linear_quotients_check(pi)
+def _verify(args: argparse.Namespace) -> int:
+    if args.trials < 1:
+        raise ValueError(f"the rank check needs at least one trial, got {args.trials}")
+    cls, qs = _quotients(args)
     lines = []
     ok = True
 
@@ -228,29 +204,28 @@ def _verify(job: JobSpec) -> int:
     tick("linear quotients", qs.is_linear,
          "" if qs.is_linear else f"fails at u{(qs.failure_index or 0) + 1}")
     if not qs.is_linear:
-        _emit(job, "\n".join(lines) + "\n")
+        _emit(args, "\n".join(lines) + "\n")
         return 1
 
     lemmas = set_bound_report(qs)
     tick("set(m) bounds (min / tilde-min)", not lemmas,
          "" if not lemmas else f"{len(lemmas)} violations, first {lemmas[0]}")
 
+    agree = True
     if cls.has_linear_form:
         agree, mismatch = closed_form_matches_oracle(qs)
         tick("closed-form g equals definitional g", agree,
-             "" if agree else f"first mismatch {mismatch}")
-        reg = regularity_check(qs)
-    else:
-        reg = regularity_check_oracle(qs)
+             "" if agree else "first mismatch at ({}, x{}): {} vs {}".format(*mismatch))
+    reg = regularity_check_oracle(qs)
     tick("decomposition function regular", reg.regular,
          "" if reg.regular else reg.describe())
-    if not reg.regular:
-        _emit(job, "\n".join(lines) + "\n")
+    if not (agree and reg.regular):
+        _emit(args, "\n".join(lines) + "\n")
         return 1
 
     rc = assemble_resolution(qs, use_oracle=not cls.has_linear_form)
     # the rank check runs compose_check for every position and keeps the verdicts
-    report = random_rank_check(rc, seed=job.seed, trials=job.trials)
+    report = random_rank_check(rc, seed=args.seed, trials=args.trials)
     for i, composed in enumerate(report.composed):
         tick(f"d{i} ∘ d{i + 1} = 0", composed)
     tick("minimality (entries are ±x_j)", minimality_check(rc))
@@ -267,12 +242,12 @@ def _verify(job: JobSpec) -> int:
         lines.append(f"[SKIP] Euler/Hilbert identity: {exc}")
 
     tick(
-        f"rank additivity at {job.trials} random points (necessary condition)",
+        f"rank additivity at {args.trials} random points (necessary condition)",
         report.passed,
         f"ranks {report.trials[0].ranks}" if report.trials else "",
     )
 
-    _emit(job, "\n".join(lines) + "\n")
+    _emit(args, "\n".join(lines) + "\n")
     return 0 if ok else 1
 
 
@@ -313,22 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    job = JobSpec(
-        command=args.command,
-        n=args.n,
-        u=args.u,
-        v=args.v,
-        k=args.k,
-        depth=args.depth,
-        seed=args.seed,
-        trials=args.trials,
-        fmt=args.fmt,
-        out=args.out,
-        oracle_g=args.oracle_g,
-        first_shadow_persistence=args.first_shadow_persistence,
-    )
     try:
-        return run_command(job)
+        return run_command(args)
     except BudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3

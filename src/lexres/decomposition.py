@@ -28,9 +28,7 @@ class DecompositionTable:
 
     g[p] is the position of g(x_s m_i) in G(I^k) and coeff[p] the 1-based
     variable x_s m_i / g(x_s m_i).  In the closed form's table, branch[p] is
-    1 where it divided by x_min(m) and 0 where by x_min(tilde m), and fault
-    is (p, message) for the first pair where it broke a guarantee, with g
-    and coeff -1 from p on; the check that reaches p first raises it.
+    1 where it divided by x_min(m) and 0 where by x_min(tilde m).
     """
 
     gen: np.ndarray
@@ -38,11 +36,6 @@ class DecompositionTable:
     g: np.ndarray
     coeff: np.ndarray
     branch: np.ndarray | None = None
-    fault: tuple[int, str] | None = None
-
-    def raise_fault_before(self, p: int):
-        if self.fault is not None and self.fault[0] <= p:
-            raise CheckFailure(self.fault[1])
 
 
 def _first_true(mask: np.ndarray) -> int:
@@ -51,7 +44,8 @@ def _first_true(mask: np.ndarray) -> int:
 
 
 def closed_form_table(qs: QuotientStructure) -> DecompositionTable:
-    """The closed-form g on every pair, computed once per quotient structure."""
+    """The closed-form g on every pair, computed once per quotient structure;
+    raises CheckFailure at the first pair where it breaks a guarantee."""
     if "closed" in qs.g_tables:
         return qs.g_tables["closed"]
     pi, l = qs.power, qs.power.spec.l
@@ -62,7 +56,7 @@ def closed_form_table(qs: QuotientStructure) -> DecompositionTable:
     tilde = pi.exponent_matrix[gen, l:] > 0
     no_tilde = ~high & ~tilde.any(axis=1)
     col = np.where(high, first, l + tilde.argmax(axis=1))
-    g, coeff, fault = pi.neighbours[gen, s - 1, col], col + 1, None
+    g = pi.neighbours[gen, s - 1, col]
     p = _first_true(no_tilde | (g == len(pi)))
     if p < len(s):
         m, sp = pi.generators[gen[p]], int(s[p])
@@ -76,9 +70,8 @@ def closed_form_table(qs: QuotientStructure) -> DecompositionTable:
                 f"a generator (branch {'high' if high[p] else 'low'}); the instance violates "
                 "the classified shape's guarantees"
             )
-        fault = (p, message)
-        g[p:] = coeff[p:] = -1
-    qs.g_tables["closed"] = DecompositionTable(gen, s, g, coeff, high.astype(np.int64), fault)
+        raise CheckFailure(message)
+    qs.g_tables["closed"] = DecompositionTable(gen, s, g, col + 1, high.astype(np.int64))
     return qs.g_tables["closed"]
 
 
@@ -98,19 +91,10 @@ def closed_form_matches_oracle(qs: QuotientStructure):
     """Compare both routes on every (m, s); returns (ok, first mismatch)."""
     closed, oracle = closed_form_table(qs), oracle_table(qs)
     p = _first_true(closed.g != oracle.g)
-    closed.raise_fault_before(p)
     if p == len(closed.g):
         return True, None
     gens = qs.power.generators
     return False, (gens[closed.gen[p]], int(closed.s[p]), gens[closed.g[p]], gens[oracle.g[p]])
-
-
-def require_agreement(qs: QuotientStructure):
-    """Raise at the first pair where the closed form fails or differs from the oracle."""
-    ok, mismatch = closed_form_matches_oracle(qs)
-    if not ok:
-        m, s, closed, oracle = mismatch
-        raise CheckFailure(f"closed form disagrees with oracle at ({m}, x{s}): {closed} vs {oracle}")
 
 
 @dataclass(frozen=True)
@@ -125,8 +109,9 @@ class RegularityReport:
         return f"not regular: t={t} in set(g(x{s}*{m})) but not in set({m})"
 
 
-def _regularity(qs: QuotientStructure):
-    """The oracle's first pair p with set(g) not inside set(m), and the report."""
+def regularity_check_oracle(qs: QuotientStructure) -> RegularityReport:
+    """Verify set(g(x_s*m)) ⊆ set(m) for all (m, s), with the definitional g;
+    works without a classified spec."""
     if not qs.is_linear:
         raise ValueError("quotient structure is not linear")
     table = oracle_table(qs)
@@ -135,20 +120,6 @@ def _regularity(qs: QuotientStructure):
     outside = member[table.g] & ~member[table.gen]
     p = _first_true(outside.any(axis=1))
     if p == len(table.g):
-        return p, RegularityReport(regular=True)
+        return RegularityReport(regular=True)
     m, t = qs.power.generators[table.gen[p]], int(outside[p].argmax())
-    return p, RegularityReport(regular=False, counterexample=(m, int(table.s[p]), t))
-
-
-def regularity_check(qs: QuotientStructure) -> RegularityReport:
-    """Verify set(g(x_s*m)) ⊆ set(m) for all (m, s), oracle-evaluated with the
-    closed form cross-checked on every evaluation."""
-    p, report = _regularity(qs)
-    if (closed_form_table(qs).g[: p + 1] != oracle_table(qs).g[: p + 1]).any():
-        require_agreement(qs)  # a fault or a disagreement comes at or before p
-    return report
-
-
-def regularity_check_oracle(qs: QuotientStructure) -> RegularityReport:
-    """Regularity via the oracle alone; works without a classified spec."""
-    return _regularity(qs)[1]
+    return RegularityReport(regular=False, counterexample=(m, int(table.s[p]), t))

@@ -5,6 +5,7 @@ v = x_l*x_n^(d-1)."""
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from .errors import InvariantError
@@ -53,6 +54,18 @@ def enumerate_lexsegment(u: Monomial, v: Monomial) -> list[Monomial]:
             raise InvariantError("lex walk fell off the end before reaching v")
         out.append(w)
     return out
+
+
+def lex_rank(m: Monomial) -> int:
+    """How many monomials of m's degree are lex-greater than m.  One that
+    first differs from m at x_i has exponent m_i + 1 + t there, t >= 0, and
+    the degree left, r - t with r = deg(m on x_i..x_n) - m_i - 1, spreads
+    over x_{i+1}..x_n: summed over t, C(r + n - i, n - i) monomials."""
+    n, rank, rest = m.ctx.n, 0, m.degree
+    for i, a in enumerate(m.exponents[:-1], start=1):
+        rank += math.comb(rest - a - 1 + n - i, n - i)
+        rest -= a
+    return rank
 
 
 def all_degree_monomials(ctx: RingContext, d: int) -> list[Monomial]:

@@ -13,10 +13,15 @@ import math
 import numpy as np
 
 from .errors import BudgetError, InvariantError
-from .lexsegment import LexSegmentSpec, enumerate_lexsegment
+from .lexsegment import LexSegmentSpec, enumerate_lexsegment, lex_rank
 from .monomials import Monomial
 
 DEFAULT_PRODUCT_BUDGET = 10**6
+# cells of the two largest int64 arrays, each checked before it is built: the
+# exchange-neighbour table here, |G| n^2, and the matrix entries of a complex
+# in resolution.py, bounded by sum_i 2 i beta_{i+1}; n=8, k=2 (x1x4..x8 /
+# x2x8^5) needs 934,720 and 6,178,528
+ENTRY_BUDGET = 8 * 10**6
 
 
 class PowerIdeal:
@@ -44,6 +49,9 @@ class PowerIdeal:
         """neighbours[i, s-1, t-1] is the position of m_i * x_s / x_t in G, or
         len(G) where that is not a generator; its diagonal is i."""
         if self._neighbours is None:
+            cells = len(self) * self.spec.ctx.n**2
+            if cells > ENTRY_BUDGET:
+                raise BudgetError(f"the exchange-neighbour table has {cells} cells, over the budget {ENTRY_BUDGET}")
             self._neighbours = _exchange_neighbours(self.exponent_matrix, self.k)
         return self._neighbours
 
@@ -87,16 +95,16 @@ def power_generators(spec: LexSegmentSpec, k: int, budget: int = DEFAULT_PRODUCT
     revlex, and keep one row of each run of equal rows."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    segment = enumerate_lexsegment(spec.u, spec.v)
-    candidates = math.comb(len(segment) + k - 1, k)
+    size = lex_rank(spec.v) - lex_rank(spec.u) + 1  # |L(u, v)|, counted before it is walked
+    candidates = math.comb(size + k - 1, k)
     if candidates > budget:
-        raise BudgetError(
-            f"|L|={len(segment)}, k={k}: {candidates} candidate products exceed budget {budget}"
-        )
+        raise BudgetError(f"|L|={size}, k={k}: {candidates} candidate products exceed budget {budget}")
+    segment = enumerate_lexsegment(spec.u, spec.v)
     E = np.array([m.exponents for m in segment], dtype=np.int64)
     multisets = itertools.combinations_with_replacement(range(len(segment)), k)
-    picks = np.fromiter(itertools.chain.from_iterable(multisets), dtype=np.int64, count=candidates * k)
-    picks = picks.reshape(candidates, k)
+    # the walk, not the count, gives the rows: a walk that disagrees shows up below
+    count = math.comb(len(segment) + k - 1, k) * k
+    picks = np.fromiter(itertools.chain.from_iterable(multisets), dtype=np.int64, count=count).reshape(-1, k)
     P = E[picks[:, 0]]
     for c in range(1, k):
         P += E[picks[:, c]]

@@ -3,12 +3,13 @@
 Basis symbols f(sigma; w) with sigma a subset of set(w) span F_{|sigma|+1};
 the differential sends f(sigma; w) to
 
-    sum_s (-1)^alpha(sigma;s) * (x_s w / g(x_s w)) * f(sigma\\s; g(x_s w))
-  - sum_s (-1)^alpha(sigma;s) * x_s * f(sigma\\s; w)
+    sum_s (-1)^pos(s) * (x_s w / g(x_s w)) * f(sigma\\s; g(x_s w))
+  - sum_s (-1)^pos(s) * x_s * f(sigma\\s; w)
 
-with f(tau; z) read as 0 whenever tau is not contained in set(z), and
-f(empty; w) mapping to the generator w itself.  Since g's coefficient is a
-single variable, every matrix entry above the generator row is +-x_j.
+with pos(s) the position of s in sigma, counted from 0, f(tau; z) read as 0
+whenever tau is not contained in set(z), and f(empty; w) mapping to the
+generator w itself.  Since g's coefficient is a single variable, every
+matrix entry above the generator row is +-x_j.
 
 Matrix convention: columns are indexed by the domain basis F_{i+1}, rows by
 the codomain F_i; the basis is ordered by generator position first, then by
@@ -24,16 +25,8 @@ import numpy as np
 
 from .decomposition import closed_form_table, oracle_table, regularity_check_oracle
 from .errors import BudgetError, CheckFailure, InvariantError
+from .powers import ENTRY_BUDGET
 from .quotients import QuotientStructure
-
-# bound on the matrix entries of a complex, sum_i 2 i beta_{i+1}, checked
-# before any is built; n=8, k=2 (x1x4..x8 / x2x8^5) bounds 6,178,528
-ENTRY_BUDGET = 8 * 10**6
-
-
-def alpha(sigma, s) -> int:
-    """The sign exponent: how many members of sigma lie below s."""
-    return sum(1 for t in sigma if t < s)
 
 
 class DifferentialMatrix:
@@ -205,7 +198,6 @@ def assemble_resolution(qs: QuotientStructure, use_oracle: bool = False) -> Reso
         table = oracle_table(qs)
     else:
         table = closed_form_table(qs)
-    table.raise_fault_before(len(table.g))
     bases = resolution_basis(qs)
     for i, basis in bases.items():
         if betti[i] != len(basis):
@@ -228,7 +220,7 @@ def assemble_resolution(qs: QuotientStructure, use_oracle: bool = False) -> Reso
             g = g_of[cols.gen, s]
             rows[:, pos, 0] = bases[i].find(g, tau)  # -1 where tau is not in set(g)
             rows[:, pos, 1] = bases[i].find(cols.gen, tau)
-            signs[:, pos] = (-1, 1) if pos % 2 else (1, -1)  # alpha(sigma; s) = pos
+            signs[:, pos] = (-1, 1) if pos % 2 else (1, -1)
             variables[:, pos, 0], variables[:, pos, 1] = coeff_of[cols.gen, s], s
         keep = rows.ravel() >= 0
         col_of = np.repeat(np.arange(shape[0]), 2 * i)

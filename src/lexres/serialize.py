@@ -99,11 +99,6 @@ def iter_resolution_json(rc: ResolutionComplex):
     yield ("\n  }" if matrices else "}") + "\n}\n"
 
 
-def resolution_to_json(rc: ResolutionComplex) -> str:
-    """The whole JSON export as one string."""
-    return "".join(iter_resolution_json(rc))
-
-
 def resolution_from_dict(data: dict) -> ResolutionComplex:
     """Rebuild the in-memory complex from its JSON form."""
     ctx = RingContext(data["n"])
@@ -158,12 +153,6 @@ def _cell_grid(rc: ResolutionComplex, i: int):
     grid = np.zeros((mat.nrows, mat.ncols), dtype=np.int64)
     grid[mat.rows, mat.cols] = code + 1
     return grid, ["0"] + [("-" if key & 1 else "") + f"x{key >> 1}" for key in keys.tolist()]
-
-
-def matrix_grid(rc: ResolutionComplex, i: int) -> list[list[str]]:
-    """The entries of d_i as strings ("x1", "-x3", "0"), rows x cols."""
-    grid, cells = _cell_grid(rc, i)
-    return np.array(cells, dtype=object)[grid].tolist()
 
 
 def resolution_to_text(rc: ResolutionComplex) -> str:

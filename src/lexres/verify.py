@@ -21,7 +21,6 @@ per position and point, is the only fallback.
 from __future__ import annotations
 
 import bisect
-import math
 import random
 from dataclasses import dataclass, field
 
@@ -219,12 +218,6 @@ class RankReport:
         return "\n".join(lines)
 
 
-def _d0_rank(rc: ResolutionComplex, point, p: int) -> int:
-    """Rank of the one-row d0 at the point: 1 unless every generator vanishes
-    there, so the scan stops at the first generator that does not."""
-    return int(any(math.prod(pow(c, e, p) for c, e in zip(point, g.exponents)) % p for g in rc.d0))
-
-
 def _evaluate_dense(mat: DifferentialMatrix, point_arr, p: int) -> np.ndarray:
     M = np.zeros((mat.nrows, mat.ncols), dtype=np.int64)
     M[mat.rows, mat.cols] = (mat.signs * point_arr[mat.vars - 1]) % p
@@ -277,16 +270,16 @@ def random_rank_check(rc: ResolutionComplex, seed: int = 0, trials: int = 5) -> 
     """Evaluate all differentials at random nonzero points mod DEFAULT_PRIME
     and test rank additivity at every position, `trials` times.
 
-    d0 is a single row, ranked at each point.  At a point p with nonzero
-    coordinates, a shaped d_i (see _witness_shape) has rank >= kappa_i, as
-    its witness block is invertible, and d_{i-1} d_i = 0 bounds it by
+    d0 is the row of generators, each nonzero at a point with nonzero
+    coordinates, so its rank there is kappa_0 = 1 (tagged "dense").  At such
+    a point p, a shaped d_i (see _witness_shape) has rank >= kappa_i, as its
+    witness block is invertible, and d_{i-1} d_i = 0 bounds it by
     beta_i - rank d_{i-1}(p) <= beta_i - kappa_{i-1}.  So where d_i and
     d_{i-1} are shaped, d_{i-1} ∘ d_i = 0 and kappa_{i-1} + kappa_i = beta_i
-    (Pascal's rule on the basis), rank d_i(p) = kappa_i is proved; for
-    i = 1 the point's rank of d0 stands in for kappa_0.  Every other
-    position is eliminated densely at each point, so reported ranks are the
-    exact evaluated ranks.  compose_check runs here for every i, through
-    the resolution module, and its verdicts are kept on the report.
+    (Pascal's rule on the basis), rank d_i(p) = kappa_i is proved.  Every
+    other position is eliminated densely at each point, so reported ranks
+    are the exact evaluated ranks.  compose_check runs here for every i,
+    through the resolution module, and its verdicts are kept on the report.
     """
     if trials < 1:
         raise ValueError(f"the rank check needs at least one trial, got {trials}")
@@ -295,11 +288,10 @@ def random_rank_check(rc: ResolutionComplex, seed: int = 0, trials: int = 5) -> 
     points = [tuple(rng.randrange(1, p) for _ in range(n)) for _ in range(trials)]
     composed = [resolution.compose_check(rc, i) for i in range(rc.proj_dim)]
     shapes = [_witness_shape(rc, i) for i in range(1, rc.proj_dim)]
-    kappa, shaped = [0] + [k for k, _ in shapes], [True] + [s for _, s in shapes]
+    kappa, shaped = [1] + [k for k, _ in shapes], [True] + [s for _, s in shapes]
     report = RankReport(modulus=p, seed=seed, betti=rc.betti, composed=composed)
     for point in points:
-        kappa[0] = _d0_rank(rc, point, p)
-        ranks, methods = [kappa[0]], ["dense"]
+        ranks, methods = [1], ["dense"]
         for i in range(1, rc.proj_dim):
             mat = rc.matrices[i]
             if shaped[i - 1] and shaped[i] and composed[i - 1] and kappa[i - 1] + kappa[i] == mat.nrows:

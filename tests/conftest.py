@@ -8,7 +8,7 @@ from lexres import (
     make_classified_spec,
     power_generators,
 )
-from lexres.decomposition import require_agreement
+from support import require_agreement
 
 
 @pytest.fixture(scope="session")

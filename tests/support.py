@@ -19,18 +19,22 @@ from lexres import (
     InvariantError,
     Monomial,
     RingContext,
+    assemble_resolution,
+    closed_form_matches_oracle,
     cmp_lex,
     colon_minimal_generators,
     enumerate_lexsegment,
     make_classified_spec,
     variable,
 )
+from lexres.cli import _quotients, build_parser
 from lexres.lexsegment import LexSegmentSpec
 from lexres.modp import DEFAULT_PRIME
 from lexres.monomials import _same_ctx, first_divisors, minimal_rows
 from lexres.powers import DEFAULT_PRODUCT_BUDGET, PowerIdeal
 from lexres.quotients import QuotientStructure, SetBoundViolation
 from lexres.resolution import Basis
+from lexres.serialize import iter_resolution_json
 from lexres.verify import DEFAULT_HILBERT_BUDGET, _pmul
 
 
@@ -524,3 +528,43 @@ def resolution_basis_loop(qs):
         if gen:
             bases[i] = Basis(gen, sigma, i - 1, n)
     return bases
+
+
+# -- whole-pipeline views that the library itself never needs ----------------
+
+
+def instance_argv(inst):
+    """The options that select a pinned benchmark instance."""
+    argv = ["--n", str(inst["n"]), "--u", inst["u"], "--v", inst["v"], "--k", str(inst["k"])]
+    return argv + (["--oracle-g"] if inst["oracle_g"] else [])
+
+
+def cli_resolution(argv):
+    """The complex that `lexres resolve <argv>` renders, built through the
+    same stages."""
+    cls, qs = _quotients(build_parser().parse_args(["resolve", *argv]))
+    assert qs.is_linear, argv
+    return assemble_resolution(qs, use_oracle=not cls.has_linear_form)
+
+
+def require_agreement(qs):
+    """Fail at the first pair where the closed-form g differs from the oracle."""
+    ok, mismatch = closed_form_matches_oracle(qs)
+    assert ok, "closed form disagrees with oracle at ({}, x{}): {} vs {}".format(*mismatch)
+
+
+def resolution_to_json(rc):
+    """The whole JSON export as one string."""
+    return "".join(iter_resolution_json(rc))
+
+
+def matrix_grid(rc, i):
+    """The entries of d_i as strings ("x1", "-x3", "0"), rows x cols, read
+    entry by entry from the arrays; d0's one row is the generators."""
+    if i == 0:
+        return [[str(g) for g in rc.d0]]
+    mat = rc.matrices[i]
+    grid = [["0"] * mat.ncols for _ in range(mat.nrows)]
+    for r, c, sign, var in zip(*(a.tolist() for a in mat.arrays)):
+        grid[r][c] = ("-" if sign < 0 else "") + f"x{var}"
+    return grid

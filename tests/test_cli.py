@@ -3,9 +3,11 @@ import functools
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -16,10 +18,10 @@ from hypothesis import strategies as st
 import support
 from lexres import (
     Monomial, RingContext, decomposition, lexsegment, linear_quotients_check, power_generators,
-    quotients, resolution, serialize, verify,
+    powers, quotients, resolution, serialize, verify,
 )
-from lexres.cli import JobSpec, _build_resolution, build_parser, main, parse_monomial, run_command
-from lexres.serialize import resolution_from_json, resolution_to_json
+from lexres.cli import build_parser, main, parse_monomial, run_command
+from lexres.serialize import resolution_from_json
 
 
 @pytest.fixture
@@ -271,35 +273,85 @@ def _segment_with_x3_cubed(u, v):
     return _enumerate_lexsegment(u, v) + [Monomial(u.ctx, (0, 0, 3))]
 
 
+def _never_assembled(qs, use_oracle=False):
+    raise AssertionError("verify assembled the complex after a failed check")
+
+
 @pytest.mark.parametrize(
-    "target, replacement, argv, message",
+    "target, replacement, argv, err, out",
     [
         ("lexres.quotients.high_branch", _low_branch_only, ["verify"] + _EXAMPLE,
-         "x2^2 has no support beyond x2"),
+         "check failed: x2^2 has no support beyond x2", ""),
         ("lexres.decomposition.high_branch", _flipped_branch, ["resolve"] + _EXAMPLE,
-         "closed form left G(I^k): g(x2*x1x4) = x1x2 is not a generator (branch low)"),
-        ("lexres.decomposition.closed_form_table", _corrupted_closed_form, ["verify"] + _EXAMPLE,
-         "closed form disagrees with oracle at (x1x3, x4): x2x4 vs x1x4"),
+         "check failed: closed form left G(I^k): g(x2*x1x4) = x1x2 is not a generator (branch low)", ""),
+        ("lexres.decomposition.closed_form_table", _corrupted_closed_form, ["verify"] + _EXAMPLE, "",
+         "[PASS] linear quotients\n"
+         "[PASS] set(m) bounds (min / tilde-min)\n"
+         "[FAIL] closed-form g equals definitional g: first mismatch at (x1x3, x4): x2x4 vs x1x4\n"
+         "[PASS] decomposition function regular\n"),
         ("lexres.resolution.regularity_check_oracle", _not_regular, ["resolve"] + _UNCLASSIFIED,
-         "cannot resolve: decomposition function not regular: t=3 in set(g(x2*x1x3))"),
+         "check failed: cannot resolve: decomposition function not regular: t=3 in set(g(x2*x1x3))", ""),
         ("lexres.powers.enumerate_lexsegment", _segment_with_x3_cubed, ["resolve"] + _UNCLASSIFIED,
-         "generators of I^1 have degrees [2, 3], not one"),
+         "check failed: generators of I^1 have degrees [2, 3], not one", ""),
     ],
     ids=["set-bound", "closed-form-fault", "disagreement", "not-regular", "mixed-degree"],
 )
-def test_cli_failed_check_exits_1(capsys, monkeypatch, target, replacement, argv, message):
+def test_cli_failed_check_exits_1(capsys, monkeypatch, target, replacement, argv, err, out):
     # each failure is found on well-formed input, so it is a failed check (exit 1),
-    # never an input error (exit 2)
+    # never an input error (exit 2): a one-line message on stderr, or verify's
+    # report, which ends before assembly
     monkeypatch.setattr(target, replacement)
+    if argv[0] == "verify":
+        monkeypatch.setattr("lexres.cli.assemble_resolution", _never_assembled)
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 1
-    assert captured.err.startswith("check failed: " + message)
-    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert captured.out == out
+    assert captured.err.startswith(err) and captured.err.count("\n") == bool(err)
+    assert "Traceback" not in captured.err
 
 
 def test_cli_budget_exit():
     assert main(["power", "--n", "6", "--u", "x1x3", "--v", "x2x6", "--k", "40"]) == 3
+
+
+@pytest.mark.parametrize("d", [6, 8])
+def test_cli_segment_refused_before_walk(capsys, d):
+    # L(x1^d, x30^d) holds all C(29 + d, d) monomials of degree d, 1,623,160
+    # for d = 6 and 38,608,020 for d = 8: counted, never walked
+    start = time.perf_counter()
+    assert main(["power", "--n", "30", "--u", f"x1^{d}", "--v", f"x30^{d}"]) == 3
+    assert time.perf_counter() - start < 1.0
+    size = math.comb(29 + d, d)
+    assert capsys.readouterr().err == (
+        f"budget exceeded: |L|={size}, k=1: {size} candidate products exceed budget {powers.DEFAULT_PRODUCT_BUDGET}\n"
+    )
+
+
+def test_neighbour_table_budget_edge(monkeypatch, capsys):
+    # the exchange-neighbour table of the worked example squared has
+    # |G| n^2 = 14 * 4^2 = 224 cells
+    monkeypatch.setattr(powers, "ENTRY_BUDGET", 224)
+    assert main(["quotients", *_EXAMPLE, "--k", "2"]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(powers, "ENTRY_BUDGET", 223)
+    for command in (["quotients"], ["verify", "--trials", "2"]):
+        assert main([*command, *_EXAMPLE, "--k", "2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "budget exceeded: the exchange-neighbour table has 224 cells, over the budget 223\n"
+
+
+def test_neighbour_table_refused_before_it_is_built(monkeypatch, capsys):
+    # the C(42, 3) = 11,480 cubics in 40 variables need 18,368,000 cells
+    def no_table(G, k):
+        raise AssertionError("the table was built")
+
+    monkeypatch.setattr(powers, "_exchange_neighbours", no_table)
+    assert main(["quotients", "--n", "40", "--u", "x1^3", "--v", "x40^3"]) == 3
+    assert capsys.readouterr().err == (
+        "budget exceeded: the exchange-neighbour table has 18368000 cells, over the budget 8000000\n"
+    )
 
 
 def test_complex_budget_edge(monkeypatch, capsys):
@@ -332,15 +384,15 @@ def test_complex_budget_default_admits_n8(monkeypatch):
         resolution.assemble_resolution(qs)
 
 
-def _text_cells(args):
-    rc = _build_resolution(JobSpec(command="resolve", **args))
+def _text_cells(argv):
+    rc = support.cli_resolution(argv)
     return len(rc.d0) + sum(m.nrows * m.ncols for m in rc.matrices.values())
 
 
 def test_cli_text_budget_edge(monkeypatch, capsys):
     # the dense text matrices are counted before any is built
-    argv = ["resolve", "--n", "4", "--u", "x1x3", "--v", "x2x4", "--k", "2"]
-    cells = _text_cells({"n": 4, "u": "x1x3", "v": "x2x4", "k": 2})
+    argv = ["resolve", *_EXAMPLE, "--k", "2"]
+    cells = _text_cells(argv[1:])
     monkeypatch.setattr(serialize, "TEXT_CELL_BUDGET", cells)
     assert main(argv) == 0
     assert "betti: (1, 14, 24, 13, 2)" in capsys.readouterr().out
@@ -353,7 +405,7 @@ def test_cli_text_budget_edge(monkeypatch, capsys):
 
 def test_cli_text_budget_default_admits_large_only():
     # the default renders the large benchmark instance and refuses the n=7 ladder row
-    large = _text_cells({"n": 6, "u": "x1x4x5x6", "v": "x2x6^3", "k": 2})
+    large = _text_cells(["--n", "6", "--u", "x1x4x5x6", "--v", "x2x6^3", "--k", "2"])
     assert large == 5_597_078 <= serialize.TEXT_CELL_BUDGET
     assert main(["resolve", "--n", "7", "--u", "x1x4x5x6x7", "--v", "x2x7^4", "--k", "2"]) == 3
 
@@ -376,7 +428,7 @@ def test_cli_json_roundtrip(tmp_path, capsys):
     text = out_path.read_text()
     rc = resolution_from_json(text)
     assert rc.betti == (1, 14, 24, 13, 2)
-    assert resolution_to_json(rc) == text
+    assert support.resolution_to_json(rc) == text
 
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.json"
@@ -392,8 +444,7 @@ def _pinned(workload, instance_id):
     """A pinned benchmark instance and the options that select it."""
     instances = json.loads(WORKLOADS.read_text())[workload]["instances"]
     inst = next(i for i in instances if i["id"] == instance_id)
-    args = ["--n", str(inst["n"]), "--u", inst["u"], "--v", inst["v"], "--k", str(inst["k"])]
-    return inst, args + (["--oracle-g"] if inst["oracle_g"] else [])
+    return inst, support.instance_argv(inst)
 
 
 @pytest.mark.parametrize("workload, instance_id", PINNED)
@@ -463,9 +514,9 @@ def test_parser_flags():
     assert args.depth == 3 and args.first_shadow_persistence
 
 
-def test_run_command_jobspec(capsys):
-    job = JobSpec(command="gen", n=2, u="x1^2", v="x2^2")
-    assert run_command(job) == 0
+def test_run_command_takes_parsed_args(capsys):
+    args = build_parser().parse_args(["gen", "--n", "2", "--u", "x1^2", "--v", "x2^2"])
+    assert run_command(args) == 0
     out = capsys.readouterr().out
     assert out.splitlines() == ["x1^2", "x1x2", "x2^2"]
 

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import support
 from lexres import (
@@ -14,7 +16,7 @@ from lexres import (
     normalize_spec,
     shadow,
 )
-from lexres.lexsegment import LexSegmentSpec, lex_max, lex_min
+from lexres.lexsegment import LexSegmentSpec, lex_max, lex_min, lex_rank
 
 
 def M(ctx, *exps):
@@ -57,6 +59,24 @@ def test_segment_matches_filter_oracle():
                     a, b = b, a
                 seg = enumerate_lexsegment(a, b)
                 assert [m.exponents for m in seg] == [m.exponents for m in support.interval_filter(a, b)]
+
+
+def test_lex_rank_is_the_position_in_the_degree_slice():
+    for n in (2, 3, 5):
+        for d in (0, 1, 3):
+            ctx = RingContext(n)
+            ordered = sorted(support.all_monomials(ctx, d), key=lambda m: m.exponents, reverse=True)
+            assert [lex_rank(m) for m in ordered] == list(range(len(ordered)))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(n=st.integers(2, 6), d=st.integers(1, 4), data=st.data())
+def test_lex_rank_counts_the_segment(n, d, data):
+    # |L(u, v)| from two ranks, against the lex walk
+    monomials = support.all_monomials(RingContext(n), d)
+    a, b = (data.draw(st.sampled_from(monomials)) for _ in range(2))
+    u, v = (a, b) if support.brute_cmp_lex(a, b) >= 0 else (b, a)
+    assert lex_rank(v) - lex_rank(u) + 1 == len(enumerate_lexsegment(u, v))
 
 
 def test_shadow_basics(ring4):

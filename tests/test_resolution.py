@@ -1,4 +1,3 @@
-import itertools
 import random
 import tracemalloc
 
@@ -19,8 +18,7 @@ from lexres import (
 from lexres.lexsegment import LexSegmentSpec
 from lexres.powers import PowerIdeal
 from lexres.quotients import QuotientStructure
-from lexres.resolution import alpha, resolution_basis
-from lexres.serialize import matrix_grid
+from lexres.resolution import resolution_basis
 
 # the three displayed differentials of the worked example, transcribed as
 # row-major grids against the documented basis ordering
@@ -57,9 +55,9 @@ def test_example_basis_order(example_resolution):
 
 
 def test_example_matrices_exact(example_resolution):
-    assert matrix_grid(example_resolution, 0) == D0_GRID
-    assert matrix_grid(example_resolution, 1) == D1_GRID
-    assert matrix_grid(example_resolution, 2) == D2_GRID
+    assert support.matrix_grid(example_resolution, 0) == D0_GRID
+    assert support.matrix_grid(example_resolution, 1) == D1_GRID
+    assert support.matrix_grid(example_resolution, 2) == D2_GRID
 
 
 def test_example_betti_and_shifts(example_resolution):
@@ -99,23 +97,6 @@ def test_degree_homogeneity(example_resolution, example_quotients_squared):
             col = multidegree(rc.bases[i + 1], mat.cols)
             row = multidegree(rc.bases[i], mat.rows)
             assert (col == row + var).all(), i
-
-
-def test_alpha_matches_permutation_parity():
-    rng = random.Random(9)
-    for _ in range(300):
-        sigma = tuple(sorted(rng.sample(range(1, 10), rng.randrange(1, 6))))
-        s = rng.choice(sigma)
-        # independent recomputation: parity of moving s to the front of sigma
-        pos = sigma.index(s)
-        perm = [pos] + [i for i in range(len(sigma)) if i != pos]
-        inversions = sum(
-            1
-            for a, b in itertools.combinations(range(len(perm)), 2)
-            if perm[a] > perm[b]
-        )
-        assert alpha(sigma, s) % 2 == inversions % 2
-        assert alpha(sigma, s) == pos
 
 
 def test_single_generator_resolution():

@@ -20,7 +20,6 @@ from lexres.serialize import (
     iter_resolution_json,
     resolution_from_dict,
     resolution_from_json,
-    resolution_to_json,
 )
 
 
@@ -48,7 +47,7 @@ def _family(n, ue, ve, k):
 def test_json_writer_matches_json_dumps(build):
     # the direct writer must lay the text out exactly as json.dumps(indent=2)
     rc = build()
-    text = resolution_to_json(rc)
+    text = support.resolution_to_json(rc)
     assert text == json.dumps(json.loads(text), indent=2) + "\n"
     data = json.loads(text)
     assert list(data) == ["n", "d", "k", "l", "order", "u", "v", "generators", "sets",
@@ -64,15 +63,25 @@ def test_json_writer_matches_json_dumps(build):
         ]
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_text_matrices_show_every_entry(k):
+    # each d_i block: a title, the column labels, then one labelled row per row of d_i
+    rc = _family(4, (1, 0, 1, 0), (0, 1, 0, 1), k)
+    blocks = serialize.resolution_to_text(rc).split("\n\n")[1:]
+    assert len(blocks) == rc.proj_dim
+    for i, block in enumerate(blocks):
+        assert [row.split()[1:] for row in block.splitlines()[2:]] == support.matrix_grid(rc, i)
+
+
 def test_single_generator_has_no_matrices():
-    data = json.loads(resolution_to_json(_single_generator()))
+    data = json.loads(support.resolution_to_json(_single_generator()))
     assert data["matrices"] == {}
     assert data["bases"] == {"1": [{"sigma": [], "gen": 0}]}
 
 
 def test_json_import_regroups_entries_by_column():
     rc = _family(4, (1, 0, 1, 0), (0, 1, 0, 1), 2)
-    data = json.loads(resolution_to_json(rc))
+    data = json.loads(support.resolution_to_json(rc))
     for mat in data["matrices"].values():
         mat["entries"].sort(key=lambda e: -e["c"])  # columns reversed, each kept in order
     assert resolution_from_dict(data) == rc
@@ -83,7 +92,7 @@ def test_json_import_regroups_entries_by_column():
 )
 def test_json_import_rejects_betti_or_shifts_off_the_bases(field, value):
     # Betti numbers and shifts are read off the bases, so a header that disagrees is refused
-    data = json.loads(resolution_to_json(_family(4, (1, 0, 1, 0), (0, 1, 0, 1), 1)))
+    data = json.loads(support.resolution_to_json(_family(4, (1, 0, 1, 0), (0, 1, 0, 1), 1)))
     assert data[field] != value
     data[field] = value
     with pytest.raises(ValueError, match="disagree with the bases"):
@@ -98,10 +107,10 @@ _SMALL_SHAPES = [spec for spec in support.theorem_family_specs() if spec[0] <= 5
 def test_json_round_trip_property(shape, k):
     n, d, l, ue, ve = shape
     rc = _family(n, ue, ve, k)
-    text = resolution_to_json(rc)
+    text = support.resolution_to_json(rc)
     back = resolution_from_json(text)
     assert back == rc
-    assert resolution_to_json(back) == text
+    assert support.resolution_to_json(back) == text
 
 
 def _dumped(text):
@@ -113,7 +122,7 @@ def _dumped(text):
 def test_json_chunks_join_to_the_same_bytes(monkeypatch, build, records):
     # chunk boundaries fall inside every list: generators, sets, bases and entries
     rc = build()
-    whole = resolution_to_json(rc)
+    whole = support.resolution_to_json(rc)
     monkeypatch.setattr(serialize, "CHUNK_RECORDS", records)
     assert "".join(iter_resolution_json(rc)) == whole == _dumped(whole)
 
@@ -123,7 +132,7 @@ def test_json_renders_any_int64_as_json_dumps():
     # the int64 limits, and row and column indices that cross digit widths;
     # the import refuses such matrices, so they are built in memory
     rc = _family(4, (1, 0, 1, 0), (0, 1, 0, 1), 2)
-    data = json.loads(resolution_to_json(rc))
+    data = json.loads(support.resolution_to_json(rc))
     for i, mat in data["matrices"].items():
         for p, e in enumerate(mat["entries"]):
             e["r"], e["c"] = e["r"] * 37 + 5, e["c"] * 1001  # columns stay in order
@@ -131,7 +140,7 @@ def test_json_renders_any_int64_as_json_dumps():
             e["var"] = (10, 2**63 - 1, 99, 4)[p % 4]
         cells = [[e[key] for e in mat["entries"]] for key in ("r", "c", "sign", "var")]
         rc.matrices[int(i)] = DifferentialMatrix(mat["rows"], mat["cols"], *cells)
-    assert resolution_to_json(rc) == json.dumps(data, indent=2) + "\n"
+    assert support.resolution_to_json(rc) == json.dumps(data, indent=2) + "\n"
 
 
 def _set_entry(field, value):
@@ -161,7 +170,7 @@ def test_json_import_rejects_malformed_matrices(corrupt, message):
     # each would otherwise load: an IndexError later in the rank check, x0
     # read as x4, or two entries that the evaluation and compose_check
     # would combine differently
-    data = json.loads(resolution_to_json(_family(4, (1, 0, 1, 0), (0, 1, 0, 1), 2)))
+    data = json.loads(support.resolution_to_json(_family(4, (1, 0, 1, 0), (0, 1, 0, 1), 2)))
     resolution_from_dict(json.loads(json.dumps(data)))
     corrupt(data)
     with pytest.raises(ValueError, match=message):
@@ -175,7 +184,7 @@ def test_json_empty_basis_and_empty_matrix():
         bases={**rc.bases, 2: Basis([], [], 1, 3)},
         matrices={1: DifferentialMatrix(1, 0, [], [], [], [])},
     )
-    text = resolution_to_json(rc)
+    text = support.resolution_to_json(rc)
     assert text == _dumped(text)
     data = json.loads(text)
     assert data["bases"]["2"] == [] and data["matrices"]["1"] == {"rows": 1, "cols": 0, "entries": []}

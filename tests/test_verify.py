@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from pathlib import Path
 
@@ -19,13 +20,12 @@ from lexres import (
     power_generators,
     random_rank_check,
 )
-from lexres.cli import JobSpec, _build_resolution
 from lexres.lexsegment import LexSegmentSpec
 from lexres.modp import DEFAULT_PRIME, rank_mod
 from lexres import resolution, verify
 from lexres.resolution import Basis, DifferentialMatrix, ResolutionComplex, compose_check
 from lexres.verify import (
-    HilbertNumerator, _d0_rank, _evaluate_dense, _witness_shape, rank_positions_ok,
+    HilbertNumerator, _evaluate_dense, _witness_shape, rank_positions_ok,
 )
 
 
@@ -220,7 +220,8 @@ def _assert_true_ranks(rc, report):
     """Every reported rank is the rank of the evaluated matrix at its point."""
     for t in report.trials:
         point = np.array(t.point, dtype=np.int64)
-        assert t.ranks[0] == _d0_rank(rc, t.point, P)
+        d0 = [math.prod(pow(c, e, P) for c, e in zip(t.point, g.exponents)) % P for g in rc.d0]
+        assert t.ranks[0] == rank_mod(np.array([d0], dtype=np.int64))
         for i in range(1, rc.proj_dim):
             assert t.ranks[i] == rank_mod(_evaluate_dense(rc.matrices[i], point, P)), (i, t.point)
 
@@ -405,12 +406,6 @@ def test_rank_check_premises_each_alone(build, monkeypatch):
     report = run("lexres.resolution.compose_check", lambda rc, i: i != j - 1 and compose(rc, i))
     assert report.composed == [i != j - 1 for i in range(pd)]
     assert all(t.methods == _fallback_only_at({j}, pd) for t in report.trials)
-    # a d0 that vanished at the point would break Pascal's rule at d1
-    with monkeypatch.context() as m:
-        m.setattr("lexres.verify._d0_rank", lambda rc, point, p: 0)
-        report = random_rank_check(rc, seed=4, trials=2)
-    assert all(t.methods == _fallback_only_at({1}, pd) and not t.ok for t in report.trials)
-    assert [t.ranks[1:] for t in report.trials] == [t.ranks[1:] for t in clean.trials]
 
 
 def test_rank_check_composition_premise_with_shapes_intact():
@@ -434,7 +429,7 @@ def test_rank_check_composition_premise_with_shapes_intact():
 def _small_pinned():
     pinned = json.loads(WORKLOADS.read_text())
     return [
-        _build_resolution(JobSpec("verify", i["n"], i["u"], i["v"], i["k"], oracle_g=i["oracle_g"]))
+        support.cli_resolution(support.instance_argv(i))
         for name in ("family", "oracle") for i in pinned[name]["instances"] if i["n"] <= 5
     ]
 
@@ -486,19 +481,10 @@ def test_witness_ranks_are_true_ranks_on_pinned_instances(seed):
     pinned = json.loads(WORKLOADS.read_text())
     for name in ("family", "oracle", "selftest"):
         for inst in pinned[name]["instances"]:
-            rc = _build_resolution(JobSpec(
-                "verify", inst["n"], inst["u"], inst["v"], inst["k"], oracle_g=inst["oracle_g"]
-            ))
+            rc = support.cli_resolution(support.instance_argv(inst))
             report = random_rank_check(rc, seed=seed, trials=2)
             assert report.passed, inst["id"]
             for t in report.trials:
                 assert t.methods == _fallback_only_at(set(), rc.proj_dim), inst["id"]
             _assert_true_ranks(rc, report)
 
-
-def test_d0_rank(example_resolution):
-    assert _d0_rank(example_resolution, (1, 1, 1, 1), P) == 1
-    # every generator of L(x1x3, x2x4) vanishes where x1 = x2 = 0; x2^2 and
-    # x2x4 survive x1 = x3 = 0
-    assert _d0_rank(example_resolution, (0, 0, 1, 1), P) == 0
-    assert _d0_rank(example_resolution, (0, 1, 0, 1), P) == 1
