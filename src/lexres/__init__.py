@@ -16,7 +16,7 @@ from .decomposition import (
 )
 from .resolution import (
     Basis, DifferentialMatrix, ResolutionComplex, assemble_resolution, betti_from_sets,
-    compose_check, minimality_check,
+    compose_check, minimality_check, stream_resolution,
 )
 from .verify import (
     HilbertNumerator, RankReport, euler_characteristic_numerator, hilbert_numerator,
@@ -33,7 +33,7 @@ __all__ = [
     "DecompositionTable", "RegularityReport", "closed_form_matches_oracle", "closed_form_table",
     "oracle_table", "regularity_check_oracle",
     "Basis", "DifferentialMatrix", "ResolutionComplex", "assemble_resolution", "betti_from_sets",
-    "compose_check", "minimality_check", "HilbertNumerator", "RankReport",
+    "compose_check", "minimality_check", "stream_resolution", "HilbertNumerator", "RankReport",
     "euler_characteristic_numerator", "hilbert_numerator",
     "random_rank_check", "BudgetError", "CheckFailure", "InvariantError",
 ]

@@ -22,7 +22,7 @@ from .lexsegment import (
 from .monomials import Monomial, RingContext
 from .powers import power_generators
 from .quotients import linear_quotients_check, set_bound_report
-from .resolution import assemble_resolution, minimality_check
+from .resolution import assemble_resolution, stream_resolution
 from .serialize import iter_resolution_json, power_ideal_to_m2, resolution_to_text
 from .verify import euler_characteristic_numerator, hilbert_numerator, random_rank_check
 
@@ -160,10 +160,12 @@ def run_command(args: argparse.Namespace) -> int:
             raise CheckFailure(
                 f"linear quotients fail at u{qs.failure_index + 1}: colon contains {qs.offending}"
             )
-        rc = assemble_resolution(qs, use_oracle=not cls.has_linear_form)
         if args.fmt == "json":
-            _emit(args, iter_resolution_json(rc))
-        elif args.fmt == "m2":
+            # one differential at a time: built, written, dropped
+            _emit(args, iter_resolution_json(*stream_resolution(qs, use_oracle=not cls.has_linear_form)))
+            return 0
+        rc = assemble_resolution(qs, use_oracle=not cls.has_linear_form)
+        if args.fmt == "m2":
             _emit(args, power_ideal_to_m2(rc.power))
         else:
             _emit(args, resolution_to_text(rc))
@@ -223,12 +225,13 @@ def _verify(args: argparse.Namespace) -> int:
         _emit(args, "\n".join(lines) + "\n")
         return 1
 
-    rc = assemble_resolution(qs, use_oracle=not cls.has_linear_form)
-    # the rank check runs compose_check for every position and keeps the verdicts
-    report = random_rank_check(rc, seed=args.seed, trials=args.trials)
+    rc, differentials = stream_resolution(qs, use_oracle=not cls.has_linear_form)
+    # the rank check reads the differentials once, two at a time, and keeps
+    # the verdicts of compose_check and minimality_check on the way
+    report = random_rank_check(rc, seed=args.seed, trials=args.trials, differentials=differentials)
     for i, composed in enumerate(report.composed):
         tick(f"d{i} ∘ d{i + 1} = 0", composed)
-    tick("minimality (entries are ±x_j)", minimality_check(rc))
+    tick("minimality (entries are ±x_j)", report.minimal)
 
     try:
         numerator = hilbert_numerator(rc.power.generators)

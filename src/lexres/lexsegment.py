@@ -8,7 +8,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
-from .errors import InvariantError
+from .errors import BudgetError, InvariantError
 from .monomials import (
     Monomial,
     RingContext,
@@ -16,6 +16,10 @@ from .monomials import (
     lex_key,
     one,
 )
+
+# products of k members of L(u, v) in powers.py, and the monomials of one
+# segment or shadow walked here
+DEFAULT_PRODUCT_BUDGET = 10**6
 
 
 def lex_successor(m: Monomial):
@@ -40,12 +44,16 @@ def lex_successor(m: Monomial):
 def enumerate_lexsegment(u: Monomial, v: Monomial) -> list[Monomial]:
     """All degree-d monomials w with u >=_lex w >=_lex v, lex-descending.
 
-    The interval is closed at both ends; u and v are members.
+    The interval is closed at both ends; u and v are members.  The segment
+    is counted from two lex ranks first and refused (BudgetError) when it
+    holds more than DEFAULT_PRODUCT_BUDGET monomials, before it is walked.
     """
     if u.degree != v.degree:
         raise ValueError(f"degree mismatch: {u.degree} vs {v.degree}")
     if cmp_lex(u, v) < 0:
         raise ValueError(f"{u} <_lex {v}: empty segment")
+    if (size := lex_rank(v) - lex_rank(u) + 1) > DEFAULT_PRODUCT_BUDGET:
+        raise BudgetError(f"L({u}, {v}) has {size} monomials, over the budget {DEFAULT_PRODUCT_BUDGET}")
     out = [u]
     w = u
     while cmp_lex(w, v) > 0:
@@ -185,7 +193,9 @@ def is_completely_lexsegment(
 
     On failure the witness is the lex-largest interval member missing from
     the shadow.  A clean run is reported as unknown-at-depth unless the
-    persistence flag promotes a passing first shadow to "yes".
+    persistence flag promotes a passing first shadow to "yes".  Every set is
+    bounded by DEFAULT_PRODUCT_BUDGET before it is built: L(u, v) and each
+    lex interval by their lex ranks, each shadow by n times the one before.
     """
     if depth is None:
         depth = spec.ctx.n
@@ -193,6 +203,8 @@ def is_completely_lexsegment(
         raise ValueError("depth must be >= 1")
     current: set[Monomial] = set(enumerate_lexsegment(spec.u, spec.v))
     for i in range(1, depth + 1):
+        if (bound := spec.ctx.n * len(current)) > DEFAULT_PRODUCT_BUDGET:
+            raise BudgetError(f"Shad^{i} may have {bound} monomials, over the budget {DEFAULT_PRODUCT_BUDGET}")
         current = shadow(current)
         segment = enumerate_lexsegment(lex_max(current), lex_min(current))
         if len(segment) != len(current):

@@ -13,14 +13,14 @@ import math
 import numpy as np
 
 from .errors import BudgetError, InvariantError
-from .lexsegment import LexSegmentSpec, enumerate_lexsegment, lex_rank
+from .lexsegment import DEFAULT_PRODUCT_BUDGET, LexSegmentSpec, enumerate_lexsegment, lex_rank
 from .monomials import Monomial
 
-DEFAULT_PRODUCT_BUDGET = 10**6
-# cells of the two largest int64 arrays, each checked before it is built: the
-# exchange-neighbour table here, |G| n^2, and the matrix entries of a complex
-# in resolution.py, bounded by sum_i 2 i beta_{i+1}; n=8, k=2 (x1x4..x8 /
-# x2x8^5) needs 934,720 and 6,178,528
+# cells of the largest arrays, each checked before it is built: here the
+# candidate rows, candidates * n, and the exchange-neighbour table, |G| n^2;
+# in resolution.py the matrix entries of a complex, bounded by
+# sum_i 2 i beta_{i+1}, which keeps every index of a DifferentialMatrix below
+# 2^31.  n=8, k=2 (x1x4..x8 / x2x8^5) needs 1,164,240, 934,720 and 6,178,528
 ENTRY_BUDGET = 8 * 10**6
 
 
@@ -99,6 +99,8 @@ def power_generators(spec: LexSegmentSpec, k: int, budget: int = DEFAULT_PRODUCT
     candidates = math.comb(size + k - 1, k)
     if candidates > budget:
         raise BudgetError(f"|L|={size}, k={k}: {candidates} candidate products exceed budget {budget}")
+    if candidates * spec.ctx.n > ENTRY_BUDGET:
+        raise BudgetError(f"the candidate rows have {candidates * spec.ctx.n} cells, over the budget {ENTRY_BUDGET}")
     segment = enumerate_lexsegment(spec.u, spec.v)
     E = np.array([m.exponents for m in segment], dtype=np.int64)
     multisets = itertools.combinations_with_replacement(range(len(segment)), k)

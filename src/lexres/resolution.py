@@ -33,15 +33,23 @@ class DifferentialMatrix:
     """A differential whose nonzero entries are all +-(one variable).
 
     Entry p is signs[p] * x_{vars[p]} at (rows[p], cols[p]), vars 1-based.
-    The four int64 arrays are column-major: cols is non-decreasing, and
-    within a column the entries keep the order the assembly made them in.
+    The arrays are column-major: cols is non-decreasing, and within a
+    column the entries keep the order the assembly made them in.  They take
+    11 bytes an entry: rows and cols are int32, as ENTRY_BUDGET keeps every
+    index below 2^31; signs are int8; vars are int16, as the neighbour-table
+    budget |G| n^2 <= ENTRY_BUDGET keeps n below 2,829 for every assembled
+    complex.  A value outside its type is refused with ValueError, never
+    wrapped, and arithmetic that can leave a type upcasts to int64 first.
     """
+
+    DTYPES = (np.int32, np.int32, np.int8, np.int16)
 
     def __init__(self, nrows: int, ncols: int, rows, cols, signs, vars):
         self.nrows = nrows
         self.ncols = ncols
         self.rows, self.cols, self.signs, self.vars = (
-            np.asarray(a, dtype=np.int64) for a in (rows, cols, signs, vars)
+            _fitted(a, dtype, name)
+            for a, dtype, name in zip((rows, cols, signs, vars), self.DTYPES, ("row", "column", "sign", "var"))
         )
 
     @property
@@ -57,6 +65,17 @@ class DifferentialMatrix:
             and (self.nrows, self.ncols) == (other.nrows, other.ncols)
             and all(np.array_equal(a, b) for a, b in zip(self.arrays, other.arrays))
         )
+
+
+def _fitted(values, dtype, name: str) -> np.ndarray:
+    """values as an array of dtype, or ValueError when one does not fit."""
+    a = np.asarray(values)
+    if a.dtype == dtype:
+        return a
+    info = np.iinfo(dtype)
+    if a.size and not (info.min <= a.min() and a.max() <= info.max):
+        raise ValueError(f"a {name} outside {info.min}..{info.max} does not fit the stored {info.dtype}")
+    return a.astype(dtype)
 
 
 class Basis:
@@ -170,8 +189,11 @@ def betti_from_sets(sets) -> tuple[int, ...]:
     return tuple(betti)
 
 
-def assemble_resolution(qs: QuotientStructure, use_oracle: bool = False) -> ResolutionComplex:
-    """Build bases and differentials for the full resolution of S/I^k.
+def stream_resolution(qs: QuotientStructure, use_oracle: bool = False):
+    """The resolution of S/I^k one differential at a time: the complex with
+    its bases and no matrices, and a generator of (i, d_i) for i = 1, 2, ...
+    in order.  The generator keeps no differential once it has yielded it,
+    so a reader that drops d_i before asking for d_{i+1} holds one at a time.
 
     Classified specs use the closed-form g; with use_oracle the definitional
     g is used instead, which requires the decomposition function to be
@@ -204,51 +226,66 @@ def assemble_resolution(qs: QuotientStructure, use_oracle: bool = False) -> Reso
             raise InvariantError(f"rank F_{i}: basis count {len(basis)} != beta {betti[i]}")
     g_of, coeff_of = np.full((2, len(qs.sets), pi.spec.ctx.n + 1), -1, dtype=np.int64)
     g_of[table.gen, table.s], coeff_of[table.gen, table.s] = table.g, table.coeff
+    degrees = range(1, max(bases))  # d_i maps F_{i+1} to F_i
+    differentials = ((i, _differential(i, bases[i], bases[i + 1], g_of, coeff_of)) for i in degrees)
+    return ResolutionComplex(quotients=qs, bases=bases, matrices={}), differentials
 
-    matrices: dict[int, DifferentialMatrix] = {}
-    for i in sorted(bases):
-        if i + 1 not in bases:
-            break
-        # column f(sigma; w) gets, for each s in sigma (pos its position), the
-        # g-term (when tau = sigma minus s lies in set(g)) and then the Koszul term
-        cols = bases[i + 1]
-        shape = (len(cols), i, 2)
-        rows, signs, variables = np.empty((3, *shape), dtype=np.int64)
-        for pos in range(i):
-            s = cols.sigma[:, pos]
-            tau = cols.mask - (1 << s)
-            g = g_of[cols.gen, s]
-            rows[:, pos, 0] = bases[i].find(g, tau)  # -1 where tau is not in set(g)
-            rows[:, pos, 1] = bases[i].find(cols.gen, tau)
-            signs[:, pos] = (-1, 1) if pos % 2 else (1, -1)
-            variables[:, pos, 0], variables[:, pos, 1] = coeff_of[cols.gen, s], s
-        keep = rows.ravel() >= 0
-        col_of = np.repeat(np.arange(shape[0]), 2 * i)
-        matrices[i] = DifferentialMatrix(
-            len(bases[i]), shape[0], *(a.ravel()[keep] for a in (rows, col_of, signs, variables))
-        )
-    return ResolutionComplex(quotients=qs, bases=bases, matrices=matrices)
+
+def _differential(i: int, rows: Basis, cols: Basis, g_of, coeff_of) -> DifferentialMatrix:
+    """d_i, from F_{i+1} (cols) to F_i (rows).  Column f(sigma; w) gets, for
+    each s in sigma (pos its position), the g-term (when tau = sigma minus s
+    lies in set(g)) and then the Koszul term."""
+    shape = (len(cols), i, 2)
+    at = np.empty(shape, dtype=np.int32)
+    keep = np.empty(shape, dtype=bool)
+    signs = np.empty(shape, dtype=np.int8)
+    variables = np.empty(shape, dtype=np.int16)
+    for pos in range(i):
+        s = cols.sigma[:, pos]
+        tau = cols.mask - (1 << s)
+        for half, gen in enumerate((g_of[cols.gen, s], cols.gen)):
+            found = rows.find(gen, tau)  # -1 where tau is not in set(gen), which only a g-term meets
+            at[:, pos, half], keep[:, pos, half] = found, found >= 0
+        signs[:, pos] = (-1, 1) if pos % 2 else (1, -1)
+        variables[:, pos, 0], variables[:, pos, 1] = coeff_of[cols.gen, s], s
+    keep = keep.ravel()
+    col_of = np.repeat(np.arange(shape[0], dtype=np.int32), 2 * i)
+    return DifferentialMatrix(len(rows), shape[0], *(a.ravel()[keep] for a in (at, col_of, signs, variables)))
+
+
+def assemble_resolution(qs: QuotientStructure, use_oracle: bool = False) -> ResolutionComplex:
+    """The whole resolution of S/I^k, every differential in rc.matrices:
+    stream_resolution's generator, collected."""
+    rc, differentials = stream_resolution(qs, use_oracle)
+    rc.matrices = dict(differentials)
+    return rc
 
 
 def _cancels(keys: np.ndarray, values: np.ndarray) -> bool:
-    """Whether the values sum to zero over every group of equal keys."""
+    """Whether the values sum to zero, in int64, over every group of equal keys."""
     if not len(values):
         return True
     order = np.argsort(keys, kind="stable")
-    keys, values = keys[order], values[order]
+    keys = keys[order]
     starts = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
-    return not np.add.reduceat(values, starts).any()
+    return not np.add.reduceat(values.astype(np.int64)[order], starts).any()
 
 
 # product pairs of d_{i+1} and d_i entries cancelled together by compose_check
-_COMPOSE_PAIRS = 1 << 21
+_COMPOSE_PAIRS = 1 << 18
 
 
 def _products_cancel(up, up_signs, first, counts, ends, low, low_signs) -> bool:
     """Whether the products cancel when d_{i+1} entry e (key up, sign) meets
     the counts[e] entries of d_i from first[e] on; ends = cumsum(counts)."""
-    inner = np.repeat(first - ends + counts, counts) + np.arange(ends[-1])
-    return _cancels(np.repeat(up, counts) + low[inner], np.repeat(up_signs, counts) * low_signs[inner])
+    inner = np.repeat(first - ends + counts, counts)
+    inner += np.arange(ends[-1])
+    keys = np.repeat(up, counts)
+    keys += low[inner]
+    signs = np.repeat(up_signs.astype(np.int64), counts)
+    signs *= low_signs[inner]
+    del inner
+    return _cancels(keys, signs)
 
 
 def compose_check(rc: ResolutionComplex, i: int) -> bool:
@@ -268,9 +305,10 @@ def compose_check(rc: ResolutionComplex, i: int) -> bool:
         gens = np.array([g.exponents for g in rc.d0], dtype=np.int64)
         # the column, then the monomial x_var * d0[row]; a var outside 1..n
         # (minimality fails) adds nothing
-        terms = np.column_stack([d1.cols, gens[d1.rows]])
-        valid = np.flatnonzero((d1.vars >= 1) & (d1.vars <= gens.shape[1]))
-        terms[valid, d1.vars[valid]] += 1
+        var = d1.vars.astype(np.int64)
+        terms = np.column_stack([d1.cols.astype(np.int64), gens[d1.rows]])
+        valid = np.flatnonzero((var >= 1) & (var <= gens.shape[1]))
+        terms[valid, var[valid]] += 1
         # each row is one raw-byte key, which no packed integer can overflow
         keys = terms.view(np.dtype((np.void, terms.itemsize * terms.shape[1]))).ravel()
         return _cancels(keys, d1.signs)
@@ -282,20 +320,23 @@ def compose_check(rc: ResolutionComplex, i: int) -> bool:
     # and a^2 + b^2, which fix {a, b}: the key is one term of the d_{i+1}
     # entry plus one of the d_i entry, with a and b counted from the least var
     both = np.concatenate([upper.vars, lower.vars])
-    lo, span = both.min(), int(both.max() - both.min()) + 1
+    lo, span = int(both.min()), int(both.max()) - int(both.min()) + 1
     sq = 2 * span * span  # bounds a^2 + b^2
     per_cell = 2 * span * sq  # bounds (a + b) sq + a^2 + b^2
-    a, b = upper.vars - lo, lower.vars - lo
-    up = upper.cols * lower.nrows * per_cell + a * sq + a * a
-    low = lower.rows * per_cell + b * sq + b * b
+    a, b = (m.vars.astype(np.int64) - lo for m in (upper, lower))
+    up = upper.cols.astype(np.int64)
+    # each range takes the most whole columns whose products fit under the
+    # cap, at least one; column_ends holds the entry after each column
+    column_ends = np.append(np.flatnonzero(np.diff(up)) + 1, len(up))
+    up *= lower.nrows * per_cell
+    up += a * sq + a * a
+    low = lower.rows.astype(np.int64) * per_cell + b * sq + b * b
     # pair every entry of d_{i+1} with each entry of the d_i column it lands on
     # (column j of d_i is starts[j]:starts[j + 1])
     starts = np.searchsorted(lower.cols, np.arange(lower.ncols + 1))
-    first, counts = starts[upper.rows], starts[upper.rows + 1] - starts[upper.rows]
+    first = starts[upper.rows]
+    counts = starts[1:][upper.rows] - first
     ends = np.cumsum(counts)
-    # each range takes the most whole columns whose products fit under the
-    # cap, at least one; column_ends holds the entry after each column
-    column_ends = np.append(np.flatnonzero(np.diff(upper.cols)) + 1, len(counts))
     done = ends[column_ends - 1]  # products up to each column's end
     start = base = c = 0
     while start < len(counts):
@@ -314,6 +355,7 @@ def minimality_check(rc: ResolutionComplex) -> bool:
     if any(g.degree < 1 for g in rc.d0):
         return False
     return all(
-        (np.abs(mat.signs) == 1).all() and ((mat.vars >= 1) & (mat.vars <= n)).all()
+        (np.abs(mat.signs.astype(np.int64)) == 1).all()
+        and mat.vars.min(initial=1) >= 1 and mat.vars.max(initial=n) <= n
         for mat in rc.matrices.values()
     )

@@ -16,7 +16,7 @@ from .resolution import Basis, DifferentialMatrix, ResolutionComplex
 
 JSON_ORDER_TAG = "increasing-revlex"
 TEXT_CELL_BUDGET = 10**7  # cells of the dense text matrices, over all degrees
-CHUNK_RECORDS = 1 << 15  # generators, sets, basis symbols or entries per chunk
+CHUNK_RECORDS = 1 << 11  # generators, sets, basis symbols or entries per chunk
 
 
 def _int_list(values, indent: int) -> str:
@@ -26,7 +26,7 @@ def _int_list(values, indent: int) -> str:
 
 
 def _text_table(arrays, render):
-    """A lookup from int64 arrays to object arrays of render(value), with
+    """A lookup from integer arrays to object arrays of render(value), with
     render run once per value, over min..max of `arrays` or, when that
     range is much wider than they are, over their distinct values."""
     arrays = [a for a in arrays if a.size]
@@ -34,7 +34,7 @@ def _text_table(arrays, render):
     hi = max((int(a.max()) for a in arrays), default=-1)
     if hi - lo <= 2 * sum(a.size for a in arrays) + 1024:
         texts = np.array([render(v) for v in range(lo, hi + 1)], dtype=object)
-        return lambda a: texts[a - lo]
+        return lambda a: texts[a.astype(np.int64) - lo]  # a - lo could wrap in a's own type
     keys = np.unique(np.concatenate(arrays))
     texts = np.array([render(v) for v in keys.tolist()], dtype=object)
     return lambda a: texts[np.searchsorted(keys, a)]
@@ -43,12 +43,16 @@ def _text_table(arrays, render):
 def _records(opening: str, count: int, pieces, indent: int):
     """`opening` and a list of `count` records that opens at `indent`, in
     chunks of at most CHUNK_RECORDS records.  pieces(lo, hi) gives the text
-    of records lo..hi-1 as a list of object arrays, one element per record
-    each, read left to right; each record starts with the ",\n" that would
-    follow the record before it."""
+    of records lo..hi-1 as a list of parts read left to right, each an
+    object array with one element per record or one str that every record
+    shares; each record starts with the ",\n" that would follow the record
+    before it."""
     yield opening + ("[" if count else "[]")
     for lo in range(0, count, CHUNK_RECORDS):
-        chunk = np.column_stack(pieces(lo, min(lo + CHUNK_RECORDS, count)))
+        parts = pieces(lo, min(lo + CHUNK_RECORDS, count))
+        chunk = np.empty((min(CHUNK_RECORDS, count - lo), len(parts)), dtype=object)
+        for j, part in enumerate(parts):
+            chunk[:, j] = part
         if lo == 0:
             chunk[0, 0] = chunk[0, 0][1:]  # the first record follows "[" without a comma
         yield "".join(chunk.ravel().tolist())
@@ -62,13 +66,23 @@ def _rows(opening: str, rows):
     return _records(opening, len(texts), lambda lo, hi: [texts[lo:hi]], 2)
 
 
-def iter_resolution_json(rc: ResolutionComplex):
+# the JSON text of a matrix entry before r, and between r and c
+_BEFORE_ROW, _BEFORE_COL = ',\n        {\n          "r": ', ',\n          "c": '
+
+
+def iter_resolution_json(rc: ResolutionComplex, differentials=None):
     """The JSON export in chunks that concatenate to json.dumps(..., indent=2)
     of the format in the README, byte for byte.  Only the small header
-    fields go through json.  A matrix entry is ROW[r] + COL[c] + SIGN[sign]
-    + VAR[var] and a basis symbol SIGMA[mask] + GEN[gen], from tables of
-    the JSON text around each value built once per complex (SIGMA once per
-    basis), and a chunk joins at most CHUNK_RECORDS records."""
+    fields go through json.  A basis symbol is SIGMA[mask] + GEN[gen] and a
+    matrix entry _BEFORE_ROW + NUM[r] + _BEFORE_COL + NUM[c] + SIGN[sign] +
+    VAR[var], from tables of the JSON text of each value: GEN built once per
+    complex, SIGMA once per basis, and NUM (the digits alone, read by rows
+    and columns), SIGN and VAR once per differential from its own arrays.
+    A chunk joins at most CHUNK_RECORDS records.
+
+    The differentials are read in order from `differentials`, pairs (i, d_i)
+    as stream_resolution yields them, or by default from rc.matrices; each
+    is dropped, with its tables, before the next is read."""
     spec = rc.power.spec
     head = {"n": spec.ctx.n, "d": spec.d, "k": rc.power.k, "l": spec.l, "order": JSON_ORDER_TAG,
             "u": list(spec.u.exponents), "v": list(spec.v.exponents)}
@@ -77,7 +91,7 @@ def iter_resolution_json(rc: ResolutionComplex):
                      [g.exponents for g in rc.power.generators])
     yield from _rows(',\n  "sets": ', rc.quotients.sets)
     yield ",\n" + json.dumps(tail, indent=2)[2:-2] + ',\n  "bases": {'  # without "{\n", "\n}"
-    bases, matrices = sorted(rc.bases.items()), sorted(rc.matrices.items())
+    bases = sorted(rc.bases.items())
     gen = _text_table([b.gen for _, b in bases], lambda g: f"{g}\n      }}")
     for pos, (i, basis) in enumerate(bases):
         _, first, sigma_of = np.unique(basis.mask, return_index=True, return_inverse=True)
@@ -86,17 +100,21 @@ def iter_resolution_json(rc: ResolutionComplex):
         yield from _records(f'{"," * bool(pos)}\n    "{i}": ', len(basis),
                             lambda lo, hi: [sigma[sigma_of[lo:hi]], gen(basis.gen[lo:hi])], 4)
     yield ("\n  }" if bases else "}") + ',\n  "matrices": {'
-    fields = [  # ROW, COL, SIGN, VAR
-        _text_table([m.arrays[f] for _, m in matrices], lambda v, a=a, b=b: f"{a}{v}{b}")
-        for f, (a, b) in enumerate([(',\n        {\n          "r": ', ",\n"), ('          "c": ', ",\n"),
-                                    ('          "sign": ', ",\n"), ('          "var": ', "\n        }")])
-    ]
-    for pos, (i, mat) in enumerate(matrices):
-        opening = f'{"," * bool(pos)}\n    "{i}": {{\n      "rows": {mat.nrows},\n'
-        yield from _records(opening + f'      "cols": {mat.ncols},\n      "entries": ', mat.entry_count(),
-                            lambda lo, hi: [table(a[lo:hi]) for table, a in zip(fields, mat.arrays)], 6)
+    if differentials is None:
+        differentials = sorted(rc.matrices.items())
+    opening = "\n"
+    for i, mat in differentials:
+        num = _text_table([mat.rows, mat.cols], str)
+        sign = _text_table([mat.signs], lambda s: f',\n          "sign": {s},\n')
+        var = _text_table([mat.vars], lambda x: f'          "var": {x}\n        }}')
+        yield from _records(f'{opening}    "{i}": {{\n      "rows": {mat.nrows},\n      "cols": {mat.ncols},\n'
+                            '      "entries": ', mat.entry_count(),
+                            lambda lo, hi: [_BEFORE_ROW, num(mat.rows[lo:hi]), _BEFORE_COL, num(mat.cols[lo:hi]),
+                                            sign(mat.signs[lo:hi]), var(mat.vars[lo:hi])], 6)
         yield "\n    }"
-    yield ("\n  }" if matrices else "}") + "\n}\n"
+        opening = ",\n"
+        del mat, num, sign, var  # d_i and its tables go before d_{i+1} is built
+    yield ("}" if opening == "\n" else "\n  }") + "\n}\n"
 
 
 def resolution_from_dict(data: dict) -> ResolutionComplex:
@@ -122,7 +140,10 @@ def resolution_from_dict(data: dict) -> ResolutionComplex:
         if i not in bases or i + 1 not in bases or shape != (len(bases[i]), len(bases[i + 1])):
             raise ValueError(f"d{i} is {shape[0]} x {shape[1]}, which its bases F_{i}, F_{i + 1} do not give")
         cells = [(e["r"], e["c"], e["sign"], e["var"]) for e in mat["entries"]]
-        cells = np.array(cells, dtype=np.int64).reshape(-1, 4)
+        try:
+            cells = np.array(cells, dtype=np.int64).reshape(-1, 4)
+        except OverflowError:
+            raise ValueError(f"d{i} has an entry value past int64") from None
         cells = cells[np.argsort(cells[:, 1], kind="stable")].T.copy()  # column-major
         r, c, _, var = cells
         if ((r < 0) | (r >= shape[0]) | (c < 0) | (c >= shape[1])).any():
@@ -149,7 +170,7 @@ def _cell_grid(rc: ResolutionComplex, i: int):
     if i == 0:
         return np.arange(1, len(rc.d0) + 1)[None, :], ["0"] + [str(g) for g in rc.d0]
     mat = rc.matrices[i]
-    keys, code = np.unique(2 * mat.vars + (mat.signs < 0), return_inverse=True)
+    keys, code = np.unique(2 * mat.vars.astype(np.int64) + (mat.signs < 0), return_inverse=True)
     grid = np.zeros((mat.nrows, mat.ncols), dtype=np.int64)
     grid[mat.rows, mat.cols] = code + 1
     return grid, ["0"] + [("-" if key & 1 else "") + f"x{key >> 1}" for key in keys.tolist()]

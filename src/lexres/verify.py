@@ -193,7 +193,7 @@ class RankReport:
     certified equal to kappa_i, the size of d_i's witness block; "dense" and
     "dense-fallback" ranks come from elimination at the point.  composed[i]
     is the verdict of compose_check(rc, i), d_i ∘ d_{i+1} = 0, which the
-    certificate rests on.
+    certificate rests on, and minimal that of minimality_check.
     """
 
     modulus: int
@@ -201,6 +201,7 @@ class RankReport:
     betti: tuple[int, ...]
     trials: list[TrialResult] = field(default_factory=list)
     composed: list[bool] = field(default_factory=list)
+    minimal: bool = True
 
     @property
     def passed(self) -> bool:
@@ -220,7 +221,7 @@ class RankReport:
 
 def _evaluate_dense(mat: DifferentialMatrix, point_arr, p: int) -> np.ndarray:
     M = np.zeros((mat.nrows, mat.ncols), dtype=np.int64)
-    M[mat.rows, mat.cols] = (mat.signs * point_arr[mat.vars - 1]) % p
+    M[mat.rows, mat.cols] = (mat.signs.astype(np.int64) * point_arr[mat.vars.astype(np.int64) - 1]) % p
     return M
 
 
@@ -251,7 +252,7 @@ def _witness_shape(rc: ResolutionComplex, i: int) -> tuple[int, bool]:
     rest = is_wit[mat.cols] & (at >= 0) & ~diag
     shaped = (
         (np.bincount(mat.cols[diag], minlength=len(cols))[wit] == 1).all()
-        and (np.abs(mat.signs[diag]) == 1).all()
+        and (np.abs(mat.signs[diag].astype(np.int64)) == 1).all()
         and (mat.vars[diag] == s_star[mat.cols[diag]]).all()
         and (rows.gen[mat.rows[rest]] < cols.gen[mat.cols[rest]]).all()
     )
@@ -266,7 +267,8 @@ def rank_positions_ok(betti, ranks) -> bool:
     return ranks[0] == 1 and inner and ranks[pd - 1] == betti[pd]
 
 
-def random_rank_check(rc: ResolutionComplex, seed: int = 0, trials: int = 5) -> RankReport:
+def random_rank_check(rc: ResolutionComplex, seed: int = 0, trials: int = 5,
+                      differentials=None) -> RankReport:
     """Evaluate all differentials at random nonzero points mod DEFAULT_PRIME
     and test rank additivity at every position, `trials` times.
 
@@ -278,28 +280,39 @@ def random_rank_check(rc: ResolutionComplex, seed: int = 0, trials: int = 5) -> 
     d_{i-1} are shaped, d_{i-1} ∘ d_i = 0 and kappa_{i-1} + kappa_i = beta_i
     (Pascal's rule on the basis), rank d_i(p) = kappa_i is proved.  Every
     other position is eliminated densely at each point, so reported ranks
-    are the exact evaluated ranks.  compose_check runs here for every i,
-    through the resolution module, and its verdicts are kept on the report.
+    are the exact evaluated ranks.
+
+    The differentials are read once, in order, from `differentials`, pairs
+    (i, d_i) as stream_resolution yields them, or by default from
+    rc.matrices.  Step i holds d_{i-1} and d_i: it runs compose_check on
+    d_{i-1} ∘ d_i, through the resolution module, takes d_i's shape and
+    ranks, drops d_{i-1} and runs minimality_check on d_i.  Both verdicts
+    are kept on the report.
     """
     if trials < 1:
         raise ValueError(f"the rank check needs at least one trial, got {trials}")
     p = DEFAULT_PRIME
     rng, n = random.Random(seed), rc.power.spec.ctx.n
     points = [tuple(rng.randrange(1, p) for _ in range(n)) for _ in range(trials)]
-    composed = [resolution.compose_check(rc, i) for i in range(rc.proj_dim)]
-    shapes = [_witness_shape(rc, i) for i in range(1, rc.proj_dim)]
-    kappa, shaped = [1] + [k for k, _ in shapes], [True] + [s for _, s in shapes]
-    report = RankReport(modulus=p, seed=seed, betti=rc.betti, composed=composed)
-    for point in points:
-        ranks, methods = [1], ["dense"]
-        for i in range(1, rc.proj_dim):
-            mat = rc.matrices[i]
-            if shaped[i - 1] and shaped[i] and composed[i - 1] and kappa[i - 1] + kappa[i] == mat.nrows:
-                ranks.append(kappa[i])
-                methods.append("witness")
-            else:
-                ranks.append(rank_mod(_evaluate_dense(mat, np.array(point, dtype=np.int64), p)))
-                methods.append("dense-fallback")
-        ok = rank_positions_ok(rc.betti, ranks)
-        report.trials.append(TrialResult(point, tuple(ranks), ok, tuple(methods)))
+    window: dict[int, DifferentialMatrix] = {}
+    held = ResolutionComplex(rc.quotients, rc.bases, window)
+    report = RankReport(modulus=p, seed=seed, betti=rc.betti, minimal=resolution.minimality_check(held))
+    ranks, methods = [[1] for _ in points], [["dense"] for _ in points]
+    kappa, shaped = 1, True  # of d_{i-1}
+    if differentials is None:
+        differentials = sorted(rc.matrices.items())
+    for i, mat in differentials:
+        window[i] = mat
+        report.composed.append(resolution.compose_check(held, i - 1))
+        kappa_i, shaped_i = _witness_shape(held, i)
+        witness = shaped and shaped_i and report.composed[-1] and kappa + kappa_i == mat.nrows
+        for point, r, m in zip(points, ranks, methods):
+            r.append(kappa_i if witness else rank_mod(_evaluate_dense(mat, np.array(point, dtype=np.int64), p)))
+            m.append("witness" if witness else "dense-fallback")
+        window.pop(i - 1, None)
+        report.minimal = resolution.minimality_check(held) and report.minimal
+        kappa, shaped = kappa_i, shaped_i
+    report.composed.append(resolution.compose_check(held, rc.proj_dim - 1))  # past the last: True
+    for point, r, m in zip(points, ranks, methods):
+        report.trials.append(TrialResult(point, tuple(r), rank_positions_ok(rc.betti, r), tuple(m)))
     return report

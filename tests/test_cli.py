@@ -8,6 +8,8 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -302,7 +304,7 @@ def test_cli_failed_check_exits_1(capsys, monkeypatch, target, replacement, argv
     # report, which ends before assembly
     monkeypatch.setattr(target, replacement)
     if argv[0] == "verify":
-        monkeypatch.setattr("lexres.cli.assemble_resolution", _never_assembled)
+        monkeypatch.setattr("lexres.cli.stream_resolution", _never_assembled)
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 1
@@ -326,6 +328,55 @@ def test_cli_segment_refused_before_walk(capsys, d):
     assert capsys.readouterr().err == (
         f"budget exceeded: |L|={size}, k=1: {size} candidate products exceed budget {powers.DEFAULT_PRODUCT_BUDGET}\n"
     )
+
+
+@pytest.mark.parametrize("command", ["gen", "classify"])
+def test_cli_walks_refused_before_they_start(capsys, command):
+    # gen walks L(x1^6, x30^6), all C(35, 6) = 1,623,160 sextics in 30
+    # variables, and classify starts from the same segment: counted, never walked
+    start = time.perf_counter()
+    assert main([command, "--n", "30", "--u", "x1^6", "--v", "x30^6"]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == (
+        "budget exceeded: L(x1^6, x30^6) has 1623160 monomials, over the budget 1000000\n"
+    )
+
+
+def test_cli_classify_shadow_bounded_before_it_is_built(monkeypatch, capsys):
+    # L(x1x3, x2x4) has 5 members, so Shad^1 is bounded by 4 * 5 = 20
+    argv = ["classify", *_EXAMPLE, "--depth", "1"]
+    monkeypatch.setattr("lexres.lexsegment.DEFAULT_PRODUCT_BUDGET", 20)
+    assert main(argv) == 0
+    capsys.readouterr()
+    monkeypatch.setattr("lexres.lexsegment.DEFAULT_PRODUCT_BUDGET", 19)
+    assert main(argv) == 3
+    assert capsys.readouterr().err == "budget exceeded: Shad^1 may have 20 monomials, over the budget 19\n"
+
+
+def test_candidate_rows_budget_edge(monkeypatch, capsys):
+    # the worked example squared forms C(5 + 1, 2) = 15 candidate rows of 4 cells
+    monkeypatch.setattr(powers, "ENTRY_BUDGET", 60)
+    assert main(["power", *_EXAMPLE, "--k", "2"]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(powers, "ENTRY_BUDGET", 59)
+    assert main(["power", *_EXAMPLE, "--k", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "budget exceeded: the candidate rows have 60 cells, over the budget 59\n"
+
+
+def test_candidate_rows_refused_before_they_are_built(capsys):
+    # |L(x1x3, x2x200)| = 397, so k = 2 forms C(398, 2) = 79,003 rows of 200
+    # cells; n=8, k=2 (x1x4..x8 / x2x8^5) forms 1,164,240 cells and is admitted
+    start = time.perf_counter()
+    assert main(["quotients", "--n", "200", "--u", "x1x3", "--v", "x2x200", "--k", "2"]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == (
+        "budget exceeded: the candidate rows have 15800600 cells, over the budget 8000000\n"
+    )
+    spec, _ = support.build_family_spec(8, (1, 0, 0, 1, 1, 1, 1, 1), (0, 1, 0, 0, 0, 0, 0, 5))
+    size = lexsegment.lex_rank(spec.v) - lexsegment.lex_rank(spec.u) + 1
+    assert math.comb(size + 1, 2) * 8 == 1_164_240 <= powers.ENTRY_BUDGET
 
 
 def test_neighbour_table_budget_edge(monkeypatch, capsys):
@@ -382,6 +433,54 @@ def test_complex_budget_default_admits_n8(monkeypatch):
     monkeypatch.setattr(resolution, "closed_form_table", stop)
     with pytest.raises(PastBudget):
         resolution.assemble_resolution(qs)
+
+
+def _counting_stream(alive):
+    """stream_resolution, recording as each differential is built how many
+    of those built so far are still alive, itself included."""
+    def stream(qs, use_oracle=False):
+        rc, differentials = resolution.stream_resolution(qs, use_oracle)
+
+        def counted():
+            refs = []
+            for item in differentials:
+                refs.append(weakref.ref(item[1]))
+                alive.append(sum(ref() is not None for ref in refs))
+                yield item
+                del item
+
+        return rc, counted()
+    return stream
+
+
+@pytest.mark.parametrize("command, held", [
+    (["export", "--format", "json", "--out", os.devnull], [1, 1, 1]),
+    (["verify", "--trials", "2"], [1, 2, 2]),
+], ids=["export", "verify"])
+def test_commands_hold_one_or_two_differentials(monkeypatch, capsys, command, held):
+    # the worked example squared has d1, d2 and d3: export drops each before
+    # the next is built, verify keeps d_i beside d_{i+1} and no more
+    alive = []
+    monkeypatch.setattr("lexres.cli.stream_resolution", _counting_stream(alive))
+    assert main([*command, *_EXAMPLE, "--k", "2"]) == 0
+    assert alive == held
+    capsys.readouterr()
+
+
+def test_export_peak_memory_of_the_large_instance(tmp_path):
+    # the large benchmark instance, n=6, x1x4x5x6 / x2x6^3, k=2: with all five
+    # differentials held at once and chunks of 2^15 records, one export
+    # peaked at 2.8 MB under tracemalloc
+    argv = ["export", "--format", "json", "--out", str(tmp_path / "large.json"),
+            "--n", "6", "--u", "x1x4x5x6", "--v", "x2x6^3", "--k", "2"]
+    assert main(argv) == 0  # lazy set-up is not counted
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 def _text_cells(argv):

@@ -18,7 +18,7 @@ from lexres import (
 from lexres.lexsegment import LexSegmentSpec
 from lexres.powers import PowerIdeal
 from lexres.quotients import QuotientStructure
-from lexres.resolution import resolution_basis
+from lexres.resolution import DifferentialMatrix, resolution_basis
 
 # the three displayed differentials of the worked example, transcribed as
 # row-major grids against the documented basis ordering
@@ -265,3 +265,23 @@ def test_resolution_basis_matches_loop():
                     for _ in qs.sets]
             other = QuotientStructure(power=qs.power, sets=sets)
             assert resolution_basis(other) == support.resolution_basis_loop(other)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("row", 2**31), ("column", -(2**31) - 1), ("sign", 128), ("sign", -129), ("var", 2**15), ("var", -(2**15) - 1),
+])
+def test_differential_refuses_values_past_its_types(field, value):
+    # rows and columns are int32, signs int8 and vars int16: a value past
+    # its type is refused, never wrapped
+    cells = {"row": [0], "column": [0], "sign": [1], "var": [1]}
+    cells[field] = [value]
+    with pytest.raises(ValueError, match=f"a {field} outside"):
+        DifferentialMatrix(1, 1, *cells.values())
+
+
+def test_differential_keeps_the_limits_of_its_types():
+    limits = ([0, 2**31 - 1], [-(2**31), 2**31 - 1], [-128, 127], [-(2**15), 2**15 - 1])
+    mat = DifferentialMatrix(2, 2, *limits)
+    assert [a.dtype.itemsize for a in mat.arrays] == [4, 4, 1, 2]
+    assert [a.tolist() for a in mat.arrays] == list(limits)
+

@@ -128,16 +128,20 @@ def test_json_chunks_join_to_the_same_bytes(monkeypatch, build, records):
 
 
 def test_json_renders_any_int64_as_json_dumps():
-    # values no assembled complex has: a sign of -3, variables past 9 and at
-    # the int64 limits, and row and column indices that cross digit widths;
-    # the import refuses such matrices, so they are built in memory
+    # values no assembled complex has, up to the limits of the stored types:
+    # signs of -3, -128 (in d1 only, so that elsewhere 127 minus the least
+    # sign leaves int8) and 127, variables past 9 and at 32,767, and row and
+    # column indices that cross digit widths up to 2^31 - 1; the import
+    # refuses such matrices, so they are built in memory
     rc = _family(4, (1, 0, 1, 0), (0, 1, 0, 1), 2)
     data = json.loads(support.resolution_to_json(rc))
     for i, mat in data["matrices"].items():
         for p, e in enumerate(mat["entries"]):
             e["r"], e["c"] = e["r"] * 37 + 5, e["c"] * 1001  # columns stay in order
-            e["sign"] = (-3, 1, -1, -(2**63))[p % 4]
-            e["var"] = (10, 2**63 - 1, 99, 4)[p % 4]
+            e["r"] = 2**31 - 1 if p % 5 == 0 else e["r"]
+            e["sign"] = (-3, 127, -1, -128 if i == "1" else 1)[p % 4]
+            e["var"] = (10, 2**15 - 1, 99, 4)[p % 4]
+        mat["entries"][-1]["c"] = 2**31 - 1
         cells = [[e[key] for e in mat["entries"]] for key in ("r", "c", "sign", "var")]
         rc.matrices[int(i)] = DifferentialMatrix(mat["rows"], mat["cols"], *cells)
     assert support.resolution_to_json(rc) == json.dumps(data, indent=2) + "\n"
@@ -177,6 +181,17 @@ def test_json_import_rejects_malformed_matrices(corrupt, message):
         resolution_from_dict(data)
 
 
+@pytest.mark.parametrize("sign, message", [
+    (128, "a sign outside -128..127"), (-129, "a sign outside -128..127"), (2**70, "past int64"),
+])
+def test_json_import_rejects_a_sign_past_its_type(sign, message):
+    # a sign is stored as int8: one that does not fit is refused, never wrapped
+    data = json.loads(support.resolution_to_json(_family(4, (1, 0, 1, 0), (0, 1, 0, 1), 2)))
+    data["matrices"]["1"]["entries"][3]["sign"] = sign
+    with pytest.raises(ValueError, match=message):
+        resolution_from_dict(data)
+
+
 def test_json_empty_basis_and_empty_matrix():
     rc = _single_generator()
     rc = ResolutionComplex(
@@ -210,4 +225,5 @@ def test_streamed_n7_ladder_export_digest():
         size, widest = size + len(raw), max(widest, len(raw))
     assert size == 39_971_156
     assert digest.hexdigest() == "1e3c243d97c6279181d039ee2fe14765cded00f85fa31d989965912266e5fee6"
-    assert widest <= serialize.CHUNK_RECORDS * 128
+    # no record is wider than 144 bytes here: a symbol of F_7, sigma of six
+    assert widest <= serialize.CHUNK_RECORDS * 144
