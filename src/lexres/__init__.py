@@ -11,8 +11,8 @@ from .quotients import (
     QuotientStructure, colon_minimal_generators, linear_quotients_check, set_bound_report,
 )
 from .decomposition import (
-    DecompositionTable, RegularityReport, closed_form_matches_oracle, closed_form_table,
-    oracle_table, regularity_check_oracle,
+    RegularityReport, closed_form_matches_oracle, closed_form_table, oracle_table,
+    regularity_check_oracle,
 )
 from .resolution import (
     Basis, DifferentialMatrix, ResolutionComplex, assemble_resolution, betti_from_sets,
@@ -30,8 +30,8 @@ __all__ = [
     "classify_linear_form", "enumerate_lexsegment", "is_completely_lexsegment",
     "make_classified_spec", "normalize_spec", "shadow", "PowerIdeal", "power_generators",
     "QuotientStructure", "colon_minimal_generators", "linear_quotients_check", "set_bound_report",
-    "DecompositionTable", "RegularityReport", "closed_form_matches_oracle", "closed_form_table",
-    "oracle_table", "regularity_check_oracle",
+    "RegularityReport", "closed_form_matches_oracle", "closed_form_table", "oracle_table",
+    "regularity_check_oracle",
     "Basis", "DifferentialMatrix", "ResolutionComplex", "assemble_resolution", "betti_from_sets",
     "compose_check", "minimality_check", "stream_resolution", "HilbertNumerator", "RankReport",
     "euler_characteristic_numerator", "hilbert_numerator",

@@ -22,7 +22,7 @@ from .lexsegment import (
 from .monomials import Monomial, RingContext
 from .powers import power_generators
 from .quotients import linear_quotients_check, set_bound_report
-from .resolution import assemble_resolution, stream_resolution
+from .resolution import stream_resolution
 from .serialize import iter_resolution_json, power_ideal_to_m2, resolution_to_text
 from .verify import euler_characteristic_numerator, hilbert_numerator, random_rank_check
 
@@ -155,20 +155,20 @@ def run_command(args: argparse.Namespace) -> int:
         return 1 if not qs.is_linear else 0
 
     if args.command in ("resolve", "export"):
-        cls, qs = _quotients(args)
+        qs = _quotients(args)
         if not qs.is_linear:
             raise CheckFailure(
                 f"linear quotients fail at u{qs.failure_index + 1}: colon contains {qs.offending}"
             )
-        if args.fmt == "json":
-            # one differential at a time: built, written, dropped
-            _emit(args, iter_resolution_json(*stream_resolution(qs, use_oracle=not cls.has_linear_form)))
+        if args.fmt == "m2":  # the script declares G(I^k) alone
+            _emit(args, power_ideal_to_m2(qs.power))
             return 0
-        rc = assemble_resolution(qs, use_oracle=not cls.has_linear_form)
-        if args.fmt == "m2":
-            _emit(args, power_ideal_to_m2(rc.power))
+        # one differential at a time: built, rendered, dropped
+        rc, differentials = stream_resolution(qs)
+        if args.fmt == "json":
+            _emit(args, iter_resolution_json(rc, differentials))
         else:
-            _emit(args, resolution_to_text(rc))
+            _emit(args, resolution_to_text(rc, differentials))
         return 0
 
     if args.command == "verify":
@@ -178,9 +178,8 @@ def run_command(args: argparse.Namespace) -> int:
 
 
 def _quotients(args: argparse.Namespace):
-    """The classification and the linear-quotient structure of G(I^k),
-    refusing a shape outside the classified form unless --oracle-g allows
-    the definitional g."""
+    """The linear-quotient structure of G(I^k), refusing a shape outside
+    the classified form unless --oracle-g allows the definitional g."""
     spec, _, cls = _spec_pipeline(args)
     if not cls.has_linear_form and not args.oracle_g:
         raise ValueError(
@@ -188,13 +187,13 @@ def _quotients(args: argparse.Namespace):
             f"({cls.notes}); rerun with --oracle-g to build from the definitional "
             "decomposition function (requires linear quotients and regularity)"
         )
-    return cls, linear_quotients_check(power_generators(spec, args.k))
+    return linear_quotients_check(power_generators(spec, args.k))
 
 
 def _verify(args: argparse.Namespace) -> int:
     if args.trials < 1:
         raise ValueError(f"the rank check needs at least one trial, got {args.trials}")
-    cls, qs = _quotients(args)
+    qs = _quotients(args)
     lines = []
     ok = True
 
@@ -214,7 +213,7 @@ def _verify(args: argparse.Namespace) -> int:
          "" if not lemmas else f"{len(lemmas)} violations, first {lemmas[0]}")
 
     agree = True
-    if cls.has_linear_form:
+    if qs.power.spec.l is not None:
         agree, mismatch = closed_form_matches_oracle(qs)
         tick("closed-form g equals definitional g", agree,
              "" if agree else "first mismatch at ({}, x{}): {} vs {}".format(*mismatch))
@@ -225,7 +224,7 @@ def _verify(args: argparse.Namespace) -> int:
         _emit(args, "\n".join(lines) + "\n")
         return 1
 
-    rc, differentials = stream_resolution(qs, use_oracle=not cls.has_linear_form)
+    rc, differentials = stream_resolution(qs)
     # the rank check reads the differentials once, two at a time, and keeps
     # the verdicts of compose_check and minimality_check on the way
     report = random_rank_check(rc, seed=args.seed, trials=args.trials, differentials=differentials)

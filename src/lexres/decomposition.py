@@ -7,8 +7,14 @@ generator in increasing revlex that divides x_s * m.  The closed form is only
 claimed for classified specs; the oracle is always available and is the
 ground truth whenever the two are run side by side.  All generators share one
 degree, so the generators dividing x_s * m are its exchange neighbours
-x_s * m / x_t, and both routes read PowerIdeal.neighbours.  Each route is
-evaluated on every pair at once, as a table cached on the quotient structure.
+x_s * m / x_t, and both routes read PowerIdeal.neighbours.
+
+Each route is evaluated on every pair at once and cached on the quotient
+structure as one table (g, coeff), the layout assembly reads: two
+(|G|, n+1) int64 arrays, -1 everywhere but at the pairs (i, s) with s in
+set(m_i), where g[i, s] is the position of g(x_s m_i) in G(I^k) and
+coeff[i, s] the 1-based variable x_s m_i / g(x_s m_i).  Row-major order is
+pair order: generator first, then s.
 """
 
 from __future__ import annotations
@@ -22,28 +28,19 @@ from .monomials import Monomial
 from .quotients import QuotientStructure, high_branch, pair_arrays
 
 
-@dataclass(frozen=True)
-class DecompositionTable:
-    """g(x_s * m_i) on every pair (i, s) with s in set(m_i), i first, then s.
-
-    g[p] is the position of g(x_s m_i) in G(I^k) and coeff[p] the 1-based
-    variable x_s m_i / g(x_s m_i).  In the closed form's table, branch[p] is
-    1 where it divided by x_min(m) and 0 where by x_min(tilde m).
-    """
-
-    gen: np.ndarray
-    s: np.ndarray
-    g: np.ndarray
-    coeff: np.ndarray
-    branch: np.ndarray | None = None
-
-
 def _first_true(mask: np.ndarray) -> int:
     """Index of the first True entry of a 1-d mask, or its length."""
     return int(mask.argmax()) if mask.any() else len(mask)
 
 
-def closed_form_table(qs: QuotientStructure) -> DecompositionTable:
+def _table(qs: QuotientStructure, gen, s, g, coeff) -> tuple[np.ndarray, np.ndarray]:
+    """(g, coeff) of the pairs (gen, s), scattered into the dense layout."""
+    dense = np.full((2, len(qs.sets), qs.power.spec.ctx.n + 1), -1, dtype=np.int64)
+    dense[0][gen, s], dense[1][gen, s] = g, coeff
+    return dense[0], dense[1]
+
+
+def closed_form_table(qs: QuotientStructure) -> tuple[np.ndarray, np.ndarray]:
     """The closed-form g on every pair, computed once per quotient structure;
     raises CheckFailure at the first pair where it breaks a guarantee."""
     if "closed" in qs.g_tables:
@@ -71,11 +68,11 @@ def closed_form_table(qs: QuotientStructure) -> DecompositionTable:
                 "the classified shape's guarantees"
             )
         raise CheckFailure(message)
-    qs.g_tables["closed"] = DecompositionTable(gen, s, g, col + 1, high.astype(np.int64))
+    qs.g_tables["closed"] = _table(qs, gen, s, g, col + 1)
     return qs.g_tables["closed"]
 
 
-def oracle_table(qs: QuotientStructure) -> DecompositionTable:
+def oracle_table(qs: QuotientStructure) -> tuple[np.ndarray, np.ndarray]:
     """The definitional g on every pair, computed once per quotient structure."""
     if "oracle" in qs.g_tables:
         return qs.g_tables["oracle"]
@@ -83,18 +80,18 @@ def oracle_table(qs: QuotientStructure) -> DecompositionTable:
     # the generators dividing x_s * m_i are its neighbours x_s * m_i / x_t
     candidates = qs.power.neighbours[gen, s - 1]
     t = candidates.argmin(axis=1)
-    qs.g_tables["oracle"] = DecompositionTable(gen, s, candidates[np.arange(len(s)), t], t + 1)
+    qs.g_tables["oracle"] = _table(qs, gen, s, candidates[np.arange(len(s)), t], t + 1)
     return qs.g_tables["oracle"]
 
 
 def closed_form_matches_oracle(qs: QuotientStructure):
     """Compare both routes on every (m, s); returns (ok, first mismatch)."""
-    closed, oracle = closed_form_table(qs), oracle_table(qs)
-    p = _first_true(closed.g != oracle.g)
-    if p == len(closed.g):
+    closed, oracle = closed_form_table(qs)[0], oracle_table(qs)[0]
+    p = _first_true((closed != oracle).ravel())
+    if p == closed.size:
         return True, None
-    gens = qs.power.generators
-    return False, (gens[closed.gen[p]], int(closed.s[p]), gens[closed.g[p]], gens[oracle.g[p]])
+    (i, s), gens = divmod(p, closed.shape[1]), qs.power.generators
+    return False, (gens[i], s, gens[closed[i, s]], gens[oracle[i, s]])
 
 
 @dataclass(frozen=True)
@@ -114,12 +111,12 @@ def regularity_check_oracle(qs: QuotientStructure) -> RegularityReport:
     works without a classified spec."""
     if not qs.is_linear:
         raise ValueError("quotient structure is not linear")
-    table = oracle_table(qs)
-    member = np.zeros((len(qs.sets), qs.power.spec.ctx.n + 1), dtype=bool)
-    member[table.gen, table.s] = True
-    outside = member[table.g] & ~member[table.gen]
+    g = oracle_table(qs)[0]
+    member = g >= 0  # member[i, s]: s in set(m_i)
+    gen, s = np.nonzero(member)
+    outside = member[g[gen, s]] & ~member[gen]
     p = _first_true(outside.any(axis=1))
-    if p == len(table.g):
+    if p == len(gen):
         return RegularityReport(regular=True)
-    m, t = qs.power.generators[table.gen[p]], int(outside[p].argmax())
-    return RegularityReport(regular=False, counterexample=(m, int(table.s[p]), t))
+    m, t = qs.power.generators[gen[p]], int(outside[p].argmax())
+    return RegularityReport(regular=False, counterexample=(m, int(s[p]), t))

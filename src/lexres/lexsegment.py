@@ -218,9 +218,8 @@ def is_completely_lexsegment(
 
 @dataclass(frozen=True)
 class Classification:
-    """Aggregate classifier output: shadow probe plus linear-resolution shape."""
+    """The linear-resolution shape: its split index l, or None, and why."""
 
-    completely_lex: CompletelyLexVerdict | None
     linear_form_l: int | None
     notes: str
 
@@ -240,24 +239,24 @@ def classify_linear_form(spec: LexSegmentSpec) -> Classification:
     if v.exponent(1) != 0:
         raise InvariantError(f"classify_linear_form needs a normalized spec, but x1 divides v = {v}")
     if u.exponent(1) == 0:
-        return Classification(None, None, "ring drop: u and v have the same power of x1, so L(u, v) lives in x2..xn")
+        return Classification(None, "ring drop: u and v have the same power of x1, so L(u, v) lives in x2..xn")
     if d < 2:
-        return Classification(None, None, f"degree {d} < 2")
+        return Classification(None, f"degree {d} < 2")
     if u.exponent(1) != 1:
-        return Classification(None, None, f"nu_1(u) = {u.exponent(1)} != 1")
+        return Classification(None, f"nu_1(u) = {u.exponent(1)} != 1")
     if v.is_one():
-        return Classification(None, None, "v = 1")
+        return Classification(None, "v = 1")
     l = v.min_index()
     if not 2 <= l <= n - 1:
-        return Classification(None, None, f"min(supp(v)) = {l} outside 2..{n - 1}")
+        return Classification(None, f"min(supp(v)) = {l} outside 2..{n - 1}")
     expected_v = [0] * n
     expected_v[l - 1] = 1
     expected_v[n - 1] += d - 1
     if v.exponents != tuple(expected_v):
-        return Classification(None, None, f"v = {v} is not x{l}*x{n}^{d - 1}")
+        return Classification(None, f"v = {v} is not x{l}*x{n}^{d - 1}")
     if any(u.exponent(i) for i in range(2, l + 1)):
-        return Classification(None, None, f"u = {u} has support in x2..x{l}")
-    return Classification(None, l, f"u = {u}, v = {v} match the linear-resolution shape with l = {l}")
+        return Classification(None, f"u = {u} has support in x2..x{l}")
+    return Classification(l, f"u = {u}, v = {v} match the linear-resolution shape with l = {l}")
 
 
 def make_classified_spec(u: Monomial, v: Monomial) -> tuple[LexSegmentSpec, TransformRecord, Classification]:

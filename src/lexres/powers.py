@@ -13,7 +13,8 @@ import math
 import numpy as np
 
 from .errors import BudgetError, InvariantError
-from .lexsegment import DEFAULT_PRODUCT_BUDGET, LexSegmentSpec, enumerate_lexsegment, lex_rank
+from . import lexsegment
+from .lexsegment import LexSegmentSpec, enumerate_lexsegment, lex_rank
 from .monomials import Monomial
 
 # cells of the largest arrays, each checked before it is built: here the
@@ -90,14 +91,15 @@ def _exchange_neighbours(G: np.ndarray, k: int) -> np.ndarray:
     return table
 
 
-def power_generators(spec: LexSegmentSpec, k: int, budget: int = DEFAULT_PRODUCT_BUDGET) -> PowerIdeal:
+def power_generators(spec: LexSegmentSpec, k: int) -> PowerIdeal:
     """Sum the k-multisets of L(u, v) as exponent rows, sort increasing
-    revlex, and keep one row of each run of equal rows."""
+    revlex, and keep one row of each run of equal rows.  The products are
+    counted against lexsegment.DEFAULT_PRODUCT_BUDGET, read at call time."""
     if k < 1:
         raise ValueError("k must be >= 1")
     size = lex_rank(spec.v) - lex_rank(spec.u) + 1  # |L(u, v)|, counted before it is walked
     candidates = math.comb(size + k - 1, k)
-    if candidates > budget:
+    if candidates > (budget := lexsegment.DEFAULT_PRODUCT_BUDGET):
         raise BudgetError(f"|L|={size}, k={k}: {candidates} candidate products exceed budget {budget}")
     if candidates * spec.ctx.n > ENTRY_BUDGET:
         raise BudgetError(f"the candidate rows have {candidates * spec.ctx.n} cells, over the budget {ENTRY_BUDGET}")

@@ -82,14 +82,20 @@ class Basis:
     """The symbols f(sigma; w) of one F_i as int64 arrays in matrix order:
     gen (the generator position of w), sigma (one sorted row per symbol,
     width i-1) and sigma's bit mask, with a lookup from (gen, mask) to the
-    symbol's row.  Every symbol of F_i has degree kd+i-1."""
+    symbol's row.  Every symbol of F_i has degree kd+i-1.
+
+    The lookup key is (gen << n) | (mask >> 1), as a mask sets bits 1..n
+    only; a basis whose keys would not fit below 2^63 is refused
+    (BudgetError) before any is computed."""
 
     def __init__(self, gen, sigma, width: int, n: int):
-        self._shift = n + 1
+        self._shift = n
         self.gen = np.asarray(gen, dtype=np.int64)
+        if (top := int(self.gen.max(initial=0))) << n >= 1 << 63:
+            raise BudgetError(f"the basis keys of {top + 1} generators in {n} variables do not fit in 63 bits")
         self.sigma = np.asarray(sigma, dtype=np.int64).reshape(len(self.gen), width)
         self.mask = (1 << self.sigma).sum(axis=1)
-        keys = (self.gen << self._shift) | self.mask
+        keys = (self.gen << self._shift) | (self.mask >> 1)
         self._order = np.argsort(keys)
         self._keys = keys[self._order]
 
@@ -105,7 +111,7 @@ class Basis:
 
     def find(self, gen: np.ndarray, mask: np.ndarray) -> np.ndarray:
         """Row of f(sigma; gen) for each sigma given by its mask, -1 where absent."""
-        query = (gen << self._shift) | mask
+        query = (gen << self._shift) | (mask >> 1)
         pos = np.searchsorted(self._keys, query).clip(max=len(self._keys) - 1)
         return np.where(self._keys[pos] == query, self._order[pos], -1)
 
@@ -189,43 +195,36 @@ def betti_from_sets(sets) -> tuple[int, ...]:
     return tuple(betti)
 
 
-def stream_resolution(qs: QuotientStructure, use_oracle: bool = False):
+def stream_resolution(qs: QuotientStructure):
     """The resolution of S/I^k one differential at a time: the complex with
     its bases and no matrices, and a generator of (i, d_i) for i = 1, 2, ...
     in order.  The generator keeps no differential once it has yielded it,
     so a reader that drops d_i before asking for d_{i+1} holds one at a time.
 
-    Classified specs use the closed-form g; with use_oracle the definitional
-    g is used instead, which requires the decomposition function to be
-    regular and is checked here.  The complex is refused (BudgetError) before
+    The route to g follows the spec: the closed form when spec.l is set,
+    otherwise the definitional g, which requires the decomposition function
+    to be regular and is checked here.  Both are read from their cached
+    table as they stand.  The complex is refused (BudgetError) before
     anything is built when its entry bound exceeds ENTRY_BUDGET: a column of
     d_i has at most 2i entries.
     """
     if not qs.is_linear:
         raise ValueError("cannot resolve: linear quotients fail")
-    pi = qs.power
-    if pi.spec.l is None and not use_oracle:
-        raise ValueError(
-            "spec is not of the classified linear-resolution shape; "
-            "pass use_oracle=True to build from the definitional g"
-        )
     betti = betti_from_sets(qs.sets)
     bound = sum(2 * i * b for i, b in enumerate(betti[2:], start=1))
     if bound > ENTRY_BUDGET:
         raise BudgetError(f"the complex may have {bound} entries, over the budget {ENTRY_BUDGET}")
-    if use_oracle:
+    if qs.power.spec.l is None:
         report = regularity_check_oracle(qs)
         if not report.regular:
             raise CheckFailure(f"cannot resolve: decomposition function {report.describe()}")
-        table = oracle_table(qs)
+        g_of, coeff_of = oracle_table(qs)
     else:
-        table = closed_form_table(qs)
+        g_of, coeff_of = closed_form_table(qs)
     bases = resolution_basis(qs)
     for i, basis in bases.items():
         if betti[i] != len(basis):
             raise InvariantError(f"rank F_{i}: basis count {len(basis)} != beta {betti[i]}")
-    g_of, coeff_of = np.full((2, len(qs.sets), pi.spec.ctx.n + 1), -1, dtype=np.int64)
-    g_of[table.gen, table.s], coeff_of[table.gen, table.s] = table.g, table.coeff
     degrees = range(1, max(bases))  # d_i maps F_{i+1} to F_i
     differentials = ((i, _differential(i, bases[i], bases[i + 1], g_of, coeff_of)) for i in degrees)
     return ResolutionComplex(quotients=qs, bases=bases, matrices={}), differentials
@@ -253,10 +252,10 @@ def _differential(i: int, rows: Basis, cols: Basis, g_of, coeff_of) -> Different
     return DifferentialMatrix(len(rows), shape[0], *(a.ravel()[keep] for a in (at, col_of, signs, variables)))
 
 
-def assemble_resolution(qs: QuotientStructure, use_oracle: bool = False) -> ResolutionComplex:
+def assemble_resolution(qs: QuotientStructure) -> ResolutionComplex:
     """The whole resolution of S/I^k, every differential in rc.matrices:
     stream_resolution's generator, collected."""
-    rc, differentials = stream_resolution(qs, use_oracle)
+    rc, differentials = stream_resolution(qs)
     rc.matrices = dict(differentials)
     return rc
 

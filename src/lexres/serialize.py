@@ -3,6 +3,7 @@ in the row-labeled layout, and a Macaulay2 cross-check script."""
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import numpy as np
@@ -70,7 +71,7 @@ def _rows(opening: str, rows):
 _BEFORE_ROW, _BEFORE_COL = ',\n        {\n          "r": ', ',\n          "c": '
 
 
-def iter_resolution_json(rc: ResolutionComplex, differentials=None):
+def iter_resolution_json(rc: ResolutionComplex, differentials):
     """The JSON export in chunks that concatenate to json.dumps(..., indent=2)
     of the format in the README, byte for byte.  Only the small header
     fields go through json.  A basis symbol is SIGMA[mask] + GEN[gen] and a
@@ -81,8 +82,9 @@ def iter_resolution_json(rc: ResolutionComplex, differentials=None):
     A chunk joins at most CHUNK_RECORDS records.
 
     The differentials are read in order from `differentials`, pairs (i, d_i)
-    as stream_resolution yields them, or by default from rc.matrices; each
-    is dropped, with its tables, before the next is read."""
+    as stream_resolution yields them (sorted(rc.matrices.items()) for an
+    assembled complex); each is dropped, with its tables, before the next
+    is read."""
     spec = rc.power.spec
     head = {"n": spec.ctx.n, "d": spec.d, "k": rc.power.k, "l": spec.l, "order": JSON_ORDER_TAG,
             "u": list(spec.u.exponents), "v": list(spec.v.exponents)}
@@ -100,8 +102,6 @@ def iter_resolution_json(rc: ResolutionComplex, differentials=None):
         yield from _records(f'{"," * bool(pos)}\n    "{i}": ', len(basis),
                             lambda lo, hi: [sigma[sigma_of[lo:hi]], gen(basis.gen[lo:hi])], 4)
     yield ("\n  }" if bases else "}") + ',\n  "matrices": {'
-    if differentials is None:
-        differentials = sorted(rc.matrices.items())
     opening = "\n"
     for i, mat in differentials:
         num = _text_table([mat.rows, mat.cols], str)
@@ -163,21 +163,25 @@ def resolution_from_json(text: str) -> ResolutionComplex:
     return resolution_from_dict(json.loads(text))
 
 
-def _cell_grid(rc: ResolutionComplex, i: int):
+def _cell_grid(mat: DifferentialMatrix):
     """d_i as an int grid, rows x cols, of codes into a list of its distinct
     cell strings: code 0 is "0", and each entry's code stands for its
-    (sign < 0, var) pair ("x1", "-x3"); d0's cells are its generators."""
-    if i == 0:
-        return np.arange(1, len(rc.d0) + 1)[None, :], ["0"] + [str(g) for g in rc.d0]
-    mat = rc.matrices[i]
+    (sign < 0, var) pair ("x1", "-x3")."""
     keys, code = np.unique(2 * mat.vars.astype(np.int64) + (mat.signs < 0), return_inverse=True)
     grid = np.zeros((mat.nrows, mat.ncols), dtype=np.int64)
     grid[mat.rows, mat.cols] = code + 1
     return grid, ["0"] + [("-" if key & 1 else "") + f"x{key >> 1}" for key in keys.tolist()]
 
 
-def resolution_to_text(rc: ResolutionComplex) -> str:
-    cells = len(rc.d0) + sum(m.nrows * m.ncols for m in rc.matrices.values())
+def resolution_to_text(rc: ResolutionComplex, differentials) -> str:
+    """The complex as row-labeled text matrices.  Their cells, |G| for d0
+    and beta_i beta_{i+1} for d_i, are counted from the Betti numbers
+    against TEXT_CELL_BUDGET before any differential is read.
+
+    The differentials are read in order from `differentials`, pairs (i, d_i)
+    as stream_resolution yields them (sorted(rc.matrices.items()) for an
+    assembled complex)."""
+    cells = sum(a * b for a, b in zip(rc.betti, rc.betti[1:]))
     if cells > TEXT_CELL_BUDGET:
         raise BudgetError(f"the text matrices have {cells} cells, over the budget {TEXT_CELL_BUDGET}")
     spec = rc.power.spec
@@ -197,12 +201,13 @@ def resolution_to_text(rc: ResolutionComplex) -> str:
             "S" if shift == 0 else f"S({shift})^{rank}" for shift, rank in rc.shifts
         ),
     ]
-    for i in range(0, rc.proj_dim):
+    d0 = np.arange(1, len(rc.d0) + 1)[None, :], ["0"] + [str(g) for g in rc.d0]  # its cells are G(I^k)
+    grids = itertools.chain([(0, d0)], ((i, _cell_grid(mat)) for i, mat in differentials))
+    for i, (grid, texts) in grids:
         lines.append("")
         lines.append(f"d{i}  (rows F_{i}, cols F_{i + 1}):")
-        grid, cells = _cell_grid(rc, i)
-        width = max(map(len, cells))
-        padded = np.array([f"{s:>{width}}" for s in cells], dtype=object)
+        width = max(map(len, texts))
+        padded = np.array([f"{s:>{width}}" for s in texts], dtype=object)
         labels = rc.bases[i].labels() if i else ["1"]
         lwidth = max(len(s) for s in labels)
         lines.append(" " * (lwidth + 2) + "  ".join(rc.bases[i + 1].labels()))

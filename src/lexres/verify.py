@@ -77,7 +77,7 @@ def _pmul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
 _COLON_SCAN_PAIRS = 1024
 
 
-def hilbert_numerator(gens, budget: int = DEFAULT_HILBERT_BUDGET) -> HilbertNumerator:
+def hilbert_numerator(gens) -> HilbertNumerator:
     """N(t) for S/(gens) by splitting on a pivot variable x:
 
         N(J) = N(J + (x)) + t * N(J : x)
@@ -88,7 +88,8 @@ def hilbert_numerator(gens, budget: int = DEFAULT_HILBERT_BUDGET) -> HilbertNume
     occurring in the most generators that are not pure powers, the first one
     on ties.  Subproblems are pooled by a canonical key: unused variables
     dropped, then columns and rows sorted, since the numerator is unchanged
-    by permuting variables.  Every call is a node counted against budget.
+    by permuting variables.  Every call is a node counted against
+    DEFAULT_HILBERT_BUDGET, read when the recursion starts.
 
     The packed form holds each exponent in a field of 1, 2, 4 or 8 bytes,
     the fewest whose top bit, a guard, the input's largest exponent does not
@@ -96,7 +97,7 @@ def hilbert_numerator(gens, budget: int = DEFAULT_HILBERT_BUDGET) -> HilbertNume
     recursion never raises an exponent, so that width holds every row.
     """
     memo: dict = {}
-    nodes = 0
+    nodes, budget = 0, DEFAULT_HILBERT_BUDGET
 
     def rec(rows: list) -> dict[int, int]:
         nonlocal nodes
@@ -206,17 +207,6 @@ class RankReport:
     @property
     def passed(self) -> bool:
         return all(t.ok for t in self.trials)
-
-    def describe(self) -> str:
-        lines = [
-            f"rank check (necessary condition): modulus {self.modulus}, seed {self.seed}"
-        ]
-        for t_i, t in enumerate(self.trials):
-            lines.append(
-                f"  trial {t_i}: ranks {t.ranks} vs betti {self.betti}: "
-                + ("ok" if t.ok else "FAIL")
-            )
-        return "\n".join(lines)
 
 
 def _evaluate_dense(mat: DifferentialMatrix, point_arr, p: int) -> np.ndarray:

@@ -28,10 +28,10 @@ from lexres import (
     variable,
 )
 from lexres.cli import _quotients, build_parser
-from lexres.lexsegment import LexSegmentSpec
+from lexres.lexsegment import DEFAULT_PRODUCT_BUDGET, LexSegmentSpec
 from lexres.modp import DEFAULT_PRIME
 from lexres.monomials import _same_ctx, first_divisors, minimal_rows
-from lexres.powers import DEFAULT_PRODUCT_BUDGET, PowerIdeal
+from lexres.powers import PowerIdeal
 from lexres.quotients import QuotientStructure, SetBoundViolation
 from lexres.resolution import Basis
 from lexres.serialize import iter_resolution_json
@@ -542,9 +542,9 @@ def instance_argv(inst):
 def cli_resolution(argv):
     """The complex that `lexres resolve <argv>` renders, built through the
     same stages."""
-    cls, qs = _quotients(build_parser().parse_args(["resolve", *argv]))
+    qs = _quotients(build_parser().parse_args(["resolve", *argv]))
     assert qs.is_linear, argv
-    return assemble_resolution(qs, use_oracle=not cls.has_linear_form)
+    return assemble_resolution(qs)
 
 
 def require_agreement(qs):
@@ -555,7 +555,7 @@ def require_agreement(qs):
 
 def resolution_to_json(rc):
     """The whole JSON export as one string."""
-    return "".join(iter_resolution_json(rc))
+    return "".join(iter_resolution_json(rc, sorted(rc.matrices.items())))
 
 
 def matrix_grid(rc, i):

@@ -180,7 +180,7 @@ def test_criterion_5_rank_additivity(family, complexes):
     t0 = time.time()
     for key, rc in complexes.items():
         report = random_rank_check(rc, seed=20240 + key[4], trials=5)
-        assert report.passed, f"rank additivity fails on {key}: {report.describe()}"
+        assert report.passed, f"rank additivity fails on {key}: ranks {[t.ranks for t in report.trials]}"
     # the worked example ranks
     ctx = RingContext(4)
     spec = LexSegmentSpec(

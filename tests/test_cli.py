@@ -1,5 +1,4 @@
 import contextlib
-import functools
 import hashlib
 import io
 import json
@@ -188,10 +187,7 @@ def test_cli_verify_skips_hilbert_over_budget(capsys, monkeypatch):
     assert main(args) == 0
     passed = capsys.readouterr().out.splitlines()
     assert all(line.startswith("[PASS] ") for line in passed)
-    # the default budget is bound when hilbert_numerator is defined, so the
-    # function cli calls is replaced by one with a budget of one node
-    monkeypatch.setattr("lexres.cli.hilbert_numerator",
-                        functools.partial(verify.hilbert_numerator, budget=1))
+    monkeypatch.setattr(verify, "DEFAULT_HILBERT_BUDGET", 1)
     assert main(args) == 0
     skip = "[SKIP] Euler/Hilbert identity: hilbert recursion exceeded 1 nodes"
     assert capsys.readouterr().out.splitlines() == [
@@ -263,7 +259,7 @@ def _flipped_branch(pi, gen, X):
 
 def _corrupted_closed_form(qs):
     table = _closed_form_table(qs)
-    table.g[3] = 0  # g(x4*x1x3) = x2x4, not x1x4
+    table[0][3, 4] = 0  # g(x4*x1x3) = x2x4, not x1x4
     return table
 
 
@@ -275,7 +271,7 @@ def _segment_with_x3_cubed(u, v):
     return _enumerate_lexsegment(u, v) + [Monomial(u.ctx, (0, 0, 3))]
 
 
-def _never_assembled(qs, use_oracle=False):
+def _never_assembled(qs):
     raise AssertionError("verify assembled the complex after a failed check")
 
 
@@ -326,7 +322,7 @@ def test_cli_segment_refused_before_walk(capsys, d):
     assert time.perf_counter() - start < 1.0
     size = math.comb(29 + d, d)
     assert capsys.readouterr().err == (
-        f"budget exceeded: |L|={size}, k=1: {size} candidate products exceed budget {powers.DEFAULT_PRODUCT_BUDGET}\n"
+        f"budget exceeded: |L|={size}, k=1: {size} candidate products exceed budget {lexsegment.DEFAULT_PRODUCT_BUDGET}\n"
     )
 
 
@@ -438,8 +434,8 @@ def test_complex_budget_default_admits_n8(monkeypatch):
 def _counting_stream(alive):
     """stream_resolution, recording as each differential is built how many
     of those built so far are still alive, itself included."""
-    def stream(qs, use_oracle=False):
-        rc, differentials = resolution.stream_resolution(qs, use_oracle)
+    def stream(qs):
+        rc, differentials = resolution.stream_resolution(qs)
 
         def counted():
             refs = []
@@ -483,23 +479,30 @@ def test_export_peak_memory_of_the_large_instance(tmp_path):
     assert peak < 2_000_000
 
 
+def _no_differential(*args):
+    raise AssertionError("a differential was built")
+
+
 def _text_cells(argv):
     rc = support.cli_resolution(argv)
     return len(rc.d0) + sum(m.nrows * m.ncols for m in rc.matrices.values())
 
 
 def test_cli_text_budget_edge(monkeypatch, capsys):
-    # the dense text matrices are counted before any is built
+    # the dense text matrices are counted from the Betti numbers before any
+    # differential is built
     argv = ["resolve", *_EXAMPLE, "--k", "2"]
     cells = _text_cells(argv[1:])
     monkeypatch.setattr(serialize, "TEXT_CELL_BUDGET", cells)
     assert main(argv) == 0
     assert "betti: (1, 14, 24, 13, 2)" in capsys.readouterr().out
     monkeypatch.setattr(serialize, "TEXT_CELL_BUDGET", cells - 1)
-    assert main(argv) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"budget exceeded: the text matrices have {cells} cells, over the budget {cells - 1}\n"
+    monkeypatch.setattr("lexres.resolution._differential", _no_differential)
+    for command in (argv, ["export", "--format", "text", *argv[1:]]):
+        assert main(command) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"budget exceeded: the text matrices have {cells} cells, over the budget {cells - 1}\n"
 
 
 def test_cli_text_budget_default_admits_large_only():
@@ -575,13 +578,43 @@ def test_cli_determinism(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_cli_m2_export(capsys):
+def test_cli_m2_export(capsys, monkeypatch):
+    # the script declares G(I^k) alone, so no differential is built for it
+    monkeypatch.setattr("lexres.resolution._differential", _no_differential)
     code = main(["export", "--n", "4", "--u", "x1x3", "--v", "x2x4", "--format", "m2"])
     out = capsys.readouterr().out
     assert code == 0
     assert "R = QQ[x1,x2,x3,x4];" in out
     assert "I = ideal(x2*x4,x1*x4,x2*x3,x1*x3,x2^2);" in out
     assert "betti C" in out
+
+
+@pytest.mark.parametrize("n, u, v, gens", [(62, "x1x60", "x1x62", 3), (63, "x1x62", "x1x63", 2)], ids=["n62", "n63"])
+@pytest.mark.parametrize("command", [["export", "--format", "json"], ["export", "--format", "text"],
+                                     ["resolve"], ["verify"]], ids=["json", "text", "resolve", "verify"])
+def test_cli_basis_keys_past_int64_are_a_budget(capsys, n, u, v, gens, command):
+    # generators whose basis keys would pass 2^63: refused, never written
+    # with two entries in one cell
+    assert main([*command, "--n", str(n), "--u", u, "--v", v, "--oracle-g"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"budget exceeded: the basis keys of {gens} generators in {n} variables do not fit in 63 bits\n"
+
+
+@pytest.mark.parametrize("n, u, v, betti", [
+    (61, "x1x59", "x1x61", (1, 3, 3, 1)),
+    (64, "x1x64", "x1x64", (1, 1)),  # one generator, whose set is empty: its keys are 0 at any n
+], ids=["n61", "n64-lone"])
+def test_cli_basis_keys_below_2_63_resolve(capsys, n, u, v, betti):
+    argv = ["--n", str(n), "--u", u, "--v", v, "--oracle-g"]
+    assert main(["verify", *argv]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(betti) + 5 and all(line.startswith("[PASS] ") for line in lines)
+    assert main(["export", "--format", "json", *argv]) == 0
+    rc = resolution_from_json(capsys.readouterr().out)
+    assert rc.betti == betti
+    assert main(["resolve", *argv]) == 0
+    assert f"betti: {betti}" in capsys.readouterr().out
 
 
 def test_cli_never_loads_numpy_random():

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import numpy as np
@@ -22,36 +23,46 @@ from lexres import (
 )
 from lexres.lexsegment import LexSegmentSpec
 from lexres.powers import PowerIdeal
-from lexres.quotients import QuotientStructure
-
-
-def _entry(table, i, s):
-    """Position p of the pair (m_i, s) in a decomposition table."""
-    hits = np.nonzero((table.gen == i) & (table.s == s))[0]
-    assert hits.size == 1, (i, s)
-    return int(hits[0])
+from lexres.quotients import QuotientStructure, high_branch, pair_arrays
 
 
 def test_closed_form_table_example_values(example_quotients, example_power):
-    table = closed_form_table(example_quotients)
+    g, coeff = closed_form_table(example_quotients)
     u1, u2, u3, u4, u5 = example_power.generators
-    for (i, s), (branch, g, coeff) in {
-        (3, 2): (1, u3, "x1"),  # x2*u4: high branch
-        (3, 4): (0, u2, "x3"),  # x4*u4: low branch
-        (4, 4): (1, u1, "x2"),  # x4*u5: high branch
+    gen, s, X = pair_arrays(example_quotients)
+    high = dict(zip(zip(gen.tolist(), s.tolist()), high_branch(example_power, gen, X)[1].tolist()))
+    for (i, s), (branch, want, var) in {
+        (3, 2): (True, u3, "x1"),  # x2*u4: high branch
+        (3, 4): (False, u2, "x3"),  # x4*u4: low branch
+        (4, 4): (True, u1, "x2"),  # x4*u5: high branch
     }.items():
-        p = _entry(table, i, s)
-        assert table.branch[p] == branch
-        assert example_power.generators[table.g[p]] == g
-        assert str(variable(u1.ctx, int(table.coeff[p]))) == coeff
+        assert high[i, s] == branch
+        assert example_power.generators[g[i, s]] == want
+        assert str(variable(u1.ctx, int(coeff[i, s]))) == var
+
+
+def _set_pairs(qs):
+    """The (|G|, n+1) mask of the pairs (i, s) with s in set(m_i)."""
+    on = np.zeros((len(qs.sets), qs.power.spec.ctx.n + 1), dtype=bool)
+    for i, st in enumerate(qs.sets):
+        on[i, list(st)] = True
+    return on
+
+
+def _assert_dense(qs, table):
+    """Both arrays of a table are -1 exactly off the set pairs."""
+    on = _set_pairs(qs)
+    for a in table:
+        assert a.dtype == np.int64 and a.shape == on.shape
+        assert ((a >= 0) == on).all()
+        assert (a[~on] == -1).all()
 
 
 def test_tables_cover_exactly_the_set_pairs(example_quotients):
-    # set(u1) is empty, so no entry starts from u1 and (u1, x3) has none
-    pairs = [(i, s) for i, st in enumerate(example_quotients.sets) for s in st]
+    # set(u1) is empty, so row u1 holds no pair and (u1, x3) is -1
     for table in (closed_form_table(example_quotients), oracle_table(example_quotients)):
-        assert list(zip(table.gen.tolist(), table.s.tolist())) == pairs
-        assert 0 not in table.gen
+        _assert_dense(example_quotients, table)
+        assert (table[0][0] == -1).all()
     assert closed_form_table(example_quotients) is closed_form_table(example_quotients)
 
 
@@ -87,8 +98,9 @@ def test_closed_equals_oracle_squared(example_quotients_squared):
 
 
 def test_coefficient_times_g(example_quotients, example_power):
-    table = closed_form_table(example_quotients)
-    for i, s, g, coeff in zip(*(a.tolist() for a in (table.gen, table.s, table.g, table.coeff))):
+    g_of, coeff_of = closed_form_table(example_quotients)
+    gen, s = np.nonzero(g_of >= 0)
+    for i, s, g, coeff in zip(*(a.tolist() for a in (gen, s, g_of[gen, s], coeff_of[gen, s]))):
         m = example_power.generators[i]
         x = variable(m.ctx, coeff)
         assert x * example_power.generators[g] == m * variable(m.ctx, s)
@@ -98,9 +110,7 @@ def test_coefficient_times_g(example_quotients, example_power):
 def test_corrupted_table_entry_is_reported(example_spec):
     qs = linear_quotients_check(power_generators(example_spec, 1))
     gens = qs.power.generators
-    table = closed_form_table(qs)
-    p = _entry(table, 3, 4)  # g(x4*u4) = u2
-    table.g[p] = 0
+    closed_form_table(qs)[0][3, 4] = 0  # g(x4*u4) = u2
     ok, mismatch = closed_form_matches_oracle(qs)
     assert not ok
     assert mismatch == (gens[3], 4, gens[0], gens[1])
@@ -117,11 +127,23 @@ def test_tables_agree_property(shape, k):
     qs = linear_quotients_check(power_generators(spec, k))
     closed = closed_form_table(qs)
     oracle = oracle_table(qs)
-    assert np.array_equal(closed.g, oracle.g)
-    assert np.array_equal(closed.coeff, oracle.coeff)
-    for i, s, g in zip(closed.gen.tolist(), closed.s.tolist(), closed.g.tolist()):
+    assert np.array_equal(closed[0], oracle[0])
+    assert np.array_equal(closed[1], oracle[1])
+    gen, s = np.nonzero(closed[0] >= 0)
+    for i, s, g in zip(gen.tolist(), s.tolist(), closed[0][gen, s].tolist()):
         m = qs.power.generators[i]
         assert support.g_oracle_index(qs, m * variable(m.ctx, s)) == g
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(spec=support.small_specs(), k=st.integers(1, 2))
+def test_tables_are_minus_one_exactly_off_the_set_pairs(spec, k):
+    # classified shapes and random pairs, linear or not: the oracle's table
+    # always, the closed form's where the spec has a split index
+    qs = linear_quotients_check(power_generators(spec, k))
+    _assert_dense(qs, oracle_table(qs))
+    if spec.l is not None:
+        _assert_dense(qs, closed_form_table(qs))
 
 
 def test_regularity_example(example_quotients):
@@ -139,15 +161,17 @@ def test_regularity_squared(example_quotients_squared):
 
 
 def test_regularity_reports_first_counterexample(example_power):
-    # with 3 added to set(u2) = set(x1x4), g(x4 * u4) = u2 breaks regularity
+    # with 3 added to set(u2) = set(x1x4), g(x4 * u4) = u2 breaks regularity;
+    # without a split index l, assembly takes the definitional g and checks it
     sets = [(), (2, 3), (4,), (2, 4), (3, 4)]
-    qs = QuotientStructure(power=example_power, sets=sets)
+    pi = PowerIdeal(dataclasses.replace(example_power.spec, l=None), 1, example_power.generators)
+    qs = QuotientStructure(power=pi, sets=sets)
     report = regularity_check_oracle(qs)
     assert not report.regular
     assert report.counterexample == (example_power.generators[3], 4, 3)
     assert report.describe() == "not regular: t=3 in set(g(x4*x1x3)) but not in set(x1x3)"
     with pytest.raises(CheckFailure, match="cannot resolve: decomposition function not regular"):
-        assemble_resolution(qs, use_oracle=True)
+        assemble_resolution(qs)
 
 
 def test_regularity_single_generator():
@@ -205,7 +229,10 @@ def test_oracle_table_matches_scan_on_any_sets(n, d, data):
     pi = PowerIdeal(LexSegmentSpec(ctx=ctx, d=d, u=gens[0], v=gens[0]), 1, gens)
     qs = QuotientStructure(power=pi, sets=sets)
     table = oracle_table(qs)
-    for i, s, g, coeff in zip(*(a.tolist() for a in (table.gen, table.s, table.g, table.coeff))):
+    _assert_dense(qs, table)
+    g_of, coeff_of = table
+    gen, s = np.nonzero(g_of >= 0)
+    for i, s, g, coeff in zip(*(a.tolist() for a in (gen, s, g_of[gen, s], coeff_of[gen, s]))):
         x = gens[i] * variable(ctx, s)
         assert g == support.g_oracle_index(qs, x)
         assert gens[g] * variable(ctx, coeff) == x

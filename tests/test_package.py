@@ -17,6 +17,7 @@ def test_all_lists_public_names_not_modules():
 # definitions that stand without a caller in src/lexres, and why
 UNREFERENCED_OK = {
     "resolution_from_json": "the documented reader of the JSON export",
+    "assemble_resolution": "the documented library builder of the whole complex; the CLI streams it",
     "all_degree_monomials": "perfbench/pin.py enumerates whole degree slices with it",
     "variable": "the public constructor of x_i, beside one()",
 }
@@ -44,3 +45,44 @@ def test_every_definition_has_a_caller_in_src():
                 if top.name not in here | elsewhere:
                     unreferenced.add(top.name)
     assert unreferenced == UNREFERENCED_OK.keys()
+
+
+# defaulted parameters that no call in src/lexres passes, and why
+UNPASSED_OK = {
+    "main.argv": "the console entry point; tests and perfbench pass it",
+}
+
+
+def _passes(call: ast.Call, positional: list[str], param: str) -> bool:
+    """Whether the call passes param: by keyword, by position, or through * or **."""
+    if any(kw.arg in (param, None) for kw in call.keywords) or any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    # obj.method(...) fills self from obj
+    bound = isinstance(call.func, ast.Attribute) and positional[:1] in (["self"], ["cls"])
+    return param in positional and len(call.args) + bound > positional.index(param)
+
+
+def test_every_default_parameter_is_passed_in_src():
+    # a parameter with a default must be passed by some call in src/lexres to
+    # a function of its name: a default that only tests override is a knob
+    # the program never turns
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in Path(lexres.__file__).parent.glob("*.py")]
+    nodes = [node for tree in trees for node in ast.walk(tree)]
+    calls: dict[str, list[ast.Call]] = {}
+    for node in nodes:
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+            name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+            calls.setdefault(name, []).append(node)
+    unpassed = set()
+    for fn in nodes:
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = fn.args
+        positional = [a.arg for a in args.posonlyargs + args.args]
+        defaulted = positional[len(positional) - len(args.defaults):] + [
+            a.arg for a, default in zip(args.kwonlyargs, args.kw_defaults) if default is not None
+        ]
+        for param in defaulted:
+            if not any(_passes(call, positional, param) for call in calls.get(fn.name, [])):
+                unpassed.add(f"{fn.name}.{param}")
+    assert unpassed == UNPASSED_OK.keys()

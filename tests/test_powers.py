@@ -13,6 +13,7 @@ from lexres import (
     Monomial,
     RingContext,
     enumerate_lexsegment,
+    lexsegment,
     power_generators,
 )
 from lexres.lexsegment import LexSegmentSpec
@@ -76,9 +77,10 @@ def test_bar_degree_bound_on_family():
                 assert support.bar_degree(g, l) >= k
 
 
-def test_budget_guard(example_spec):
+def test_budget_guard(example_spec, monkeypatch):
+    monkeypatch.setattr(lexsegment, "DEFAULT_PRODUCT_BUDGET", 100)
     with pytest.raises(BudgetError):
-        power_generators(example_spec, 12, budget=100)
+        power_generators(example_spec, 12)
     assert math.comb(5 + 12 - 1, 12) > 100
 
 

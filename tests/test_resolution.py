@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import tracemalloc
 
@@ -6,19 +7,22 @@ import pytest
 
 import support
 from lexres import (
+    BudgetError,
     Monomial,
     RingContext,
     assemble_resolution,
     betti_from_sets,
     compose_check,
     linear_quotients_check,
+    make_classified_spec,
     minimality_check,
     power_generators,
 )
+from lexres.cli import main
 from lexres.lexsegment import LexSegmentSpec
 from lexres.powers import PowerIdeal
 from lexres.quotients import QuotientStructure
-from lexres.resolution import DifferentialMatrix, resolution_basis
+from lexres.resolution import Basis, DifferentialMatrix, resolution_basis
 
 # the three displayed differentials of the worked example, transcribed as
 # row-major grids against the documented basis ordering
@@ -104,7 +108,7 @@ def test_single_generator_resolution():
     u = Monomial(ctx, (1, 1, 0))
     spec = LexSegmentSpec(ctx=ctx, d=2, u=u, v=u)
     qs = linear_quotients_check(power_generators(spec, 1))
-    rc = assemble_resolution(qs, use_oracle=True)
+    rc = assemble_resolution(qs)
     assert rc.betti == (1, 1)
     assert rc.proj_dim == 1
     assert compose_check(rc, 0)
@@ -136,16 +140,20 @@ def test_basis_requires_linear():
         assemble_resolution(qs)
 
 
-def test_unclassified_needs_oracle_flag():
+def test_unclassified_spec_builds_from_the_definitional_table(capsys):
+    # L(x1x2, x2x3) is outside the classified shape (x2 | v, so l is unset):
+    # the library takes the definitional g, never the closed form, and builds
+    # the complex that `export --oracle-g` writes
     ctx = RingContext(3)
-    u = Monomial(ctx, (1, 1, 0))
-    spec = LexSegmentSpec(ctx=ctx, d=2, u=u, v=u)
+    spec, _, _ = make_classified_spec(Monomial(ctx, (1, 1, 0)), Monomial(ctx, (0, 1, 1)))
+    assert spec.l is None
     qs = linear_quotients_check(power_generators(spec, 2))
-    with pytest.raises(ValueError):
-        assemble_resolution(qs)
-    rc = assemble_resolution(qs, use_oracle=True)
+    rc = assemble_resolution(qs)
     assert "closed" not in qs.g_tables and "oracle" in qs.g_tables
     assert all(compose_check(rc, i) for i in range(rc.proj_dim))
+    assert main(["export", "--format", "json", "--n", "3", "--u", "x1x2", "--v", "x2x3", "--k", "2",
+                 "--oracle-g"]) == 0
+    assert capsys.readouterr().out == support.resolution_to_json(rc)
 
 
 def test_family_sample_k3_properties():
@@ -160,9 +168,12 @@ def test_family_sample_k3_properties():
         assert rc.proj_dim == 1 + max(len(s) for s in qs.sets)
 
 
-def test_oracle_and_closed_assemblies_agree(example_quotients):
+def test_oracle_and_closed_assemblies_agree(example_spec, example_quotients):
+    # the worked example without its split index l takes the definitional route
     a = assemble_resolution(example_quotients)
-    b = assemble_resolution(example_quotients, use_oracle=True)
+    qs = linear_quotients_check(power_generators(dataclasses.replace(example_spec, l=None), 1))
+    b = assemble_resolution(qs)
+    assert "closed" not in qs.g_tables and "oracle" in qs.g_tables
     assert a.matrices == b.matrices
     assert a.bases == b.bases
 
@@ -240,7 +251,7 @@ def test_compose_check_d0_beyond_int64_row_keys(n, power):
     e1[n - 2], e2[n - 1] = 1, 1
     u1, u2 = Monomial(ctx, e1), Monomial(ctx, e2)
     pi = PowerIdeal(LexSegmentSpec(ctx=ctx, d=u1.degree, u=u1, v=u2), 1, (u1, u2))
-    rc = assemble_resolution(linear_quotients_check(pi), use_oracle=True)
+    rc = assemble_resolution(linear_quotients_check(pi))
     d1 = rc.matrices[1]
     assert d1.vars.tolist() == [n, n - 1] and compose_check(rc, 0)
     d1.vars[0] = n - 1
@@ -265,6 +276,22 @@ def test_resolution_basis_matches_loop():
                     for _ in qs.sets]
             other = QuotientStructure(power=qs.power, sets=sets)
             assert resolution_basis(other) == support.resolution_basis_loop(other)
+
+
+def test_basis_keys_fit_below_2_63_or_are_refused():
+    # a key is (gen << n) | (mask >> 1): at n = 61, four generators fill the
+    # 63 bits exactly and a fifth is refused before any key is made
+    top = Basis([0, 3, 3], [[1], [1], [61]], 1, 61)
+    assert top.find(np.array([3, 3, 0]), np.array([2, 1 << 61, 2])).tolist() == [1, 2, 0]
+    assert top.find(np.array([2]), np.array([2])).tolist() == [-1]
+    with pytest.raises(BudgetError, match="keys of 5 generators in 61 variables do not fit in 63 bits"):
+        Basis([0, 4], [[1], [1]], 1, 61)
+    assert len(Basis([1], [[]], 0, 62)) == 1
+    with pytest.raises(BudgetError, match="keys of 3 generators in 62 variables"):
+        Basis([2], [[]], 0, 62)
+    # the first generator's set is empty and its keys are 0 at any n
+    for n in (63, 64, 100):
+        assert Basis([0], [[]], 0, n).find(np.array([0]), np.array([0])).tolist() == [0]
 
 
 @pytest.mark.parametrize("field, value", [

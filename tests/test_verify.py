@@ -66,40 +66,46 @@ def test_hilbert_inclusion_exclusion_random():
             assert hilbert_numerator(gens) == support.hilbert_numerator_inclusion_exclusion(gens)
 
 
-def test_hilbert_budget():
+def _hilbert(monkeypatch, gens, budget: int):
+    """hilbert_numerator(gens) with DEFAULT_HILBERT_BUDGET set to budget."""
+    monkeypatch.setattr(verify, "DEFAULT_HILBERT_BUDGET", budget)
+    return hilbert_numerator(gens)
+
+
+def test_hilbert_budget(monkeypatch):
     ctx = RingContext(6)
     rng = random.Random(4)
     gens = list({support.random_monomial(rng, ctx, 6) for _ in range(40)})
     gens = [g for g in gens if g.degree >= 2]
     with pytest.raises(BudgetError):
-        hilbert_numerator(gens, budget=3)
+        _hilbert(monkeypatch, gens, 3)
 
 
-def test_hilbert_budget_edge(example_power_squared):
+def test_hilbert_budget_edge(example_power_squared, monkeypatch):
     # the recursion's node count on the large benchmark instance and on the
     # worked example at k=2: a drifting memo key or pivot order moves the
     # budget at which verify prints [SKIP]
     spec, _ = support.build_family_spec(6, (1, 0, 0, 1, 1, 1), (0, 1, 0, 0, 0, 3))
     large = power_generators(spec, 2).generators
     for gens, nodes in ((large, 119), (example_power_squared.generators, 15)):
-        hilbert_numerator(gens, budget=nodes)
+        _hilbert(monkeypatch, gens, nodes)
         with pytest.raises(BudgetError, match=f"exceeded {nodes - 1} nodes"):
-            hilbert_numerator(gens, budget=nodes - 1)
+            _hilbert(monkeypatch, gens, nodes - 1)
 
 
-def _hilbert_nodes(gens) -> int:
+def _hilbert_nodes(monkeypatch, gens) -> int:
     """The least budget hilbert_numerator accepts, by bisection."""
     refused, accepted = 0, 1
     while True:
         try:
-            hilbert_numerator(gens, budget=accepted)
+            _hilbert(monkeypatch, gens, accepted)
             break
         except BudgetError:
             refused, accepted = accepted, 2 * accepted
     while accepted - refused > 1:
         mid = (refused + accepted) // 2
         try:
-            hilbert_numerator(gens, budget=mid)
+            _hilbert(monkeypatch, gens, mid)
             accepted = mid
         except BudgetError:
             refused = mid
@@ -142,12 +148,13 @@ def test_hilbert_matches_loop_with_exact_budget(cut, monkeypatch):
     def check(case):
         n, rows = case
         gens = [Monomial(RingContext(n), r) for r in rows]
-        nodes = _hilbert_nodes(gens)
-        got = hilbert_numerator(gens, budget=nodes)
+        nodes = _hilbert_nodes(monkeypatch, gens)
+        got = _hilbert(monkeypatch, gens, nodes)
         assert got == support.hilbert_numerator_loop(gens, budget=nodes)
-        for hilbert in (hilbert_numerator, support.hilbert_numerator_loop):
-            with pytest.raises(BudgetError, match=f"exceeded {nodes - 1} nodes"):
-                hilbert(gens, budget=nodes - 1)
+        with pytest.raises(BudgetError, match=f"exceeded {nodes - 1} nodes"):
+            _hilbert(monkeypatch, gens, nodes - 1)
+        with pytest.raises(BudgetError, match=f"exceeded {nodes - 1} nodes"):
+            support.hilbert_numerator_loop(gens, budget=nodes - 1)
 
     check()
 
@@ -169,7 +176,7 @@ def test_euler_single_generator():
     u = Monomial(ctx, (1, 1, 0))
     spec = LexSegmentSpec(ctx=ctx, d=2, u=u, v=u)
     qs = linear_quotients_check(power_generators(spec, 1))
-    rc = assemble_resolution(qs, use_oracle=True)
+    rc = assemble_resolution(qs)
     assert euler_characteristic_numerator(rc).as_dict() == {0: 1, 2: -1}
     assert euler_characteristic_numerator(rc) == hilbert_numerator(rc.power.generators)
 
@@ -365,7 +372,7 @@ def _oracle_resolution():
     ctx = RingContext(5)
     u, v = Monomial(ctx, (1, 2, 0, 0, 0)), Monomial(ctx, (0, 1, 0, 0, 2))
     spec = LexSegmentSpec(ctx=ctx, d=3, u=u, v=v)
-    return assemble_resolution(linear_quotients_check(power_generators(spec, 2)), use_oracle=True)
+    return assemble_resolution(linear_quotients_check(power_generators(spec, 2)))
 
 
 @pytest.mark.parametrize("build", [_shape_resolution, _oracle_resolution], ids=["classified", "oracle"])
