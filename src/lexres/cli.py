@@ -123,9 +123,10 @@ def run_command(args: argparse.Namespace) -> int:
         spec, _, _ = _spec_pipeline(args)
         pi = power_generators(spec, args.k)
         if args.fmt == "json":
-            _emit(args, _json_dumps({"n": args.n, "d": spec.d, "k": args.k, "generators": [list(g.exponents) for g in pi.generators]}))
+            _emit(args, _json_dumps({"n": args.n, "d": spec.d, "k": args.k, "generators": pi.exponent_matrix.tolist()}))
         else:
-            _emit(args, "\n".join(f"u{j + 1} = {g}" for j, g in enumerate(pi.generators)) + "\n")
+            rows = pi.exponent_matrix.tolist()
+            _emit(args, "\n".join(f"u{j + 1} = {Monomial(spec.ctx, g)}" for j, g in enumerate(rows)) + "\n")
         return 0
 
     if args.command == "quotients":
@@ -178,9 +179,14 @@ def run_command(args: argparse.Namespace) -> int:
 
 
 def _quotients(args: argparse.Namespace):
-    """The linear-quotient structure of G(I^k), refusing a shape outside
-    the classified form unless --oracle-g allows the definitional g."""
-    spec, _, cls = _spec_pipeline(args)
+    """The linear-quotient structure of G(I^k), refusing u = v = x1^d, whose
+    normalized ideal is the unit ideal, and a shape outside the classified
+    form unless --oracle-g allows the definitional g."""
+    spec, record, cls = _spec_pipeline(args)
+    if spec.d == 0:
+        raise ValueError(
+            f"u = v = {record.original_u} normalizes to the unit ideal L(1, 1): there is no resolution to build"
+        )
     if not cls.has_linear_form and not args.oracle_g:
         raise ValueError(
             "the (u, v) shape is outside the classified linear-resolution form "
@@ -233,7 +239,7 @@ def _verify(args: argparse.Namespace) -> int:
     tick("minimality (entries are ±x_j)", report.minimal)
 
     try:
-        numerator = hilbert_numerator(rc.power.generators)
+        numerator = hilbert_numerator(rc.power.exponent_matrix)
         euler_ok = euler_characteristic_numerator(rc) == numerator
         tick(
             "Euler characteristic equals Hilbert numerator",

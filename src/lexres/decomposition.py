@@ -9,12 +9,14 @@ ground truth whenever the two are run side by side.  All generators share one
 degree, so the generators dividing x_s * m are its exchange neighbours
 x_s * m / x_t, and both routes read PowerIdeal.neighbours.
 
-Each route is evaluated on every pair at once and cached on the quotient
-structure as one table (g, coeff), the layout assembly reads: two
-(|G|, n+1) int64 arrays, -1 everywhere but at the pairs (i, s) with s in
-set(m_i), where g[i, s] is the position of g(x_s m_i) in G(I^k) and
-coeff[i, s] the 1-based variable x_s m_i / g(x_s m_i).  Row-major order is
-pair order: generator first, then s.
+Each route is evaluated on every pair at once and cached in qs.g_tables as
+one table (g, coeff), the layout assembly reads: two (|G|, n+1) int64
+arrays, -1 everywhere but at the pairs (i, s) with s in set(m_i), where
+g[i, s] is the position of g(x_s m_i) in G(I^k) and coeff[i, s] the 1-based
+variable x_s m_i / g(x_s m_i).  Row-major order is pair order: generator
+first, then s.  The regularity report of the oracle's g is cached beside it.
+Generators are read as rows of PowerIdeal.exponent_matrix; a Monomial is
+built from a row only for the text of a failure or a report.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ def closed_form_table(qs: QuotientStructure) -> tuple[np.ndarray, np.ndarray]:
     g = pi.neighbours[gen, s - 1, col]
     p = _first_true(no_tilde | (g == len(pi)))
     if p < len(s):
-        m, sp = pi.generators[gen[p]], int(s[p])
+        m, sp = Monomial(pi.spec.ctx, pi.exponent_matrix[gen[p]]), int(s[p])
         if no_tilde[p]:
             message = f"{m} has no support beyond x{l}"
         else:
@@ -90,8 +92,8 @@ def closed_form_matches_oracle(qs: QuotientStructure):
     p = _first_true((closed != oracle).ravel())
     if p == closed.size:
         return True, None
-    (i, s), gens = divmod(p, closed.shape[1]), qs.power.generators
-    return False, (gens[i], s, gens[closed[i, s]], gens[oracle[i, s]])
+    (i, s), ctx, G = divmod(p, closed.shape[1]), qs.power.spec.ctx, qs.power.exponent_matrix
+    return False, (Monomial(ctx, G[i]), s, Monomial(ctx, G[closed[i, s]]), Monomial(ctx, G[oracle[i, s]]))
 
 
 @dataclass(frozen=True)
@@ -108,15 +110,21 @@ class RegularityReport:
 
 def regularity_check_oracle(qs: QuotientStructure) -> RegularityReport:
     """Verify set(g(x_s*m)) ⊆ set(m) for all (m, s), with the definitional g;
-    works without a classified spec."""
+    works without a classified spec.  The report is computed once per
+    quotient structure and cached beside the oracle's table."""
     if not qs.is_linear:
         raise ValueError("quotient structure is not linear")
+    if "regularity" in qs.g_tables:
+        return qs.g_tables["regularity"]
     g = oracle_table(qs)[0]
     member = g >= 0  # member[i, s]: s in set(m_i)
     gen, s = np.nonzero(member)
     outside = member[g[gen, s]] & ~member[gen]
     p = _first_true(outside.any(axis=1))
     if p == len(gen):
-        return RegularityReport(regular=True)
-    m, t = qs.power.generators[gen[p]], int(outside[p].argmax())
-    return RegularityReport(regular=False, counterexample=(m, int(s[p]), t))
+        report = RegularityReport(regular=True)
+    else:
+        m, t = Monomial(qs.power.spec.ctx, qs.power.exponent_matrix[gen[p]]), int(outside[p].argmax())
+        report = RegularityReport(regular=False, counterexample=(m, int(s[p]), t))
+    qs.g_tables["regularity"] = report
+    return report

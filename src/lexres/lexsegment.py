@@ -185,11 +185,10 @@ class CompletelyLexVerdict:
 
 
 def is_completely_lexsegment(
-    spec: LexSegmentSpec,
-    depth: int | None = None,
-    first_shadow_persistence: bool = False,
+    spec: LexSegmentSpec, depth: int | None, first_shadow_persistence: bool
 ) -> CompletelyLexVerdict:
-    """Check Shad^i(L(u,v)) for i = 1..depth against the lexsegment property.
+    """Check Shad^i(L(u,v)) for i = 1..depth (n when depth is None) against
+    the lexsegment property.
 
     On failure the witness is the lex-largest interval member missing from
     the shadow.  A clean run is reported as unknown-at-depth unless the

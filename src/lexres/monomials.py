@@ -47,14 +47,6 @@ class Monomial:
         self.exponents = exps
         self.degree = sum(exps)
 
-    @classmethod
-    def trusted(cls, ctx: RingContext, exponents: tuple, degree: int) -> "Monomial":
-        """A monomial from a tuple of ints already checked against ctx, and
-        its degree; for bulk builders that validated the whole matrix."""
-        m = object.__new__(cls)
-        m.ctx, m.exponents, m.degree = ctx, exponents, degree
-        return m
-
     # -- basic queries ----------------------------------------------------
 
     def exponent(self, i: int) -> int:

@@ -26,24 +26,23 @@ ENTRY_BUDGET = 8 * 10**6
 
 
 class PowerIdeal:
-    """G(I^k) as an increasing-revlex sequence, with its arrays built on first use."""
+    """G(I^k) as an increasing-revlex sequence: exponent_matrix is the int64
+    (|G|, n) array of the generators, one row each in generator order, and
+    the exchange-neighbour table is built from it on first use."""
 
-    def __init__(self, spec: LexSegmentSpec, k: int, generators):
+    def __init__(self, spec: LexSegmentSpec, k: int, exponent_matrix: np.ndarray):
         self.spec = spec
         self.k = k
-        self.generators = tuple(generators)
-        self._matrix = None
+        self.exponent_matrix = exponent_matrix
         self._neighbours = None
 
     def __len__(self):
-        return len(self.generators)
+        return len(self.exponent_matrix)
 
     @property
-    def exponent_matrix(self) -> np.ndarray:
-        """Generators as an int64 (r, n) array, row order = generator order."""
-        if self._matrix is None:
-            self._matrix = np.array([m.exponents for m in self.generators], dtype=np.int64)
-        return self._matrix
+    def generators(self) -> np.ndarray:
+        """exponent_matrix, under the name perfbench/tracer.py counts |G| by."""
+        return self.exponent_matrix
 
     @property
     def neighbours(self) -> np.ndarray:
@@ -123,7 +122,4 @@ def power_generators(spec: LexSegmentSpec, k: int) -> PowerIdeal:
             )
     if P.shape[1] != spec.ctx.n or (P < 0).any():
         raise InvariantError(f"exponent rows of shape {P.shape} do not fit n={spec.ctx.n}")
-    degrees = P.sum(axis=1).tolist()
-    pi = PowerIdeal(spec, k, [Monomial.trusted(spec.ctx, tuple(e), d) for e, d in zip(P.tolist(), degrees)])
-    pi._matrix = P
-    return pi
+    return PowerIdeal(spec, k, P)

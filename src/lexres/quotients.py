@@ -20,11 +20,10 @@ from .monomials import Monomial, first_divisors, minimal_rows
 from .powers import PowerIdeal
 
 
-def colon_minimal_generators(prefix, m: Monomial) -> set[Monomial]:
-    """Minimal monomial generators of (prefix) : (m)."""
-    P = np.array([g.exponents for g in prefix], dtype=np.int64).reshape(len(prefix), m.ctx.n)
-    quotients = np.clip(P - np.array(m.exponents), 0, None)
-    return {Monomial(m.ctx, row) for row in minimal_rows(quotients).tolist()}
+def colon_minimal_generators(prefix: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Minimal monomial generators of (prefix) : (m), as exponent rows sorted
+    by (degree, lex), from the rows of prefix and the row m."""
+    return minimal_rows(np.clip(prefix - m, 0, None))
 
 
 @dataclass
@@ -41,7 +40,8 @@ class QuotientStructure:
     status: str = "linear"
     failure_index: int | None = None
     offending: Monomial | None = None
-    # the decomposition function's tables (lexres.decomposition), by route
+    # the decomposition function's tables by route, and the regularity report
+    # (lexres.decomposition)
     g_tables: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -89,11 +89,11 @@ def linear_quotients_check(pi: PowerIdeal) -> QuotientStructure:
     bad = np.flatnonzero(low[:failure])
     if bad.size:
         i = int(bad[0])
-        raise InvariantError(f"set({pi.generators[i]}) contains x{sets[i][0]} <= x_min")
+        raise InvariantError(f"set({Monomial(pi.spec.ctx, G[i])}) contains x{sets[i][0]} <= x_min")
     if failure == len(G):
         return QuotientStructure(power=pi, sets=sets)
-    colon = colon_minimal_generators(pi.generators[:failure], pi.generators[failure])
-    offending = max((g for g in colon if g.degree != 1), key=lambda g: g.exponents)
+    colon = colon_minimal_generators(G[:failure], G[failure])
+    offending = Monomial(pi.spec.ctx, max(map(tuple, colon[colon.sum(axis=1) != 1].tolist())))
     return QuotientStructure(
         power=pi,
         sets=sets[:failure],
@@ -148,11 +148,9 @@ def set_bound_report(qs: QuotientStructure) -> list[SetBoundViolation]:
         tilde = M[:, l:] > 0
         bare = np.flatnonzero(low & ~tilde.any(axis=1))
         if bare.size:
-            raise CheckFailure(f"{pi.generators[gen[bare[0]]]} has no support beyond x{l}")
+            raise CheckFailure(f"{Monomial(pi.spec.ctx, M[bare[0]])} has no support beyond x{l}")
         bad_tilde = low & (s <= l + 1 + tilde.argmax(axis=1))
     return [
-        SetBoundViolation(
-            "min-bound" if bad_min[p] else "tilde-min-bound", pi.generators[gen[p]], int(s[p])
-        )
+        SetBoundViolation("min-bound" if bad_min[p] else "tilde-min-bound", Monomial(pi.spec.ctx, M[p]), int(s[p]))
         for p in np.flatnonzero(bad_min | bad_tilde).tolist()
     ]

@@ -126,9 +126,10 @@ class ResolutionComplex:
     """The assembled resolution: one Basis and one differential per degree.
 
     bases[i] is the basis of F_i for i >= 1 (F_0 = S); matrices[i] is the map
-    F_{i+1} -> F_i for i >= 1, and d0 is the 1 x beta_1 generator row.  The
-    Betti numbers and shifts are read off the bases: I^k is generated in the
-    single degree kd, so F_i is S(-(kd+i-1))^|bases[i]|.
+    F_{i+1} -> F_i for i >= 1, and d0, the 1 x beta_1 generator row, is
+    power.exponent_matrix.  The Betti numbers and shifts are read off the
+    bases: I^k is generated in the single degree kd, so F_i is
+    S(-(kd+i-1))^|bases[i]|.
     """
 
     def __init__(self, quotients, bases, matrices):
@@ -141,16 +142,12 @@ class ResolutionComplex:
         return self.quotients.power
 
     @property
-    def d0(self) -> tuple:
-        return tuple(self.power.generators)
-
-    @property
     def betti(self) -> tuple[int, ...]:
         return (1, *(len(self.bases[i]) for i in sorted(self.bases)))
 
     @property
     def shifts(self) -> tuple[tuple[int, int], ...]:
-        kd = self.power.generators[0].degree
+        kd = int(self.power.exponent_matrix[0].sum())
         return ((0, 1), *((-(kd + i - 1), len(self.bases[i])) for i in sorted(self.bases)))
 
     @property
@@ -160,7 +157,7 @@ class ResolutionComplex:
     def __eq__(self, other):
         return (
             isinstance(other, ResolutionComplex)
-            and self.power.generators == other.power.generators
+            and np.array_equal(self.power.exponent_matrix, other.power.exponent_matrix)
             and self.quotients.sets == other.quotients.sets
             and self.bases == other.bases
             and self.matrices == other.matrices
@@ -301,7 +298,7 @@ def compose_check(rc: ResolutionComplex, i: int) -> bool:
         if 1 not in rc.matrices:
             return True
         d1 = rc.matrices[1]
-        gens = np.array([g.exponents for g in rc.d0], dtype=np.int64)
+        gens = rc.power.exponent_matrix
         # the column, then the monomial x_var * d0[row]; a var outside 1..n
         # (minimality fails) adds nothing
         var = d1.vars.astype(np.int64)
@@ -351,7 +348,7 @@ def compose_check(rc: ResolutionComplex, i: int) -> bool:
 def minimality_check(rc: ResolutionComplex) -> bool:
     """Every entry above the generator row must be +-(a single variable)."""
     n = rc.power.spec.ctx.n
-    if any(g.degree < 1 for g in rc.d0):
+    if (rc.power.exponent_matrix.sum(axis=1) < 1).any():
         return False
     return all(
         (np.abs(mat.signs.astype(np.int64)) == 1).all()

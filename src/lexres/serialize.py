@@ -90,7 +90,7 @@ def iter_resolution_json(rc: ResolutionComplex, differentials):
             "u": list(spec.u.exponents), "v": list(spec.v.exponents)}
     tail = {"betti": list(rc.betti), "shifts": [list(s) for s in rc.shifts]}
     yield from _rows(json.dumps(head, indent=2)[:-2] + ',\n  "generators": ',  # without "\n}"
-                     [g.exponents for g in rc.power.generators])
+                     rc.power.exponent_matrix.tolist())
     yield from _rows(',\n  "sets": ', rc.quotients.sets)
     yield ",\n" + json.dumps(tail, indent=2)[2:-2] + ',\n  "bases": {'  # without "{\n", "\n}"
     bases = sorted(rc.bases.items())
@@ -118,7 +118,10 @@ def iter_resolution_json(rc: ResolutionComplex, differentials):
 
 
 def resolution_from_dict(data: dict) -> ResolutionComplex:
-    """Rebuild the in-memory complex from its JSON form."""
+    """Rebuild the in-memory complex from its JSON form.  Malformed input
+    (a generator row that is not n exponents >= 0, a generator count other
+    than the set count, a matrix that its bases do not give) raises
+    ValueError."""
     ctx = RingContext(data["n"])
     spec = LexSegmentSpec(
         ctx=ctx,
@@ -127,7 +130,16 @@ def resolution_from_dict(data: dict) -> ResolutionComplex:
         v=Monomial(ctx, data["v"]),
         l=data["l"],
     )
-    gens = [Monomial(ctx, e) for e in data["generators"]]
+    try:
+        gens = np.array(data["generators"], dtype=np.int64)
+        if gens.ndim != 2 or gens.shape[1] != ctx.n:
+            raise ValueError
+    except (OverflowError, ValueError):
+        raise ValueError(f"the generators are not rows of {ctx.n} int64 exponents") from None
+    if (gens < 0).any():
+        raise ValueError(f"negative exponent in {tuple(gens[(gens < 0).any(axis=1)][0].tolist())}")
+    if len(gens) != len(data["sets"]):
+        raise ValueError(f"{len(gens)} generator rows for {len(data['sets'])} sets")
     pi = PowerIdeal(spec, data["k"], gens)
     qs = QuotientStructure(power=pi, sets=[tuple(s) for s in data["sets"]])
     bases = {
@@ -185,11 +197,12 @@ def resolution_to_text(rc: ResolutionComplex, differentials) -> str:
     if cells > TEXT_CELL_BUDGET:
         raise BudgetError(f"the text matrices have {cells} cells, over the budget {TEXT_CELL_BUDGET}")
     spec = rc.power.spec
+    gens = [str(Monomial(spec.ctx, g)) for g in rc.power.exponent_matrix.tolist()]
     lines = [
         f"S = K[x1..x{spec.ctx.n}],  I = L({spec.u}, {spec.v}),  k = {rc.power.k}"
         + (f",  l = {spec.l}" if spec.l is not None else ""),
         "generators of I^k (increasing revlex): "
-        + ", ".join(f"u{j + 1} = {g}" for j, g in enumerate(rc.power.generators)),
+        + ", ".join(f"u{j + 1} = {g}" for j, g in enumerate(gens)),
         "sets: "
         + "; ".join(
             f"set(u{j + 1}) = {{{', '.join(map(str, s))}}}"
@@ -201,7 +214,7 @@ def resolution_to_text(rc: ResolutionComplex, differentials) -> str:
             "S" if shift == 0 else f"S({shift})^{rank}" for shift, rank in rc.shifts
         ),
     ]
-    d0 = np.arange(1, len(rc.d0) + 1)[None, :], ["0"] + [str(g) for g in rc.d0]  # its cells are G(I^k)
+    d0 = np.arange(1, len(gens) + 1)[None, :], ["0"] + gens  # its cells are G(I^k)
     grids = itertools.chain([(0, d0)], ((i, _cell_grid(mat)) for i, mat in differentials))
     for i, (grid, texts) in grids:
         lines.append("")
@@ -223,7 +236,7 @@ def power_ideal_to_m2(pi: PowerIdeal) -> str:
     """
     n = pi.spec.ctx.n
     ring_vars = ",".join(f"x{i}" for i in range(1, n + 1))
-    gens = ",".join(_m2_monomial(g) for g in pi.generators)
+    gens = ",".join(map(_m2_monomial, pi.exponent_matrix.tolist()))
     return (
         f"-- generators of I^{pi.k} for I = L({pi.spec.u}, {pi.spec.v})\n"
         f"R = QQ[{ring_vars}];\n"
@@ -233,13 +246,5 @@ def power_ideal_to_m2(pi: PowerIdeal) -> str:
     )
 
 
-def _m2_monomial(m: Monomial) -> str:
-    if m.degree == 0:
-        return "1"
-    parts = []
-    for i, e in enumerate(m.exponents):
-        if e == 1:
-            parts.append(f"x{i + 1}")
-        elif e > 1:
-            parts.append(f"x{i + 1}^{e}")
-    return "*".join(parts)
+def _m2_monomial(exponents) -> str:
+    return "*".join(f"x{i + 1}" + (f"^{e}" if e > 1 else "") for i, e in enumerate(exponents) if e) or "1"

@@ -77,8 +77,9 @@ def _pmul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
 _COLON_SCAN_PAIRS = 1024
 
 
-def hilbert_numerator(gens) -> HilbertNumerator:
-    """N(t) for S/(gens) by splitting on a pivot variable x:
+def hilbert_numerator(rows: np.ndarray) -> HilbertNumerator:
+    """N(t) for S/(rows), the ideal of the int64 exponent rows, by splitting
+    on a pivot variable x:
 
         N(J) = N(J + (x)) + t * N(J : x)
 
@@ -155,9 +156,8 @@ def hilbert_numerator(gens) -> HilbertNumerator:
             kept = [t for t in free if all(((t[2] | guard) - a) & guard != guard for a in packed)]
         return sorted(lowered + kept)
 
-    gens = list(gens)
-    n = gens[0].ctx.n if gens else 0
-    rows = minimal_rows(np.array([m.exponents for m in gens], dtype=np.int64).reshape(len(gens), n))
+    n = rows.shape[1]
+    rows = minimal_rows(rows)
     size = next(b for b in (1, 2, 4, 8) if rows.max(initial=0) < 1 << (8 * b - 1))
     guard = int.from_bytes(b"\x80".rjust(size, b"\0") * n, "little")
     fields = rows.astype(f"<u{size}")
@@ -257,8 +257,7 @@ def rank_positions_ok(betti, ranks) -> bool:
     return ranks[0] == 1 and inner and ranks[pd - 1] == betti[pd]
 
 
-def random_rank_check(rc: ResolutionComplex, seed: int = 0, trials: int = 5,
-                      differentials=None) -> RankReport:
+def random_rank_check(rc: ResolutionComplex, seed: int, trials: int, differentials) -> RankReport:
     """Evaluate all differentials at random nonzero points mod DEFAULT_PRIME
     and test rank additivity at every position, `trials` times.
 
@@ -273,8 +272,8 @@ def random_rank_check(rc: ResolutionComplex, seed: int = 0, trials: int = 5,
     are the exact evaluated ranks.
 
     The differentials are read once, in order, from `differentials`, pairs
-    (i, d_i) as stream_resolution yields them, or by default from
-    rc.matrices.  Step i holds d_{i-1} and d_i: it runs compose_check on
+    (i, d_i) as stream_resolution yields them (sorted(rc.matrices.items())
+    for an assembled complex).  Step i holds d_{i-1} and d_i: it runs compose_check on
     d_{i-1} ∘ d_i, through the resolution module, takes d_i's shape and
     ranks, drops d_{i-1} and runs minimality_check on d_i.  Both verdicts
     are kept on the report.
@@ -289,8 +288,6 @@ def random_rank_check(rc: ResolutionComplex, seed: int = 0, trials: int = 5,
     report = RankReport(modulus=p, seed=seed, betti=rc.betti, minimal=resolution.minimality_check(held))
     ranks, methods = [[1] for _ in points], [["dense"] for _ in points]
     kappa, shaped = 1, True  # of d_{i-1}
-    if differentials is None:
-        differentials = sorted(rc.matrices.items())
     for i, mat in differentials:
         window[i] = mat
         report.composed.append(resolution.compose_check(held, i - 1))

@@ -89,30 +89,48 @@ def min_tilde_index(m, l):
     raise ValueError(f"{m} has no support beyond x{l}")
 
 
+def power_ideal(spec, k, gens):
+    """A PowerIdeal whose exponent matrix holds the monomials gens, in order."""
+    return PowerIdeal(spec, k, np.array([m.exponents for m in gens], dtype=np.int64).reshape(-1, spec.ctx.n))
+
+
+def monomials(pi):
+    """The generators of pi as Monomials, one per row of its exponent matrix,
+    for the references that compute with monomials."""
+    return [Monomial(pi.spec.ctx, row) for row in pi.exponent_matrix.tolist()]
+
+
+def differentials(rc):
+    """The differentials of an assembled complex as (i, d_i) pairs in order,
+    as stream_resolution yields them."""
+    return sorted(rc.matrices.items())
+
+
 def g_oracle_index(qs, x):
     """Position of the earliest generator (increasing revlex) dividing the
     monomial x, of any degree, by one earliest-divisor scan: the definition
     that lexres.oracle_table reads off the exchange neighbours."""
     pi = qs.power
     pos = int(first_divisors(pi.exponent_matrix, np.array([x.exponents], dtype=np.int64))[0])
-    if pos == len(pi.generators):
+    if pos == len(pi):
         raise ValueError(f"{x} is not in I^{pi.k}")
     return pos
 
 
 def g_oracle(qs, x):
     """The decomposition function by definition: earliest dividing generator."""
-    return qs.power.generators[g_oracle_index(qs, x)]
+    return Monomial(qs.power.spec.ctx, qs.power.exponent_matrix[g_oracle_index(qs, x)])
 
 
 def neighbours_loop(pi):
     """neighbours[i][s-1][t-1]: the position of m_i * x_s / x_t among the
     generators, or len(G), by a dict of exponent tuples over every (i, s, t):
     the reference for lexres.PowerIdeal.neighbours."""
-    position = {m.exponents: j for j, m in enumerate(pi.generators)}
-    r, n = len(pi.generators), pi.spec.ctx.n
+    gens = monomials(pi)
+    position = {m.exponents: j for j, m in enumerate(gens)}
+    r, n = len(gens), pi.spec.ctx.n
     table = [[[r] * n for _ in range(n)] for _ in range(r)]
-    for i, m in enumerate(pi.generators):
+    for i, m in enumerate(gens):
         for s in range(n):
             for t in range(n):
                 e = list(m.exponents)
@@ -261,7 +279,7 @@ def set_bound_report_loop(qs):
     pi = qs.power
     spec = pi.spec
     vk = spec.v**pi.k if spec.l is not None else None
-    for m, st in zip(pi.generators, qs.sets):
+    for m, st in zip(monomials(pi), qs.sets):
         if not st:
             continue
         mn = m.min_index()
@@ -313,7 +331,7 @@ def compose_check_loop(rc, i):
         for col in columns(rc.matrices[1]):
             acc = {}
             for r, sign, var in col:
-                key = tuple(e + (j == var - 1) for j, e in enumerate(rc.d0[r].exponents))
+                key = tuple(e + (j == var - 1) for j, e in enumerate(rc.power.exponent_matrix[r].tolist()))
                 acc[key] = acc.get(key, 0) + sign
             if any(acc.values()):
                 return False
@@ -332,19 +350,19 @@ def compose_check_loop(rc, i):
     return True
 
 
-def hilbert_numerator_inclusion_exclusion(gens) -> HilbertNumerator:
-    """The exponential oracle for lexres.hilbert_numerator: the sum over all
-    generator subsets A of (-1)^|A| t^deg(lcm A).  Only sane for a dozen or
-    so generators."""
-    gens = list(gens)
+def hilbert_numerator_inclusion_exclusion(rows) -> HilbertNumerator:
+    """The exponential oracle for lexres.hilbert_numerator on the exponent
+    rows of an (r, n) array: the sum over all generator subsets A of
+    (-1)^|A| t^deg(lcm A).  Only sane for a dozen or so generators."""
+    gens = rows.tolist()
     if len(gens) > 22:
         raise BudgetError(f"{len(gens)} generators: inclusion-exclusion oracle refuses > 22")
-    n = gens[0].ctx.n if gens else 0
+    n = rows.shape[1]
     out: dict[int, int] = {0: 1}
 
     def rec(lcm_exp, start, sign):
         for j in range(start, len(gens)):
-            new = tuple(max(a, b) for a, b in zip(lcm_exp, gens[j].exponents))
+            new = tuple(max(a, b) for a, b in zip(lcm_exp, gens[j]))
             d = sum(new)
             out[d] = out.get(d, 0) - sign  # subset gains one element: sign flips
             rec(new, j + 1, -sign)
@@ -367,8 +385,9 @@ def _canonical_key(rows: np.ndarray):
     return A.shape, A.tobytes()
 
 
-def hilbert_numerator_loop(gens, budget: int = DEFAULT_HILBERT_BUDGET) -> HilbertNumerator:
-    """N(t) for S/(gens) by splitting on a pivot variable x:
+def hilbert_numerator_loop(rows, budget: int = DEFAULT_HILBERT_BUDGET) -> HilbertNumerator:
+    """N(t) for S/(rows), the ideal of the exponent rows of an (r, n) array,
+    by splitting on a pivot variable x:
 
         N(J) = N(J + (x)) + t * N(J : x)
 
@@ -416,9 +435,6 @@ def hilbert_numerator_loop(gens, budget: int = DEFAULT_HILBERT_BUDGET) -> Hilber
         memo[key] = out
         return out
 
-    gens = list(gens)
-    n = gens[0].ctx.n if gens else 0
-    rows = np.array([m.exponents for m in gens], dtype=np.int64).reshape(len(gens), n)
     return HilbertNumerator.from_dict(rec(minimal_rows(rows)))
 
 
@@ -469,7 +485,7 @@ def power_generators_loop(spec, k, budget=DEFAULT_PRODUCT_BUDGET):
         for m in gens:
             if bar_degree(m, spec.l) < k:
                 raise InvariantError(f"generator {m} has bar-degree < k={k}")
-    return PowerIdeal(spec, k, gens)
+    return power_ideal(spec, k, gens)
 
 
 def linear_quotients_loop(pi):
@@ -478,7 +494,7 @@ def linear_quotients_loop(pi):
     lexres.linear_quotients_check replaces by exchange neighbours and one
     divisor scan per distinct set, kept as its reference."""
     G = pi.exponent_matrix
-    r = len(pi.generators)
+    r = len(pi)
     sets = [()]
     for i in range(1, r):
         D = G[:i] - G[i]
@@ -490,24 +506,20 @@ def linear_quotients_loop(pi):
             np.any(D[:, var_cols] > 0, axis=1) if var_cols else np.zeros(i, dtype=bool)
         )
         if not covered.all():
-            colon = colon_minimal_generators(pi.generators[:i], pi.generators[i])
-            bad = sorted(
-                (g for g in colon if g.degree != 1),
-                key=lambda g: g.exponents,
-                reverse=True,
-            )
+            colon = colon_minimal_generators(G[:i], G[i]).tolist()
+            bad = sorted((g for g in colon if sum(g) != 1), reverse=True)
             return QuotientStructure(
                 power=pi,
                 sets=sets,
                 status="failure",
                 failure_index=i,
-                offending=bad[0],
+                offending=Monomial(pi.spec.ctx, bad[0]),
             )
         m_min = int(np.nonzero(G[i])[0][0]) + 1
         for s in var_cols:
             if s + 1 <= m_min:
                 raise InvariantError(
-                    f"set({pi.generators[i]}) contains x{s + 1} <= x_min"
+                    f"set({Monomial(pi.spec.ctx, G[i])}) contains x{s + 1} <= x_min"
                 )
         sets.append(tuple(s + 1 for s in var_cols))
     return QuotientStructure(power=pi, sets=sets)
@@ -555,14 +567,14 @@ def require_agreement(qs):
 
 def resolution_to_json(rc):
     """The whole JSON export as one string."""
-    return "".join(iter_resolution_json(rc, sorted(rc.matrices.items())))
+    return "".join(iter_resolution_json(rc, differentials(rc)))
 
 
 def matrix_grid(rc, i):
     """The entries of d_i as strings ("x1", "-x3", "0"), rows x cols, read
     entry by entry from the arrays; d0's one row is the generators."""
     if i == 0:
-        return [[str(g) for g in rc.d0]]
+        return [[str(g) for g in monomials(rc.power)]]
     mat = rc.matrices[i]
     grid = [["0"] * mat.ncols for _ in range(mat.nrows)]
     for r, c, sign, var in zip(*(a.tolist() for a in mat.arrays)):

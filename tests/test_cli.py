@@ -200,6 +200,38 @@ def test_cli_input_error():
     assert main(["gen", "--n", "4", "--u", "x2x4", "--v", "x1x3"]) == 2
 
 
+@pytest.mark.parametrize("command", [["resolve"], ["export", "--format", "json"], ["export", "--format", "m2"],
+                                     ["verify"]], ids=["resolve", "json", "m2", "verify"])
+@pytest.mark.parametrize("power", ["x1", "x1^2"])
+@pytest.mark.parametrize("oracle", [[], ["--oracle-g"]], ids=["classified", "oracle-g"])
+def test_cli_degree_zero_pair_is_input_error(capsys, command, power, oracle):
+    # u = v = x1^d normalizes to L(1, 1), the unit ideal: there is nothing to
+    # resolve, with or without --oracle-g
+    code = main([*command, "--n", "3", "--u", power, "--v", power, *oracle])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"input error: u = v = {power} normalizes to the unit ideal L(1, 1): " \
+                           "there is no resolution to build\n"
+
+
+def test_cli_verify_scans_regularity_once(monkeypatch, capsys):
+    # _verify and stream_resolution both read the regularity report of the
+    # definitional g: one scan per quotient structure, cached beside its table
+    scans = []
+    report = decomposition.RegularityReport
+
+    def counted(*args, **kwargs):
+        scans.append(args)
+        return report(*args, **kwargs)
+
+    monkeypatch.setattr(decomposition, "RegularityReport", counted)
+    for argv in (_UNCLASSIFIED, _EXAMPLE):
+        scans.clear()
+        assert main(["verify", *argv]) == 0
+        assert "[FAIL]" not in capsys.readouterr().out
+        assert len(scans) == 1, argv
+
+
 @pytest.mark.parametrize("where", ["missing directory", "a directory"])
 def test_cli_unwritable_out_is_input_error(tmp_path, capsys, where):
     out = tmp_path / "missing" / "x.json" if where == "missing directory" else tmp_path
@@ -264,7 +296,7 @@ def _corrupted_closed_form(qs):
 
 
 def _not_regular(qs):
-    return decomposition.RegularityReport(False, (qs.power.generators[1], 2, 3))
+    return decomposition.RegularityReport(False, (Monomial(qs.power.spec.ctx, qs.power.exponent_matrix[1]), 2, 3))
 
 
 def _segment_with_x3_cubed(u, v):
@@ -485,7 +517,7 @@ def _no_differential(*args):
 
 def _text_cells(argv):
     rc = support.cli_resolution(argv)
-    return len(rc.d0) + sum(m.nrows * m.ncols for m in rc.matrices.values())
+    return len(rc.power) + sum(m.nrows * m.ncols for m in rc.matrices.values())
 
 
 def test_cli_text_budget_edge(monkeypatch, capsys):

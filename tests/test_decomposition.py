@@ -28,7 +28,7 @@ from lexres.quotients import QuotientStructure, high_branch, pair_arrays
 
 def test_closed_form_table_example_values(example_quotients, example_power):
     g, coeff = closed_form_table(example_quotients)
-    u1, u2, u3, u4, u5 = example_power.generators
+    u1, u2, u3, u4, u5 = support.monomials(example_power)
     gen, s, X = pair_arrays(example_quotients)
     high = dict(zip(zip(gen.tolist(), s.tolist()), high_branch(example_power, gen, X)[1].tolist()))
     for (i, s), (branch, want, var) in {
@@ -37,7 +37,7 @@ def test_closed_form_table_example_values(example_quotients, example_power):
         (4, 4): (True, u1, "x2"),  # x4*u5: high branch
     }.items():
         assert high[i, s] == branch
-        assert example_power.generators[g[i, s]] == want
+        assert support.monomials(example_power)[g[i, s]] == want
         assert str(variable(u1.ctx, int(coeff[i, s]))) == var
 
 
@@ -68,10 +68,10 @@ def test_tables_cover_exactly_the_set_pairs(example_quotients):
 
 def test_g_oracle_examples(example_quotients, example_power):
     ctx = example_power.spec.ctx
-    u1, u2, u3, u4, u5 = example_power.generators
+    u1, u2, u3, u4, u5 = support.monomials(example_power)
     assert support.g_oracle(example_quotients, Monomial(ctx, (1, 1, 1, 0))) == u3
     assert support.g_oracle(example_quotients, Monomial(ctx, (0, 2, 0, 1))) == u1
-    for g in example_power.generators:
+    for g in support.monomials(example_power):
         assert support.g_oracle(example_quotients, g) == g
     with pytest.raises(ValueError):
         support.g_oracle(example_quotients, Monomial(ctx, (1, 0, 0, 0)))
@@ -79,11 +79,12 @@ def test_g_oracle_examples(example_quotients, example_power):
 
 def test_g_oracle_minimality(example_quotients, example_power):
     # nothing earlier in the order divides x_s * m than the oracle's result
-    for m, st in zip(example_power.generators, example_quotients.sets):
+    gens = support.monomials(example_power)
+    for m, st in zip(gens, example_quotients.sets):
         for s in st:
             x = m * variable(m.ctx, s)
             idx = support.g_oracle_index(example_quotients, x)
-            for earlier in example_power.generators[:idx]:
+            for earlier in gens[:idx]:
                 assert not earlier.divides(x)
 
 
@@ -99,17 +100,18 @@ def test_closed_equals_oracle_squared(example_quotients_squared):
 
 def test_coefficient_times_g(example_quotients, example_power):
     g_of, coeff_of = closed_form_table(example_quotients)
+    gens = support.monomials(example_power)
     gen, s = np.nonzero(g_of >= 0)
     for i, s, g, coeff in zip(*(a.tolist() for a in (gen, s, g_of[gen, s], coeff_of[gen, s]))):
-        m = example_power.generators[i]
+        m = gens[i]
         x = variable(m.ctx, coeff)
-        assert x * example_power.generators[g] == m * variable(m.ctx, s)
+        assert x * gens[g] == m * variable(m.ctx, s)
         assert x.degree == 1
 
 
 def test_corrupted_table_entry_is_reported(example_spec):
     qs = linear_quotients_check(power_generators(example_spec, 1))
-    gens = qs.power.generators
+    gens = support.monomials(qs.power)
     closed_form_table(qs)[0][3, 4] = 0  # g(x4*u4) = u2
     ok, mismatch = closed_form_matches_oracle(qs)
     assert not ok
@@ -130,8 +132,9 @@ def test_tables_agree_property(shape, k):
     assert np.array_equal(closed[0], oracle[0])
     assert np.array_equal(closed[1], oracle[1])
     gen, s = np.nonzero(closed[0] >= 0)
+    gens = support.monomials(qs.power)
     for i, s, g in zip(gen.tolist(), s.tolist(), closed[0][gen, s].tolist()):
-        m = qs.power.generators[i]
+        m = gens[i]
         assert support.g_oracle_index(qs, m * variable(m.ctx, s)) == g
 
 
@@ -151,9 +154,9 @@ def test_regularity_example(example_quotients):
     assert report.regular
     # spot value: set(g(x4 * u5)) = set(u1) = {} subset of {3, 4}
     qs = example_quotients
-    u5 = qs.power.generators[4]
-    g = support.g_oracle(qs, u5 * variable(u5.ctx, 4))
-    assert qs.sets[qs.power.generators.index(g)] == ()
+    gens = support.monomials(qs.power)
+    g = support.g_oracle(qs, gens[4] * variable(qs.power.spec.ctx, 4))
+    assert qs.sets[gens.index(g)] == ()
 
 
 def test_regularity_squared(example_quotients_squared):
@@ -164,11 +167,11 @@ def test_regularity_reports_first_counterexample(example_power):
     # with 3 added to set(u2) = set(x1x4), g(x4 * u4) = u2 breaks regularity;
     # without a split index l, assembly takes the definitional g and checks it
     sets = [(), (2, 3), (4,), (2, 4), (3, 4)]
-    pi = PowerIdeal(dataclasses.replace(example_power.spec, l=None), 1, example_power.generators)
+    pi = PowerIdeal(dataclasses.replace(example_power.spec, l=None), 1, example_power.exponent_matrix)
     qs = QuotientStructure(power=pi, sets=sets)
     report = regularity_check_oracle(qs)
     assert not report.regular
-    assert report.counterexample == (example_power.generators[3], 4, 3)
+    assert report.counterexample == (support.monomials(example_power)[3], 4, 3)
     assert report.describe() == "not regular: t=3 in set(g(x4*x1x3)) but not in set(x1x3)"
     with pytest.raises(CheckFailure, match="cannot resolve: decomposition function not regular"):
         assemble_resolution(qs)
@@ -209,7 +212,7 @@ def test_oracle_on_mixed_degrees_raises():
     # exchange neighbours
     ctx = RingContext(3)
     a, b = Monomial(ctx, (1, 1, 0)), Monomial(ctx, (0, 1, 2))
-    pi = PowerIdeal(LexSegmentSpec(ctx=ctx, d=2, u=a, v=a), 1, (a, b))
+    pi = support.power_ideal(LexSegmentSpec(ctx=ctx, d=2, u=a, v=a), 1, (a, b))
     qs = QuotientStructure(power=pi, sets=[(), (1,)])
     with pytest.raises(InvariantError, match=r"degrees \[2, 3\], not one"):
         oracle_table(qs)
@@ -226,7 +229,7 @@ def test_oracle_table_matches_scan_on_any_sets(n, d, data):
     gens = data.draw(st.permutations(gens))
     subsets = st.sets(st.integers(1, n)).map(lambda st_: tuple(sorted(st_)))
     sets = data.draw(st.lists(subsets, min_size=len(gens), max_size=len(gens)))
-    pi = PowerIdeal(LexSegmentSpec(ctx=ctx, d=d, u=gens[0], v=gens[0]), 1, gens)
+    pi = support.power_ideal(LexSegmentSpec(ctx=ctx, d=d, u=gens[0], v=gens[0]), 1, gens)
     qs = QuotientStructure(power=pi, sets=sets)
     table = oracle_table(qs)
     _assert_dense(qs, table)

@@ -108,7 +108,7 @@ def test_iterated_shadow_matches_divisibility(ring4):
 def test_completely_lex_failing_case():
     ctx = RingContext(3)
     spec = LexSegmentSpec(ctx=ctx, d=1, u=M(ctx, 0, 1, 0), v=M(ctx, 0, 1, 0))
-    verdict = is_completely_lexsegment(spec, depth=1)
+    verdict = is_completely_lexsegment(spec, depth=1, first_shadow_persistence=False)
     assert verdict.status == "no"
     assert verdict.failing_depth == 1
     assert verdict.witness == M(ctx, 1, 0, 1)
@@ -117,7 +117,7 @@ def test_completely_lex_failing_case():
 def test_completely_lex_passing_case():
     ctx = RingContext(2)
     spec = LexSegmentSpec(ctx=ctx, d=2, u=M(ctx, 2, 0), v=M(ctx, 2, 0))
-    verdict = is_completely_lexsegment(spec, depth=3)
+    verdict = is_completely_lexsegment(spec, depth=3, first_shadow_persistence=False)
     assert verdict.status == "unknown"
     assert verdict.depth_checked == 3
     promoted = is_completely_lexsegment(spec, depth=3, first_shadow_persistence=True)
@@ -126,7 +126,7 @@ def test_completely_lex_passing_case():
 
 def test_completely_lex_reports_what_enumeration_finds(example_spec):
     # the shadow probe reports its own enumeration; no label is hard-coded
-    verdict = is_completely_lexsegment(example_spec, depth=2)
+    verdict = is_completely_lexsegment(example_spec, depth=2, first_shadow_persistence=False)
     if verdict.status == "no":
         seg = enumerate_lexsegment(example_spec.u, example_spec.v)
         sh = set(seg)
@@ -148,7 +148,7 @@ def test_witness_consistency_random():
         d = rng.choice((2, 3))
         u, v = support.random_normalized_pair(rng, ctx, d)
         spec = LexSegmentSpec(ctx=ctx, d=d, u=u, v=v)
-        verdict = is_completely_lexsegment(spec, depth=2)
+        verdict = is_completely_lexsegment(spec, depth=2, first_shadow_persistence=False)
         if verdict.status == "no":
             checked += 1
             current = set(enumerate_lexsegment(u, v))

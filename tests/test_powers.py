@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,11 +18,10 @@ from lexres import (
     power_generators,
 )
 from lexres.lexsegment import LexSegmentSpec
-from lexres.powers import PowerIdeal
 
 
 def test_example_order_k1(example_power):
-    assert [str(g) for g in example_power.generators] == [
+    assert [str(g) for g in support.monomials(example_power)] == [
         "x2x4",
         "x1x4",
         "x2x3",
@@ -31,12 +31,11 @@ def test_example_order_k1(example_power):
 
 
 def test_example_k2_count_and_collision(example_spec, example_power_squared):
-    gens = example_power_squared.generators
+    gens = example_power_squared.exponent_matrix.tolist()
     assert len(gens) == 14  # 15 unordered pairs, one collision
-    collision = Monomial(example_spec.ctx, (1, 1, 1, 1))  # u1u4 = u2u3
-    assert collision in gens
+    assert [1, 1, 1, 1] in gens  # u1u4 = u2u3
     segment = enumerate_lexsegment(example_spec.u, example_spec.v)
-    assert {g.exponents for g in gens} == support.brute_power_products(segment, 2)
+    assert set(map(tuple, gens)) == support.brute_power_products(segment, 2)
 
 
 def test_single_generator_power():
@@ -44,13 +43,13 @@ def test_single_generator_power():
     u = Monomial(ctx, (1, 1, 0))
     spec = LexSegmentSpec(ctx=ctx, d=2, u=u, v=u)
     pi = power_generators(spec, 4)
-    assert pi.generators == (u**4,)
+    assert pi.exponent_matrix.tolist() == [[4, 4, 0]]
 
 
 def test_increasing_revlex_and_minimality(example_spec):
     for k in (1, 2, 3):
         pi = power_generators(example_spec, k)
-        gens = pi.generators
+        gens = support.monomials(pi)
         for a, b in zip(gens, gens[1:]):
             assert support.cmp_revlex(a, b) < 0
         for i, a in enumerate(gens):
@@ -62,7 +61,7 @@ def test_products_match_tuple_oracle(example_spec):
     segment = enumerate_lexsegment(example_spec.u, example_spec.v)
     for k in (1, 2, 3):
         pi = power_generators(example_spec, k)
-        assert {g.exponents for g in pi.generators} == support.brute_power_products(segment, k)
+        assert set(map(tuple, pi.exponent_matrix.tolist())) == support.brute_power_products(segment, k)
 
 
 def test_bar_degree_bound_on_family():
@@ -73,7 +72,7 @@ def test_bar_degree_bound_on_family():
         assert cls.linear_form_l == l
         for k in (1, 2):
             pi = power_generators(spec, k)
-            for g in pi.generators:
+            for g in support.monomials(pi):
                 assert support.bar_degree(g, l) >= k
 
 
@@ -102,7 +101,7 @@ def test_neighbours_match_loop_on_shuffled_sets(n, d, data):
     gens = data.draw(st.lists(st.sampled_from(support.all_monomials(ctx, d)), min_size=1,
                               max_size=12, unique=True))
     gens = data.draw(st.permutations(gens))
-    pi = PowerIdeal(LexSegmentSpec(ctx=ctx, d=d, u=gens[0], v=gens[0]), 1, gens)
+    pi = support.power_ideal(LexSegmentSpec(ctx=ctx, d=d, u=gens[0], v=gens[0]), 1, gens)
     assert pi.neighbours.tolist() == support.neighbours_loop(pi)
 
 
@@ -125,10 +124,7 @@ def test_neighbours_beyond_int64_row_keys():
 def test_power_generators_match_loop(spec, k):
     pi = power_generators(spec, k)
     ref = support.power_generators_loop(spec, k)
-    assert pi.generators == ref.generators
-    # the trusted constructor gives what validation would: int tuples and their degree
-    assert [(g.ctx, g.degree) for g in pi.generators] == [(g.ctx, g.degree) for g in ref.generators]
-    assert all(type(e) is int for g in pi.generators for e in g.exponents)
+    assert pi.exponent_matrix.dtype == np.int64 and pi.exponent_matrix.shape == (len(pi), spec.ctx.n)
     assert np.array_equal(pi.exponent_matrix, ref.exponent_matrix)
 
 
@@ -145,3 +141,17 @@ def test_bar_degree_violation_matches_loop():
         with pytest.raises(InvariantError) as ref:
             support.power_generators_loop(spec, k)
         assert str(got.value) == str(ref.value) == f"generator x4^{2 * k} has bar-degree < k={k}"
+
+
+def test_power_generators_hold_only_their_matrix():
+    # the n=7, k=2 ladder row x1x4x5x6x7 / x2x7^4: G(I^2) is stored once, as
+    # its int64 matrix, so what the call leaves allocated is that matrix
+    spec, _ = support.build_family_spec(7, (1, 0, 0, 1, 1, 1, 1), (0, 1, 0, 0, 0, 0, 4))
+    tracemalloc.start()
+    try:
+        pi = power_generators(spec, 2)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert pi.exponent_matrix.shape == (2225, 7)
+    assert held <= pi.exponent_matrix.nbytes + 64 * 1024

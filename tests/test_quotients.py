@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,32 +27,28 @@ def test_example_sets(example_quotients):
 
 
 def test_colon_examples(example_power):
-    u1, u2, u3, u4, u5 = example_power.generators
-    ctx = example_power.spec.ctx
-    x2 = Monomial(ctx, (0, 1, 0, 0))
-    x4 = Monomial(ctx, (0, 0, 0, 1))
-    assert colon_minimal_generators((u1, u2, u3), u4) == {x2, x4}
-    assert colon_minimal_generators((u1,), u2) == {x2}
-    assert colon_minimal_generators((), u1) == set()
+    G = example_power.exponent_matrix  # x2x4, x1x4, x2x3, x1x3, x2^2
+    # (u1, u2, u3) : u4 = (x4, x2), sorted by (degree, lex)
+    assert colon_minimal_generators(G[:3], G[3]).tolist() == [[0, 0, 0, 1], [0, 1, 0, 0]]
+    assert colon_minimal_generators(G[:1], G[1]).tolist() == [[0, 1, 0, 0]]
+    assert colon_minimal_generators(G[:0], G[0]).shape == (0, 4)
 
 
 def test_colon_with_nonlinear_result():
-    ctx = RingContext(3)
-    a = Monomial(ctx, (2, 0, 0))
-    b = Monomial(ctx, (0, 0, 2))
-    colon = colon_minimal_generators((a,), b)
-    assert colon == {a}  # gcd is 1: the quotient is x1^2, degree 2
+    a, b = np.array([[2, 0, 0]]), np.array([0, 0, 2])
+    # gcd is 1: the quotient is x1^2, degree 2
+    assert colon_minimal_generators(a, b).tolist() == [[2, 0, 0]]
 
 
 def test_colon_membership_oracle_bothways(example_power, example_power_squared):
     rng = random.Random(41)
     for pi in (example_power, example_power_squared):
-        gens = pi.generators
+        gens, G = support.monomials(pi), pi.exponent_matrix
         for _ in range(1000):
             i = rng.randrange(1, len(gens))
             prefix = gens[:i]
             m = gens[i]
-            colon = colon_minimal_generators(prefix, m)
+            colon = [Monomial(pi.spec.ctx, row) for row in colon_minimal_generators(G[:i], G[i]).tolist()]
             z = support.random_monomial(rng, pi.spec.ctx, 4)
             in_colon = support.in_monomial_ideal(colon, z)
             in_prefix_after_mul = support.in_monomial_ideal(prefix, z * m)
@@ -64,17 +61,17 @@ def test_linear_quotients_k2(example_quotients_squared):
     assert qs.sets[0] == ()
     assert set_bound_report(qs) == []
     # independent recomputation through the public colon operation
-    pi = qs.power
-    for i in range(1, len(pi.generators)):
-        colon = colon_minimal_generators(pi.generators[:i], pi.generators[i])
-        assert all(g.degree == 1 for g in colon)
-        assert tuple(sorted(g.min_index() for g in colon)) == qs.sets[i]
+    G = qs.power.exponent_matrix
+    for i in range(1, len(G)):
+        colon = colon_minimal_generators(G[:i], G[i])
+        assert (colon.sum(axis=1) == 1).all()
+        assert tuple(sorted(colon.argmax(axis=1) + 1)) == qs.sets[i]
 
 
 def test_membership_characterization_remark(example_quotients):
     # s in set(m) iff there are w <_revlex m and t with x_s m = x_t w
     pi = example_quotients.power
-    gens = pi.generators
+    gens = support.monomials(pi)
     ctx = pi.spec.ctx
     for i, (m, st) in enumerate(zip(gens, example_quotients.sets)):
         for s in range(1, ctx.n + 1):
@@ -98,8 +95,8 @@ def test_failure_is_data():
     a = Monomial(ctx, (2, 0, 0))
     b = Monomial(ctx, (0, 2, 0))
     spec = LexSegmentSpec(ctx=ctx, d=2, u=a, v=b)
-    pi = PowerIdeal(spec, 1, sorted([a, b], key=lambda m: tuple(-e for e in reversed(m.exponents))))
-    assert pi.generators == (b, a)
+    pi = support.power_ideal(spec, 1, sorted([a, b], key=support.revlex_key))
+    assert pi.exponent_matrix.tolist() == [[0, 2, 0], [2, 0, 0]]
     qs = linear_quotients_check(pi)
     assert not qs.is_linear
     assert qs.failure_index == 1
@@ -170,8 +167,8 @@ def test_set_bound_report_matches_loop():
         u, v = support.random_normalized_pair(rng, ctx, rng.randrange(2, 4))
         spec = LexSegmentSpec(ctx=ctx, d=u.degree, u=u, v=v, l=rng.randrange(2, n))
         k = rng.randrange(1, 3)
-        pi = PowerIdeal(spec, k, power_generators(LexSegmentSpec(ctx, u.degree, u, v), k).generators)
-        sets = [tuple(sorted(rng.sample(range(1, n + 1), rng.randrange(0, n)))) for _ in pi.generators]
+        pi = PowerIdeal(spec, k, power_generators(LexSegmentSpec(ctx, u.degree, u, v), k).exponent_matrix)
+        sets = [tuple(sorted(rng.sample(range(1, n + 1), rng.randrange(0, n)))) for _ in range(len(pi))]
         compare(QuotientStructure(power=pi, sets=sets))
     assert all(seen.values()), seen
 
@@ -216,7 +213,7 @@ def test_linear_quotients_match_loop_on_shuffled_sets():
         pool = support.all_monomials(ctx, d)
         gens = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12, unique=True))
         gens = data.draw(st.permutations(gens))
-        pi = PowerIdeal(LexSegmentSpec(ctx=ctx, d=d, u=gens[0], v=gens[0]), 1, gens)
+        pi = support.power_ideal(LexSegmentSpec(ctx=ctx, d=d, u=gens[0], v=gens[0]), 1, gens)
         got = _outcome(linear_quotients_check, pi)
         assert got == _outcome(support.linear_quotients_loop, pi)
         seen.add(got[0])
@@ -228,9 +225,9 @@ def test_linear_quotients_match_loop_on_shuffled_sets():
 def test_linear_quotients_across_scan_chunks(monkeypatch, example_power_squared):
     rng = random.Random(8)
     spec = example_power_squared.spec
-    shuffled = list(example_power_squared.generators)
-    rng.shuffle(shuffled)
-    cases = [example_power_squared, PowerIdeal(spec, 2, shuffled)]
+    order = list(range(len(example_power_squared)))
+    rng.shuffle(order)
+    cases = [example_power_squared, PowerIdeal(spec, 2, example_power_squared.exponent_matrix[order])]
     whole = [_outcome(linear_quotients_check, pi) for pi in cases]
     assert [o[0] for o in whole] == ["linear", "failure"]
     monkeypatch.setattr("lexres.monomials._SCAN_CHUNK_CELLS", 1)  # one row per chunk
@@ -241,7 +238,7 @@ def test_linear_quotients_across_scan_chunks(monkeypatch, example_power_squared)
 def test_mixed_degrees_raise():
     ctx = RingContext(3)
     a, b = Monomial(ctx, (1, 1, 0)), Monomial(ctx, (0, 1, 2))
-    pi = PowerIdeal(LexSegmentSpec(ctx=ctx, d=2, u=a, v=a), 1, (a, b))
+    pi = support.power_ideal(LexSegmentSpec(ctx=ctx, d=2, u=a, v=a), 1, (a, b))
     with pytest.raises(InvariantError, match=r"degrees \[2, 3\], not one"):
         linear_quotients_check(pi)
 

@@ -20,7 +20,6 @@ from lexres import (
 )
 from lexres.cli import main
 from lexres.lexsegment import LexSegmentSpec
-from lexres.powers import PowerIdeal
 from lexres.quotients import QuotientStructure
 from lexres.resolution import Basis, DifferentialMatrix, resolution_basis
 
@@ -87,7 +86,7 @@ def test_degree_homogeneity(example_resolution, example_quotients_squared):
     # every entry of d_i is multidegree-homogeneous: f(sigma; w) has multidegree
     # w * prod_{s in sigma} x_s, and the entry's variable makes up the difference
     for rc in (example_resolution, assemble_resolution(example_quotients_squared)):
-        gens = np.array([g.exponents for g in rc.power.generators])
+        gens = rc.power.exponent_matrix
         n = gens.shape[1]
 
         def multidegree(basis, rows):
@@ -134,7 +133,7 @@ def test_basis_requires_linear():
     a = Monomial(ctx, (2, 0, 0))
     b = Monomial(ctx, (0, 2, 0))
     spec = LexSegmentSpec(ctx=ctx, d=2, u=a, v=b)
-    pi = PowerIdeal(spec, 1, (b, a))
+    pi = support.power_ideal(spec, 1, (b, a))
     qs = lq(pi)
     with pytest.raises(ValueError):
         assemble_resolution(qs)
@@ -250,12 +249,12 @@ def test_compose_check_d0_beyond_int64_row_keys(n, power):
     e2 = list(e1)
     e1[n - 2], e2[n - 1] = 1, 1
     u1, u2 = Monomial(ctx, e1), Monomial(ctx, e2)
-    pi = PowerIdeal(LexSegmentSpec(ctx=ctx, d=u1.degree, u=u1, v=u2), 1, (u1, u2))
+    pi = support.power_ideal(LexSegmentSpec(ctx=ctx, d=u1.degree, u=u1, v=u2), 1, (u1, u2))
     rc = assemble_resolution(linear_quotients_check(pi))
     d1 = rc.matrices[1]
     assert d1.vars.tolist() == [n, n - 1] and compose_check(rc, 0)
     d1.vars[0] = n - 1
-    terms = [tuple(e + (j == v - 1) for j, e in enumerate(rc.d0[r].exponents))
+    terms = [tuple(e + (j == v - 1) for j, e in enumerate(pi.exponent_matrix[r].tolist()))
              for r, v in zip(d1.rows.tolist(), d1.vars.tolist())]
     width = max(map(max, terms)).bit_length()
     packed = [sum(e << (width * j) for j, e in enumerate(t)) % 2**64 for t in terms]

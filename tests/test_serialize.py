@@ -67,7 +67,7 @@ def test_json_writer_matches_json_dumps(build):
 def test_text_matrices_show_every_entry(k):
     # each d_i block: a title, the column labels, then one labelled row per row of d_i
     rc = _family(4, (1, 0, 1, 0), (0, 1, 0, 1), k)
-    blocks = serialize.resolution_to_text(rc, sorted(rc.matrices.items())).split("\n\n")[1:]
+    blocks = serialize.resolution_to_text(rc, support.differentials(rc)).split("\n\n")[1:]
     assert len(blocks) == rc.proj_dim
     for i, block in enumerate(blocks):
         assert [row.split()[1:] for row in block.splitlines()[2:]] == support.matrix_grid(rc, i)
@@ -124,7 +124,7 @@ def test_json_chunks_join_to_the_same_bytes(monkeypatch, build, records):
     rc = build()
     whole = support.resolution_to_json(rc)
     monkeypatch.setattr(serialize, "CHUNK_RECORDS", records)
-    assert "".join(iter_resolution_json(rc, sorted(rc.matrices.items()))) == whole == _dumped(whole)
+    assert "".join(iter_resolution_json(rc, support.differentials(rc))) == whole == _dumped(whole)
 
 
 def test_json_renders_any_int64_as_json_dumps():
@@ -181,6 +181,22 @@ def test_json_import_rejects_malformed_matrices(corrupt, message):
         resolution_from_dict(data)
 
 
+@pytest.mark.parametrize("rows, message", [
+    ([[1, 0, 1]], "rows of 4 int64 exponents"),
+    ([[1, 0, 1, 0, 0]], "rows of 4 int64 exponents"),
+    ([[1, 0, 1, 0], [0, 1]], "rows of 4 int64 exponents"),
+    ([], "rows of 4 int64 exponents"),
+    ([[1, 0, 2**70, 0]], "rows of 4 int64 exponents"),
+    ([[1, 0, 1, 0], [0, -1, 0, 3]], r"negative exponent in \(0, -1, 0, 3\)"),
+    ([[0, 1, 0, 1], [1, 0, 0, 1], [0, 1, 1, 0]], "3 generator rows for 5 sets"),
+], ids=["short", "long", "ragged", "empty", "past-int64", "negative", "fewer-than-sets"])
+def test_json_import_rejects_malformed_generators(rows, message):
+    data = json.loads(support.resolution_to_json(_family(4, (1, 0, 1, 0), (0, 1, 0, 1), 1)))
+    data["generators"] = rows
+    with pytest.raises(ValueError, match=message):
+        resolution_from_dict(data)
+
+
 @pytest.mark.parametrize("sign, message", [
     (128, "a sign outside -128..127"), (-129, "a sign outside -128..127"), (2**70, "past int64"),
 ])
@@ -208,7 +224,7 @@ def test_json_empty_basis_and_empty_matrix():
 def test_json_chunks_are_bounded_by_records(monkeypatch):
     rc = _family(6, (1, 0, 0, 1, 1, 0), (0, 0, 1, 0, 0, 2), 1)
     monkeypatch.setattr(serialize, "CHUNK_RECORDS", 4)
-    chunks = list(iter_resolution_json(rc, sorted(rc.matrices.items())))
+    chunks = list(iter_resolution_json(rc, support.differentials(rc)))
     assert sum(map(len, chunks)) > 20_000
     assert max(c.count('"r": ') + c.count('"gen": ') for c in chunks) == 4
     assert max(map(len, chunks)) < 600  # the header, or four records of the widest kind
@@ -219,7 +235,7 @@ def test_streamed_n7_ladder_export_digest():
     # file and no whole document in memory
     rc = _family(7, (1, 0, 0, 1, 1, 1, 1), (0, 1, 0, 0, 0, 0, 4), 2)
     digest, size, widest = hashlib.sha256(), 0, 0
-    for chunk in iter_resolution_json(rc, sorted(rc.matrices.items())):
+    for chunk in iter_resolution_json(rc, support.differentials(rc)):
         raw = chunk.encode()
         digest.update(raw)
         size, widest = size + len(raw), max(widest, len(raw))

@@ -29,28 +29,32 @@ from lexres.verify import (
 )
 
 
+def _rows(ctx, gens):
+    """The exponent rows of the monomials gens, as hilbert_numerator reads them."""
+    return np.array([g.exponents for g in gens], dtype=np.int64).reshape(-1, ctx.n)
+
+
 def test_hilbert_example(example_power):
-    n = hilbert_numerator(example_power.generators)
+    n = hilbert_numerator(example_power.exponent_matrix)
     assert n.as_dict() == {0: 1, 2: -5, 3: 6, 4: -2}
     assert str(n) == "1 - 5t^2 + 6t^3 - 2t^4"
 
 
 def test_hilbert_trivial_cases(ring4):
-    assert hilbert_numerator([]).as_dict() == {0: 1}
-    m = Monomial(ring4, (1, 0, 2, 0))
-    assert hilbert_numerator([m]).as_dict() == {0: 1, 3: -1}
-    assert hilbert_numerator([Monomial(ring4, (0, 0, 0, 0))]).as_dict() == {}
+    assert hilbert_numerator(_rows(ring4, [])).as_dict() == {0: 1}
+    assert hilbert_numerator(np.array([[1, 0, 2, 0]])).as_dict() == {0: 1, 3: -1}
+    assert hilbert_numerator(np.array([[0, 0, 0, 0]])).as_dict() == {}
 
 
-def test_hilbert_pure_powers(ring4):
-    gens = [Monomial(ring4, (2, 0, 0, 0)), Monomial(ring4, (0, 3, 0, 0))]
+def test_hilbert_pure_powers():
+    rows = np.array([[2, 0, 0, 0], [0, 3, 0, 0]])
     # complete intersection: (1 - t^2)(1 - t^3)
-    assert hilbert_numerator(gens).as_dict() == {0: 1, 2: -1, 3: -1, 5: 1}
+    assert hilbert_numerator(rows).as_dict() == {0: 1, 2: -1, 3: -1, 5: 1}
 
 
 def test_hilbert_matches_inclusion_exclusion(example_power):
-    assert hilbert_numerator(example_power.generators) == (
-        support.hilbert_numerator_inclusion_exclusion(example_power.generators)
+    assert hilbert_numerator(example_power.exponent_matrix) == (
+        support.hilbert_numerator_inclusion_exclusion(example_power.exponent_matrix)
     )
 
 
@@ -60,25 +64,25 @@ def test_hilbert_inclusion_exclusion_random():
         ctx = RingContext(n)
         for _ in range(15):
             gens = {support.random_monomial(rng, ctx, 4) for _ in range(rng.randrange(1, 9))}
-            gens = [g for g in gens if not g.is_one()]
-            if not gens:
+            rows = _rows(ctx, [g for g in gens if not g.is_one()])
+            if not len(rows):
                 continue
-            assert hilbert_numerator(gens) == support.hilbert_numerator_inclusion_exclusion(gens)
+            assert hilbert_numerator(rows) == support.hilbert_numerator_inclusion_exclusion(rows)
 
 
-def _hilbert(monkeypatch, gens, budget: int):
-    """hilbert_numerator(gens) with DEFAULT_HILBERT_BUDGET set to budget."""
+def _hilbert(monkeypatch, rows, budget: int):
+    """hilbert_numerator(rows) with DEFAULT_HILBERT_BUDGET set to budget."""
     monkeypatch.setattr(verify, "DEFAULT_HILBERT_BUDGET", budget)
-    return hilbert_numerator(gens)
+    return hilbert_numerator(rows)
 
 
 def test_hilbert_budget(monkeypatch):
     ctx = RingContext(6)
     rng = random.Random(4)
     gens = list({support.random_monomial(rng, ctx, 6) for _ in range(40)})
-    gens = [g for g in gens if g.degree >= 2]
+    rows = _rows(ctx, [g for g in gens if g.degree >= 2])
     with pytest.raises(BudgetError):
-        _hilbert(monkeypatch, gens, 3)
+        _hilbert(monkeypatch, rows, 3)
 
 
 def test_hilbert_budget_edge(example_power_squared, monkeypatch):
@@ -86,8 +90,8 @@ def test_hilbert_budget_edge(example_power_squared, monkeypatch):
     # worked example at k=2: a drifting memo key or pivot order moves the
     # budget at which verify prints [SKIP]
     spec, _ = support.build_family_spec(6, (1, 0, 0, 1, 1, 1), (0, 1, 0, 0, 0, 3))
-    large = power_generators(spec, 2).generators
-    for gens, nodes in ((large, 119), (example_power_squared.generators, 15)):
+    large = power_generators(spec, 2).exponent_matrix
+    for gens, nodes in ((large, 119), (example_power_squared.exponent_matrix, 15)):
         _hilbert(monkeypatch, gens, nodes)
         with pytest.raises(BudgetError, match=f"exceeded {nodes - 1} nodes"):
             _hilbert(monkeypatch, gens, nodes - 1)
@@ -147,7 +151,7 @@ def test_hilbert_matches_loop_with_exact_budget(cut, monkeypatch):
     @example(case=(3, [(128, 128, 0), (127, 128, 1), (1, 0, 128)]))
     def check(case):
         n, rows = case
-        gens = [Monomial(RingContext(n), r) for r in rows]
+        gens = np.array(rows, dtype=np.int64).reshape(-1, n)
         nodes = _hilbert_nodes(monkeypatch, gens)
         got = _hilbert(monkeypatch, gens, nodes)
         assert got == support.hilbert_numerator_loop(gens, budget=nodes)
@@ -167,7 +171,7 @@ def test_euler_example(example_resolution):
         4: -2,
     }
     assert euler_characteristic_numerator(example_resolution) == hilbert_numerator(
-        example_resolution.power.generators
+        example_resolution.power.exponent_matrix
     )
 
 
@@ -178,12 +182,12 @@ def test_euler_single_generator():
     qs = linear_quotients_check(power_generators(spec, 1))
     rc = assemble_resolution(qs)
     assert euler_characteristic_numerator(rc).as_dict() == {0: 1, 2: -1}
-    assert euler_characteristic_numerator(rc) == hilbert_numerator(rc.power.generators)
+    assert euler_characteristic_numerator(rc) == hilbert_numerator(rc.power.exponent_matrix)
 
 
 def test_euler_squared(example_quotients_squared):
     rc = assemble_resolution(example_quotients_squared)
-    assert euler_characteristic_numerator(rc) == hilbert_numerator(rc.power.generators)
+    assert euler_characteristic_numerator(rc) == hilbert_numerator(rc.power.exponent_matrix)
 
 
 def test_hilbert_numerator_repr():
@@ -193,12 +197,13 @@ def test_hilbert_numerator_repr():
 
 
 def test_rank_check_example(example_resolution):
-    report = random_rank_check(example_resolution, seed=0, trials=5)
+    differentials = support.differentials(example_resolution)
+    report = random_rank_check(example_resolution, seed=0, trials=5, differentials=differentials)
     assert report.passed
     assert report.trials[0].ranks == (1, 4, 2)
     assert report.modulus == 2**31 - 1
     # determinism: same seed, same points and ranks
-    again = random_rank_check(example_resolution, seed=0, trials=5)
+    again = random_rank_check(example_resolution, seed=0, trials=5, differentials=differentials)
     assert [t.point for t in again.trials] == [t.point for t in report.trials]
     assert rank_positions_ok((1, 2, 1), (1, 1))
     assert not rank_positions_ok((1, 2, 2), (1, 1))
@@ -206,7 +211,7 @@ def test_rank_check_example(example_resolution):
 
 def test_rank_check_squared(example_quotients_squared):
     rc = assemble_resolution(example_quotients_squared)
-    report = random_rank_check(rc, seed=1, trials=3)
+    report = random_rank_check(rc, seed=1, trials=3, differentials=support.differentials(rc))
     assert report.passed
     # sub-additivity sanity at every position
     for t in report.trials:
@@ -227,7 +232,7 @@ def _assert_true_ranks(rc, report):
     """Every reported rank is the rank of the evaluated matrix at its point."""
     for t in report.trials:
         point = np.array(t.point, dtype=np.int64)
-        d0 = [math.prod(pow(c, e, P) for c, e in zip(t.point, g.exponents)) % P for g in rc.d0]
+        d0 = [math.prod(pow(c, e, P) for c, e in zip(t.point, g)) % P for g in rc.power.exponent_matrix.tolist()]
         assert t.ranks[0] == rank_mod(np.array([d0], dtype=np.int64))
         for i in range(1, rc.proj_dim):
             assert t.ranks[i] == rank_mod(_evaluate_dense(rc.matrices[i], point, P)), (i, t.point)
@@ -235,7 +240,7 @@ def _assert_true_ranks(rc, report):
 
 def test_witness_tier_agrees_with_dense():
     rc = _shape_resolution()
-    report = random_rank_check(rc, seed=3, trials=2)
+    report = random_rank_check(rc, seed=3, trials=2, differentials=support.differentials(rc))
     assert report.passed
     for t in report.trials:
         assert t.methods == ("dense",) + ("witness",) * (rc.proj_dim - 1)
@@ -254,7 +259,7 @@ def test_rank_check_detects_corruption(example_quotients):
     mat = rc.matrices[1]
     assert mat.cols[0] == 0
     mat.vars[0] = (mat.vars[0] % 4) + 1
-    report = random_rank_check(rc, seed=5, trials=2)
+    report = random_rank_check(rc, seed=5, trials=2, differentials=support.differentials(rc))
     assert not report.passed
     assert report.composed == [False, False, True]
     assert [t.ranks for t in report.trials] == [(1, 5, 2)] * 2
@@ -271,7 +276,7 @@ def test_witness_tier_detects_corruption():
     mat = rc.matrices[2]
     assert mat.cols[0] == 0
     mat.signs[0] = -mat.signs[0]
-    report = random_rank_check(rc, seed=6, trials=2)
+    report = random_rank_check(rc, seed=6, trials=2, differentials=support.differentials(rc))
     assert not report.passed
     assert report.composed == [True, False, False, True, True]
     assert [t.ranks for t in report.trials] == [(1, 92, 169, 99, 17)] * 2
@@ -339,7 +344,7 @@ def test_witness_structure_rejects_broken_shape():
         shapes = [_witness_shape(rc, j) for j in everywhere]
         assert shapes == [(k, j != i) for j, k in zip(everywhere, kappa)], corruption
         # d_i falls back for its own shape, d_{i+1} for d_i's
-        report = random_rank_check(rc, seed=2, trials=1)
+        report = random_rank_check(rc, seed=2, trials=1, differentials=support.differentials(rc))
         assert report.trials[0].methods == _fallback_only_at({i, i + 1}, rc.proj_dim), corruption
         _assert_true_ranks(rc, report)
 
@@ -358,7 +363,7 @@ def test_witness_shape_needs_every_own_row():
     gen[-1] = 0
     rc.bases[i] = Basis(gen, rows.sigma, i - 1, rc.power.spec.ctx.n)
     assert _witness_shape(rc, i) == (kappa, False)
-    report = random_rank_check(rc, seed=2, trials=1)
+    report = random_rank_check(rc, seed=2, trials=1, differentials=support.differentials(rc))
     assert report.trials[0].methods[i] == "dense-fallback"
     _assert_true_ranks(rc, report)
 
@@ -393,14 +398,14 @@ def test_rank_check_premises_each_alone(build, monkeypatch):
     # each premise of the certificate broken alone, on a correct complex
     rc = build()
     pd, j = rc.proj_dim, 2
-    clean = random_rank_check(rc, seed=4, trials=2)
+    clean = random_rank_check(rc, seed=4, trials=2, differentials=support.differentials(rc))
     assert clean.composed == [compose_check(rc, i) for i in range(pd)] == [True] * pd
     assert all(t.methods == _fallback_only_at(set(), pd) for t in clean.trials)
 
     def run(target, fake):
         with monkeypatch.context() as m:
             m.setattr(target, fake)
-            report = random_rank_check(rc, seed=4, trials=2)
+            report = random_rank_check(rc, seed=4, trials=2, differentials=support.differentials(rc))
         assert [t.ranks for t in report.trials] == [t.ranks for t in clean.trials]
         return report
 
@@ -426,7 +431,7 @@ def test_rank_check_composition_premise_with_shapes_intact():
     e = np.flatnonzero(koszul & ~(cols.mask[mat.cols] >> s_star[mat.cols] & 1).astype(bool))[0]
     mat.signs[e] *= -1
     assert all(_witness_shape(rc, i)[1] for i in range(1, pd))
-    report = random_rank_check(rc, seed=4, trials=2)
+    report = random_rank_check(rc, seed=4, trials=2, differentials=support.differentials(rc))
     assert report.composed == [compose_check(rc, i) for i in range(pd)]
     assert report.composed == [i not in (j - 1, j) for i in range(pd)]
     assert all(t.methods == _fallback_only_at({j, j + 1}, pd) for t in report.trials)
@@ -474,7 +479,7 @@ def test_mutated_complexes_report_true_ranks():
             if not len(empty):
                 return
             mat.rows[e] = empty[e % len(empty)]
-        _assert_true_ranks(rc, random_rank_check(rc, seed=seed, trials=2))
+        _assert_true_ranks(rc, random_rank_check(rc, seed=seed, trials=2, differentials=support.differentials(rc)))
 
     check()
 
@@ -489,7 +494,7 @@ def test_witness_ranks_are_true_ranks_on_pinned_instances(seed):
     for name in ("family", "oracle", "selftest"):
         for inst in pinned[name]["instances"]:
             rc = support.cli_resolution(support.instance_argv(inst))
-            report = random_rank_check(rc, seed=seed, trials=2)
+            report = random_rank_check(rc, seed=seed, trials=2, differentials=support.differentials(rc))
             assert report.passed, inst["id"]
             for t in report.trials:
                 assert t.methods == _fallback_only_at(set(), rc.proj_dim), inst["id"]
