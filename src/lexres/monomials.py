@@ -82,10 +82,6 @@ class Monomial:
             return None
         return Monomial(self.ctx, diff)
 
-    def divides(self, other: "Monomial") -> bool:
-        _same_ctx(self, other)
-        return all(a <= b for a, b in zip(self.exponents, other.exponents))
-
     # -- plumbing ----------------------------------------------------------
 
     def __eq__(self, other):

@@ -21,7 +21,8 @@ from .monomials import Monomial
 # candidate rows, candidates * n, and the exchange-neighbour table, |G| n^2;
 # in resolution.py the matrix entries of a complex, bounded by
 # sum_i 2 i beta_{i+1}, which keeps every index of a DifferentialMatrix below
-# 2^31.  n=8, k=2 (x1x4..x8 / x2x8^5) needs 1,164,240, 934,720 and 6,178,528
+# 2^31; in verify.py the rank check's points, trials * n.  n=8, k=2
+# (x1x4..x8 / x2x8^5) needs 1,164,240, 934,720 and 6,178,528 of the first three
 ENTRY_BUDGET = 8 * 10**6
 
 

@@ -123,19 +123,18 @@ class Basis:
 
 
 class ResolutionComplex:
-    """The assembled resolution: one Basis and one differential per degree.
+    """The resolution's modules: one Basis per degree, with no differential.
 
-    bases[i] is the basis of F_i for i >= 1 (F_0 = S); matrices[i] is the map
-    F_{i+1} -> F_i for i >= 1, and d0, the 1 x beta_1 generator row, is
-    power.exponent_matrix.  The Betti numbers and shifts are read off the
-    bases: I^k is generated in the single degree kd, so F_i is
-    S(-(kd+i-1))^|bases[i]|.
+    bases[i] is the basis of F_i for i >= 1 (F_0 = S); the differentials
+    come beside it as (i, d_i) pairs, d_i the map F_{i+1} -> F_i, and d0,
+    the 1 x beta_1 generator row, is power.exponent_matrix.  The Betti
+    numbers and shifts are read off the bases: I^k is generated in the
+    single degree kd, so F_i is S(-(kd+i-1))^|bases[i]|.
     """
 
-    def __init__(self, quotients, bases, matrices):
+    def __init__(self, quotients, bases):
         self.quotients = quotients
         self.bases = bases
-        self.matrices = matrices
 
     @property
     def power(self):
@@ -150,17 +149,12 @@ class ResolutionComplex:
         kd = int(self.power.exponent_matrix[0].sum())
         return ((0, 1), *((-(kd + i - 1), len(self.bases[i])) for i in sorted(self.bases)))
 
-    @property
-    def proj_dim(self) -> int:
-        return max(self.bases)
-
     def __eq__(self, other):
         return (
             isinstance(other, ResolutionComplex)
             and np.array_equal(self.power.exponent_matrix, other.power.exponent_matrix)
             and self.quotients.sets == other.quotients.sets
             and self.bases == other.bases
-            and self.matrices == other.matrices
         )
 
 
@@ -193,10 +187,11 @@ def betti_from_sets(sets) -> tuple[int, ...]:
 
 
 def stream_resolution(qs: QuotientStructure):
-    """The resolution of S/I^k one differential at a time: the complex with
-    its bases and no matrices, and a generator of (i, d_i) for i = 1, 2, ...
-    in order.  The generator keeps no differential once it has yielded it,
-    so a reader that drops d_i before asking for d_{i+1} holds one at a time.
+    """The resolution of S/I^k one differential at a time: the complex (its
+    bases) and a generator of (i, d_i) for i = 1, 2, ... in order.  The
+    generator keeps no differential once it has yielded it, so a reader
+    that drops d_i before asking for d_{i+1} holds one at a time; one that
+    wants them all at once takes dict(differentials).
 
     The route to g follows the spec: the closed form when spec.l is set,
     otherwise the definitional g, which requires the decomposition function
@@ -224,7 +219,7 @@ def stream_resolution(qs: QuotientStructure):
             raise InvariantError(f"rank F_{i}: basis count {len(basis)} != beta {betti[i]}")
     degrees = range(1, max(bases))  # d_i maps F_{i+1} to F_i
     differentials = ((i, _differential(i, bases[i], bases[i + 1], g_of, coeff_of)) for i in degrees)
-    return ResolutionComplex(quotients=qs, bases=bases, matrices={}), differentials
+    return ResolutionComplex(quotients=qs, bases=bases), differentials
 
 
 def _differential(i: int, rows: Basis, cols: Basis, g_of, coeff_of) -> DifferentialMatrix:
@@ -247,14 +242,6 @@ def _differential(i: int, rows: Basis, cols: Basis, g_of, coeff_of) -> Different
     keep = keep.ravel()
     col_of = np.repeat(np.arange(shape[0], dtype=np.int32), 2 * i)
     return DifferentialMatrix(len(rows), shape[0], *(a.ravel()[keep] for a in (at, col_of, signs, variables)))
-
-
-def assemble_resolution(qs: QuotientStructure) -> ResolutionComplex:
-    """The whole resolution of S/I^k, every differential in rc.matrices:
-    stream_resolution's generator, collected."""
-    rc, differentials = stream_resolution(qs)
-    rc.matrices = dict(differentials)
-    return rc
 
 
 def _cancels(keys: np.ndarray, values: np.ndarray) -> bool:
@@ -284,33 +271,35 @@ def _products_cancel(up, up_signs, first, counts, ends, low, low_signs) -> bool:
     return _cancels(keys, signs)
 
 
-def compose_check(rc: ResolutionComplex, i: int) -> bool:
-    """Symbolically verify d_i ∘ d_{i+1} = 0.
+def compose_check_d0(gens: np.ndarray, d1: DifferentialMatrix) -> bool:
+    """Symbolically verify d0 ∘ d1 = 0, d0 the row of generators given by
+    their int64 exponent rows: every entry of d1 is the monomial
+    x_var * gens[row] in its column, and the signs must sum to zero over
+    each (column, monomial)."""
+    # the column, then the monomial x_var * d0[row]; a var outside 1..n
+    # (minimality fails) adds nothing
+    var = d1.vars.astype(np.int64)
+    terms = np.column_stack([d1.cols.astype(np.int64), gens[d1.rows]])
+    valid = np.flatnonzero((var >= 1) & (var <= gens.shape[1]))
+    terms[valid, var[valid]] += 1
+    # each row is one raw-byte key, which no packed integer can overflow
+    keys = terms.view(np.dtype((np.void, terms.itemsize * terms.shape[1]))).ravel()
+    return _cancels(keys, d1.signs)
+
+
+def compose_check(lower: DifferentialMatrix, upper: DifferentialMatrix) -> bool:
+    """Symbolically verify d_i ∘ d_{i+1} = 0: lower is d_i, upper d_{i+1}.
 
     Every product of a d_{i+1} entry with an entry of the d_i column it
     lands on is keyed by its cell and its two variables, and the signs must
     sum to zero over each key.  The key holds the d_{i+1} column, so no group
     spans two columns: d_{i+1} is cut at column boundaries into ranges of at
     most _COMPOSE_PAIRS products, a bigger column alone, and each range is
-    cancelled on its own, which bounds the memory by the cap rather than by
-    the degree.  A degree within the cap is one range."""
-    if i == 0:
-        if 1 not in rc.matrices:
-            return True
-        d1 = rc.matrices[1]
-        gens = rc.power.exponent_matrix
-        # the column, then the monomial x_var * d0[row]; a var outside 1..n
-        # (minimality fails) adds nothing
-        var = d1.vars.astype(np.int64)
-        terms = np.column_stack([d1.cols.astype(np.int64), gens[d1.rows]])
-        valid = np.flatnonzero((var >= 1) & (var <= gens.shape[1]))
-        terms[valid, var[valid]] += 1
-        # each row is one raw-byte key, which no packed integer can overflow
-        keys = terms.view(np.dtype((np.void, terms.itemsize * terms.shape[1]))).ravel()
-        return _cancels(keys, d1.signs)
-    upper = rc.matrices.get(i + 1)
-    lower = rc.matrices.get(i)
-    if upper is None or not upper.entry_count():
+    cancelled on its own.  The cap bounds the products and their keys only:
+    the per-entry arrays that pair the entries and cut the ranges, five over
+    d_{i+1} and two over d_i, span the whole degree.  A degree within the
+    cap is one range."""
+    if not upper.entry_count():
         return True
     # a product x_a x_b at (column, row) is keyed by the column, the row, a + b
     # and a^2 + b^2, which fix {a, b}: the key is one term of the d_{i+1}
@@ -345,13 +334,9 @@ def compose_check(rc: ResolutionComplex, i: int) -> bool:
     return True
 
 
-def minimality_check(rc: ResolutionComplex) -> bool:
-    """Every entry above the generator row must be +-(a single variable)."""
-    n = rc.power.spec.ctx.n
-    if (rc.power.exponent_matrix.sum(axis=1) < 1).any():
-        return False
-    return all(
+def minimality_check(mat: DifferentialMatrix, n: int) -> bool:
+    """Every entry of d_i must be +-(a single variable of x1..xn)."""
+    return bool(
         (np.abs(mat.signs.astype(np.int64)) == 1).all()
         and mat.vars.min(initial=1) >= 1 and mat.vars.max(initial=n) <= n
-        for mat in rc.matrices.values()
     )

@@ -13,7 +13,7 @@ from .lexsegment import LexSegmentSpec
 from .monomials import Monomial, RingContext
 from .powers import PowerIdeal
 from .quotients import QuotientStructure
-from .resolution import Basis, DifferentialMatrix, ResolutionComplex
+from .resolution import DifferentialMatrix, ResolutionComplex, betti_from_sets, resolution_basis
 
 JSON_ORDER_TAG = "increasing-revlex"
 TEXT_CELL_BUDGET = 10**7  # cells of the dense text matrices, over all degrees
@@ -82,9 +82,8 @@ def iter_resolution_json(rc: ResolutionComplex, differentials):
     A chunk joins at most CHUNK_RECORDS records.
 
     The differentials are read in order from `differentials`, pairs (i, d_i)
-    as stream_resolution yields them (sorted(rc.matrices.items()) for an
-    assembled complex); each is dropped, with its tables, before the next
-    is read."""
+    as stream_resolution yields them; each is dropped, with its tables,
+    before the next is read."""
     spec = rc.power.spec
     head = {"n": spec.ctx.n, "d": spec.d, "k": rc.power.k, "l": spec.l, "order": JSON_ORDER_TAG,
             "u": list(spec.u.exponents), "v": list(spec.v.exponents)}
@@ -117,11 +116,14 @@ def iter_resolution_json(rc: ResolutionComplex, differentials):
     yield ("}" if opening == "\n" else "\n  }") + "\n}\n"
 
 
-def resolution_from_dict(data: dict) -> ResolutionComplex:
-    """Rebuild the in-memory complex from its JSON form.  Malformed input
-    (a generator row that is not n exponents >= 0, a generator count other
-    than the set count, a matrix that its bases do not give) raises
-    ValueError."""
+def resolution_from_dict(data: dict):
+    """Rebuild the complex from its JSON form: (rc, differentials), the
+    differentials as (i, d_i) pairs in degree order, as stream_resolution
+    yields them.  Malformed input raises ValueError: a generator row that is
+    not n exponents >= 0, a generator count other than the set count, a set
+    that is not strictly increasing within 1..n, bases other than those the
+    sets give, matrices other than d1..d_{pd-1}, or a matrix that its bases
+    do not give."""
     ctx = RingContext(data["n"])
     spec = LexSegmentSpec(
         ctx=ctx,
@@ -140,16 +142,28 @@ def resolution_from_dict(data: dict) -> ResolutionComplex:
         raise ValueError(f"negative exponent in {tuple(gens[(gens < 0).any(axis=1)][0].tolist())}")
     if len(gens) != len(data["sets"]):
         raise ValueError(f"{len(gens)} generator rows for {len(data['sets'])} sets")
-    pi = PowerIdeal(spec, data["k"], gens)
-    qs = QuotientStructure(power=pi, sets=[tuple(s) for s in data["sets"]])
-    bases = {
-        int(i): Basis([b["gen"] for b in symbols], [b["sigma"] for b in symbols], int(i) - 1, ctx.n)
-        for i, symbols in data["bases"].items()
-    }
-    matrices = {}
-    for i, mat in data["matrices"].items():
-        i, shape = int(i), (mat["rows"], mat["cols"])
-        if i not in bases or i + 1 not in bases or shape != (len(bases[i]), len(bases[i + 1])):
+    sets = [tuple(s) for s in data["sets"]]
+    for j, st in enumerate(sets):
+        if not all(type(s) is int and 1 <= s <= ctx.n for s in st) or list(st) != sorted(set(st)):
+            raise ValueError(f"set(u{j + 1}) = {list(st)} is not strictly increasing within 1..{ctx.n}")
+    qs = QuotientStructure(power=PowerIdeal(spec, data["k"], gens), sets=sets)
+    # the symbol counts first, so that no basis is built larger than the file's
+    betti, symbols = betti_from_sets(sets), data["bases"]
+    if symbols.keys() != {str(i) for i in range(1, len(betti))} or any(
+            len(symbols[str(i)]) != b for i, b in enumerate(betti[1:], start=1)):
+        raise ValueError("the bases are not the subsets of the sets in matrix order")
+    bases = resolution_basis(qs)
+    if any([b["gen"] for b in symbols[str(i)]] != basis.gen.tolist()
+           or [b["sigma"] for b in symbols[str(i)]] != basis.sigma.tolist() for i, basis in bases.items()):
+        raise ValueError("the bases are not the subsets of the sets in matrix order")
+    pd = max(bases)
+    if data["matrices"].keys() != {str(i) for i in range(1, pd)}:
+        raise ValueError(f"the matrices are not d1..d{pd - 1}, one each")
+    differentials = []
+    for i in range(1, pd):
+        mat = data["matrices"][str(i)]
+        shape = (mat["rows"], mat["cols"])
+        if shape != (len(bases[i]), len(bases[i + 1])):
             raise ValueError(f"d{i} is {shape[0]} x {shape[1]}, which its bases F_{i}, F_{i + 1} do not give")
         cells = [(e["r"], e["c"], e["sign"], e["var"]) for e in mat["entries"]]
         try:
@@ -164,14 +178,14 @@ def resolution_from_dict(data: dict) -> ResolutionComplex:
             raise ValueError(f"d{i} has an entry whose variable is outside x1..x{ctx.n}")
         if len(np.unique(r * shape[1] + c)) < len(r):
             raise ValueError(f"d{i} has two entries in one cell")
-        matrices[i] = DifferentialMatrix(*shape, *cells)
-    rc = ResolutionComplex(quotients=qs, bases=bases, matrices=matrices)
+        differentials.append((i, DifferentialMatrix(*shape, *cells)))
+    rc = ResolutionComplex(quotients=qs, bases=bases)
     if tuple(data["betti"]) != rc.betti or tuple(map(tuple, data["shifts"])) != rc.shifts:
         raise ValueError(f"betti/shifts disagree with the bases, which give betti {rc.betti}")
-    return rc
+    return rc, differentials
 
 
-def resolution_from_json(text: str) -> ResolutionComplex:
+def resolution_from_json(text: str):
     return resolution_from_dict(json.loads(text))
 
 
@@ -191,8 +205,7 @@ def resolution_to_text(rc: ResolutionComplex, differentials) -> str:
     against TEXT_CELL_BUDGET before any differential is read.
 
     The differentials are read in order from `differentials`, pairs (i, d_i)
-    as stream_resolution yields them (sorted(rc.matrices.items()) for an
-    assembled complex)."""
+    as stream_resolution yields them."""
     cells = sum(a * b for a, b in zip(rc.betti, rc.betti[1:]))
     if cells > TEXT_CELL_BUDGET:
         raise BudgetError(f"the text matrices have {cells} cells, over the budget {TEXT_CELL_BUDGET}")

@@ -30,7 +30,8 @@ from . import resolution
 from .errors import BudgetError
 from .modp import DEFAULT_PRIME, rank_mod
 from .monomials import first_divisors, minimal_rows
-from .resolution import DifferentialMatrix, ResolutionComplex
+from .powers import ENTRY_BUDGET
+from .resolution import Basis, DifferentialMatrix, ResolutionComplex
 
 DEFAULT_HILBERT_BUDGET = 200_000
 
@@ -44,9 +45,6 @@ class HilbertNumerator:
     @classmethod
     def from_dict(cls, d: dict[int, int]) -> "HilbertNumerator":
         return cls(tuple(sorted((k, v) for k, v in d.items() if v)))
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.coeffs)
 
     def __str__(self):
         if not self.coeffs:
@@ -193,8 +191,8 @@ class RankReport:
     spurious failure, never a spurious pass.  A rank tagged "witness" is
     certified equal to kappa_i, the size of d_i's witness block; "dense" and
     "dense-fallback" ranks come from elimination at the point.  composed[i]
-    is the verdict of compose_check(rc, i), d_i ∘ d_{i+1} = 0, which the
-    certificate rests on, and minimal that of minimality_check.
+    is the verdict on d_i ∘ d_{i+1} = 0, which the certificate rests on,
+    and minimal that of minimality_check on every differential.
     """
 
     modulus: int
@@ -215,9 +213,10 @@ def _evaluate_dense(mat: DifferentialMatrix, point_arr, p: int) -> np.ndarray:
     return M
 
 
-def _witness_shape(rc: ResolutionComplex, i: int) -> tuple[int, bool]:
-    """kappa, the number of witness columns of d_i, and whether d_i has the
-    witness shape, from one pass over its arrays.
+def _witness_shape(mat: DifferentialMatrix, rows: Basis, cols: Basis, s_star: np.ndarray) -> tuple[int, bool]:
+    """kappa, the number of witness columns of d_i (mat, from F_{i+1} = cols
+    to F_i = rows), and whether d_i has the witness shape, from one pass
+    over its arrays; s_star[j] is min(set(u_j)), 0 for an empty set.
 
     A witness column is f(sigma; w) with s* = min(set(w)) in sigma, and its
     own row is f(sigma \\ s*; w); W is d_i on these rows and columns.  d_i is
@@ -226,8 +225,7 @@ def _witness_shape(rc: ResolutionComplex, i: int) -> tuple[int, bool]:
     generator.  Ordered by generator, W is then block triangular with
     diagonal blocks that are diagonal, so det W = prod +-x_{s*}, nonzero at
     every point with nonzero coordinates."""
-    mat, rows, cols = rc.matrices[i], rc.bases[i], rc.bases[i + 1]
-    s_star = np.array([min(s) if s else 0 for s in rc.quotients.sets], dtype=np.int64)[cols.gen]
+    s_star = s_star[cols.gen]
     wit = np.flatnonzero(cols.mask >> s_star & 1)
     own = rows.find(cols.gen[wit], cols.mask[wit] - (1 << s_star[wit]))
     # the witness column whose own row each row is, in a slot past the last
@@ -272,34 +270,36 @@ def random_rank_check(rc: ResolutionComplex, seed: int, trials: int, differentia
     are the exact evaluated ranks.
 
     The differentials are read once, in order, from `differentials`, pairs
-    (i, d_i) as stream_resolution yields them (sorted(rc.matrices.items())
-    for an assembled complex).  Step i holds d_{i-1} and d_i: it runs compose_check on
-    d_{i-1} ∘ d_i, through the resolution module, takes d_i's shape and
-    ranks, drops d_{i-1} and runs minimality_check on d_i.  Both verdicts
-    are kept on the report.
+    (i, d_i) as stream_resolution yields them.  Step i holds d_{i-1} and
+    d_i: it checks d_{i-1} ∘ d_i = 0 (compose_check_d0 on the generator
+    rows for i = 1, compose_check after, both through the resolution
+    module), takes d_i's shape and ranks, and runs minimality_check on d_i.
+    Every verdict is kept on the report.  The points, trials x n cells, are
+    counted against ENTRY_BUDGET before any is drawn.
     """
     if trials < 1:
         raise ValueError(f"the rank check needs at least one trial, got {trials}")
-    p = DEFAULT_PRIME
-    rng, n = random.Random(seed), rc.power.spec.ctx.n
+    p, rng, gens, n = DEFAULT_PRIME, random.Random(seed), rc.power.exponent_matrix, rc.power.spec.ctx.n
+    if trials * n > ENTRY_BUDGET:
+        raise BudgetError(f"{trials} points of {n} coordinates are {trials * n} cells, over the budget {ENTRY_BUDGET}")
     points = [tuple(rng.randrange(1, p) for _ in range(n)) for _ in range(trials)]
-    window: dict[int, DifferentialMatrix] = {}
-    held = ResolutionComplex(rc.quotients, rc.bases, window)
-    report = RankReport(modulus=p, seed=seed, betti=rc.betti, minimal=resolution.minimality_check(held))
+    s_star = np.array([min(s, default=0) for s in rc.quotients.sets], dtype=np.int64)
+    # d0 is minimal when its entries, the generators, have positive degree
+    report = RankReport(modulus=p, seed=seed, betti=rc.betti, minimal=bool((gens.sum(axis=1) >= 1).all()))
     ranks, methods = [[1] for _ in points], [["dense"] for _ in points]
-    kappa, shaped = 1, True  # of d_{i-1}
+    prev, kappa, shaped = None, 1, True  # d_{i-1}, its kappa and shape
     for i, mat in differentials:
-        window[i] = mat
-        report.composed.append(resolution.compose_check(held, i - 1))
-        kappa_i, shaped_i = _witness_shape(held, i)
-        witness = shaped and shaped_i and report.composed[-1] and kappa + kappa_i == mat.nrows
+        composed = resolution.compose_check_d0(gens, mat) if prev is None else resolution.compose_check(prev, mat)
+        report.composed.append(composed)
+        kappa_i, shaped_i = _witness_shape(mat, rc.bases[i], rc.bases[i + 1], s_star)
+        witness = shaped and shaped_i and composed and kappa + kappa_i == mat.nrows
         for point, r, m in zip(points, ranks, methods):
             r.append(kappa_i if witness else rank_mod(_evaluate_dense(mat, np.array(point, dtype=np.int64), p)))
             m.append("witness" if witness else "dense-fallback")
-        window.pop(i - 1, None)
-        report.minimal = resolution.minimality_check(held) and report.minimal
-        kappa, shaped = kappa_i, shaped_i
-    report.composed.append(resolution.compose_check(held, rc.proj_dim - 1))  # past the last: True
+        report.minimal = resolution.minimality_check(mat, n) and report.minimal
+        prev, kappa, shaped = mat, kappa_i, shaped_i
+    # d_{pd-1} ∘ d_pd = 0 holds vacuously: F_{pd+1} = 0, so there is no d_pd
+    report.composed.append(True)
     for point, r, m in zip(points, ranks, methods):
         report.trials.append(TrialResult(point, tuple(r), rank_positions_ok(rc.betti, r), tuple(m)))
     return report

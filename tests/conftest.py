@@ -3,12 +3,11 @@ import pytest
 from lexres import (
     Monomial,
     RingContext,
-    assemble_resolution,
     linear_quotients_check,
     make_classified_spec,
     power_generators,
 )
-from support import require_agreement
+from support import require_agreement, resolve
 
 
 @pytest.fixture(scope="session")
@@ -38,8 +37,9 @@ def example_quotients(example_power):
 
 @pytest.fixture(scope="session")
 def example_resolution(example_quotients):
+    """The worked example's complex and its differentials: (rc, {i: d_i})."""
     require_agreement(example_quotients)
-    return assemble_resolution(example_quotients)
+    return resolve(example_quotients)
 
 
 @pytest.fixture(scope="session")

@@ -19,12 +19,15 @@ from lexres import (
     InvariantError,
     Monomial,
     RingContext,
-    assemble_resolution,
     closed_form_matches_oracle,
     cmp_lex,
     colon_minimal_generators,
+    compose_check,
+    compose_check_d0,
     enumerate_lexsegment,
     make_classified_spec,
+    minimality_check,
+    stream_resolution,
     variable,
 )
 from lexres.cli import _quotients, build_parser
@@ -35,7 +38,7 @@ from lexres.powers import PowerIdeal
 from lexres.quotients import QuotientStructure, SetBoundViolation
 from lexres.resolution import Basis
 from lexres.serialize import iter_resolution_json
-from lexres.verify import DEFAULT_HILBERT_BUDGET, _pmul
+from lexres.verify import DEFAULT_HILBERT_BUDGET, _pmul, _witness_shape
 
 
 # -- the orders and indices of the paper that only the references use --------
@@ -100,10 +103,16 @@ def monomials(pi):
     return [Monomial(pi.spec.ctx, row) for row in pi.exponent_matrix.tolist()]
 
 
-def differentials(rc):
-    """The differentials of an assembled complex as (i, d_i) pairs in order,
-    as stream_resolution yields them."""
-    return sorted(rc.matrices.items())
+def resolve(qs):
+    """The complex of qs and all its differentials at once: (rc, {i: d_i})."""
+    rc, differentials = stream_resolution(qs)
+    return rc, dict(differentials)
+
+
+def divides(a, b):
+    """Whether the monomial a divides b."""
+    _same_ctx(a, b)
+    return all(x <= y for x, y in zip(a.exponents, b.exponents))
 
 
 def g_oracle_index(qs, x):
@@ -176,7 +185,7 @@ def shadow_by_divisibility(segment, steps=1):
     ctx = segment[0].ctx
     d = segment[0].degree + steps
     return {
-        m for m in all_monomials(ctx, d) if any(g.divides(m) for g in segment)
+        m for m in all_monomials(ctx, d) if any(divides(g, m) for g in segment)
     }
 
 
@@ -201,7 +210,7 @@ def random_monomial(rng, ctx, max_degree):
 
 
 def in_monomial_ideal(gens, m):
-    return any(g.divides(m) for g in gens)
+    return any(divides(g, m) for g in gens)
 
 
 def theorem_family_specs():
@@ -316,19 +325,43 @@ def first_divisors_loop(G, X):
     ]
 
 
-def compose_check_loop(rc, i):
+def compose_at(rc, mats, i):
+    """lexres's verdict on d_i ∘ d_{i+1} = 0 for the differentials mats,
+    {i: d_i}, with d0 the generator row; True where there is no d_{i+1}."""
+    if i + 1 not in mats:
+        return True
+    if i == 0:
+        return compose_check_d0(rc.power.exponent_matrix, mats[1])
+    return compose_check(mats[i], mats[i + 1])
+
+
+def composed(rc, mats):
+    """compose_at for i = 0..pd-1, the verdicts `verify` prints in order."""
+    return [compose_at(rc, mats, i) for i in range(max(rc.bases))]
+
+
+def minimal(rc, mats):
+    """Whether every entry of every d_i is +-(one variable), d0's generators
+    included: each of positive degree, then minimality_check on the rest."""
+    n = rc.power.spec.ctx.n
+    return bool((rc.power.exponent_matrix.sum(axis=1) >= 1).all()) and all(
+        minimality_check(mat, n) for mat in mats.values()
+    )
+
+
+def compose_check_loop(rc, mats, i):
     """d_i ∘ d_{i+1} = 0 term by term over the entries, with dicts: the
-    reference for lexres.compose_check."""
+    reference for compose_at."""
     def columns(mat):
         out = [[] for _ in range(mat.ncols)]
         for r, c, sign, var in zip(*(a.tolist() for a in mat.arrays)):
             out[c].append((r, sign, var))
         return out
 
+    if i + 1 not in mats:
+        return True
     if i == 0:
-        if 1 not in rc.matrices:
-            return True
-        for col in columns(rc.matrices[1]):
+        for col in columns(mats[1]):
             acc = {}
             for r, sign, var in col:
                 key = tuple(e + (j == var - 1) for j, e in enumerate(rc.power.exponent_matrix[r].tolist()))
@@ -336,10 +369,8 @@ def compose_check_loop(rc, i):
             if any(acc.values()):
                 return False
         return True
-    if i + 1 not in rc.matrices:
-        return True
-    lower = columns(rc.matrices[i])
-    for col in columns(rc.matrices[i + 1]):
+    lower = columns(mats[i])
+    for col in columns(mats[i + 1]):
         acc = {}
         for r1, s1, v1 in col:
             for r2, s2, v2 in lower[r1]:
@@ -348,6 +379,12 @@ def compose_check_loop(rc, i):
         if any(acc.values()):
             return False
     return True
+
+
+def witness_shape(rc, mats, i):
+    """lexres's (kappa, shaped) of d_i, with s* read from the sets of rc."""
+    s_star = np.array([min(s, default=0) for s in rc.quotients.sets], dtype=np.int64)
+    return _witness_shape(mats[i], rc.bases[i], rc.bases[i + 1], s_star)
 
 
 def hilbert_numerator_inclusion_exclusion(rows) -> HilbertNumerator:
@@ -553,10 +590,10 @@ def instance_argv(inst):
 
 def cli_resolution(argv):
     """The complex that `lexres resolve <argv>` renders, built through the
-    same stages."""
+    same stages: (rc, {i: d_i})."""
     qs = _quotients(build_parser().parse_args(["resolve", *argv]))
     assert qs.is_linear, argv
-    return assemble_resolution(qs)
+    return resolve(qs)
 
 
 def require_agreement(qs):
@@ -565,17 +602,17 @@ def require_agreement(qs):
     assert ok, "closed form disagrees with oracle at ({}, x{}): {} vs {}".format(*mismatch)
 
 
-def resolution_to_json(rc):
-    """The whole JSON export as one string."""
-    return "".join(iter_resolution_json(rc, differentials(rc)))
+def resolution_to_json(rc, mats):
+    """The whole JSON export of rc and its differentials {i: d_i} as one string."""
+    return "".join(iter_resolution_json(rc, sorted(mats.items())))
 
 
-def matrix_grid(rc, i):
+def matrix_grid(rc, mats, i):
     """The entries of d_i as strings ("x1", "-x3", "0"), rows x cols, read
     entry by entry from the arrays; d0's one row is the generators."""
     if i == 0:
         return [[str(g) for g in monomials(rc.power)]]
-    mat = rc.matrices[i]
+    mat = mats[i]
     grid = [["0"] * mat.ncols for _ in range(mat.nrows)]
     for r, c, sign, var in zip(*(a.tolist() for a in mat.arrays)):
         grid[r][c] = ("-" if sign < 0 else "") + f"x{var}"

@@ -447,6 +447,32 @@ def test_complex_budget_edge(monkeypatch, capsys):
         assert captured.err == "budget exceeded: the complex may have 112 entries, over the budget 111\n"
 
 
+def test_rank_check_points_budget_edge(monkeypatch, capsys):
+    # verify --trials 3 on the worked example draws 3 points of 4
+    # coordinates, 12 cells, counted against ENTRY_BUDGET before any is drawn
+    argv = ["verify", *_EXAMPLE, "--trials", "3"]
+    monkeypatch.setattr(verify, "ENTRY_BUDGET", 12)
+    assert main(argv) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(verify, "ENTRY_BUDGET", 11)
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "budget exceeded: 3 points of 4 coordinates are 12 cells, over the budget 11\n"
+
+
+def test_rank_check_points_default_budget(capsys):
+    # --trials 10^7 on the worked example squared is 4 * 10^7 cells: refused
+    # with one line, and no traceback, before points that would take
+    # gigabytes are drawn
+    assert main(["verify", *_EXAMPLE, "--k", "2", "--trials", str(10**7)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "budget exceeded: 10000000 points of 4 coordinates are 40000000 cells, over the budget 8000000\n"
+    )
+
+
 def test_complex_budget_default_admits_n8(monkeypatch):
     # n=8, k=2 bounds 6,178,528 entries; the call after the budget check
     # stops the build, so the complex itself is never allocated
@@ -460,7 +486,7 @@ def test_complex_budget_default_admits_n8(monkeypatch):
     qs = linear_quotients_check(power_generators(spec, 2))
     monkeypatch.setattr(resolution, "closed_form_table", stop)
     with pytest.raises(PastBudget):
-        resolution.assemble_resolution(qs)
+        resolution.stream_resolution(qs)
 
 
 def _counting_stream(alive):
@@ -516,8 +542,8 @@ def _no_differential(*args):
 
 
 def _text_cells(argv):
-    rc = support.cli_resolution(argv)
-    return len(rc.power) + sum(m.nrows * m.ncols for m in rc.matrices.values())
+    rc, mats = support.cli_resolution(argv)
+    return len(rc.power) + sum(m.nrows * m.ncols for m in mats.values())
 
 
 def test_cli_text_budget_edge(monkeypatch, capsys):
@@ -560,9 +586,9 @@ def test_cli_json_roundtrip(tmp_path, capsys):
     ])
     assert code == 0
     text = out_path.read_text()
-    rc = resolution_from_json(text)
+    rc, differentials = resolution_from_json(text)
     assert rc.betti == (1, 14, 24, 13, 2)
-    assert support.resolution_to_json(rc) == text
+    assert support.resolution_to_json(rc, dict(differentials)) == text
 
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.json"
@@ -643,7 +669,7 @@ def test_cli_basis_keys_below_2_63_resolve(capsys, n, u, v, betti):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == len(betti) + 5 and all(line.startswith("[PASS] ") for line in lines)
     assert main(["export", "--format", "json", *argv]) == 0
-    rc = resolution_from_json(capsys.readouterr().out)
+    rc, _ = resolution_from_json(capsys.readouterr().out)
     assert rc.betti == betti
     assert main(["resolve", *argv]) == 0
     assert f"betti: {betti}" in capsys.readouterr().out

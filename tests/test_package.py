@@ -1,5 +1,6 @@
 import ast
 import types
+from collections import Counter
 from pathlib import Path
 
 import lexres
@@ -14,36 +15,40 @@ def test_all_lists_public_names_not_modules():
     assert set(lexres.__all__) <= namespace.keys()
 
 
-# definitions that stand without a caller in src/lexres, and why
+# definitions that stand without a caller in src/lexres, and why; a method
+# or property is named with its class
 UNREFERENCED_OK = {
     "resolution_from_json": "the documented reader of the JSON export",
-    "assemble_resolution": "the documented library builder of the whole complex; the CLI streams it",
     "all_degree_monomials": "perfbench/pin.py enumerates whole degree slices with it",
     "variable": "the public constructor of x_i, beside one()",
+    "PowerIdeal.generators": "perfbench/tracer.py counts |G| by this name (ROADMAP item 2 drops it)",
 }
 
 
+def _names(node) -> Counter:
+    """How often each name is read under node: as a name, an attribute or an import."""
+    return Counter(
+        sub.id if isinstance(sub, ast.Name) else sub.attr if isinstance(sub, ast.Attribute) else sub.name
+        for sub in ast.walk(node) if isinstance(sub, (ast.Name, ast.Attribute, ast.alias))
+    )
+
+
 def test_every_definition_has_a_caller_in_src():
-    # a module-level function or class must be read somewhere in src/lexres
-    # outside its own definition; re-exports in __init__.py do not count
-    src = Path(lexres.__file__).parent
-    tops = {}  # module file -> [(top-level statement, the names it reads)]
-    for path in src.glob("*.py"):
-        tops[path.name] = [
-            (top, {node.id if isinstance(node, ast.Name) else
-                   node.attr if isinstance(node, ast.Attribute) else node.name
-                   for node in ast.walk(top) if isinstance(node, (ast.Name, ast.Attribute, ast.alias))})
-            for top in ast.parse(path.read_text(encoding="utf-8")).body
-        ]
-    unreferenced = set()
-    for module, body in tops.items():
-        elsewhere = set().union(*(names for other, b in tops.items() if other not in (module, "__init__.py")
-                                  for _, names in b))
-        for top, _ in body:
+    # a module-level function or class, and a method or property that is no
+    # dunder, must be read somewhere in src/lexres outside its own
+    # definition; re-exports in __init__.py do not count
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in Path(lexres.__file__).parent.glob("*.py")}
+    read = sum((_names(tree) for name, tree in trees.items() if name != "__init__.py"), Counter())
+    definitions = []
+    for tree in trees.values():
+        for top in tree.body:
             if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
-                here = set().union(*(names for other, names in body if other is not top))
-                if top.name not in here | elsewhere:
-                    unreferenced.add(top.name)
+                definitions.append((top.name, top))
+            if isinstance(top, ast.ClassDef):
+                definitions += [(f"{top.name}.{item.name}", item) for item in top.body
+                                if isinstance(item, ast.FunctionDef) and not item.name.startswith("__")]
+    unreferenced = {label for label, node in definitions if not (read - _names(node))[node.name]}
     assert unreferenced == UNREFERENCED_OK.keys()
 
 

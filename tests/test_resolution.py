@@ -10,18 +10,17 @@ from lexres import (
     BudgetError,
     Monomial,
     RingContext,
-    assemble_resolution,
     betti_from_sets,
     compose_check,
+    compose_check_d0,
     linear_quotients_check,
     make_classified_spec,
-    minimality_check,
     power_generators,
 )
 from lexres.cli import main
 from lexres.lexsegment import LexSegmentSpec
 from lexres.quotients import QuotientStructure
-from lexres.resolution import Basis, DifferentialMatrix, resolution_basis
+from lexres.resolution import Basis, DifferentialMatrix, resolution_basis, stream_resolution
 
 # the three displayed differentials of the worked example, transcribed as
 # row-major grids against the documented basis ordering
@@ -44,7 +43,7 @@ D2_GRID = [
 
 
 def test_example_basis_order(example_resolution):
-    rc = example_resolution
+    rc, _ = example_resolution
     assert rc.bases[2].labels() == [
         "f({2};u2)",
         "f({4};u3)",
@@ -58,34 +57,35 @@ def test_example_basis_order(example_resolution):
 
 
 def test_example_matrices_exact(example_resolution):
-    assert support.matrix_grid(example_resolution, 0) == D0_GRID
-    assert support.matrix_grid(example_resolution, 1) == D1_GRID
-    assert support.matrix_grid(example_resolution, 2) == D2_GRID
+    assert support.matrix_grid(*example_resolution, 0) == D0_GRID
+    assert support.matrix_grid(*example_resolution, 1) == D1_GRID
+    assert support.matrix_grid(*example_resolution, 2) == D2_GRID
 
 
 def test_example_betti_and_shifts(example_resolution):
-    assert example_resolution.betti == (1, 5, 6, 2)
-    assert example_resolution.shifts == ((0, 1), (-2, 5), (-3, 6), (-4, 2))
-    assert tuple(len(example_resolution.bases[i]) for i in (1, 2, 3)) == (5, 6, 2)
+    rc, _ = example_resolution
+    assert rc.betti == (1, 5, 6, 2)
+    assert rc.shifts == ((0, 1), (-2, 5), (-3, 6), (-4, 2))
+    assert tuple(len(rc.bases[i]) for i in (1, 2, 3)) == (5, 6, 2)
 
 
 def test_zero_rule_dropped_term(example_resolution):
     # the column f({3,4};u5) drops the x2 f({3};u1) term since {3} ⊄ set(u1)
-    mat = example_resolution.matrices[2]
+    mat = example_resolution[1][2]
     col = mat.rows[mat.cols == 1]
     assert len(col) == 3
 
 
 def test_compose_and_minimality(example_resolution):
-    for i in range(0, example_resolution.proj_dim):
-        assert compose_check(example_resolution, i)
-    assert minimality_check(example_resolution)
+    rc, mats = example_resolution
+    assert support.composed(rc, mats) == [True] * 3
+    assert support.minimal(rc, mats)
 
 
 def test_degree_homogeneity(example_resolution, example_quotients_squared):
     # every entry of d_i is multidegree-homogeneous: f(sigma; w) has multidegree
     # w * prod_{s in sigma} x_s, and the entry's variable makes up the difference
-    for rc in (example_resolution, assemble_resolution(example_quotients_squared)):
+    for rc, mats in (example_resolution, support.resolve(example_quotients_squared)):
         gens = rc.power.exponent_matrix
         n = gens.shape[1]
 
@@ -95,7 +95,7 @@ def test_degree_homogeneity(example_resolution, example_quotients_squared):
                 out[np.arange(len(rows)), basis.sigma[rows, pos] - 1] += 1
             return out
 
-        for i, mat in rc.matrices.items():
+        for i, mat in mats.items():
             var = np.eye(n, dtype=np.int64)[mat.vars - 1]
             col = multidegree(rc.bases[i + 1], mat.cols)
             row = multidegree(rc.bases[i], mat.rows)
@@ -107,15 +107,15 @@ def test_single_generator_resolution():
     u = Monomial(ctx, (1, 1, 0))
     spec = LexSegmentSpec(ctx=ctx, d=2, u=u, v=u)
     qs = linear_quotients_check(power_generators(spec, 1))
-    rc = assemble_resolution(qs)
+    rc, mats = support.resolve(qs)
     assert rc.betti == (1, 1)
-    assert rc.proj_dim == 1
-    assert compose_check(rc, 0)
-    assert minimality_check(rc)
+    assert max(rc.bases) == 1 and mats == {}
+    assert support.composed(rc, mats) == [True]
+    assert support.minimal(rc, mats)
 
 
 def test_rank_identity_binomials(example_quotients_squared):
-    rc = assemble_resolution(example_quotients_squared)
+    rc, _ = support.resolve(example_quotients_squared)
     sets = example_quotients_squared.sets
     assert rc.betti == betti_from_sets(sets)
     for i, basis in rc.bases.items():
@@ -136,7 +136,7 @@ def test_basis_requires_linear():
     pi = support.power_ideal(spec, 1, (b, a))
     qs = lq(pi)
     with pytest.raises(ValueError):
-        assemble_resolution(qs)
+        stream_resolution(qs)
 
 
 def test_unclassified_spec_builds_from_the_definitional_table(capsys):
@@ -147,12 +147,12 @@ def test_unclassified_spec_builds_from_the_definitional_table(capsys):
     spec, _, _ = make_classified_spec(Monomial(ctx, (1, 1, 0)), Monomial(ctx, (0, 1, 1)))
     assert spec.l is None
     qs = linear_quotients_check(power_generators(spec, 2))
-    rc = assemble_resolution(qs)
+    rc, mats = support.resolve(qs)
     assert "closed" not in qs.g_tables and "oracle" in qs.g_tables
-    assert all(compose_check(rc, i) for i in range(rc.proj_dim))
+    assert all(support.composed(rc, mats))
     assert main(["export", "--format", "json", "--n", "3", "--u", "x1x2", "--v", "x2x3", "--k", "2",
                  "--oracle-g"]) == 0
-    assert capsys.readouterr().out == support.resolution_to_json(rc)
+    assert capsys.readouterr().out == support.resolution_to_json(rc, mats)
 
 
 def test_family_sample_k3_properties():
@@ -161,19 +161,19 @@ def test_family_sample_k3_properties():
     for n, d, l, ue, ve in picks:
         spec, _ = support.build_family_spec(n, ue, ve)
         qs = linear_quotients_check(power_generators(spec, 3))
-        rc = assemble_resolution(qs)
-        assert all(compose_check(rc, i) for i in range(rc.proj_dim))
-        assert minimality_check(rc)
-        assert rc.proj_dim == 1 + max(len(s) for s in qs.sets)
+        rc, mats = support.resolve(qs)
+        assert all(support.composed(rc, mats))
+        assert support.minimal(rc, mats)
+        assert max(rc.bases) == 1 + max(len(s) for s in qs.sets)
 
 
 def test_oracle_and_closed_assemblies_agree(example_spec, example_quotients):
     # the worked example without its split index l takes the definitional route
-    a = assemble_resolution(example_quotients)
+    a, a_mats = support.resolve(example_quotients)
     qs = linear_quotients_check(power_generators(dataclasses.replace(example_spec, l=None), 1))
-    b = assemble_resolution(qs)
+    b, b_mats = support.resolve(qs)
     assert "closed" not in qs.g_tables and "oracle" in qs.g_tables
-    assert a.matrices == b.matrices
+    assert a_mats == b_mats
     assert a.bases == b.bases
 
 
@@ -182,9 +182,9 @@ def test_compose_check_matches_loop_on_corruptions(example_quotients_squared):
     spec, _ = support.build_family_spec(5, (1, 0, 1, 1, 0), (0, 1, 0, 0, 2))
     failures = 0
     for qs in (example_quotients_squared, linear_quotients_check(power_generators(spec, 2))):
-        rc = assemble_resolution(qs)
+        rc, mats = support.resolve(qs)
         n = qs.power.spec.ctx.n
-        for i, mat in rc.matrices.items():
+        for i, mat in mats.items():
             for _ in range(12):
                 p = rng.randrange(mat.entry_count())
                 field = rng.choice([mat.signs, mat.vars, mat.rows])
@@ -199,11 +199,11 @@ def test_compose_check_matches_loop_on_corruptions(example_quotients_squared):
                 else:
                     field[p] = rng.choice([r for r in range(mat.nrows) if r != old] or [old])
                 for j in (i - 1, i):
-                    got = compose_check(rc, j)
-                    assert got == support.compose_check_loop(rc, j), (i, j, p)
+                    got = support.compose_at(rc, mats, j)
+                    assert got == support.compose_check_loop(rc, mats, j), (i, j, p)
                     failures += not got
                 field[p] = old
-            assert all(compose_check(rc, j) for j in range(rc.proj_dim))
+            assert all(support.composed(rc, mats))
     assert failures
 
 
@@ -220,12 +220,12 @@ def test_compose_check_ranges_bound_its_memory(monkeypatch):
     # d2 ∘ d3 of the large benchmark instance: 22,822 products in one
     # range at the default cap, ranges of at most 4,096 below it
     spec, _ = support.build_family_spec(6, (1, 0, 0, 1, 1, 1), (0, 1, 0, 0, 0, 3))
-    rc = assemble_resolution(linear_quotients_check(power_generators(spec, 2)))
+    _, mats = support.resolve(linear_quotients_check(power_generators(spec, 2)))
 
     def peak():
         tracemalloc.start()
         try:
-            assert compose_check(rc, 2)
+            assert compose_check(mats[2], mats[3])
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -250,17 +250,17 @@ def test_compose_check_d0_beyond_int64_row_keys(n, power):
     e1[n - 2], e2[n - 1] = 1, 1
     u1, u2 = Monomial(ctx, e1), Monomial(ctx, e2)
     pi = support.power_ideal(LexSegmentSpec(ctx=ctx, d=u1.degree, u=u1, v=u2), 1, (u1, u2))
-    rc = assemble_resolution(linear_quotients_check(pi))
-    d1 = rc.matrices[1]
-    assert d1.vars.tolist() == [n, n - 1] and compose_check(rc, 0)
+    rc, mats = support.resolve(linear_quotients_check(pi))
+    d1 = mats[1]
+    assert d1.vars.tolist() == [n, n - 1] and compose_check_d0(pi.exponent_matrix, d1)
     d1.vars[0] = n - 1
     terms = [tuple(e + (j == v - 1) for j, e in enumerate(pi.exponent_matrix[r].tolist()))
              for r, v in zip(d1.rows.tolist(), d1.vars.tolist())]
     width = max(map(max, terms)).bit_length()
     packed = [sum(e << (width * j) for j, e in enumerate(t)) % 2**64 for t in terms]
     assert terms[0] != terms[1] and packed[0] == packed[1]
-    assert not compose_check(rc, 0)
-    assert not support.compose_check_loop(rc, 0)
+    assert not compose_check_d0(pi.exponent_matrix, d1)
+    assert not support.compose_check_loop(rc, mats, 0)
 
 
 def test_resolution_basis_matches_loop():

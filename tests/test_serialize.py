@@ -9,7 +9,6 @@ import support
 from lexres import (
     Monomial,
     RingContext,
-    assemble_resolution,
     linear_quotients_check,
     power_generators,
 )
@@ -27,12 +26,12 @@ def _single_generator():
     ctx = RingContext(3)
     u = Monomial(ctx, (1, 1, 0))
     spec = LexSegmentSpec(ctx=ctx, d=2, u=u, v=u)
-    return assemble_resolution(linear_quotients_check(power_generators(spec, 1)))
+    return support.resolve(linear_quotients_check(power_generators(spec, 1)))
 
 
 def _family(n, ue, ve, k):
     spec, _ = support.build_family_spec(n, ue, ve)
-    return assemble_resolution(linear_quotients_check(power_generators(spec, k)))
+    return support.resolve(linear_quotients_check(power_generators(spec, k)))
 
 
 @pytest.mark.parametrize(
@@ -46,13 +45,13 @@ def _family(n, ue, ve, k):
 )
 def test_json_writer_matches_json_dumps(build):
     # the direct writer must lay the text out exactly as json.dumps(indent=2)
-    rc = build()
-    text = support.resolution_to_json(rc)
+    rc, mats = build()
+    text = support.resolution_to_json(rc, mats)
     assert text == json.dumps(json.loads(text), indent=2) + "\n"
     data = json.loads(text)
     assert list(data) == ["n", "d", "k", "l", "order", "u", "v", "generators", "sets",
                           "betti", "shifts", "bases", "matrices"]
-    for i, mat in rc.matrices.items():
+    for i, mat in mats.items():
         entries = data["matrices"][str(i)]["entries"]
         assert [[e["r"], e["c"], e["sign"], e["var"]] for e in entries] == [
             list(cell) for cell in zip(*(a.tolist() for a in mat.arrays))
@@ -66,25 +65,25 @@ def test_json_writer_matches_json_dumps(build):
 @pytest.mark.parametrize("k", [1, 2])
 def test_text_matrices_show_every_entry(k):
     # each d_i block: a title, the column labels, then one labelled row per row of d_i
-    rc = _family(4, (1, 0, 1, 0), (0, 1, 0, 1), k)
-    blocks = serialize.resolution_to_text(rc, support.differentials(rc)).split("\n\n")[1:]
-    assert len(blocks) == rc.proj_dim
+    rc, mats = _family(4, (1, 0, 1, 0), (0, 1, 0, 1), k)
+    blocks = serialize.resolution_to_text(rc, mats.items()).split("\n\n")[1:]
+    assert len(blocks) == max(rc.bases)
     for i, block in enumerate(blocks):
-        assert [row.split()[1:] for row in block.splitlines()[2:]] == support.matrix_grid(rc, i)
+        assert [row.split()[1:] for row in block.splitlines()[2:]] == support.matrix_grid(rc, mats, i)
 
 
 def test_single_generator_has_no_matrices():
-    data = json.loads(support.resolution_to_json(_single_generator()))
+    data = json.loads(support.resolution_to_json(*_single_generator()))
     assert data["matrices"] == {}
     assert data["bases"] == {"1": [{"sigma": [], "gen": 0}]}
 
 
 def test_json_import_regroups_entries_by_column():
-    rc = _family(4, (1, 0, 1, 0), (0, 1, 0, 1), 2)
-    data = json.loads(support.resolution_to_json(rc))
+    rc, mats = _family(4, (1, 0, 1, 0), (0, 1, 0, 1), 2)
+    data = json.loads(support.resolution_to_json(rc, mats))
     for mat in data["matrices"].values():
         mat["entries"].sort(key=lambda e: -e["c"])  # columns reversed, each kept in order
-    assert resolution_from_dict(data) == rc
+    assert resolution_from_dict(data) == (rc, list(mats.items()))
 
 
 @pytest.mark.parametrize(
@@ -92,7 +91,7 @@ def test_json_import_regroups_entries_by_column():
 )
 def test_json_import_rejects_betti_or_shifts_off_the_bases(field, value):
     # Betti numbers and shifts are read off the bases, so a header that disagrees is refused
-    data = json.loads(support.resolution_to_json(_family(4, (1, 0, 1, 0), (0, 1, 0, 1), 1)))
+    data = json.loads(support.resolution_to_json(*_family(4, (1, 0, 1, 0), (0, 1, 0, 1), 1)))
     assert data[field] != value
     data[field] = value
     with pytest.raises(ValueError, match="disagree with the bases"):
@@ -106,11 +105,11 @@ _SMALL_SHAPES = [spec for spec in support.theorem_family_specs() if spec[0] <= 5
 @given(shape=st.sampled_from(_SMALL_SHAPES), k=st.integers(1, 2))
 def test_json_round_trip_property(shape, k):
     n, d, l, ue, ve = shape
-    rc = _family(n, ue, ve, k)
-    text = support.resolution_to_json(rc)
-    back = resolution_from_json(text)
-    assert back == rc
-    assert support.resolution_to_json(back) == text
+    rc, mats = _family(n, ue, ve, k)
+    text = support.resolution_to_json(rc, mats)
+    back, differentials = resolution_from_json(text)
+    assert back == rc and differentials == list(mats.items())
+    assert "".join(iter_resolution_json(back, differentials)) == text
 
 
 def _dumped(text):
@@ -121,10 +120,10 @@ def _dumped(text):
 @pytest.mark.parametrize("build", [lambda: _family(4, (1, 0, 1, 0), (0, 1, 0, 1), 2), _single_generator])
 def test_json_chunks_join_to_the_same_bytes(monkeypatch, build, records):
     # chunk boundaries fall inside every list: generators, sets, bases and entries
-    rc = build()
-    whole = support.resolution_to_json(rc)
+    rc, mats = build()
+    whole = support.resolution_to_json(rc, mats)
     monkeypatch.setattr(serialize, "CHUNK_RECORDS", records)
-    assert "".join(iter_resolution_json(rc, support.differentials(rc))) == whole == _dumped(whole)
+    assert "".join(iter_resolution_json(rc, mats.items())) == whole == _dumped(whole)
 
 
 def test_json_renders_any_int64_as_json_dumps():
@@ -133,8 +132,8 @@ def test_json_renders_any_int64_as_json_dumps():
     # sign leaves int8) and 127, variables past 9 and at 32,767, and row and
     # column indices that cross digit widths up to 2^31 - 1; the import
     # refuses such matrices, so they are built in memory
-    rc = _family(4, (1, 0, 1, 0), (0, 1, 0, 1), 2)
-    data = json.loads(support.resolution_to_json(rc))
+    rc, mats = _family(4, (1, 0, 1, 0), (0, 1, 0, 1), 2)
+    data = json.loads(support.resolution_to_json(rc, mats))
     for i, mat in data["matrices"].items():
         for p, e in enumerate(mat["entries"]):
             e["r"], e["c"] = e["r"] * 37 + 5, e["c"] * 1001  # columns stay in order
@@ -143,8 +142,8 @@ def test_json_renders_any_int64_as_json_dumps():
             e["var"] = (10, 2**15 - 1, 99, 4)[p % 4]
         mat["entries"][-1]["c"] = 2**31 - 1
         cells = [[e[key] for e in mat["entries"]] for key in ("r", "c", "sign", "var")]
-        rc.matrices[int(i)] = DifferentialMatrix(mat["rows"], mat["cols"], *cells)
-    assert support.resolution_to_json(rc) == json.dumps(data, indent=2) + "\n"
+        mats[int(i)] = DifferentialMatrix(mat["rows"], mat["cols"], *cells)
+    assert support.resolution_to_json(rc, mats) == json.dumps(data, indent=2) + "\n"
 
 
 def _set_entry(field, value):
@@ -162,6 +161,20 @@ def _grow_rows(data):
     data["matrices"]["1"]["rows"] += 1
 
 
+def _set_symbol(field, value):
+    def corrupt(data):
+        data["bases"]["2"][0][field] = value
+    return corrupt
+
+
+def _set_set(data):
+    data["sets"][3] = [99]
+
+
+def _drop_d1(data):
+    del data["matrices"]["1"]
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (_grow_rows, "which its bases F_1, F_2 do not give"),
     (_set_entry("r", 10**6), "outside its 14 x 24 cells"),
@@ -169,12 +182,18 @@ def _grow_rows(data):
     (_set_entry("var", 0), r"variable is outside x1\.\.x4"),
     (_set_entry("var", 9), r"variable is outside x1\.\.x4"),
     (_duplicate_entry, "two entries in one cell"),
-], ids=["shape", "row", "column", "var-0", "var-9", "duplicate"])
+    (_set_symbol("gen", 99), "the bases are not the subsets of the sets"),
+    (_set_symbol("sigma", [99]), "the bases are not the subsets of the sets"),
+    (_set_set, r"set\(u4\) = \[99\] is not strictly increasing within 1\.\.4"),
+    (_drop_d1, r"the matrices are not d1\.\.d3, one each"),
+], ids=["shape", "row", "column", "var-0", "var-9", "duplicate", "basis-gen", "basis-sigma", "set", "no-d1"])
 def test_json_import_rejects_malformed_matrices(corrupt, message):
     # each would otherwise load: an IndexError later in the rank check, x0
-    # read as x4, or two entries that the evaluation and compose_check
-    # would combine differently
-    data = json.loads(support.resolution_to_json(_family(4, (1, 0, 1, 0), (0, 1, 0, 1), 2)))
+    # read as x4, two entries that the evaluation and compose_check would
+    # combine differently, a basis or a set that the differentials were not
+    # built on, which the rank check passes or reads past its generators,
+    # or a missing differential, which it cannot read
+    data = json.loads(support.resolution_to_json(*_family(4, (1, 0, 1, 0), (0, 1, 0, 1), 2)))
     resolution_from_dict(json.loads(json.dumps(data)))
     corrupt(data)
     with pytest.raises(ValueError, match=message):
@@ -191,7 +210,7 @@ def test_json_import_rejects_malformed_matrices(corrupt, message):
     ([[0, 1, 0, 1], [1, 0, 0, 1], [0, 1, 1, 0]], "3 generator rows for 5 sets"),
 ], ids=["short", "long", "ragged", "empty", "past-int64", "negative", "fewer-than-sets"])
 def test_json_import_rejects_malformed_generators(rows, message):
-    data = json.loads(support.resolution_to_json(_family(4, (1, 0, 1, 0), (0, 1, 0, 1), 1)))
+    data = json.loads(support.resolution_to_json(*_family(4, (1, 0, 1, 0), (0, 1, 0, 1), 1)))
     data["generators"] = rows
     with pytest.raises(ValueError, match=message):
         resolution_from_dict(data)
@@ -202,29 +221,25 @@ def test_json_import_rejects_malformed_generators(rows, message):
 ])
 def test_json_import_rejects_a_sign_past_its_type(sign, message):
     # a sign is stored as int8: one that does not fit is refused, never wrapped
-    data = json.loads(support.resolution_to_json(_family(4, (1, 0, 1, 0), (0, 1, 0, 1), 2)))
+    data = json.loads(support.resolution_to_json(*_family(4, (1, 0, 1, 0), (0, 1, 0, 1), 2)))
     data["matrices"]["1"]["entries"][3]["sign"] = sign
     with pytest.raises(ValueError, match=message):
         resolution_from_dict(data)
 
 
 def test_json_empty_basis_and_empty_matrix():
-    rc = _single_generator()
-    rc = ResolutionComplex(
-        quotients=rc.quotients,
-        bases={**rc.bases, 2: Basis([], [], 1, 3)},
-        matrices={1: DifferentialMatrix(1, 0, [], [], [], [])},
-    )
-    text = support.resolution_to_json(rc)
+    rc, _ = _single_generator()
+    rc = ResolutionComplex(quotients=rc.quotients, bases={**rc.bases, 2: Basis([], [], 1, 3)})
+    text = support.resolution_to_json(rc, {1: DifferentialMatrix(1, 0, [], [], [], [])})
     assert text == _dumped(text)
     data = json.loads(text)
     assert data["bases"]["2"] == [] and data["matrices"]["1"] == {"rows": 1, "cols": 0, "entries": []}
 
 
 def test_json_chunks_are_bounded_by_records(monkeypatch):
-    rc = _family(6, (1, 0, 0, 1, 1, 0), (0, 0, 1, 0, 0, 2), 1)
+    rc, mats = _family(6, (1, 0, 0, 1, 1, 0), (0, 0, 1, 0, 0, 2), 1)
     monkeypatch.setattr(serialize, "CHUNK_RECORDS", 4)
-    chunks = list(iter_resolution_json(rc, support.differentials(rc)))
+    chunks = list(iter_resolution_json(rc, mats.items()))
     assert sum(map(len, chunks)) > 20_000
     assert max(c.count('"r": ') + c.count('"gen": ') for c in chunks) == 4
     assert max(map(len, chunks)) < 600  # the header, or four records of the widest kind
@@ -233,9 +248,9 @@ def test_json_chunks_are_bounded_by_records(monkeypatch):
 def test_streamed_n7_ladder_export_digest():
     # ladder row n=7, x1x4x5x6x7 / x2x7^4, k=2: hashed chunk by chunk, no
     # file and no whole document in memory
-    rc = _family(7, (1, 0, 0, 1, 1, 1, 1), (0, 1, 0, 0, 0, 0, 4), 2)
+    rc, mats = _family(7, (1, 0, 0, 1, 1, 1, 1), (0, 1, 0, 0, 0, 0, 4), 2)
     digest, size, widest = hashlib.sha256(), 0, 0
-    for chunk in iter_resolution_json(rc, support.differentials(rc)):
+    for chunk in iter_resolution_json(rc, mats.items()):
         raw = chunk.encode()
         digest.update(raw)
         size, widest = size + len(raw), max(widest, len(raw))

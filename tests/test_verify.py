@@ -13,7 +13,6 @@ from lexres import (
     BudgetError,
     Monomial,
     RingContext,
-    assemble_resolution,
     euler_characteristic_numerator,
     hilbert_numerator,
     linear_quotients_check,
@@ -23,10 +22,8 @@ from lexres import (
 from lexres.lexsegment import LexSegmentSpec
 from lexres.modp import DEFAULT_PRIME, rank_mod
 from lexres import resolution, verify
-from lexres.resolution import Basis, DifferentialMatrix, ResolutionComplex, compose_check
-from lexres.verify import (
-    HilbertNumerator, _evaluate_dense, _witness_shape, rank_positions_ok,
-)
+from lexres.resolution import Basis, DifferentialMatrix
+from lexres.verify import HilbertNumerator, _evaluate_dense, rank_positions_ok
 
 
 def _rows(ctx, gens):
@@ -36,20 +33,20 @@ def _rows(ctx, gens):
 
 def test_hilbert_example(example_power):
     n = hilbert_numerator(example_power.exponent_matrix)
-    assert n.as_dict() == {0: 1, 2: -5, 3: 6, 4: -2}
+    assert dict(n.coeffs) == {0: 1, 2: -5, 3: 6, 4: -2}
     assert str(n) == "1 - 5t^2 + 6t^3 - 2t^4"
 
 
 def test_hilbert_trivial_cases(ring4):
-    assert hilbert_numerator(_rows(ring4, [])).as_dict() == {0: 1}
-    assert hilbert_numerator(np.array([[1, 0, 2, 0]])).as_dict() == {0: 1, 3: -1}
-    assert hilbert_numerator(np.array([[0, 0, 0, 0]])).as_dict() == {}
+    assert dict(hilbert_numerator(_rows(ring4, [])).coeffs) == {0: 1}
+    assert dict(hilbert_numerator(np.array([[1, 0, 2, 0]])).coeffs) == {0: 1, 3: -1}
+    assert dict(hilbert_numerator(np.array([[0, 0, 0, 0]])).coeffs) == {}
 
 
 def test_hilbert_pure_powers():
     rows = np.array([[2, 0, 0, 0], [0, 3, 0, 0]])
     # complete intersection: (1 - t^2)(1 - t^3)
-    assert hilbert_numerator(rows).as_dict() == {0: 1, 2: -1, 3: -1, 5: 1}
+    assert dict(hilbert_numerator(rows).coeffs) == {0: 1, 2: -1, 3: -1, 5: 1}
 
 
 def test_hilbert_matches_inclusion_exclusion(example_power):
@@ -164,15 +161,14 @@ def test_hilbert_matches_loop_with_exact_budget(cut, monkeypatch):
 
 
 def test_euler_example(example_resolution):
-    assert euler_characteristic_numerator(example_resolution).as_dict() == {
+    rc, _ = example_resolution
+    assert dict(euler_characteristic_numerator(rc).coeffs) == {
         0: 1,
         2: -5,
         3: 6,
         4: -2,
     }
-    assert euler_characteristic_numerator(example_resolution) == hilbert_numerator(
-        example_resolution.power.exponent_matrix
-    )
+    assert euler_characteristic_numerator(rc) == hilbert_numerator(rc.power.exponent_matrix)
 
 
 def test_euler_single_generator():
@@ -180,43 +176,42 @@ def test_euler_single_generator():
     u = Monomial(ctx, (1, 1, 0))
     spec = LexSegmentSpec(ctx=ctx, d=2, u=u, v=u)
     qs = linear_quotients_check(power_generators(spec, 1))
-    rc = assemble_resolution(qs)
-    assert euler_characteristic_numerator(rc).as_dict() == {0: 1, 2: -1}
+    rc, _ = support.resolve(qs)
+    assert dict(euler_characteristic_numerator(rc).coeffs) == {0: 1, 2: -1}
     assert euler_characteristic_numerator(rc) == hilbert_numerator(rc.power.exponent_matrix)
 
 
 def test_euler_squared(example_quotients_squared):
-    rc = assemble_resolution(example_quotients_squared)
+    rc, _ = support.resolve(example_quotients_squared)
     assert euler_characteristic_numerator(rc) == hilbert_numerator(rc.power.exponent_matrix)
 
 
 def test_hilbert_numerator_repr():
     h = HilbertNumerator.from_dict({0: 1, 2: 0, 1: -1})
-    assert h.as_dict() == {0: 1, 1: -1}
+    assert dict(h.coeffs) == {0: 1, 1: -1}
     assert str(HilbertNumerator.from_dict({})) == "0"
 
 
 def test_rank_check_example(example_resolution):
-    differentials = support.differentials(example_resolution)
-    report = random_rank_check(example_resolution, seed=0, trials=5, differentials=differentials)
+    rc, mats = example_resolution
+    report = random_rank_check(rc, seed=0, trials=5, differentials=mats.items())
     assert report.passed
     assert report.trials[0].ranks == (1, 4, 2)
     assert report.modulus == 2**31 - 1
     # determinism: same seed, same points and ranks
-    again = random_rank_check(example_resolution, seed=0, trials=5, differentials=differentials)
+    again = random_rank_check(rc, seed=0, trials=5, differentials=mats.items())
     assert [t.point for t in again.trials] == [t.point for t in report.trials]
     assert rank_positions_ok((1, 2, 1), (1, 1))
     assert not rank_positions_ok((1, 2, 2), (1, 1))
 
 
 def test_rank_check_squared(example_quotients_squared):
-    rc = assemble_resolution(example_quotients_squared)
-    report = random_rank_check(rc, seed=1, trials=3, differentials=support.differentials(rc))
+    rc, mats = support.resolve(example_quotients_squared)
+    report = random_rank_check(rc, seed=1, trials=3, differentials=mats.items())
     assert report.passed
     # sub-additivity sanity at every position
     for t in report.trials:
-        for i in range(1, rc.proj_dim):
-            mat = rc.matrices[i]
+        for i, mat in mats.items():
             assert t.ranks[i] <= min(mat.nrows, mat.ncols)
 
 
@@ -225,63 +220,64 @@ P = DEFAULT_PRIME
 
 def _shape_resolution():
     spec, _ = support.build_family_spec(5, (1, 0, 1, 1, 0), (0, 1, 0, 0, 2))
-    return assemble_resolution(linear_quotients_check(power_generators(spec, 2)))
+    return support.resolve(linear_quotients_check(power_generators(spec, 2)))
 
 
-def _assert_true_ranks(rc, report):
+def _assert_true_ranks(rc, mats, report):
     """Every reported rank is the rank of the evaluated matrix at its point."""
     for t in report.trials:
         point = np.array(t.point, dtype=np.int64)
         d0 = [math.prod(pow(c, e, P) for c, e in zip(t.point, g)) % P for g in rc.power.exponent_matrix.tolist()]
         assert t.ranks[0] == rank_mod(np.array([d0], dtype=np.int64))
-        for i in range(1, rc.proj_dim):
-            assert t.ranks[i] == rank_mod(_evaluate_dense(rc.matrices[i], point, P)), (i, t.point)
+        assert len(t.ranks) == len(mats) + 1
+        for i, mat in mats.items():
+            assert t.ranks[i] == rank_mod(_evaluate_dense(mat, point, P)), (i, t.point)
 
 
 def test_witness_tier_agrees_with_dense():
-    rc = _shape_resolution()
-    report = random_rank_check(rc, seed=3, trials=2, differentials=support.differentials(rc))
+    rc, mats = _shape_resolution()
+    report = random_rank_check(rc, seed=3, trials=2, differentials=mats.items())
     assert report.passed
     for t in report.trials:
-        assert t.methods == ("dense",) + ("witness",) * (rc.proj_dim - 1)
-    _assert_true_ranks(rc, report)
+        assert t.methods == ("dense",) + ("witness",) * len(mats)
+    _assert_true_ranks(rc, mats, report)
 
 
-def _fallback_only_at(positions, proj_dim):
+def _fallback_only_at(positions, mats):
     """The methods of a trial where the given positions alone left the witness route."""
-    return ("dense",) + tuple("dense-fallback" if j in positions else "witness" for j in range(1, proj_dim))
+    return ("dense",) + tuple("dense-fallback" if j in positions else "witness" for j in sorted(mats))
 
 
 def test_rank_check_detects_corruption(example_quotients):
-    rc = assemble_resolution(example_quotients)
+    rc, mats = support.resolve(example_quotients)
     # corrupt one entry of d1 (the first of column 0): change its variable;
     # d1 then composes to nonzero with d0 and with d2
-    mat = rc.matrices[1]
+    mat = mats[1]
     assert mat.cols[0] == 0
     mat.vars[0] = (mat.vars[0] % 4) + 1
-    report = random_rank_check(rc, seed=5, trials=2, differentials=support.differentials(rc))
+    report = random_rank_check(rc, seed=5, trials=2, differentials=mats.items())
     assert not report.passed
     assert report.composed == [False, False, True]
     assert [t.ranks for t in report.trials] == [(1, 5, 2)] * 2
-    assert all(t.methods == _fallback_only_at({1, 2}, rc.proj_dim) for t in report.trials)
-    _assert_true_ranks(rc, report)
+    assert all(t.methods == _fallback_only_at({1, 2}, mats) for t in report.trials)
+    _assert_true_ranks(rc, mats, report)
 
 
 def test_witness_tier_detects_corruption():
     spec, _ = support.build_family_spec(5, (1, 0, 0, 1, 1), (0, 0, 1, 0, 2))
     qs = linear_quotients_check(power_generators(spec, 2))
-    rc = assemble_resolution(qs)
+    rc, mats = support.resolve(qs)
     # flip the sign of the first entry of column 0 of d2: the shapes hold,
     # d1 ∘ d2 and d2 ∘ d3 do not vanish
-    mat = rc.matrices[2]
+    mat = mats[2]
     assert mat.cols[0] == 0
     mat.signs[0] = -mat.signs[0]
-    report = random_rank_check(rc, seed=6, trials=2, differentials=support.differentials(rc))
+    report = random_rank_check(rc, seed=6, trials=2, differentials=mats.items())
     assert not report.passed
     assert report.composed == [True, False, False, True, True]
     assert [t.ranks for t in report.trials] == [(1, 92, 169, 99, 17)] * 2
-    assert all(t.methods == _fallback_only_at({2, 3}, rc.proj_dim) for t in report.trials)
-    _assert_true_ranks(rc, report)
+    assert all(t.methods == _fallback_only_at({2, 3}, mats) for t in report.trials)
+    _assert_true_ranks(rc, mats, report)
 
 
 def test_witness_structure_rejects_broken_shape():
@@ -292,11 +288,11 @@ def test_witness_structure_rejects_broken_shape():
     corruptions = ("diagonal variable", "diagonal sign", "later block", "same block",
                    "diagonal dropped", "cancelled diagonal", "duplicated column symbol")
     for corruption in corruptions:
-        rc = assemble_resolution(qs)
-        everywhere = range(1, rc.proj_dim)
-        kappa = [_witness_shape(rc, j)[0] for j in everywhere]
-        assert [_witness_shape(rc, j) for j in everywhere] == [(k, True) for k in kappa]
-        mat, rows, cols = rc.matrices[i], rc.bases[i], rc.bases[i + 1]
+        rc, mats = support.resolve(qs)
+        everywhere = sorted(mats)
+        kappa = [support.witness_shape(rc, mats, j)[0] for j in everywhere]
+        assert [support.witness_shape(rc, mats, j) for j in everywhere] == [(k, True) for k in kappa]
+        mat, rows, cols = mats[i], rc.bases[i], rc.bases[i + 1]
         gens, sigmas = cols.gen.tolist(), cols.sigma.tolist()
         # witness rows f(tau; w), s* not in tau, by generator
         witness_rows = [
@@ -341,18 +337,18 @@ def test_witness_structure_rejects_broken_shape():
             gen[other], sigma[other] = gen[c], sigma[c]
             rc.bases[i + 1] = Basis(gen, sigma, i, rc.power.spec.ctx.n)
         # kappa counts the witness columns, whatever their entries
-        shapes = [_witness_shape(rc, j) for j in everywhere]
+        shapes = [support.witness_shape(rc, mats, j) for j in everywhere]
         assert shapes == [(k, j != i) for j, k in zip(everywhere, kappa)], corruption
         # d_i falls back for its own shape, d_{i+1} for d_i's
-        report = random_rank_check(rc, seed=2, trials=1, differentials=support.differentials(rc))
-        assert report.trials[0].methods == _fallback_only_at({i, i + 1}, rc.proj_dim), corruption
-        _assert_true_ranks(rc, report)
+        report = random_rank_check(rc, seed=2, trials=1, differentials=mats.items())
+        assert report.trials[0].methods == _fallback_only_at({i, i + 1}, mats), corruption
+        _assert_true_ranks(rc, mats, report)
 
 
 def test_witness_shape_needs_every_own_row():
-    rc = _shape_resolution()
+    rc, mats = _shape_resolution()
     i = 2
-    kappa, shaped = _witness_shape(rc, i)
+    kappa, shaped = support.witness_shape(rc, mats, i)
     assert shaped
     # the last row, a witness row, renamed to a symbol of u1, whose set is
     # empty: the column it belonged to has no own row left, but still its
@@ -362,31 +358,30 @@ def test_witness_shape_needs_every_own_row():
     gen = rows.gen.copy()
     gen[-1] = 0
     rc.bases[i] = Basis(gen, rows.sigma, i - 1, rc.power.spec.ctx.n)
-    assert _witness_shape(rc, i) == (kappa, False)
-    report = random_rank_check(rc, seed=2, trials=1, differentials=support.differentials(rc))
+    assert support.witness_shape(rc, mats, i) == (kappa, False)
+    report = random_rank_check(rc, seed=2, trials=1, differentials=mats.items())
     assert report.trials[0].methods[i] == "dense-fallback"
-    _assert_true_ranks(rc, report)
+    _assert_true_ranks(rc, mats, report)
 
 
 def _large_resolution():
     spec, _ = support.build_family_spec(6, (1, 0, 0, 1, 1, 1), (0, 1, 0, 0, 0, 3))
-    return assemble_resolution(linear_quotients_check(power_generators(spec, 2)))
+    return support.resolve(linear_quotients_check(power_generators(spec, 2)))
 
 
 def _oracle_resolution():
     ctx = RingContext(5)
     u, v = Monomial(ctx, (1, 2, 0, 0, 0)), Monomial(ctx, (0, 1, 0, 0, 2))
     spec = LexSegmentSpec(ctx=ctx, d=3, u=u, v=v)
-    return assemble_resolution(linear_quotients_check(power_generators(spec, 2)))
+    return support.resolve(linear_quotients_check(power_generators(spec, 2)))
 
 
 @pytest.mark.parametrize("build", [_shape_resolution, _oracle_resolution], ids=["classified", "oracle"])
 def test_sparse_rank_matches_loop_on_differentials(build):
-    rc = build()
+    rc, mats = build()
     point = np.random.default_rng(12).integers(1, P, size=rc.power.spec.ctx.n)
     for flipped in (False, True):  # clean, then one sign flipped per differential
-        for i in range(1, rc.proj_dim):
-            mat = rc.matrices[i]
+        for mat in mats.values():
             if flipped:
                 mat.signs[len(mat.signs) // 2] *= -1
             dense = _evaluate_dense(mat, point, P)
@@ -396,46 +391,48 @@ def test_sparse_rank_matches_loop_on_differentials(build):
 @pytest.mark.parametrize("build", [_large_resolution, _oracle_resolution], ids=["large", "oracle"])
 def test_rank_check_premises_each_alone(build, monkeypatch):
     # each premise of the certificate broken alone, on a correct complex
-    rc = build()
-    pd, j = rc.proj_dim, 2
-    clean = random_rank_check(rc, seed=4, trials=2, differentials=support.differentials(rc))
-    assert clean.composed == [compose_check(rc, i) for i in range(pd)] == [True] * pd
-    assert all(t.methods == _fallback_only_at(set(), pd) for t in clean.trials)
+    rc, mats = build()
+    pd, j = max(rc.bases), 2
+    clean = random_rank_check(rc, seed=4, trials=2, differentials=mats.items())
+    assert clean.composed == support.composed(rc, mats) == [True] * pd
+    assert all(t.methods == _fallback_only_at(set(), mats) for t in clean.trials)
 
     def run(target, fake):
         with monkeypatch.context() as m:
             m.setattr(target, fake)
-            report = random_rank_check(rc, seed=4, trials=2, differentials=support.differentials(rc))
+            report = random_rank_check(rc, seed=4, trials=2, differentials=mats.items())
         assert [t.ranks for t in report.trials] == [t.ranks for t in clean.trials]
         return report
 
     # d_j unshaped: d_j loses its lower bound, d_{j+1} its upper bound
     shape = verify._witness_shape
-    report = run("lexres.verify._witness_shape", lambda rc, i: (shape(rc, i)[0], i != j))
-    assert all(t.methods == _fallback_only_at({j, j + 1}, pd) for t in report.trials)
+    report = run("lexres.verify._witness_shape",
+                 lambda mat, *args: (shape(mat, *args)[0], mat is not mats[j]))
+    assert all(t.methods == _fallback_only_at({j, j + 1}, mats) for t in report.trials)
     # d_{j-1} ∘ d_j unproved: only d_j's upper bound goes
     compose = resolution.compose_check
-    report = run("lexres.resolution.compose_check", lambda rc, i: i != j - 1 and compose(rc, i))
+    report = run("lexres.resolution.compose_check",
+                 lambda lower, upper: upper is not mats[j] and compose(lower, upper))
     assert report.composed == [i != j - 1 for i in range(pd)]
-    assert all(t.methods == _fallback_only_at({j}, pd) for t in report.trials)
+    assert all(t.methods == _fallback_only_at({j}, mats) for t in report.trials)
 
 
 def test_rank_check_composition_premise_with_shapes_intact():
     # a flipped Koszul sign in a column of d_j that is no witness: both
     # shapes hold, but d_{j-1} ∘ d_j and d_j ∘ d_{j+1} no longer vanish
-    rc = _large_resolution()
-    pd, j = rc.proj_dim, 2
-    mat, cols = rc.matrices[j], rc.bases[j + 1]
+    rc, mats = _large_resolution()
+    pd, j = max(rc.bases), 2
+    mat, cols = mats[j], rc.bases[j + 1]
     s_star = np.array([min(s) if s else 0 for s in rc.quotients.sets])[cols.gen]
     koszul = cols.gen[mat.cols] == rc.bases[j].gen[mat.rows]
     e = np.flatnonzero(koszul & ~(cols.mask[mat.cols] >> s_star[mat.cols] & 1).astype(bool))[0]
     mat.signs[e] *= -1
-    assert all(_witness_shape(rc, i)[1] for i in range(1, pd))
-    report = random_rank_check(rc, seed=4, trials=2, differentials=support.differentials(rc))
-    assert report.composed == [compose_check(rc, i) for i in range(pd)]
+    assert all(support.witness_shape(rc, mats, i)[1] for i in mats)
+    report = random_rank_check(rc, seed=4, trials=2, differentials=mats.items())
+    assert report.composed == support.composed(rc, mats)
     assert report.composed == [i not in (j - 1, j) for i in range(pd)]
-    assert all(t.methods == _fallback_only_at({j, j + 1}, pd) for t in report.trials)
-    _assert_true_ranks(rc, report)
+    assert all(t.methods == _fallback_only_at({j, j + 1}, mats) for t in report.trials)
+    _assert_true_ranks(rc, mats, report)
 
 
 def _small_pinned():
@@ -456,14 +453,13 @@ def test_mutated_complexes_report_true_ranks():
     @given(which=st.integers(0, len(complexes) - 1), i=st.integers(1, 8), at=st.floats(0, 1),
            kind=st.sampled_from(("sign", "var", "move", "drop", "double")), seed=st.integers(0, 9))
     def check(which, i, at, kind, seed):
-        rc0 = complexes[which]
-        i = 1 + (i - 1) % (rc0.proj_dim - 1)
-        matrices = {
+        rc, mats0 = complexes[which]
+        i = 1 + (i - 1) % len(mats0)
+        mats = {
             j: DifferentialMatrix(m.nrows, m.ncols, *(a.copy() for a in m.arrays))
-            for j, m in rc0.matrices.items()
+            for j, m in mats0.items()
         }
-        rc = ResolutionComplex(rc0.quotients, rc0.bases, matrices)
-        mat, n = rc.matrices[i], rc.power.spec.ctx.n
+        mat, n = mats[i], rc.power.spec.ctx.n
         e = min(int(at * mat.entry_count()), mat.entry_count() - 1)
         if kind == "sign":
             mat.signs[e] *= -1
@@ -479,7 +475,7 @@ def test_mutated_complexes_report_true_ranks():
             if not len(empty):
                 return
             mat.rows[e] = empty[e % len(empty)]
-        _assert_true_ranks(rc, random_rank_check(rc, seed=seed, trials=2, differentials=support.differentials(rc)))
+        _assert_true_ranks(rc, mats, random_rank_check(rc, seed=seed, trials=2, differentials=mats.items()))
 
     check()
 
@@ -493,10 +489,10 @@ def test_witness_ranks_are_true_ranks_on_pinned_instances(seed):
     pinned = json.loads(WORKLOADS.read_text())
     for name in ("family", "oracle", "selftest"):
         for inst in pinned[name]["instances"]:
-            rc = support.cli_resolution(support.instance_argv(inst))
-            report = random_rank_check(rc, seed=seed, trials=2, differentials=support.differentials(rc))
+            rc, mats = support.cli_resolution(support.instance_argv(inst))
+            report = random_rank_check(rc, seed=seed, trials=2, differentials=mats.items())
             assert report.passed, inst["id"]
             for t in report.trials:
-                assert t.methods == _fallback_only_at(set(), rc.proj_dim), inst["id"]
-            _assert_true_ranks(rc, report)
+                assert t.methods == _fallback_only_at(set(), mats), inst["id"]
+            _assert_true_ranks(rc, mats, report)
 
