@@ -181,7 +181,7 @@ def run_command(args: argparse.Namespace) -> int:
 def _quotients(args: argparse.Namespace):
     """The linear-quotient structure of G(I^k), refusing u = v = x1^d, whose
     normalized ideal is the unit ideal, and a shape outside the classified
-    form unless --oracle-g allows the definitional g."""
+    form unless --oracle-g admits it."""
     spec, record, cls = _spec_pipeline(args)
     if spec.d == 0:
         raise ValueError(

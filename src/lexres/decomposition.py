@@ -1,22 +1,21 @@
 """The decomposition function of a power ideal with linear quotients.
 
-Two routes to g(x_s * m): the closed form, which divides out x_min(m) or
-x_min(tilde m) depending on how x_s*m/x_min(m) compares with v^k in the
-bar-degree-then-lex order, and the definitional oracle, the earliest
-generator in increasing revlex that divides x_s * m.  The closed form is only
-claimed for classified specs; the oracle is always available and is the
-ground truth whenever the two are run side by side.  All generators share one
-degree, so the generators dividing x_s * m are its exchange neighbours
-x_s * m / x_t, and both routes read PowerIdeal.neighbours.
+g(x_s * m) is the earliest generator in increasing revlex that divides
+x_s * m.  All generators share one degree, so those are the exchange
+neighbours x_s * m / x_t, read from PowerIdeal.neighbours.  g is evaluated on
+every pair at once and cached in qs.g_tables as one table (g, coeff), the
+layout assembly reads: two (|G|, n+1) int64 arrays, -1 everywhere but at the
+pairs (i, s) with s in set(m_i), where g[i, s] is the position of g(x_s m_i)
+in G(I^k) and coeff[i, s] the 1-based variable x_s m_i / g(x_s m_i).
+Row-major order is pair order: generator first, then s.  The regularity
+report of the table is cached beside it.
 
-Each route is evaluated on every pair at once and cached in qs.g_tables as
-one table (g, coeff), the layout assembly reads: two (|G|, n+1) int64
-arrays, -1 everywhere but at the pairs (i, s) with s in set(m_i), where
-g[i, s] is the position of g(x_s m_i) in G(I^k) and coeff[i, s] the 1-based
-variable x_s m_i / g(x_s m_i).  Row-major order is pair order: generator
-first, then s.  The regularity report of the oracle's g is cached beside it.
-Generators are read as rows of PowerIdeal.exponent_matrix; a Monomial is
-built from a row only for the text of a failure or a report.
+The closed form, claimed for classified specs only, divides out x_min(m) or
+x_min(tilde m) depending on how x_s*m/x_min(m) compares with v^k in the
+bar-degree-then-lex order.  closed_form_matches_oracle builds it in the same
+layout, uncached, to compare with the table assembly reads.  A Monomial is
+built from a row of PowerIdeal.exponent_matrix only for the text of a
+failure or a report.
 """
 
 from __future__ import annotations
@@ -43,10 +42,8 @@ def _table(qs: QuotientStructure, gen, s, g, coeff) -> tuple[np.ndarray, np.ndar
 
 
 def closed_form_table(qs: QuotientStructure) -> tuple[np.ndarray, np.ndarray]:
-    """The closed-form g on every pair, computed once per quotient structure;
-    raises CheckFailure at the first pair where it breaks a guarantee."""
-    if "closed" in qs.g_tables:
-        return qs.g_tables["closed"]
+    """The closed-form g on every pair; raises CheckFailure at the first
+    pair where it breaks a guarantee."""
     pi, l = qs.power, qs.power.spec.l
     if l is None:
         raise ValueError("spec is not classified: no split index l")
@@ -70,8 +67,7 @@ def closed_form_table(qs: QuotientStructure) -> tuple[np.ndarray, np.ndarray]:
                 "the classified shape's guarantees"
             )
         raise CheckFailure(message)
-    qs.g_tables["closed"] = _table(qs, gen, s, g, col + 1)
-    return qs.g_tables["closed"]
+    return _table(qs, gen, s, g, col + 1)
 
 
 def oracle_table(qs: QuotientStructure) -> tuple[np.ndarray, np.ndarray]:
@@ -87,7 +83,7 @@ def oracle_table(qs: QuotientStructure) -> tuple[np.ndarray, np.ndarray]:
 
 
 def closed_form_matches_oracle(qs: QuotientStructure):
-    """Compare both routes on every (m, s); returns (ok, first mismatch)."""
+    """Compare the closed form with g on every (m, s); returns (ok, first mismatch)."""
     closed, oracle = closed_form_table(qs)[0], oracle_table(qs)[0]
     p = _first_true((closed != oracle).ravel())
     if p == closed.size:

@@ -21,7 +21,8 @@ from .monomials import Monomial
 # candidate rows, candidates * n, and the exchange-neighbour table, |G| n^2;
 # in resolution.py the matrix entries of a complex, bounded by
 # sum_i 2 i beta_{i+1}, which keeps every index of a DifferentialMatrix below
-# 2^31; in verify.py the rank check's points, trials * n.  n=8, k=2
+# 2^31; in verify.py the rank check's points, trials * n, and each dense
+# fallback matrix, nrows * ncols.  n=8, k=2
 # (x1x4..x8 / x2x8^5) needs 1,164,240, 934,720 and 6,178,528 of the first three
 ENTRY_BUDGET = 8 * 10**6
 
@@ -94,7 +95,8 @@ def _exchange_neighbours(G: np.ndarray, k: int) -> np.ndarray:
 def power_generators(spec: LexSegmentSpec, k: int) -> PowerIdeal:
     """Sum the k-multisets of L(u, v) as exponent rows, sort increasing
     revlex, and keep one row of each run of equal rows.  The products are
-    counted against lexsegment.DEFAULT_PRODUCT_BUDGET, read at call time."""
+    counted against lexsegment.DEFAULT_PRODUCT_BUDGET, read at call time; a
+    degree kd past int64 is refused (ValueError) before any row is built."""
     if k < 1:
         raise ValueError("k must be >= 1")
     size = lex_rank(spec.v) - lex_rank(spec.u) + 1  # |L(u, v)|, counted before it is walked
@@ -103,6 +105,8 @@ def power_generators(spec: LexSegmentSpec, k: int) -> PowerIdeal:
         raise BudgetError(f"|L|={size}, k={k}: {candidates} candidate products exceed budget {budget}")
     if candidates * spec.ctx.n > ENTRY_BUDGET:
         raise BudgetError(f"the candidate rows have {candidates * spec.ctx.n} cells, over the budget {ENTRY_BUDGET}")
+    if k * spec.d > (top := np.iinfo(np.int64).max):
+        raise ValueError(f"the generators of I^{k} have degree {k * spec.d}, over {top}, the int64 limit of their rows")
     segment = enumerate_lexsegment(spec.u, spec.v)
     E = np.array([m.exponents for m in segment], dtype=np.int64)
     multisets = itertools.combinations_with_replacement(range(len(segment)), k)

@@ -40,8 +40,8 @@ class QuotientStructure:
     status: str = "linear"
     failure_index: int | None = None
     offending: Monomial | None = None
-    # the decomposition function's tables by route, and the regularity report
-    # (lexres.decomposition)
+    # the definitional decomposition function's table and its regularity
+    # report (lexres.decomposition)
     g_tables: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property

@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .decomposition import closed_form_table, oracle_table, regularity_check_oracle
+from .decomposition import oracle_table, regularity_check_oracle
 from .errors import BudgetError, CheckFailure, InvariantError
 from .powers import ENTRY_BUDGET
 from .quotients import QuotientStructure
@@ -193,26 +193,22 @@ def stream_resolution(qs: QuotientStructure):
     that drops d_i before asking for d_{i+1} holds one at a time; one that
     wants them all at once takes dict(differentials).
 
-    The route to g follows the spec: the closed form when spec.l is set,
-    otherwise the definitional g, which requires the decomposition function
-    to be regular and is checked here.  Both are read from their cached
-    table as they stand.  The complex is refused (BudgetError) before
-    anything is built when its entry bound exceeds ENTRY_BUDGET: a column of
-    d_i has at most 2i entries.
+    g is the definitional one, read from its cached table as it stands; the
+    mapping cone needs it regular, which is checked here (CheckFailure if
+    not), as are linear quotients.  The complex is refused (BudgetError)
+    before anything is built when its entry bound exceeds ENTRY_BUDGET: a
+    column of d_i has at most 2i entries.
     """
     if not qs.is_linear:
-        raise ValueError("cannot resolve: linear quotients fail")
+        raise CheckFailure("cannot resolve: linear quotients fail")
     betti = betti_from_sets(qs.sets)
     bound = sum(2 * i * b for i, b in enumerate(betti[2:], start=1))
     if bound > ENTRY_BUDGET:
         raise BudgetError(f"the complex may have {bound} entries, over the budget {ENTRY_BUDGET}")
-    if qs.power.spec.l is None:
-        report = regularity_check_oracle(qs)
-        if not report.regular:
-            raise CheckFailure(f"cannot resolve: decomposition function {report.describe()}")
-        g_of, coeff_of = oracle_table(qs)
-    else:
-        g_of, coeff_of = closed_form_table(qs)
+    report = regularity_check_oracle(qs)
+    if not report.regular:
+        raise CheckFailure(f"cannot resolve: decomposition function {report.describe()}")
+    g_of, coeff_of = oracle_table(qs)
     bases = resolution_basis(qs)
     for i, basis in bases.items():
         if betti[i] != len(basis):

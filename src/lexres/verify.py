@@ -195,9 +195,6 @@ class RankReport:
     and minimal that of minimality_check on every differential.
     """
 
-    modulus: int
-    seed: int
-    betti: tuple[int, ...]
     trials: list[TrialResult] = field(default_factory=list)
     composed: list[bool] = field(default_factory=list)
     minimal: bool = True
@@ -208,6 +205,11 @@ class RankReport:
 
 
 def _evaluate_dense(mat: DifferentialMatrix, point_arr, p: int) -> np.ndarray:
+    """d_i at a point as a dense int64 matrix mod p, its nrows x ncols cells
+    counted against ENTRY_BUDGET before it is built (rank_mod copies it)."""
+    if (cells := mat.nrows * mat.ncols) > ENTRY_BUDGET:
+        raise BudgetError(f"the dense fallback on a {mat.nrows} x {mat.ncols} differential has "
+                          f"{cells} cells, over the budget {ENTRY_BUDGET}")
     M = np.zeros((mat.nrows, mat.ncols), dtype=np.int64)
     M[mat.rows, mat.cols] = (mat.signs.astype(np.int64) * point_arr[mat.vars.astype(np.int64) - 1]) % p
     return M
@@ -275,7 +277,8 @@ def random_rank_check(rc: ResolutionComplex, seed: int, trials: int, differentia
     rows for i = 1, compose_check after, both through the resolution
     module), takes d_i's shape and ranks, and runs minimality_check on d_i.
     Every verdict is kept on the report.  The points, trials x n cells, are
-    counted against ENTRY_BUDGET before any is drawn.
+    counted against ENTRY_BUDGET before any is drawn, and so is each dense
+    fallback's matrix before it is built.
     """
     if trials < 1:
         raise ValueError(f"the rank check needs at least one trial, got {trials}")
@@ -285,7 +288,7 @@ def random_rank_check(rc: ResolutionComplex, seed: int, trials: int, differentia
     points = [tuple(rng.randrange(1, p) for _ in range(n)) for _ in range(trials)]
     s_star = np.array([min(s, default=0) for s in rc.quotients.sets], dtype=np.int64)
     # d0 is minimal when its entries, the generators, have positive degree
-    report = RankReport(modulus=p, seed=seed, betti=rc.betti, minimal=bool((gens.sum(axis=1) >= 1).all()))
+    report = RankReport(minimal=bool((gens.sum(axis=1) >= 1).all()))
     ranks, methods = [[1] for _ in points], [["dense"] for _ in points]
     prev, kappa, shaped = None, 1, True  # d_{i-1}, its kappa and shape
     for i, mat in differentials:

@@ -312,7 +312,7 @@ def _never_assembled(qs):
     [
         ("lexres.quotients.high_branch", _low_branch_only, ["verify"] + _EXAMPLE,
          "check failed: x2^2 has no support beyond x2", ""),
-        ("lexres.decomposition.high_branch", _flipped_branch, ["resolve"] + _EXAMPLE,
+        ("lexres.decomposition.high_branch", _flipped_branch, ["verify"] + _EXAMPLE,
          "check failed: closed form left G(I^k): g(x2*x1x4) = x1x2 is not a generator (branch low)", ""),
         ("lexres.decomposition.closed_form_table", _corrupted_closed_form, ["verify"] + _EXAMPLE, "",
          "[PASS] linear quotients\n"
@@ -474,8 +474,9 @@ def test_rank_check_points_default_budget(capsys):
 
 
 def test_complex_budget_default_admits_n8(monkeypatch):
-    # n=8, k=2 bounds 6,178,528 entries; the call after the budget check
-    # stops the build, so the complex itself is never allocated
+    # n=8, k=2 bounds 6,178,528 entries; the call after the budget check,
+    # the definitional g's regularity check, stops the build, so the complex
+    # itself is never allocated
     class PastBudget(Exception):
         pass
 
@@ -484,7 +485,7 @@ def test_complex_budget_default_admits_n8(monkeypatch):
 
     spec, _ = support.build_family_spec(8, (1, 0, 0, 1, 1, 1, 1, 1), (0, 1, 0, 0, 0, 0, 0, 5))
     qs = linear_quotients_check(power_generators(spec, 2))
-    monkeypatch.setattr(resolution, "closed_form_table", stop)
+    monkeypatch.setattr(resolution, "regularity_check_oracle", stop)
     with pytest.raises(PastBudget):
         resolution.stream_resolution(qs)
 
@@ -675,6 +676,61 @@ def test_cli_basis_keys_below_2_63_resolve(capsys, n, u, v, betti):
     assert f"betti: {betti}" in capsys.readouterr().out
 
 
+_INT64_MAX = 2**63 - 1
+
+
+@pytest.mark.parametrize("command", [["power"], ["quotients"], ["resolve"], ["verify"], ["export", "--format", "json"]],
+                         ids=["power", "quotients", "resolve", "verify", "json"])
+@pytest.mark.parametrize("e, k", [(2**63, 1), (2**62, 2)], ids=["exponent", "sum"])
+def test_cli_degree_past_int64_is_input_error(capsys, command, e, k):
+    # kd = 2^63 + 1 has an exponent past int64, and 2 (2^62 + 1) = 2^63 + 2
+    # would wrap in the sum of two rows: refused before any row is built
+    argv = [*command, "--n", "2", "--u", f"x1x2^{e}", "--v", f"x2^{e + 1}", "--k", str(k), "--oracle-g"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"input error: the generators of I^{k} have degree {k * (e + 1)}, "
+        f"over {_INT64_MAX}, the int64 limit of their rows\n"
+    )
+
+
+@pytest.mark.parametrize("kd", [_INT64_MAX - 1, _INT64_MAX])
+def test_cli_degree_up_to_int64_resolves(capsys, kd):
+    argv = ["--n", "2", "--u", f"x1x2^{kd - 2}", "--v", f"x2^{kd - 1}", "--oracle-g"]
+    assert main(["power", *argv]) == 0
+    assert capsys.readouterr().out == f"u1 = x2^{kd - 1}\nu2 = x1x2^{kd - 2}\n"
+    assert main(["verify", *argv]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 8 and all(line.startswith("[PASS] ") for line in lines)
+
+
+def test_cli_gen_and_classify_take_degrees_past_int64(capsys):
+    # they build no exponent rows, so a degree past int64 is theirs to print
+    argv = ["--n", "2", "--u", f"x1x2^{2**63}", "--v", f"x2^{2**63 + 1}"]
+    assert main(["gen", *argv]) == 0
+    assert capsys.readouterr().out == f"x1x2^{2**63}\nx2^{2**63 + 1}\n"
+    assert main(["classify", *argv]) == 0
+    assert "linear-resolution shape: no" in capsys.readouterr().out
+
+
+def _closed_form_evaluated(*args):
+    raise AssertionError("the closed form was evaluated")
+
+
+@pytest.mark.parametrize("command", [["resolve"], ["export", "--format", "json"], ["export", "--format", "text"]],
+                         ids=["resolve", "json", "text"])
+def test_cli_build_never_evaluates_the_closed_form(capsys, monkeypatch, command):
+    # a classified spec is assembled from the definitional g alone;
+    # decomposition.high_branch is read by the closed form and nothing else
+    argv = [*command, *_EXAMPLE, "--k", "2"]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    monkeypatch.setattr("lexres.decomposition.high_branch", _closed_form_evaluated)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_cli_never_loads_numpy_random():
     # the rank check draws its points from random.Random
     code = (
@@ -715,7 +771,8 @@ def test_run_command_takes_parsed_args(capsys):
 def _cli_inputs(draw):
     """Options for every command: n <= 5, u and v of one degree d <= 3, k <= 2,
     with or without --oracle-g.  Most pairs are normalized, x1 | u and
-    x1 ∤ v; the others are any two monomials."""
+    x1 ∤ v; the others are any two monomials.  Some carry one more factor
+    x_n^e on both ends, with e far past int64."""
     n, d = draw(st.integers(2, 5)), draw(st.integers(1, 3))
 
     def monomial(low, x1):
@@ -727,6 +784,11 @@ def _cli_inputs(draw):
         u, v = monomial(0, 1), monomial(1, 0)
     else:
         u, v = monomial(0, 0), monomial(0, 0)
+    # now and then x_n^e on both ends: kd past int64 at e = 2^63, and at
+    # e = 2^62 when k = 2
+    e = draw(st.sampled_from((0, 0, 0, 0, 2**62, 2**63)))
+    if e:
+        u, v = (f"{m}x{n}^{e}" for m in (u, v))
     args = ["--n", str(n), "--u", u, "--v", v, "--k", str(draw(st.integers(1, 2)))]
     return args + (["--oracle-g"] if draw(st.booleans()) else [])
 

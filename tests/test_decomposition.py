@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import numpy as np
@@ -7,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import support
+from lexres import decomposition
 from lexres import (
     CheckFailure,
     InvariantError,
@@ -22,7 +22,6 @@ from lexres import (
     variable,
 )
 from lexres.lexsegment import LexSegmentSpec
-from lexres.powers import PowerIdeal
 from lexres.quotients import QuotientStructure, high_branch, pair_arrays
 
 
@@ -63,7 +62,8 @@ def test_tables_cover_exactly_the_set_pairs(example_quotients):
     for table in (closed_form_table(example_quotients), oracle_table(example_quotients)):
         _assert_dense(example_quotients, table)
         assert (table[0][0] == -1).all()
-    assert closed_form_table(example_quotients) is closed_form_table(example_quotients)
+    # only the definitional table, the one assembly reads, is cached
+    assert "closed" not in example_quotients.g_tables and "oracle" in example_quotients.g_tables
 
 
 def test_g_oracle_examples(example_quotients, example_power):
@@ -109,10 +109,12 @@ def test_coefficient_times_g(example_quotients, example_power):
         assert x.degree == 1
 
 
-def test_corrupted_table_entry_is_reported(example_spec):
+def test_corrupted_table_entry_is_reported(example_spec, monkeypatch):
     qs = linear_quotients_check(power_generators(example_spec, 1))
     gens = support.monomials(qs.power)
-    closed_form_table(qs)[0][3, 4] = 0  # g(x4*u4) = u2
+    corrupted = closed_form_table(qs)
+    corrupted[0][3, 4] = 0  # g(x4*u4) = u2
+    monkeypatch.setattr(decomposition, "closed_form_table", lambda qs: corrupted)
     ok, mismatch = closed_form_matches_oracle(qs)
     assert not ok
     assert mismatch == (gens[3], 4, gens[0], gens[1])
@@ -165,10 +167,11 @@ def test_regularity_squared(example_quotients_squared):
 
 def test_regularity_reports_first_counterexample(example_power):
     # with 3 added to set(u2) = set(x1x4), g(x4 * u4) = u2 breaks regularity;
-    # without a split index l, assembly takes the definitional g and checks it
+    # assembly reads the definitional g and checks it, on the classified
+    # shape too
     sets = [(), (2, 3), (4,), (2, 4), (3, 4)]
-    pi = PowerIdeal(dataclasses.replace(example_power.spec, l=None), 1, example_power.exponent_matrix)
-    qs = QuotientStructure(power=pi, sets=sets)
+    assert example_power.spec.l is not None
+    qs = QuotientStructure(power=example_power, sets=sets)
     report = regularity_check_oracle(qs)
     assert not report.regular
     assert report.counterexample == (support.monomials(example_power)[3], 4, 3)

@@ -8,9 +8,11 @@ import pytest
 import support
 from lexres import (
     BudgetError,
+    CheckFailure,
     Monomial,
     RingContext,
     betti_from_sets,
+    closed_form_table,
     compose_check,
     compose_check_d0,
     linear_quotients_check,
@@ -135,7 +137,8 @@ def test_basis_requires_linear():
     spec = LexSegmentSpec(ctx=ctx, d=2, u=a, v=b)
     pi = support.power_ideal(spec, 1, (b, a))
     qs = lq(pi)
-    with pytest.raises(ValueError):
+    # a failed check on well-formed input, never an input error
+    with pytest.raises(CheckFailure, match="cannot resolve: linear quotients fail"):
         stream_resolution(qs)
 
 
@@ -167,14 +170,18 @@ def test_family_sample_k3_properties():
         assert max(rc.bases) == 1 + max(len(s) for s in qs.sets)
 
 
-def test_oracle_and_closed_assemblies_agree(example_spec, example_quotients):
-    # the worked example without its split index l takes the definitional route
+def test_closed_form_table_equals_definitional_table(example_spec, example_quotients):
+    # the worked example, with and without its split index l, assembles from
+    # the definitional table alone, and the closed form equals that table
     a, a_mats = support.resolve(example_quotients)
     qs = linear_quotients_check(power_generators(dataclasses.replace(example_spec, l=None), 1))
     b, b_mats = support.resolve(qs)
-    assert "closed" not in qs.g_tables and "oracle" in qs.g_tables
+    for q in (example_quotients, qs):
+        assert "closed" not in q.g_tables and "oracle" in q.g_tables
     assert a_mats == b_mats
     assert a.bases == b.bases
+    closed, oracle = closed_form_table(example_quotients), example_quotients.g_tables["oracle"]
+    assert all(np.array_equal(c, o) for c, o in zip(closed, oracle))
 
 
 def test_compose_check_matches_loop_on_corruptions(example_quotients_squared):

@@ -197,7 +197,9 @@ def test_rank_check_example(example_resolution):
     report = random_rank_check(rc, seed=0, trials=5, differentials=mats.items())
     assert report.passed
     assert report.trials[0].ranks == (1, 4, 2)
-    assert report.modulus == 2**31 - 1
+    # the points are nonzero residues mod the prime 2^31 - 1
+    assert DEFAULT_PRIME == 2**31 - 1
+    assert all(0 < c < DEFAULT_PRIME for t in report.trials for c in t.point)
     # determinism: same seed, same points and ranks
     again = random_rank_check(rc, seed=0, trials=5, differentials=mats.items())
     assert [t.point for t in again.trials] == [t.point for t in report.trials]
@@ -362,6 +364,21 @@ def test_witness_shape_needs_every_own_row():
     report = random_rank_check(rc, seed=2, trials=1, differentials=mats.items())
     assert report.trials[0].methods[i] == "dense-fallback"
     _assert_true_ranks(rc, mats, report)
+
+
+def test_dense_fallback_budget_edge(example_quotients, monkeypatch):
+    # another variable in one entry of d1 of the worked example sends d1
+    # (5 x 6 = 30 cells) and d2 (6 x 2) to the dense fallback; each matrix
+    # is counted against ENTRY_BUDGET before it is built
+    rc, mats = support.resolve(example_quotients)
+    mats[1].vars[0] = mats[1].vars[0] % 4 + 1
+    monkeypatch.setattr(verify, "ENTRY_BUDGET", 30)
+    report = random_rank_check(rc, seed=5, trials=2, differentials=mats.items())
+    assert report.trials[0].methods == ("dense", "dense-fallback", "dense-fallback")
+    monkeypatch.setattr(verify, "ENTRY_BUDGET", 29)
+    with pytest.raises(BudgetError, match="^the dense fallback on a 5 x 6 differential has 30 cells, "
+                                          "over the budget 29$"):
+        random_rank_check(rc, seed=5, trials=2, differentials=mats.items())
 
 
 def _large_resolution():
