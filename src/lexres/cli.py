@@ -32,6 +32,8 @@ _FACTOR = re.compile(r"\*?x(\d+)(?:\^(\d+))?")
 def parse_monomial(text: str, ctx: RingContext) -> Monomial:
     """Parse "1", "x1x3", "x2^2", "x1*x4^2" into a monomial of the ring."""
     text = text.strip()
+    if not text:
+        raise ValueError(f"malformed monomial {text!r}: it has no factors (the monomial 1 is written 1)")
     if text == "1":
         return Monomial(ctx, (0,) * ctx.n)
     exps = [0] * ctx.n
@@ -133,25 +135,15 @@ def run_command(args: argparse.Namespace) -> int:
         spec, _, _ = _spec_pipeline(args)
         qs = linear_quotients_check(power_generators(spec, args.k))
         if args.fmt == "json":
-            payload = {
-                "n": args.n,
-                "d": spec.d,
-                "k": args.k,
-                "status": qs.status,
-                "failure_index": qs.failure_index,
-                "offending": list(qs.offending.exponents) if qs.offending else None,
-                "sets": [list(s) for s in qs.sets],
-            }
-            _emit(args, _json_dumps(payload))
+            offending = list(qs.offending.exponents) if qs.offending else None
+            _emit(args, _json_dumps({"n": args.n, "d": spec.d, "k": args.k, "status": qs.status,
+                                     "failure_index": qs.failure_index, "offending": offending,
+                                     "sets": [list(s) for s in qs.sets]}))
         else:
             lines = [f"status: {qs.status}"]
             if not qs.is_linear:
-                lines.append(
-                    f"colon at u{qs.failure_index + 1} has non-variable generator {qs.offending}"
-                )
-            lines += [
-                f"set(u{j + 1}) = {{{', '.join(map(str, s))}}}" for j, s in enumerate(qs.sets)
-            ]
+                lines.append(f"colon at u{qs.failure_index + 1} has non-variable generator {qs.offending}")
+            lines += [f"set(u{j + 1}) = {{{', '.join(map(str, s))}}}" for j, s in enumerate(qs.sets)]
             _emit(args, "\n".join(lines) + "\n")
         return 1 if not qs.is_linear else 0
 

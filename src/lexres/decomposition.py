@@ -2,13 +2,15 @@
 
 g(x_s * m) is the earliest generator in increasing revlex that divides
 x_s * m.  All generators share one degree, so those are the exchange
-neighbours x_s * m / x_t, read from PowerIdeal.neighbours.  g is evaluated on
-every pair at once and cached in qs.g_tables as one table (g, coeff), the
-layout assembly reads: two (|G|, n+1) int64 arrays, -1 everywhere but at the
-pairs (i, s) with s in set(m_i), where g[i, s] is the position of g(x_s m_i)
-in G(I^k) and coeff[i, s] the 1-based variable x_s m_i / g(x_s m_i).
-Row-major order is pair order: generator first, then s.  The regularity
-report of the table is cached beside it.
+neighbours x_s * m / x_t, read from PowerIdeal.neighbours by the same
+reduction to the earliest one that gives set(m) (lexres.quotients).  g is
+evaluated on every pair at once and cached in qs.g_tables as one table
+(g, coeff), the layout assembly reads: two int64 arrays of the shape of
+qs.member, (|G|, n), -1 everywhere but at the pairs (i, s) with s in
+set(m_i), where g[i, s-1] is the position of g(x_s m_i) in G(I^k) and
+coeff[i, s-1] the 1-based variable x_s m_i / g(x_s m_i).  Row-major order
+is pair order: generator first, then s.  The regularity report of the
+table is cached beside it.
 
 The closed form, claimed for classified specs only, divides out x_min(m) or
 x_min(tilde m) depending on how x_s*m/x_min(m) compares with v^k in the
@@ -32,13 +34,6 @@ from .quotients import QuotientStructure, high_branch, pair_arrays
 def _first_true(mask: np.ndarray) -> int:
     """Index of the first True entry of a 1-d mask, or its length."""
     return int(mask.argmax()) if mask.any() else len(mask)
-
-
-def _table(qs: QuotientStructure, gen, s, g, coeff) -> tuple[np.ndarray, np.ndarray]:
-    """(g, coeff) of the pairs (gen, s), scattered into the dense layout."""
-    dense = np.full((2, len(qs.sets), qs.power.spec.ctx.n + 1), -1, dtype=np.int64)
-    dense[0][gen, s], dense[1][gen, s] = g, coeff
-    return dense[0], dense[1]
 
 
 def closed_form_table(qs: QuotientStructure) -> tuple[np.ndarray, np.ndarray]:
@@ -67,18 +62,18 @@ def closed_form_table(qs: QuotientStructure) -> tuple[np.ndarray, np.ndarray]:
                 "the classified shape's guarantees"
             )
         raise CheckFailure(message)
-    return _table(qs, gen, s, g, col + 1)
+    dense = np.full((2, *qs.member.shape), -1, dtype=np.int64)
+    dense[:, qs.member] = g, col + 1  # the pairs in row-major order
+    return dense[0], dense[1]
 
 
 def oracle_table(qs: QuotientStructure) -> tuple[np.ndarray, np.ndarray]:
     """The definitional g on every pair, computed once per quotient structure."""
-    if "oracle" in qs.g_tables:
-        return qs.g_tables["oracle"]
-    gen, s, _ = pair_arrays(qs)
-    # the generators dividing x_s * m_i are its neighbours x_s * m_i / x_t
-    candidates = qs.power.neighbours[gen, s - 1]
-    t = candidates.argmin(axis=1)
-    qs.g_tables["oracle"] = _table(qs, gen, s, candidates[np.arange(len(s)), t], t + 1)
+    if "oracle" not in qs.g_tables:
+        # the generators dividing x_s * m_i are its neighbours x_s * m_i / x_t:
+        # g is the earliest, and t its cofactor
+        N = qs.power.neighbours[: len(qs.member)]
+        qs.g_tables["oracle"] = tuple(np.where(qs.member, a, -1) for a in (N.min(axis=2), N.argmin(axis=2) + 1))
     return qs.g_tables["oracle"]
 
 
@@ -88,8 +83,8 @@ def closed_form_matches_oracle(qs: QuotientStructure):
     p = _first_true((closed != oracle).ravel())
     if p == closed.size:
         return True, None
-    (i, s), ctx, G = divmod(p, closed.shape[1]), qs.power.spec.ctx, qs.power.exponent_matrix
-    return False, (Monomial(ctx, G[i]), s, Monomial(ctx, G[closed[i, s]]), Monomial(ctx, G[oracle[i, s]]))
+    (i, col), ctx, G = divmod(p, closed.shape[1]), qs.power.spec.ctx, qs.power.exponent_matrix
+    return False, (Monomial(ctx, G[i]), col + 1, Monomial(ctx, G[closed[i, col]]), Monomial(ctx, G[oracle[i, col]]))
 
 
 @dataclass(frozen=True)
@@ -112,15 +107,14 @@ def regularity_check_oracle(qs: QuotientStructure) -> RegularityReport:
         raise ValueError("quotient structure is not linear")
     if "regularity" in qs.g_tables:
         return qs.g_tables["regularity"]
-    g = oracle_table(qs)[0]
-    member = g >= 0  # member[i, s]: s in set(m_i)
-    gen, s = np.nonzero(member)
-    outside = member[g[gen, s]] & ~member[gen]
+    g, member = oracle_table(qs)[0], qs.member
+    gen, col = np.nonzero(member)
+    outside = member[g[gen, col]] & ~member[gen]
     p = _first_true(outside.any(axis=1))
     if p == len(gen):
         report = RegularityReport(regular=True)
     else:
-        m, t = Monomial(qs.power.spec.ctx, qs.power.exponent_matrix[gen[p]]), int(outside[p].argmax())
-        report = RegularityReport(regular=False, counterexample=(m, int(s[p]), t))
+        m, t = Monomial(qs.power.spec.ctx, qs.power.exponent_matrix[gen[p]]), int(outside[p].argmax()) + 1
+        report = RegularityReport(regular=False, counterexample=(m, int(col[p]) + 1, t))
     qs.g_tables["regularity"] = report
     return report

@@ -2,8 +2,9 @@
 
 All generators of I^k share one degree, so the quotient m_j / gcd(m_j, m_i)
 is a variable x_s exactly when m_j = m_i * x_s / x_t for some t != s: set(m_i)
-is read off the exchange-neighbour table PowerIdeal.neighbours.
-The colon (m_1,...,m_{i-1}) : (m_i) is then generated by the x_s, s in
+is read off the exchange-neighbour table PowerIdeal.neighbours, by the
+reduction to the earliest entry per (i, s) that also gives the definitional
+g.  The colon (m_1,...,m_{i-1}) : (m_i) is then generated by the x_s, s in
 set(m_i), exactly when no earlier m_j is <= m_i on every column of set(m_i),
 which one earliest-divisor scan per distinct set decides for all i.  Full
 minimalization runs only on the failure path and in colon_minimal_generators.
@@ -26,45 +27,55 @@ def colon_minimal_generators(prefix: np.ndarray, m: np.ndarray) -> np.ndarray:
     return minimal_rows(np.clip(prefix - m, 0, None))
 
 
-@dataclass
+@dataclass(eq=False)
 class QuotientStructure:
     """set(m_i) for every generator of a power ideal, plus a verdict.
 
-    sets[i] is the sorted tuple of variable indices generating the i-th
-    colon; a non-linear colon is recorded as data (index and offending
-    minimal generator), never raised.
+    member is the (r, n) bool matrix with member[i, s-1] true when x_s is in
+    set(m_i), one row per generator before the first non-linear colon (all
+    of them when linear); that colon is recorded as data (index and
+    offending minimal generator), never raised.
     """
 
     power: PowerIdeal
-    sets: list[tuple[int, ...]] = field(default_factory=list)
+    member: np.ndarray
     status: str = "linear"
     failure_index: int | None = None
     offending: Monomial | None = None
     # the definitional decomposition function's table and its regularity
     # report (lexres.decomposition)
-    g_tables: dict = field(default_factory=dict, repr=False, compare=False)
+    g_tables: dict = field(default_factory=dict, repr=False)
 
     @property
     def is_linear(self) -> bool:
         return self.status == "linear"
 
+    @property
+    def sets(self) -> list[tuple[int, ...]]:
+        """set(m_i) as sorted tuples of 1-based variable indices, read from
+        member, for the text that prints them."""
+        cols = (np.nonzero(self.member)[1] + 1).tolist()
+        ends = np.cumsum(self.member.sum(axis=1)).tolist()
+        return [tuple(cols[a:b]) for a, b in zip([0, *ends], ends)]
 
-def _first_uncovered(G: np.ndarray, sets: list[tuple[int, ...]]) -> int:
+
+def _first_uncovered(G: np.ndarray, member: np.ndarray) -> int:
     """The first i with an earlier m_j <= m_i on every column of set(m_i),
     so that x_s, s in set(m_i), do not generate the colon; len(G) if none.
 
-    One earliest-divisor scan per distinct set: m_i divides itself on any
+    One earliest-divisor scan per distinct set, its generators in order from
+    a stable sort of the member rows as bytes: m_i divides itself on any
     columns, so the scan lands below i exactly when the colon fails."""
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for i, st in enumerate(sets):
-        groups.setdefault(st, []).append(i)
+    keys = np.packbits(member, axis=1)
+    keys = keys.view(np.dtype((np.void, keys.shape[1]))).ravel()
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
     first = len(G)
-    for st, members in groups.items():
-        members = np.array(members)
+    for members in np.split(order, np.flatnonzero(keys[1:] != keys[:-1]) + 1):
         members = members[members < first]
         if members.size == 0:
             continue
-        cols = np.array(st, dtype=np.int64) - 1
+        cols = np.flatnonzero(member[members[0]])
         top = int(members[-1]) + 1
         found = first_divisors(G[:top, cols], G[members][:, cols])
         below = members[found < members]
@@ -77,30 +88,23 @@ def linear_quotients_check(pi: PowerIdeal) -> QuotientStructure:
     """set(m_i) for every increasing-revlex generator, or the first i whose
     colon is not generated by variables."""
     G = pi.exponent_matrix
-    # x_s is in set(m_i) when an earlier generator is m_i * x_s / x_t
-    in_set = (pi.neighbours < np.arange(len(G))[:, None, None]).any(axis=2)
-    cols = (np.nonzero(in_set)[1] + 1).tolist()
-    ends = np.cumsum(in_set.sum(axis=1)).tolist()
-    sets = [tuple(cols[a:b]) for a, b in zip([0] + ends[:-1], ends)]
-    failure = _first_uncovered(G, sets)
+    # x_s is in set(m_i) when the earliest generator m_i * x_s / x_t, which
+    # is g(x_s * m_i), comes before m_i
+    member = pi.neighbours.min(axis=2) < np.arange(len(G))[:, None]
+    failure = _first_uncovered(G, member)
     # increasing revlex forces every colon variable past min(m_i); a failed
     # colon is reported before a violation at its own or a later index
-    low = in_set.any(axis=1) & (in_set.argmax(axis=1) <= (G > 0).argmax(axis=1))
+    low = member.any(axis=1) & (member.argmax(axis=1) <= (G > 0).argmax(axis=1))
     bad = np.flatnonzero(low[:failure])
     if bad.size:
         i = int(bad[0])
-        raise InvariantError(f"set({Monomial(pi.spec.ctx, G[i])}) contains x{sets[i][0]} <= x_min")
+        raise InvariantError(f"set({Monomial(pi.spec.ctx, G[i])}) contains x{member[i].argmax() + 1} <= x_min")
     if failure == len(G):
-        return QuotientStructure(power=pi, sets=sets)
+        return QuotientStructure(power=pi, member=member)
     colon = colon_minimal_generators(G[:failure], G[failure])
     offending = Monomial(pi.spec.ctx, max(map(tuple, colon[colon.sum(axis=1) != 1].tolist())))
-    return QuotientStructure(
-        power=pi,
-        sets=sets[:failure],
-        status="failure",
-        failure_index=failure,
-        offending=offending,
-    )
+    return QuotientStructure(power=pi, member=member[:failure], status="failure", failure_index=failure,
+                             offending=offending)
 
 
 @dataclass(frozen=True)
@@ -112,12 +116,12 @@ class SetBoundViolation:
 
 def pair_arrays(qs: QuotientStructure):
     """gen, s and the exponent rows of x_s * m_i for every pair (i, s) with
-    s in set(m_i), generator first, then s."""
-    gen = np.array([i for i, st in enumerate(qs.sets) for _ in st], dtype=np.int64)
-    s = np.array([t for st in qs.sets for t in st], dtype=np.int64)
+    s in set(m_i), generator first, then s: the entries of member in
+    row-major order."""
+    gen, col = np.nonzero(qs.member)
     X = qs.power.exponent_matrix[gen]
-    X[np.arange(len(s)), s - 1] += 1
-    return gen, s, X
+    X[np.arange(len(gen)), col] += 1
+    return gen, col + 1, X
 
 
 def high_branch(pi: PowerIdeal, gen: np.ndarray, X: np.ndarray):

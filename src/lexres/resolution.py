@@ -153,7 +153,7 @@ class ResolutionComplex:
         return (
             isinstance(other, ResolutionComplex)
             and np.array_equal(self.power.exponent_matrix, other.power.exponent_matrix)
-            and self.quotients.sets == other.quotients.sets
+            and np.array_equal(self.quotients.member, other.quotients.member)
             and self.bases == other.bases
         )
 
@@ -164,11 +164,11 @@ def resolution_basis(qs: QuotientStructure) -> dict[int, Basis]:
     sigma is taken by position: the (i-1)-subsets of positions, in
     combinations order, of the padded row of set(w), kept where they stay
     below |set(w)|."""
-    n = qs.power.spec.ctx.n
-    sizes = np.array([len(st) for st in qs.sets], dtype=np.int64)
+    n, member = qs.power.spec.ctx.n, qs.member
+    sizes = member.sum(axis=1)
     width = int(sizes.max(initial=0))
     padded = np.zeros((len(sizes), width), dtype=np.int64)
-    padded[np.arange(width) < sizes[:, None]] = list(itertools.chain.from_iterable(qs.sets))
+    padded[np.arange(width) < sizes[:, None]] = np.nonzero(member)[1] + 1
     bases: dict[int, Basis] = {}
     for i in range(1, width + 2):
         picks = np.array(list(itertools.combinations(range(width), i - 1)), dtype=np.int64)
@@ -177,13 +177,11 @@ def resolution_basis(qs: QuotientStructure) -> dict[int, Basis]:
     return bases
 
 
-def betti_from_sets(sets) -> tuple[int, ...]:
-    """beta_0 = 1 and beta_i = sum_w C(|set(w)|, i-1)."""
-    max_set = max((len(s) for s in sets), default=0)
-    betti = [1]
-    for i in range(1, max_set + 2):
-        betti.append(sum(math.comb(len(s), i - 1) for s in sets))
-    return tuple(betti)
+def betti_from_sets(member: np.ndarray) -> tuple[int, ...]:
+    """beta_0 = 1 and beta_i = sum_w C(|set(w)|, i-1), from the number of
+    rows of member (one set each) of every size."""
+    counts = np.bincount(member.sum(axis=1), minlength=1).tolist()
+    return (1, *(sum(c * math.comb(size, i) for size, c in enumerate(counts)) for i in range(len(counts))))
 
 
 def stream_resolution(qs: QuotientStructure):
@@ -201,7 +199,7 @@ def stream_resolution(qs: QuotientStructure):
     """
     if not qs.is_linear:
         raise CheckFailure("cannot resolve: linear quotients fail")
-    betti = betti_from_sets(qs.sets)
+    betti = betti_from_sets(qs.member)
     bound = sum(2 * i * b for i, b in enumerate(betti[2:], start=1))
     if bound > ENTRY_BUDGET:
         raise BudgetError(f"the complex may have {bound} entries, over the budget {ENTRY_BUDGET}")
@@ -230,11 +228,11 @@ def _differential(i: int, rows: Basis, cols: Basis, g_of, coeff_of) -> Different
     for pos in range(i):
         s = cols.sigma[:, pos]
         tau = cols.mask - (1 << s)
-        for half, gen in enumerate((g_of[cols.gen, s], cols.gen)):
+        for half, gen in enumerate((g_of[cols.gen, s - 1], cols.gen)):
             found = rows.find(gen, tau)  # -1 where tau is not in set(gen), which only a g-term meets
             at[:, pos, half], keep[:, pos, half] = found, found >= 0
         signs[:, pos] = (-1, 1) if pos % 2 else (1, -1)
-        variables[:, pos, 0], variables[:, pos, 1] = coeff_of[cols.gen, s], s
+        variables[:, pos, 0], variables[:, pos, 1] = coeff_of[cols.gen, s - 1], s
     keep = keep.ravel()
     col_of = np.repeat(np.arange(shape[0], dtype=np.int32), 2 * i)
     return DifferentialMatrix(len(rows), shape[0], *(a.ravel()[keep] for a in (at, col_of, signs, variables)))

@@ -116,42 +116,50 @@ def iter_resolution_json(rc: ResolutionComplex, differentials):
     yield ("}" if opening == "\n" else "\n  }") + "\n}\n"
 
 
+def _integers(values, what: str) -> list:
+    """values, a list whose items are all JSON integers (not floats or
+    booleans, which numpy and Monomial would truncate), or ValueError."""
+    if not isinstance(values, list) or any(type(v) is not int for v in values):
+        raise ValueError(f"{what} must be integers")
+    return values
+
+
 def resolution_from_dict(data: dict):
     """Rebuild the complex from its JSON form: (rc, differentials), the
     differentials as (i, d_i) pairs in degree order, as stream_resolution
-    yields them.  Malformed input raises ValueError: a generator row that is
-    not n exponents >= 0, a generator count other than the set count, a set
-    that is not strictly increasing within 1..n, bases other than those the
-    sets give, matrices other than d1..d_{pd-1}, or a matrix that its bases
-    do not give."""
-    ctx = RingContext(data["n"])
-    spec = LexSegmentSpec(
-        ctx=ctx,
-        d=data["d"],
-        u=Monomial(ctx, data["u"]),
-        v=Monomial(ctx, data["v"]),
-        l=data["l"],
-    )
+    yields them.  Malformed input raises ValueError: a number that is not an
+    integer, a generator row that is not n exponents >= 0, a generator count
+    other than the set count, a set that is not strictly increasing within
+    1..n, bases other than those the sets give, matrices other than
+    d1..d_{pd-1}, or a matrix that its bases do not give."""
+    n, d, k, l = (data[key] for key in ("n", "d", "k", "l"))
+    _integers([n, d, k] if l is None else [n, d, k, l], "n, d, k and l")
+    ctx = RingContext(n)
+    u, v = (Monomial(ctx, _integers(data[end], f"the exponents of {end}")) for end in ("u", "v"))
+    spec = LexSegmentSpec(ctx=ctx, d=d, u=u, v=v, l=l)
     try:
         gens = np.array(data["generators"], dtype=np.int64)
         if gens.ndim != 2 or gens.shape[1] != ctx.n:
             raise ValueError
     except (OverflowError, ValueError):
         raise ValueError(f"the generators are not rows of {ctx.n} int64 exponents") from None
+    _integers([e for row in data["generators"] for e in row], "the generator exponents")
     if (gens < 0).any():
         raise ValueError(f"negative exponent in {tuple(gens[(gens < 0).any(axis=1)][0].tolist())}")
     if len(gens) != len(data["sets"]):
         raise ValueError(f"{len(gens)} generator rows for {len(data['sets'])} sets")
-    sets = [tuple(s) for s in data["sets"]]
-    for j, st in enumerate(sets):
+    member = np.zeros(gens.shape, dtype=bool)
+    for j, st in enumerate(data["sets"]):
         if not all(type(s) is int and 1 <= s <= ctx.n for s in st) or list(st) != sorted(set(st)):
             raise ValueError(f"set(u{j + 1}) = {list(st)} is not strictly increasing within 1..{ctx.n}")
-    qs = QuotientStructure(power=PowerIdeal(spec, data["k"], gens), sets=sets)
+        member[j, [s - 1 for s in st]] = True
+    qs = QuotientStructure(power=PowerIdeal(spec, k, gens), member=member)
     # the symbol counts first, so that no basis is built larger than the file's
-    betti, symbols = betti_from_sets(sets), data["bases"]
+    betti, symbols = betti_from_sets(member), data["bases"]
     if symbols.keys() != {str(i) for i in range(1, len(betti))} or any(
             len(symbols[str(i)]) != b for i, b in enumerate(betti[1:], start=1)):
         raise ValueError("the bases are not the subsets of the sets in matrix order")
+    _integers([x for b in itertools.chain(*symbols.values()) for x in (b["gen"], *b["sigma"])], "the basis symbols")
     bases = resolution_basis(qs)
     if any([b["gen"] for b in symbols[str(i)]] != basis.gen.tolist()
            or [b["sigma"] for b in symbols[str(i)]] != basis.sigma.tolist() for i, basis in bases.items()):
@@ -162,10 +170,11 @@ def resolution_from_dict(data: dict):
     differentials = []
     for i in range(1, pd):
         mat = data["matrices"][str(i)]
-        shape = (mat["rows"], mat["cols"])
+        shape = tuple(_integers([mat["rows"], mat["cols"]], f"the shape of d{i}"))
         if shape != (len(bases[i]), len(bases[i + 1])):
             raise ValueError(f"d{i} is {shape[0]} x {shape[1]}, which its bases F_{i}, F_{i + 1} do not give")
         cells = [(e["r"], e["c"], e["sign"], e["var"]) for e in mat["entries"]]
+        _integers([x for cell in cells for x in cell], f"the entries of d{i}")
         try:
             cells = np.array(cells, dtype=np.int64).reshape(-1, 4)
         except OverflowError:
@@ -180,6 +189,7 @@ def resolution_from_dict(data: dict):
             raise ValueError(f"d{i} has two entries in one cell")
         differentials.append((i, DifferentialMatrix(*shape, *cells)))
     rc = ResolutionComplex(quotients=qs, bases=bases)
+    _integers([*data["betti"], *(x for shift in data["shifts"] for x in shift)], "betti and shifts")
     if tuple(data["betti"]) != rc.betti or tuple(map(tuple, data["shifts"])) != rc.shifts:
         raise ValueError(f"betti/shifts disagree with the bases, which give betti {rc.betti}")
     return rc, differentials
@@ -216,11 +226,8 @@ def resolution_to_text(rc: ResolutionComplex, differentials) -> str:
         + (f",  l = {spec.l}" if spec.l is not None else ""),
         "generators of I^k (increasing revlex): "
         + ", ".join(f"u{j + 1} = {g}" for j, g in enumerate(gens)),
-        "sets: "
-        + "; ".join(
-            f"set(u{j + 1}) = {{{', '.join(map(str, s))}}}"
-            for j, s in enumerate(rc.quotients.sets)
-        ),
+        "sets: " + "; ".join(f"set(u{j + 1}) = {{{', '.join(map(str, s))}}}"
+                             for j, s in enumerate(rc.quotients.sets)),
         "betti: " + str(tuple(rc.betti)),
         "shifts: "
         + " <- ".join(

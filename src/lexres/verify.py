@@ -286,7 +286,8 @@ def random_rank_check(rc: ResolutionComplex, seed: int, trials: int, differentia
     if trials * n > ENTRY_BUDGET:
         raise BudgetError(f"{trials} points of {n} coordinates are {trials * n} cells, over the budget {ENTRY_BUDGET}")
     points = [tuple(rng.randrange(1, p) for _ in range(n)) for _ in range(trials)]
-    s_star = np.array([min(s, default=0) for s in rc.quotients.sets], dtype=np.int64)
+    member = rc.quotients.member
+    s_star = np.where(member.any(axis=1), member.argmax(axis=1) + 1, 0)
     # d0 is minimal when its entries, the generators, have positive degree
     report = RankReport(minimal=bool((gens.sum(axis=1) >= 1).all()))
     ranks, methods = [[1] for _ in points], [["dense"] for _ in points]

@@ -97,6 +97,16 @@ def power_ideal(spec, k, gens):
     return PowerIdeal(spec, k, np.array([m.exponents for m in gens], dtype=np.int64).reshape(-1, spec.ctx.n))
 
 
+def quotient_structure(pi, sets, **verdict):
+    """A QuotientStructure of pi whose member matrix holds the given sets,
+    sorted tuples of 1-based variables, one per row (fewer rows than
+    generators for a failed check, whose verdict is passed by keyword)."""
+    member = np.zeros((len(sets), pi.spec.ctx.n), dtype=bool)
+    for i, st in enumerate(sets):
+        member[i, [s - 1 for s in st]] = True
+    return QuotientStructure(power=pi, member=member, **verdict)
+
+
 def monomials(pi):
     """The generators of pi as Monomials, one per row of its exponent matrix,
     for the references that compute with monomials."""
@@ -545,9 +555,9 @@ def linear_quotients_loop(pi):
         if not covered.all():
             colon = colon_minimal_generators(G[:i], G[i]).tolist()
             bad = sorted((g for g in colon if sum(g) != 1), reverse=True)
-            return QuotientStructure(
-                power=pi,
-                sets=sets,
+            return quotient_structure(
+                pi,
+                sets,
                 status="failure",
                 failure_index=i,
                 offending=Monomial(pi.spec.ctx, bad[0]),
@@ -559,7 +569,7 @@ def linear_quotients_loop(pi):
                     f"set({Monomial(pi.spec.ctx, G[i])}) contains x{s + 1} <= x_min"
                 )
         sets.append(tuple(s + 1 for s in var_cols))
-    return QuotientStructure(power=pi, sets=sets)
+    return quotient_structure(pi, sets)
 
 
 def resolution_basis_loop(qs):

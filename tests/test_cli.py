@@ -200,6 +200,18 @@ def test_cli_input_error():
     assert main(["gen", "--n", "4", "--u", "x2x4", "--v", "x1x3"]) == 2
 
 
+@pytest.mark.parametrize("text", ["", "   "], ids=["empty", "blank"])
+def test_empty_monomial_is_malformed(ctx, capsys, text):
+    # no factors is no monomial: the text is refused where it is parsed, not
+    # read as 1 and refused later for an unrelated reason
+    with pytest.raises(ValueError, match="malformed monomial '': it has no factors"):
+        parse_monomial(text, ctx)
+    assert main(["gen", "--n", "3", "--u", text, "--v", text]) == 2
+    assert capsys.readouterr().err == ("input error: malformed monomial '': it has no factors "
+                                       "(the monomial 1 is written 1)\n")
+    assert parse_monomial(" 1 ", ctx).is_one()
+
+
 @pytest.mark.parametrize("command", [["resolve"], ["export", "--format", "json"], ["export", "--format", "m2"],
                                      ["verify"]], ids=["resolve", "json", "m2", "verify"])
 @pytest.mark.parametrize("power", ["x1", "x1^2"])
@@ -291,7 +303,7 @@ def _flipped_branch(pi, gen, X):
 
 def _corrupted_closed_form(qs):
     table = _closed_form_table(qs)
-    table[0][3, 4] = 0  # g(x4*x1x3) = x2x4, not x1x4
+    table[0][3, 3] = 0  # g(x4*x1x3) = x2x4, not x1x4
     return table
 
 

@@ -22,7 +22,7 @@ from lexres import (
     variable,
 )
 from lexres.lexsegment import LexSegmentSpec
-from lexres.quotients import QuotientStructure, high_branch, pair_arrays
+from lexres.quotients import high_branch, pair_arrays
 
 
 def test_closed_form_table_example_values(example_quotients, example_power):
@@ -36,15 +36,15 @@ def test_closed_form_table_example_values(example_quotients, example_power):
         (4, 4): (True, u1, "x2"),  # x4*u5: high branch
     }.items():
         assert high[i, s] == branch
-        assert support.monomials(example_power)[g[i, s]] == want
-        assert str(variable(u1.ctx, int(coeff[i, s]))) == var
+        assert support.monomials(example_power)[g[i, s - 1]] == want
+        assert str(variable(u1.ctx, int(coeff[i, s - 1]))) == var
 
 
 def _set_pairs(qs):
-    """The (|G|, n+1) mask of the pairs (i, s) with s in set(m_i)."""
-    on = np.zeros((len(qs.sets), qs.power.spec.ctx.n + 1), dtype=bool)
+    """The (|G|, n) mask of the pairs (i, s) with s in set(m_i), at [i, s-1]."""
+    on = np.zeros((len(qs.sets), qs.power.spec.ctx.n), dtype=bool)
     for i, st in enumerate(qs.sets):
-        on[i, list(st)] = True
+        on[i, [s - 1 for s in st]] = True
     return on
 
 
@@ -58,9 +58,11 @@ def _assert_dense(qs, table):
 
 
 def test_tables_cover_exactly_the_set_pairs(example_quotients):
-    # set(u1) is empty, so row u1 holds no pair and (u1, x3) is -1
+    # set(u1) is empty, so row u1 holds no pair and (u1, x3) is -1; every
+    # table has the layout of the member matrix
     for table in (closed_form_table(example_quotients), oracle_table(example_quotients)):
         _assert_dense(example_quotients, table)
+        assert table[0].shape == example_quotients.member.shape == (5, 4)
         assert (table[0][0] == -1).all()
     # only the definitional table, the one assembly reads, is cached
     assert "closed" not in example_quotients.g_tables and "oracle" in example_quotients.g_tables
@@ -101,8 +103,8 @@ def test_closed_equals_oracle_squared(example_quotients_squared):
 def test_coefficient_times_g(example_quotients, example_power):
     g_of, coeff_of = closed_form_table(example_quotients)
     gens = support.monomials(example_power)
-    gen, s = np.nonzero(g_of >= 0)
-    for i, s, g, coeff in zip(*(a.tolist() for a in (gen, s, g_of[gen, s], coeff_of[gen, s]))):
+    gen, col = np.nonzero(g_of >= 0)
+    for i, s, g, coeff in zip(*(a.tolist() for a in (gen, col + 1, g_of[gen, col], coeff_of[gen, col]))):
         m = gens[i]
         x = variable(m.ctx, coeff)
         assert x * gens[g] == m * variable(m.ctx, s)
@@ -113,7 +115,7 @@ def test_corrupted_table_entry_is_reported(example_spec, monkeypatch):
     qs = linear_quotients_check(power_generators(example_spec, 1))
     gens = support.monomials(qs.power)
     corrupted = closed_form_table(qs)
-    corrupted[0][3, 4] = 0  # g(x4*u4) = u2
+    corrupted[0][3, 3] = 0  # g(x4*u4) = u2
     monkeypatch.setattr(decomposition, "closed_form_table", lambda qs: corrupted)
     ok, mismatch = closed_form_matches_oracle(qs)
     assert not ok
@@ -133,9 +135,9 @@ def test_tables_agree_property(shape, k):
     oracle = oracle_table(qs)
     assert np.array_equal(closed[0], oracle[0])
     assert np.array_equal(closed[1], oracle[1])
-    gen, s = np.nonzero(closed[0] >= 0)
+    gen, col = np.nonzero(closed[0] >= 0)
     gens = support.monomials(qs.power)
-    for i, s, g in zip(gen.tolist(), s.tolist(), closed[0][gen, s].tolist()):
+    for i, s, g in zip(gen.tolist(), (col + 1).tolist(), closed[0][gen, col].tolist()):
         m = gens[i]
         assert support.g_oracle_index(qs, m * variable(m.ctx, s)) == g
 
@@ -171,7 +173,7 @@ def test_regularity_reports_first_counterexample(example_power):
     # shape too
     sets = [(), (2, 3), (4,), (2, 4), (3, 4)]
     assert example_power.spec.l is not None
-    qs = QuotientStructure(power=example_power, sets=sets)
+    qs = support.quotient_structure(example_power, sets)
     report = regularity_check_oracle(qs)
     assert not report.regular
     assert report.counterexample == (support.monomials(example_power)[3], 4, 3)
@@ -216,7 +218,7 @@ def test_oracle_on_mixed_degrees_raises():
     ctx = RingContext(3)
     a, b = Monomial(ctx, (1, 1, 0)), Monomial(ctx, (0, 1, 2))
     pi = support.power_ideal(LexSegmentSpec(ctx=ctx, d=2, u=a, v=a), 1, (a, b))
-    qs = QuotientStructure(power=pi, sets=[(), (1,)])
+    qs = support.quotient_structure(pi, [(), (1,)])
     with pytest.raises(InvariantError, match=r"degrees \[2, 3\], not one"):
         oracle_table(qs)
 
@@ -233,12 +235,12 @@ def test_oracle_table_matches_scan_on_any_sets(n, d, data):
     subsets = st.sets(st.integers(1, n)).map(lambda st_: tuple(sorted(st_)))
     sets = data.draw(st.lists(subsets, min_size=len(gens), max_size=len(gens)))
     pi = support.power_ideal(LexSegmentSpec(ctx=ctx, d=d, u=gens[0], v=gens[0]), 1, gens)
-    qs = QuotientStructure(power=pi, sets=sets)
+    qs = support.quotient_structure(pi, sets)
     table = oracle_table(qs)
     _assert_dense(qs, table)
     g_of, coeff_of = table
-    gen, s = np.nonzero(g_of >= 0)
-    for i, s, g, coeff in zip(*(a.tolist() for a in (gen, s, g_of[gen, s], coeff_of[gen, s]))):
+    gen, col = np.nonzero(g_of >= 0)
+    for i, s, g, coeff in zip(*(a.tolist() for a in (gen, col + 1, g_of[gen, col], coeff_of[gen, col]))):
         x = gens[i] * variable(ctx, s)
         assert g == support.g_oracle_index(qs, x)
         assert gens[g] * variable(ctx, coeff) == x

@@ -94,3 +94,14 @@ def test_every_default_parameter_is_passed_in_src():
             if not any(passed) or all(passed):
                 unturned.add(f"{fn.name}.{param}")
     assert unturned == UNTURNED_OK.keys()
+
+
+def test_only_the_printers_read_sets():
+    # set(m) is held once, as QuotientStructure.member; its sets view in
+    # Python ints is for the text that prints it, so no other module reads it
+    readers = {
+        path.name for path in Path(lexres.__file__).parent.glob("*.py")
+        if any(isinstance(node, ast.Attribute) and node.attr == "sets"
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+    }
+    assert readers <= {"cli.py", "serialize.py"}, readers

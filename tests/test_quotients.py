@@ -13,12 +13,13 @@ from lexres import (
     RingContext,
     colon_minimal_generators,
     linear_quotients_check,
+    oracle_table,
     power_generators,
     set_bound_report,
+    variable,
 )
 from lexres.lexsegment import LexSegmentSpec
 from lexres.powers import PowerIdeal
-from lexres.quotients import QuotientStructure
 
 
 def test_example_sets(example_quotients):
@@ -158,7 +159,7 @@ def test_set_bound_report_matches_loop():
             sets = [list(st) for st in qs.sets]
             for w in rng.sample(range(len(sets)), min(4, len(sets))):
                 sets[w] = sorted(set(sets[w]) | {rng.randrange(1, n + 1)})
-            compare(QuotientStructure(power=qs.power, sets=[tuple(st) for st in sets]))
+            compare(support.quotient_structure(qs.power, sets))
     # random pairs with a split index forced on them and random sets: here the
     # tilde test also meets generators without support beyond x_l
     for _ in range(60):
@@ -169,8 +170,49 @@ def test_set_bound_report_matches_loop():
         k = rng.randrange(1, 3)
         pi = PowerIdeal(spec, k, power_generators(LexSegmentSpec(ctx, u.degree, u, v), k).exponent_matrix)
         sets = [tuple(sorted(rng.sample(range(1, n + 1), rng.randrange(0, n)))) for _ in range(len(pi))]
-        compare(QuotientStructure(power=pi, sets=sets))
+        compare(support.quotient_structure(pi, sets))
     assert all(seen.values()), seen
+
+
+def _colon_members(pi, rows):
+    """set(m_i) for the first `rows` generators by the definition, as a
+    (rows, n) mask: x_s is in (m_1..m_{i-1}) : m_i when an earlier generator
+    divides x_s * m_i."""
+    G, n = pi.exponent_matrix, pi.spec.ctx.n
+    member = np.zeros((rows, n), dtype=bool)
+    for i in range(rows):
+        X = G[i] + np.eye(n, dtype=np.int64)  # x_s * m_i, one row per s
+        member[i] = (G[:i, None, :] <= X[None]).all(axis=2).any(axis=0)
+    return member
+
+
+def test_member_and_definitional_table_match_the_definitions():
+    # classified shapes, unclassified ones that build with --oracle-g, and
+    # failing linear quotients, whose member matrix is the prefix before the
+    # failure: member holds the colon sets, and the definitional table the
+    # earliest divisor and its cofactor on every pair, -1 off them
+    seen = set()
+
+    @settings(derandomize=True, database=None, max_examples=80, deadline=None)
+    @given(spec=support.small_specs(), k=st.integers(1, 3))
+    def check(spec, k):
+        pi = power_generators(spec, k)
+        qs = linear_quotients_check(pi)
+        rows = len(pi) if qs.is_linear else qs.failure_index
+        assert qs.member.dtype == bool and qs.member.shape == (rows, spec.ctx.n)
+        assert np.array_equal(qs.member, _colon_members(pi, rows))
+        g_of, coeff_of = oracle_table(qs)
+        assert (g_of[~qs.member] == -1).all() and (coeff_of[~qs.member] == -1).all()
+        gens, ctx = support.monomials(pi), spec.ctx
+        gen, col = np.nonzero(qs.member)
+        for i, s, g, t in zip(*(a.tolist() for a in (gen, col + 1, g_of[gen, col], coeff_of[gen, col]))):
+            x = gens[i] * variable(ctx, s)
+            assert g == support.g_oracle_index(qs, x)
+            assert gens[g] * variable(ctx, t) == x
+        seen.add("classified" if spec.l is not None else "oracle-g" if qs.is_linear else "failure")
+
+    check()
+    assert seen == {"classified", "oracle-g", "failure"}
 
 
 def _outcome(check, pi):

@@ -21,7 +21,6 @@ from lexres import (
 )
 from lexres.cli import main
 from lexres.lexsegment import LexSegmentSpec
-from lexres.quotients import QuotientStructure
 from lexres.resolution import Basis, DifferentialMatrix, resolution_basis, stream_resolution
 
 # the three displayed differentials of the worked example, transcribed as
@@ -119,7 +118,7 @@ def test_single_generator_resolution():
 def test_rank_identity_binomials(example_quotients_squared):
     rc, _ = support.resolve(example_quotients_squared)
     sets = example_quotients_squared.sets
-    assert rc.betti == betti_from_sets(sets)
+    assert rc.betti == betti_from_sets(example_quotients_squared.member)
     for i, basis in rc.bases.items():
         assert len(basis) == rc.betti[i]
         # the rows are distinct (i-1)-subsets of set(gen), so the count is the binomial sum
@@ -280,7 +279,7 @@ def test_resolution_basis_matches_loop():
             # any sorted sets, the empty one and the full range of variables included
             sets = [tuple(sorted(rng.sample(range(1, n + 1), rng.randrange(0, n + 1))))
                     for _ in qs.sets]
-            other = QuotientStructure(power=qs.power, sets=sets)
+            other = support.quotient_structure(qs.power, sets)
             assert resolution_basis(other) == support.resolution_basis_loop(other)
 
 

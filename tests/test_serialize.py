@@ -227,6 +227,45 @@ def test_json_import_rejects_a_sign_past_its_type(sign, message):
         resolution_from_dict(data)
 
 
+def _set_header(field, value):
+    def corrupt(data):
+        data[field] = value
+    return corrupt
+
+
+def _set_exponent(data):
+    data["generators"][2][1] = 1.9
+
+
+def _set_bool_exponent(data):
+    data["generators"][0][3] = True
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_set_exponent, "the generator exponents must be integers"),
+    (_set_bool_exponent, "the generator exponents must be integers"),
+    (_set_entry("r", 0.7), "the entries of d1 must be integers"),
+    (_set_entry("sign", True), "the entries of d1 must be integers"),
+    (_set_header("u", [1.0, 0, 1, 0]), "the exponents of u must be integers"),
+    (_set_header("v", [0, 1, 0, 1.5]), "the exponents of v must be integers"),
+    (_set_header("k", 1.0), "n, d, k and l must be integers"),
+    (_set_header("n", "4"), "n, d, k and l must be integers"),
+    (_set_header("l", 2.0), "n, d, k and l must be integers"),
+    (_set_header("betti", [1, 5, 6.0, 2]), "betti and shifts must be integers"),
+    (_set_symbol("sigma", [2.0]), "the basis symbols must be integers"),
+    (_set_symbol("gen", True), "the basis symbols must be integers"),
+], ids=["exponent-float", "exponent-bool", "entry-float", "sign-bool", "u-float", "v-float", "k-float",
+        "n-string", "l-float", "betti-float", "sigma-float", "gen-bool"])
+def test_json_import_takes_only_integers(corrupt, message):
+    # numpy and Monomial would truncate 1.9 to 1 and read true as 1, and a
+    # string n would end in a TypeError: each is a malformed file instead
+    data = json.loads(support.resolution_to_json(*_family(4, (1, 0, 1, 0), (0, 1, 0, 1), 1)))
+    resolution_from_dict(json.loads(json.dumps(data)))
+    corrupt(data)
+    with pytest.raises(ValueError, match=message):
+        resolution_from_dict(data)
+
+
 def test_json_empty_basis_and_empty_matrix():
     rc, _ = _single_generator()
     rc = ResolutionComplex(quotients=rc.quotients, bases={**rc.bases, 2: Basis([], [], 1, 3)})
