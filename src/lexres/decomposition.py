@@ -2,9 +2,9 @@
 
 g(x_s * m) is the earliest generator in increasing revlex that divides
 x_s * m.  All generators share one degree, so those are the exchange
-neighbours x_s * m / x_t, read from PowerIdeal.neighbours by the same
-reduction to the earliest one that gives set(m) (lexres.quotients).  g is
-evaluated on every pair at once and cached in qs.g_tables as one table
+neighbours x_s * m / x_t, and PowerIdeal.earliest holds the earliest one
+with its cofactor, the reduction that also gives set(m) (lexres.quotients).
+g is evaluated on every pair at once and cached in qs.g_tables as one table
 (g, coeff), the layout assembly reads: two int64 arrays of the shape of
 qs.member, (|G|, n), -1 everywhere but at the pairs (i, s) with s in
 set(m_i), where g[i, s-1] is the position of g(x_s m_i) in G(I^k) and
@@ -72,8 +72,7 @@ def oracle_table(qs: QuotientStructure) -> tuple[np.ndarray, np.ndarray]:
     if "oracle" not in qs.g_tables:
         # the generators dividing x_s * m_i are its neighbours x_s * m_i / x_t:
         # g is the earliest, and t its cofactor
-        N = qs.power.neighbours[: len(qs.member)]
-        qs.g_tables["oracle"] = tuple(np.where(qs.member, a, -1) for a in (N.min(axis=2), N.argmin(axis=2) + 1))
+        qs.g_tables["oracle"] = tuple(np.where(qs.member, a[: len(qs.member)], -1) for a in qs.power.earliest)
     return qs.g_tables["oracle"]
 
 

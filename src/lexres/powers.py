@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -29,14 +30,13 @@ ENTRY_BUDGET = 8 * 10**6
 
 class PowerIdeal:
     """G(I^k) as an increasing-revlex sequence: exponent_matrix is the int64
-    (|G|, n) array of the generators, one row each in generator order, and
-    the exchange-neighbour table is built from it on first use."""
+    (|G|, n) array of the generators, one row each in generator order; the
+    exchange-neighbour table and its earliest entries are built on first use."""
 
     def __init__(self, spec: LexSegmentSpec, k: int, exponent_matrix: np.ndarray):
         self.spec = spec
         self.k = k
         self.exponent_matrix = exponent_matrix
-        self._neighbours = None
 
     def __len__(self):
         return len(self.exponent_matrix)
@@ -46,16 +46,21 @@ class PowerIdeal:
         """exponent_matrix, under the name perfbench/tracer.py counts |G| by."""
         return self.exponent_matrix
 
-    @property
+    @cached_property
     def neighbours(self) -> np.ndarray:
         """neighbours[i, s-1, t-1] is the position of m_i * x_s / x_t in G, or
         len(G) where that is not a generator; its diagonal is i."""
-        if self._neighbours is None:
-            cells = len(self) * self.spec.ctx.n**2
-            if cells > ENTRY_BUDGET:
-                raise BudgetError(f"the exchange-neighbour table has {cells} cells, over the budget {ENTRY_BUDGET}")
-            self._neighbours = _exchange_neighbours(self.exponent_matrix, self.k)
-        return self._neighbours
+        cells = len(self) * self.spec.ctx.n**2
+        if cells > ENTRY_BUDGET:
+            raise BudgetError(f"the exchange-neighbour table has {cells} cells, over the budget {ENTRY_BUDGET}")
+        return _exchange_neighbours(self.exponent_matrix, self.k)
+
+    @cached_property
+    def earliest(self) -> tuple[np.ndarray, np.ndarray]:
+        """(g, t): g[i, s-1] is the earliest neighbour m_i * x_s / x_t, at
+        most i by the diagonal, and t[i, s-1] its 1-based t."""
+        t = self.neighbours.argmin(axis=2)
+        return np.take_along_axis(self.neighbours, t[:, :, None], axis=2)[:, :, 0], t + 1
 
 
 def _exchange_neighbours(G: np.ndarray, k: int) -> np.ndarray:

@@ -2,10 +2,10 @@
 
 All generators of I^k share one degree, so the quotient m_j / gcd(m_j, m_i)
 is a variable x_s exactly when m_j = m_i * x_s / x_t for some t != s: set(m_i)
-is read off the exchange-neighbour table PowerIdeal.neighbours, by the
-reduction to the earliest entry per (i, s) that also gives the definitional
-g.  The colon (m_1,...,m_{i-1}) : (m_i) is then generated by the x_s, s in
-set(m_i), exactly when no earlier m_j is <= m_i on every column of set(m_i),
+is read off the exchange-neighbour table's reduction to the earliest entry
+per (i, s), PowerIdeal.earliest, which also gives the definitional g.  The
+colon (m_1,...,m_{i-1}) : (m_i) is then generated by the x_s, s in set(m_i),
+exactly when no earlier m_j is <= m_i on every column of set(m_i),
 which one earliest-divisor scan per distinct set decides for all i.  Full
 minimalization runs only on the failure path and in colon_minimal_generators.
 """
@@ -90,7 +90,7 @@ def linear_quotients_check(pi: PowerIdeal) -> QuotientStructure:
     G = pi.exponent_matrix
     # x_s is in set(m_i) when the earliest generator m_i * x_s / x_t, which
     # is g(x_s * m_i), comes before m_i
-    member = pi.neighbours.min(axis=2) < np.arange(len(G))[:, None]
+    member = pi.earliest[0] < np.arange(len(G))[:, None]
     failure = _first_uncovered(G, member)
     # increasing revlex forces every colon variable past min(m_i); a failed
     # colon is reported before a violation at its own or a later index

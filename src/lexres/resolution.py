@@ -248,21 +248,8 @@ def _cancels(keys: np.ndarray, values: np.ndarray) -> bool:
     return not np.add.reduceat(values.astype(np.int64)[order], starts).any()
 
 
-# product pairs of d_{i+1} and d_i entries cancelled together by compose_check
-_COMPOSE_PAIRS = 1 << 18
-
-
-def _products_cancel(up, up_signs, first, counts, ends, low, low_signs) -> bool:
-    """Whether the products cancel when d_{i+1} entry e (key up, sign) meets
-    the counts[e] entries of d_i from first[e] on; ends = cumsum(counts)."""
-    inner = np.repeat(first - ends + counts, counts)
-    inner += np.arange(ends[-1])
-    keys = np.repeat(up, counts)
-    keys += low[inner]
-    signs = np.repeat(up_signs.astype(np.int64), counts)
-    signs *= low_signs[inner]
-    del inner
-    return _cancels(keys, signs)
+# the most products of d_{i+1} and d_i entries that compose_check cancels in one block
+_COMPOSE_PAIRS = 1 << 16
 
 
 def compose_check_d0(gens: np.ndarray, d1: DifferentialMatrix) -> bool:
@@ -286,45 +273,43 @@ def compose_check(lower: DifferentialMatrix, upper: DifferentialMatrix) -> bool:
 
     Every product of a d_{i+1} entry with an entry of the d_i column it
     lands on is keyed by its cell and its two variables, and the signs must
-    sum to zero over each key.  The key holds the d_{i+1} column, so no group
-    spans two columns: d_{i+1} is cut at column boundaries into ranges of at
-    most _COMPOSE_PAIRS products, a bigger column alone, and each range is
-    cancelled on its own.  The cap bounds the products and their keys only:
-    the per-entry arrays that pair the entries and cut the ranges, five over
-    d_{i+1} and two over d_i, span the whole degree.  A degree within the
-    cap is one range."""
-    if not upper.entry_count():
-        return True
+    sum to zero over each key.  The key holds the d_{i+1} column, so d_{i+1}
+    is read in blocks of whole columns, each cancelled on its own: at most
+    _COMPOSE_PAIRS // widest entries, widest being d_i's widest column, so
+    at most _COMPOSE_PAIRS products (a bigger column is a block alone).  The
+    cap bounds all the memory but d_i's column starts and widths."""
     # a product x_a x_b at (column, row) is keyed by the column, the row, a + b
     # and a^2 + b^2, which fix {a, b}: the key is one term of the d_{i+1}
-    # entry plus one of the d_i entry, with a and b counted from the least var
-    both = np.concatenate([upper.vars, lower.vars])
-    lo, span = int(both.min()), int(both.max()) - int(both.min()) + 1
+    # entry plus one of the d_i entry, with a and b counted from lo <= every var
+    lo = min(int(upper.vars.min(initial=0)), int(lower.vars.min(initial=0)))
+    span = max(int(upper.vars.max(initial=0)), int(lower.vars.max(initial=0))) - lo + 1
     sq = 2 * span * span  # bounds a^2 + b^2
     per_cell = 2 * span * sq  # bounds (a + b) sq + a^2 + b^2
-    a, b = (m.vars.astype(np.int64) - lo for m in (upper, lower))
-    up = upper.cols.astype(np.int64)
-    # each range takes the most whole columns whose products fit under the
-    # cap, at least one; column_ends holds the entry after each column
-    column_ends = np.append(np.flatnonzero(np.diff(up)) + 1, len(up))
-    up *= lower.nrows * per_cell
-    up += a * sq + a * a
-    low = lower.rows.astype(np.int64) * per_cell + b * sq + b * b
-    # pair every entry of d_{i+1} with each entry of the d_i column it lands on
-    # (column j of d_i is starts[j]:starts[j + 1])
-    starts = np.searchsorted(lower.cols, np.arange(lower.ncols + 1))
-    first = starts[upper.rows]
-    counts = starts[1:][upper.rows] - first
-    ends = np.cumsum(counts)
-    done = ends[column_ends - 1]  # products up to each column's end
-    start = base = c = 0
-    while start < len(counts):
-        c = max(int(np.searchsorted(done, base + _COMPOSE_PAIRS, side="right")) - 1, c)
-        part = slice(start, int(column_ends[c]))
-        if not _products_cancel(up[part], upper.signs[part], first[part], counts[part],
-                                ends[part] - base, low, lower.signs):
+
+    def term(cells, variables):
+        a = variables.astype(np.int64) - lo
+        return cells.astype(np.int64) * per_cell + a * sq + a * a
+
+    # column j of d_i is its entries starts[j]:starts[j] + widths[j]
+    starts = np.searchsorted(lower.cols, np.arange(lower.ncols, dtype=lower.cols.dtype))  # no int64 copy of cols
+    widths = np.diff(starts, append=lower.entry_count())
+    step = max(_COMPOSE_PAIRS // int(widths.max(initial=1)), 1)
+    cols, start = upper.cols, 0
+    while start < len(cols):
+        # the columns that end within step entries of start, or the column at start alone
+        stop = len(cols) if start + step >= len(cols) else int(np.searchsorted(cols, cols[start + step]))
+        part = slice(start, stop if stop > start else int(np.searchsorted(cols, cols[start], side="right")))
+        counts = widths[upper.rows[part]]
+        inner = np.repeat(starts[upper.rows[part]] - np.cumsum(counts) + counts, counts)
+        inner += np.arange(len(inner))  # each entry of d_{i+1} meets its row's column of d_i
+        keys = np.repeat(term(cols[part] * np.int64(lower.nrows), upper.vars[part]), counts)
+        keys += term(lower.rows[inner], lower.vars[inner])
+        signs = np.repeat(upper.signs[part].astype(np.int64), counts)
+        signs *= lower.signs[inner]
+        del inner
+        if not _cancels(keys, signs):
             return False
-        start, base, c = part.stop, int(done[c]), c + 1
+        start = part.stop
     return True
 
 

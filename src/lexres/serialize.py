@@ -9,9 +9,9 @@ import json
 import numpy as np
 
 from .errors import BudgetError
-from .lexsegment import LexSegmentSpec
+from .lexsegment import LexSegmentSpec, classify_linear_form
 from .monomials import Monomial, RingContext
-from .powers import PowerIdeal
+from .powers import PowerIdeal, power_generators
 from .quotients import QuotientStructure
 from .resolution import DifferentialMatrix, ResolutionComplex, betti_from_sets, resolution_basis
 
@@ -127,16 +127,27 @@ def _integers(values, what: str) -> list:
 def resolution_from_dict(data: dict):
     """Rebuild the complex from its JSON form: (rc, differentials), the
     differentials as (i, d_i) pairs in degree order, as stream_resolution
-    yields them.  Malformed input raises ValueError: a number that is not an
-    integer, a generator row that is not n exponents >= 0, a generator count
-    other than the set count, a set that is not strictly increasing within
-    1..n, bases other than those the sets give, matrices other than
-    d1..d_{pd-1}, or a matrix that its bases do not give."""
+    yields them.  Malformed input raises ValueError and nothing else: a
+    missing field or a value of another JSON type than the format's, a
+    number that is not an integer, generator rows other than G(I^k) of the
+    header's u, v, d and k (n exponents >= 0 each, one per set), an l other
+    than classify_linear_form's, a set that is not strictly increasing
+    within 1..n, or bases, matrices, Betti numbers or shifts that the sets
+    do not give."""
+    try:
+        return _from_dict(data)
+    except (KeyError, TypeError, AttributeError) as exc:  # a missing field, or a list where an object belongs
+        raise ValueError(f"not the JSON form of a resolution: {type(exc).__name__} {exc}") from None
+
+
+def _from_dict(data: dict):
     n, d, k, l = (data[key] for key in ("n", "d", "k", "l"))
     _integers([n, d, k] if l is None else [n, d, k, l], "n, d, k and l")
     ctx = RingContext(n)
     u, v = (Monomial(ctx, _integers(data[end], f"the exponents of {end}")) for end in ("u", "v"))
     spec = LexSegmentSpec(ctx=ctx, d=d, u=u, v=v, l=l)
+    if v.exponent(1) or classify_linear_form(spec).linear_form_l != l:  # classify needs x1 ∤ v
+        raise ValueError(f"l = {l} does not match classify_linear_form on L({u}, {v}) (normalized, x1 ∤ v)")
     try:
         gens = np.array(data["generators"], dtype=np.int64)
         if gens.ndim != 2 or gens.shape[1] != ctx.n:
@@ -148,12 +159,17 @@ def resolution_from_dict(data: dict):
         raise ValueError(f"negative exponent in {tuple(gens[(gens < 0).any(axis=1)][0].tolist())}")
     if len(gens) != len(data["sets"]):
         raise ValueError(f"{len(gens)} generator rows for {len(data['sets'])} sets")
+    if (gens.sum(axis=1) != k * d).any():  # before power_generators, which a wrong k could send over budget
+        raise ValueError(f"the generators are not all of degree k*d = {k * d}")
+    power = power_generators(spec, k)
+    if not np.array_equal(power.exponent_matrix, gens):
+        raise ValueError(f"the generators are not G(I^{k}) for I = L({u}, {v})")
     member = np.zeros(gens.shape, dtype=bool)
     for j, st in enumerate(data["sets"]):
         if not all(type(s) is int and 1 <= s <= ctx.n for s in st) or list(st) != sorted(set(st)):
             raise ValueError(f"set(u{j + 1}) = {list(st)} is not strictly increasing within 1..{ctx.n}")
         member[j, [s - 1 for s in st]] = True
-    qs = QuotientStructure(power=PowerIdeal(spec, k, gens), member=member)
+    qs = QuotientStructure(power=power, member=member)
     # the symbol counts first, so that no basis is built larger than the file's
     betti, symbols = betti_from_sets(member), data["bases"]
     if symbols.keys() != {str(i) for i in range(1, len(betti))} or any(

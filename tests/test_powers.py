@@ -102,7 +102,13 @@ def test_neighbours_match_loop_on_shuffled_sets(n, d, data):
                               max_size=12, unique=True))
     gens = data.draw(st.permutations(gens))
     pi = support.power_ideal(LexSegmentSpec(ctx=ctx, d=d, u=gens[0], v=gens[0]), 1, gens)
-    assert pi.neighbours.tolist() == support.neighbours_loop(pi)
+    table = support.neighbours_loop(pi)
+    assert pi.neighbours.tolist() == table
+    # the earliest neighbour per (i, s) and its 1-based t, computed once
+    g, t = pi.earliest
+    assert g.tolist() == [[min(row) for row in rows] for rows in table]
+    assert t.tolist() == [[row.index(min(row)) + 1 for row in rows] for rows in table]
+    assert pi.earliest[0] is g
 
 
 def test_neighbours_beyond_int64_row_keys():

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import support
 from lexres import (
@@ -19,7 +21,9 @@ from lexres import (
     make_classified_spec,
     power_generators,
 )
+from lexres import resolution
 from lexres.cli import main
+from lexres.decomposition import regularity_check_oracle
 from lexres.lexsegment import LexSegmentSpec
 from lexres.resolution import Basis, DifferentialMatrix, resolution_basis, stream_resolution
 
@@ -239,6 +243,64 @@ def test_compose_check_ranges_bound_its_memory(monkeypatch):
     whole = peak()
     monkeypatch.setattr("lexres.resolution._COMPOSE_PAIRS", 1 << 12)
     assert peak() < whole / 2
+
+
+def test_compose_check_blocks_bound_its_memory(monkeypatch):
+    # every consecutive pair of the n=7, k=2 ladder row (x1x4x5x6x7 / x2x7^4):
+    # at a cap of 2^12 the peak is bounded by the cap and by the column count
+    # of d_i (its column starts and widths), not by the entry counts, which
+    # reach 109,602 in d3
+    cap = 1 << 12
+    monkeypatch.setattr("lexres.resolution._COMPOSE_PAIRS", cap)
+    spec, _ = support.build_family_spec(7, (1, 0, 0, 1, 1, 1, 1), (0, 1, 0, 0, 0, 0, 4))
+    _, mats = support.resolve(linear_quotients_check(power_generators(spec, 2)))
+    assert max(mats) == 6
+    for i in range(1, max(mats)):
+        tracemalloc.start()
+        try:
+            assert compose_check(mats[i], mats[i + 1])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 96 * cap + 32 * mats[i].ncols, (i, peak)
+
+
+def test_compose_check_blocks_match_loop_property(monkeypatch):
+    # classified shapes and unclassified pairs, which resolve with the
+    # definitional g as --oracle-g does: at caps 1, 7 and the default, every
+    # d_i ∘ d_{i+1} with i >= 1 agrees with the loop, on the assembled complex
+    # and after one entry of d_i or d_{i+1} is corrupted
+    seen, caps = set(), (1, 7, resolution._COMPOSE_PAIRS)
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(spec=support.small_specs(), k=st.integers(1, 2), data=st.data())
+    def check(spec, k, data):
+        qs = linear_quotients_check(power_generators(spec, k))
+        if not qs.is_linear or not regularity_check_oracle(qs).regular:
+            return
+        rc, mats = support.resolve(qs)
+        n = spec.ctx.n
+        for i in range(1, max(rc.bases) - 1):
+            mat = mats[data.draw(st.sampled_from([i, i + 1]))]
+            p = data.draw(st.integers(0, mat.entry_count() - 1))
+            name = data.draw(st.sampled_from(["signs", "vars", "rows"]))
+            field = getattr(mat, name)
+            old = int(field[p])
+            # as in the corruption test above: a sign flipped, doubled or
+            # zeroed, a var outside 1..n included, a row moved
+            new = {"signs": [-old, 2 * old, 0], "vars": [v for v in range(n + 2) if v != old],
+                   "rows": [r for r in range(mat.nrows) if r != old] or [old]}[name]
+            for value in (old, data.draw(st.sampled_from(new))):
+                field[p] = value
+                expected = support.compose_check_loop(rc, mats, i)
+                for cap in caps:
+                    monkeypatch.setattr(resolution, "_COMPOSE_PAIRS", cap)
+                    assert compose_check(mats[i], mats[i + 1]) == expected, (i, cap, value)
+                seen.add((spec.l is not None, expected))
+            field[p] = old
+
+    check()
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
 @pytest.mark.parametrize("n, power", [(40, 1), (4, 2**32 - 1)], ids=["n40", "x1^(2^32-1)"])

@@ -175,6 +175,20 @@ def _drop_d1(data):
     del data["matrices"]["1"]
 
 
+def _parent(data, path):
+    for key in path[:-1]:
+        data = data[key]
+    return data
+
+
+def _replace(*path, value):
+    return lambda data: _parent(data, path).__setitem__(path[-1], value)
+
+
+def _drop(*path):
+    return lambda data: _parent(data, path).__delitem__(path[-1])
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (_grow_rows, "which its bases F_1, F_2 do not give"),
     (_set_entry("r", 10**6), "outside its 14 x 24 cells"),
@@ -186,13 +200,21 @@ def _drop_d1(data):
     (_set_symbol("sigma", [99]), "the bases are not the subsets of the sets"),
     (_set_set, r"set\(u4\) = \[99\] is not strictly increasing within 1\.\.4"),
     (_drop_d1, r"the matrices are not d1\.\.d3, one each"),
-], ids=["shape", "row", "column", "var-0", "var-9", "duplicate", "basis-gen", "basis-sigma", "set", "no-d1"])
+    (_replace("sets", 3, value=2), "not the JSON form of a resolution: TypeError"),
+    (_replace("bases", value=[]), "not the JSON form of a resolution: AttributeError"),
+    (_replace("matrices", value=[]), "not the JSON form of a resolution: AttributeError"),
+    (_drop("matrices", "1", "entries", 3, "var"), "not the JSON form of a resolution: KeyError 'var'"),
+    (_drop("generators"), "not the JSON form of a resolution: KeyError 'generators'"),
+], ids=["shape", "row", "column", "var-0", "var-9", "duplicate", "basis-gen", "basis-sigma", "set", "no-d1",
+        "set-number", "bases-list", "matrices-list", "no-var", "no-generators"])
 def test_json_import_rejects_malformed_matrices(corrupt, message):
     # each would otherwise load: an IndexError later in the rank check, x0
     # read as x4, two entries that the evaluation and compose_check would
     # combine differently, a basis or a set that the differentials were not
     # built on, which the rank check passes or reads past its generators,
-    # or a missing differential, which it cannot read
+    # or a missing differential, which it cannot read.  A missing field or a
+    # value of the wrong JSON type is malformed too, not a TypeError,
+    # AttributeError or KeyError
     data = json.loads(support.resolution_to_json(*_family(4, (1, 0, 1, 0), (0, 1, 0, 1), 2)))
     resolution_from_dict(json.loads(json.dumps(data)))
     corrupt(data)
@@ -262,6 +284,23 @@ def test_json_import_takes_only_integers(corrupt, message):
     data = json.loads(support.resolution_to_json(*_family(4, (1, 0, 1, 0), (0, 1, 0, 1), 1)))
     resolution_from_dict(json.loads(json.dumps(data)))
     corrupt(data)
+    with pytest.raises(ValueError, match=message):
+        resolution_from_dict(data)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("k", 3, r"not all of degree k\*d = 6"),
+    ("l", 3, r"l = 3 does not match classify_linear_form on L\(x1x3, x2x4\)"),
+    ("l", None, r"l = None does not match"),
+    ("v", [1, 0, 0, 1], r"l = 2 does not match classify_linear_form on L\(x1x3, x1x4\)"),
+    ("u", [1, 0, 0, 1], r"the generators are not G\(I\^1\) for I = L\(x1x4, x2x4\)"),
+], ids=["k", "l", "l-none", "v-not-normalized", "u"])
+def test_json_import_checks_its_header(field, value, message):
+    # the worked example, n = 4, L(x1x3, x2x4), k = 1, with one header field
+    # edited: its generators and l no longer follow from the header
+    data = json.loads(support.resolution_to_json(*_family(4, (1, 0, 1, 0), (0, 1, 0, 1), 1)))
+    assert data[field] != value
+    data[field] = value
     with pytest.raises(ValueError, match=message):
         resolution_from_dict(data)
 
