@@ -6,7 +6,8 @@ the alternating sum of basis degrees exercises the resolution against a
 pipeline that never saw the differentials.  The recursion's ideals are
 small lists of Python int exponent tuples, and the one divisibility test of
 each colon runs on exponents packed into Python ints, or as one numpy scan
-when the colon is large.  The randomized rank check
+when the colon is large.  Its base case is an ideal whose lcm grid fits
+_GRID_CELLS cells, counted cell by cell in numpy.  The randomized rank check
 evaluates the differentials at random nonzero points mod a large prime and
 tests rank additivity at every homological position; it is a necessary
 condition for exactness, never a proof.  Most ranks need no elimination:
@@ -71,8 +72,57 @@ def _pmul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
 
 # (divisor, free row) pairs of a colon above which one first_divisors scan
 # replaces the packed-int tests: the measured crossover on the n = 5..8
-# ladder rows, where both take about 0.2 ms
+# ladder rows, where both take about 0.2 ms.  With the grid as base case,
+# the n = 7, 8 rows still split colons on both sides of it: packed tests
+# won at 584 pairs, the scan at 1,728
 _COLON_SCAN_PAIRS = 1024
+
+
+# cells of the lcm grid, and of every array counted from it, up to which a
+# node of the Hilbert recursion is counted by _staircase instead of split:
+# the n=6, k=2 benchmark ideal (64,827 cells) is one node, and on the n=7
+# and n=8 ladder rows smaller caps were slower and 2^18 slowed n=8
+_GRID_CELLS = 1 << 16
+
+
+def _staircase(cols: list) -> dict[int, int] | None:
+    """N(t) for the ideal whose used columns, one exponent tuple per
+    variable, are cols, by counting the monomials outside it in the lcm grid;
+    None when an array it builds would pass _GRID_CELLS cells.
+
+    Axis c cuts at 0 < v_1 < ... < v_last, 0 and the distinct exponents of
+    column c.  Every generator exponent is a cut, so membership is constant
+    on a cell: the generators' cells, closed upward along every axis.  A cell
+    [v_j, v_{j+1}) outside the ideal adds prod_c (t^v_j - t^v_{j+1}) to N(t),
+    t^v_last on an axis's last cell.  The axes are contracted from the first
+    one into a leading polynomial axis of length 1 + the degree so far."""
+    cuts, rest, length = [], 1, 1
+    for c in cols:
+        cuts.append(sorted({0, *c}))
+        rest *= len(cuts[-1])
+        if rest > _GRID_CELLS:
+            return None
+    for cut in cuts:  # summed in Python ints: two exponents near 2^62 would wrap int64
+        rest, length = rest // len(cut), length + cut[-1]
+        if rest * length > _GRID_CELLS:
+            return None
+    grid = np.zeros([len(cut) for cut in cuts], dtype=bool)
+    grid[tuple(np.searchsorted(cut, c) for cut, c in zip(cuts, cols))] = True
+    for axis in range(grid.ndim):
+        view = np.moveaxis(grid, axis, 0)
+        for j in range(1, len(view)):
+            view[j] |= view[j - 1]
+    poly = np.logical_not(grid, out=grid)[None]
+    del grid, view
+    for cut in cuts:
+        width = len(poly)
+        out = np.zeros((width + cut[-1],) + poly.shape[2:], dtype=np.int64)
+        for j, (lo, hi) in enumerate(zip(cut, cut[1:] + [None])):
+            out[lo:lo + width] += poly[:, j]
+            if hi is not None:
+                out[hi:hi + width] -= poly[:, j]
+        poly = out
+    return {d: c for d, c in enumerate(poly.tolist()) if c}
 
 
 def hilbert_numerator(rows: np.ndarray) -> HilbertNumerator:
@@ -81,14 +131,17 @@ def hilbert_numerator(rows: np.ndarray) -> HilbertNumerator:
 
         N(J) = N(J + (x)) + t * N(J : x)
 
-    with closed forms for the empty set and for pure-power generators.  J is
-    carried as its minimal generators, sorted (degree, exponent tuple,
-    packed exponents) triples, so in (degree, lex) order; x is the variable
-    occurring in the most generators that are not pure powers, the first one
-    on ties.  Subproblems are pooled by a canonical key: unused variables
-    dropped, then columns and rows sorted, since the numerator is unchanged
-    by permuting variables.  Every call is a node counted against
-    DEFAULT_HILBERT_BUDGET, read when the recursion starts.
+    with closed forms for the empty set and for pure-power generators, and
+    _staircase for an ideal whose lcm grid, and every array counted from it,
+    fits _GRID_CELLS cells.  J is carried as its minimal generators, sorted
+    (degree, exponent tuple, packed exponents) triples, so in (degree, lex)
+    order; x is the variable occurring in the most generators that are not
+    pure powers, the first one on ties.  Subproblems are pooled by a
+    canonical key: unused variables dropped, then columns and rows sorted,
+    since the numerator is unchanged by permuting variables.  Every call is
+    a node counted against DEFAULT_HILBERT_BUDGET, read when the recursion
+    starts, whether it splits or ends in a closed form, a memo hit or the
+    grid: an ideal that fits the grid is one node.
 
     The packed form holds each exponent in a field of 1, 2, 4 or 8 bytes,
     the fewest whose top bit, a guard, the input's largest exponent does not
@@ -114,24 +167,28 @@ def hilbert_numerator(rows: np.ndarray) -> HilbertNumerator:
             for d, _, _ in rows:
                 out = _pmul(out, {0: 1, d: -1})
             return out
+        cols = [c for c in zip(*exps) if any(c)]
         # the column sort reads columns in row order: canonical only because
         # the rows are in (degree, lex) order
-        key = tuple(sorted(zip(*sorted(c for c in zip(*exps) if any(c)))))
+        key = tuple(sorted(zip(*sorted(cols))))
         hit = memo.get(key)
         if hit is not None:
             return hit
-        counts = [len(c) - c.count(0) for c in zip(*mixed)]
-        x = counts.index(max(counts))
-        # the rows free of x stay minimal and x divides none of them
-        free = [t for t in rows if not t[1][x]]
-        plus = free.copy()
-        bisect.insort(plus, units[x])
-        n_plus = rec(plus)
-        n_colon = rec(colon(free, x, [t for t in rows if t[1][x]]))
-        out = dict(n_plus)
-        for deg, coef in n_colon.items():
-            out[deg + 1] = out.get(deg + 1, 0) + coef
-        out = {k: v for k, v in out.items() if v}
+        out = _staircase(cols)
+        del cols  # held by every frame of the split, they added 3 MB to the peak on n=8
+        if out is None:
+            counts = [len(c) - c.count(0) for c in zip(*mixed)]
+            x = counts.index(max(counts))
+            # the rows free of x stay minimal and x divides none of them
+            free = [t for t in rows if not t[1][x]]
+            plus = free.copy()
+            bisect.insort(plus, units[x])
+            n_plus = rec(plus)
+            n_colon = rec(colon(free, x, [t for t in rows if t[1][x]]))
+            out = dict(n_plus)
+            for deg, coef in n_colon.items():
+                out[deg + 1] = out.get(deg + 1, 0) + coef
+            out = {k: v for k, v in out.items() if v}
         memo[key] = out
         return out
 

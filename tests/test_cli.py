@@ -187,7 +187,11 @@ def test_cli_verify_skips_hilbert_over_budget(capsys, monkeypatch):
     assert main(args) == 0
     passed = capsys.readouterr().out.splitlines()
     assert all(line.startswith("[PASS] ") for line in passed)
+    # the worked example at k=2 fits the lcm grid, one node within any
+    # budget; with _GRID_CELLS at 0 the root splits, and the second node
+    # passes a budget of 1
     monkeypatch.setattr(verify, "DEFAULT_HILBERT_BUDGET", 1)
+    monkeypatch.setattr(verify, "_GRID_CELLS", 0)
     assert main(args) == 0
     skip = "[SKIP] Euler/Hilbert identity: hilbert recursion exceeded 1 nodes"
     assert capsys.readouterr().out.splitlines() == [

@@ -21,7 +21,7 @@ UNREFERENCED_OK = {
     "resolution_from_json": "the documented reader of the JSON export",
     "all_degree_monomials": "perfbench/pin.py enumerates whole degree slices with it",
     "variable": "the public constructor of x_i, beside one()",
-    "PowerIdeal.generators": "perfbench/tracer.py counts |G| by this name (ROADMAP item 2 drops it)",
+    "PowerIdeal.generators": "perfbench/tracer.py counts |G| by this name (ROADMAP item 5 drops it)",
 }
 
 

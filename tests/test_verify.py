@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +75,9 @@ def _hilbert(monkeypatch, rows, budget: int):
 
 
 def test_hilbert_budget(monkeypatch):
+    # this ideal's lcm grid fits _GRID_CELLS, so at the default it is one
+    # node; with no node counted in the grid the recursion splits past 3
+    monkeypatch.setattr(verify, "_GRID_CELLS", 0)
     ctx = RingContext(6)
     rng = random.Random(4)
     gens = list({support.random_monomial(rng, ctx, 6) for _ in range(40)})
@@ -85,10 +89,15 @@ def test_hilbert_budget(monkeypatch):
 def test_hilbert_budget_edge(example_power_squared, monkeypatch):
     # the recursion's node count on the large benchmark instance and on the
     # worked example at k=2: a drifting memo key or pivot order moves the
-    # budget at which verify prints [SKIP]
+    # budget at which verify prints [SKIP].  With _GRID_CELLS at 0 every node
+    # splits; at the default, both whole ideals are counted in their grids
+    # (64,827 cells for large)
     spec, _ = support.build_family_spec(6, (1, 0, 0, 1, 1, 1), (0, 1, 0, 0, 0, 3))
     large = power_generators(spec, 2).exponent_matrix
-    for gens, nodes in ((large, 119), (example_power_squared.exponent_matrix, 15)):
+    for cells, gens, nodes in ((0, large, 119), (0, example_power_squared.exponent_matrix, 15),
+                               (verify._GRID_CELLS, large, 1),
+                               (verify._GRID_CELLS, example_power_squared.exponent_matrix, 1)):
+        monkeypatch.setattr(verify, "_GRID_CELLS", cells)
         _hilbert(monkeypatch, gens, nodes)
         with pytest.raises(BudgetError, match=f"exceeded {nodes - 1} nodes"):
             _hilbert(monkeypatch, gens, nodes - 1)
@@ -137,8 +146,10 @@ def _exponent_lists():
 def test_hilbert_matches_loop_with_exact_budget(cut, monkeypatch):
     # the colon's divisibility test by one first_divisors scan (cut 0) and by
     # packed ints only (a huge cut): the same numerator as the numpy loop, and
-    # the same node count, so the same budget boundary
+    # the same node count, so the same budget boundary, with no node counted
+    # in the grid, as the loop counts none
     monkeypatch.setattr("lexres.verify._COLON_SCAN_PAIRS", cut)
+    monkeypatch.setattr(verify, "_GRID_CELLS", 0)
 
     @settings(derandomize=True, database=None, max_examples=100, deadline=None)
     @given(case=_exponent_lists())
@@ -156,6 +167,69 @@ def test_hilbert_matches_loop_with_exact_budget(cut, monkeypatch):
             _hilbert(monkeypatch, gens, nodes - 1)
         with pytest.raises(BudgetError, match=f"exceeded {nodes - 1} nodes"):
             support.hilbert_numerator_loop(gens, budget=nodes - 1)
+
+    check()
+
+
+def _staircase_cases():
+    """n <= 6 and 1 to 8 rows of exponents 0..4, with repeated rows, rows
+    above a drawn one (so not minimal), now and then the unit monomial and a
+    column set to 0 (none when zero = n); one exponent may be 127 or 128,
+    and two columns may carry pure powers near 2^62, each in a row of its
+    own: no row's degree passes int64, but the lcm's does."""
+
+    def build(args):
+        n, rows, dups, above, zero, big, at, huge, unit = args
+        rows = [list(r) for r in rows]
+        rows += [list(rows[i % len(rows)]) for i in dups if rows]
+        rows += [[a + b for a, b in zip(rows[i % len(rows)], step)] for i, step in above if rows]
+        if rows and big:
+            rows[at % len(rows)][at % n] = big
+        for row in rows if zero < n else ():
+            row[zero] = 0
+        for col, e in zip((at % n, (at + 1) % n), huge):
+            rows.append([e * (j == col) for j in range(n)])
+        return n, [tuple(r) for r in rows + [[0] * n] * unit]
+
+    small = st.sampled_from((0, 0, 1, 1, 2, 3, 4))
+    return st.integers(2, 6).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.tuples(*[small] * n), min_size=1, max_size=8),
+        st.lists(st.integers(0, 7), max_size=2),
+        st.lists(st.tuples(st.integers(0, 7), st.tuples(*[small] * n)), max_size=2),
+        st.integers(0, n), st.sampled_from((0, 127, 128)), st.integers(0, 47),
+        st.sampled_from(((), (), (), (2**62 - 1, 2**62 + 3), (2**62, 2**62))),
+        st.sampled_from((0,) * 5 + (1,)),
+    )).map(build)
+
+
+@pytest.mark.parametrize("cells", [verify._GRID_CELLS, 16], ids=["default", "small"])
+def test_hilbert_staircase_matches_recursion(cells, monkeypatch):
+    # a node counted in its lcm grid has the numerator that splitting it
+    # gives, and that inclusion-exclusion gives: at the default _GRID_CELLS,
+    # where these whole ideals fit one grid, and at 16 cells, where the
+    # recursion splits down to grids.  An lcm of degree near 2^63 passes the
+    # bound on the grid's polynomial axis, so those ideals reach the
+    # recursion, and no array of the base case passes _GRID_CELLS int64 cells
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(case=_staircase_cases())
+    @example(case=(3, []))  # the empty ideal
+    @example(case=(4, [(0, 0, 0, 0), (1, 2, 0, 0), (1, 2, 0, 0)]))  # the unit ideal
+    @example(case=(4, [(1, 1, 0, 0), (0, 1, 1, 0), (2**62 - 1, 0, 0, 0), (0, 0, 2**62 + 3, 0)]))
+    @example(case=(3, [(127, 1, 0), (128, 0, 1), (0, 1, 1), (127, 0, 1)]))
+    def check(case):
+        n, rows = case
+        gens = np.array(rows, dtype=np.int64).reshape(-1, n)
+        monkeypatch.setattr(verify, "_GRID_CELLS", 0)
+        split = hilbert_numerator(gens)
+        monkeypatch.setattr(verify, "_GRID_CELLS", cells)
+        tracemalloc.start()
+        try:
+            got = hilbert_numerator(gens)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == split == support.hilbert_numerator_inclusion_exclusion(gens)
+        assert peak < 2 * 8 * verify._GRID_CELLS + (1 << 20)
 
     check()
 
