@@ -78,63 +78,19 @@ def _fitted(values, dtype, name: str) -> np.ndarray:
     return a.astype(dtype)
 
 
-class Basis:
-    """The symbols f(sigma; w) of one F_i as int64 arrays in matrix order:
-    gen (the generator position of w), sigma (one sorted row per symbol,
-    width i-1) and sigma's bit mask, with a lookup from (gen, mask) to the
-    symbol's row.  Every symbol of F_i has degree kd+i-1.
-
-    The lookup key is (gen << n) | (mask >> 1), as a mask sets bits 1..n
-    only; a basis whose keys would not fit below 2^63 is refused
-    (BudgetError) before any is computed."""
-
-    def __init__(self, gen, sigma, width: int, n: int):
-        self._shift = n
-        self.gen = np.asarray(gen, dtype=np.int64)
-        if (top := int(self.gen.max(initial=0))) << n >= 1 << 63:
-            raise BudgetError(f"the basis keys of {top + 1} generators in {n} variables do not fit in 63 bits")
-        self.sigma = np.asarray(sigma, dtype=np.int64).reshape(len(self.gen), width)
-        self.mask = (1 << self.sigma).sum(axis=1)
-        keys = (self.gen << self._shift) | (self.mask >> 1)
-        self._order = np.argsort(keys)
-        self._keys = keys[self._order]
-
-    def __len__(self) -> int:
-        return len(self.gen)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Basis)
-            and np.array_equal(self.gen, other.gen)
-            and np.array_equal(self.sigma, other.sigma)
-        )
-
-    def find(self, gen: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        """Row of f(sigma; gen) for each sigma given by its mask, -1 where absent."""
-        query = (gen << self._shift) | (mask >> 1)
-        pos = np.searchsorted(self._keys, query).clip(max=len(self._keys) - 1)
-        return np.where(self._keys[pos] == query, self._order[pos], -1)
-
-    def labels(self) -> list[str]:
-        return [
-            f"f({{{','.join(map(str, sigma))}}};u{gen + 1})"
-            for sigma, gen in zip(self.sigma.tolist(), self.gen.tolist())
-        ]
-
-
 class ResolutionComplex:
-    """The resolution's modules: one Basis per degree, with no differential.
+    """The resolution's modules, held as the quotient structure alone.
 
-    bases[i] is the basis of F_i for i >= 1 (F_0 = S); the differentials
-    come beside it as (i, d_i) pairs, d_i the map F_{i+1} -> F_i, and d0,
-    the 1 x beta_1 generator row, is power.exponent_matrix.  The Betti
-    numbers and shifts are read off the bases: I^k is generated in the
-    single degree kd, so F_i is S(-(kd+i-1))^|bases[i]|.
+    F_i (i >= 1; F_0 = S) has the basis f(sigma; w), sigma an (i-1)-subset
+    of set(w), in matrix order; symbols(i) builds it and keeps nothing.  The
+    differentials come beside the complex as (i, d_i) pairs, d_i the map
+    F_{i+1} -> F_i, and d0, the 1 x beta_1 generator row, is
+    power.exponent_matrix.  I^k is generated in the single degree kd, so
+    F_i is S(-(kd+i-1))^beta_i, beta_i = sum_w C(|set(w)|, i-1).
     """
 
-    def __init__(self, quotients, bases):
+    def __init__(self, quotients):
         self.quotients = quotients
-        self.bases = bases
 
     @property
     def power(self):
@@ -142,39 +98,74 @@ class ResolutionComplex:
 
     @property
     def betti(self) -> tuple[int, ...]:
-        return (1, *(len(self.bases[i]) for i in sorted(self.bases)))
+        return betti_from_sets(self.quotients.member)
 
     @property
     def shifts(self) -> tuple[tuple[int, int], ...]:
         kd = int(self.power.exponent_matrix[0].sum())
-        return ((0, 1), *((-(kd + i - 1), len(self.bases[i])) for i in sorted(self.bases)))
+        return ((0, 1), *((-(kd + i - 1), b) for i, b in enumerate(self.betti[1:], start=1)))
+
+    def symbols(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """F_i's symbols f(sigma; w) in matrix order as int64 arrays: gen, the
+        position of w, and sigma, one sorted row of width i-1 per symbol,
+        taken by position: the (i-1)-subsets of positions, in combinations
+        order, of the padded row of set(w), kept where they stay below |set(w)|."""
+        member = self.quotients.member
+        sizes = member.sum(axis=1)
+        width = int(sizes.max(initial=0))
+        padded = np.zeros((len(sizes), width), dtype=np.int64)
+        padded[np.arange(width) < sizes[:, None]] = np.nonzero(member)[1] + 1
+        picks = np.array(list(itertools.combinations(range(width), i - 1)), dtype=np.int64)
+        gen, which = np.nonzero(picks.max(axis=1, initial=-1) < sizes[:, None])
+        return gen, padded.ravel()[(gen * width)[:, None] + picks[which]]
 
     def __eq__(self, other):
         return (
             isinstance(other, ResolutionComplex)
             and np.array_equal(self.power.exponent_matrix, other.power.exponent_matrix)
             and np.array_equal(self.quotients.member, other.quotients.member)
-            and self.bases == other.bases
         )
 
 
-def resolution_basis(qs: QuotientStructure) -> dict[int, Basis]:
-    """All f(sigma; w) with sigma ⊆ set(w), |sigma| = i-1, in matrix order.
+def binomials(top: int) -> np.ndarray:
+    """C(a, b) for 0 <= a, b <= top in int64, 0 where b > a; top is the widest
+    set, which the entry budget keeps small, as beta >= C(m, m // 2)."""
+    return np.array([[math.comb(a, b) for b in range(top + 1)] for a in range(top + 1)], dtype=np.int64)
 
-    sigma is taken by position: the (i-1)-subsets of positions, in
-    combinations order, of the padded row of set(w), kept where they stay
-    below |set(w)|."""
-    n, member = qs.power.spec.ctx.n, qs.member
+
+def block_starts(binom: np.ndarray, sizes: np.ndarray, i: int) -> np.ndarray:
+    """The row of F_i at which each generator's block starts: F_i holds
+    C(|set(u_j)|, i-1) symbols of each u_j, generator by generator."""
+    counts = binom[sizes, i - 1]
+    return np.cumsum(counts) - counts
+
+
+def row_finder(member: np.ndarray):
+    """The row of f(tau; w) in F_i, -1 where tau is not in set(w), as a
+    function of the generator positions gen and of tau, one sorted row of
+    i-1 variables per query: w's block start plus the combinations-order
+    rank of tau's positions c_0 < ... < c_{r-1} in set(w), r = i-1 and
+    m = |set(w)|, C(m, r) - 1 - sum_j C(m-1-c_j, r-j).  So it is the last
+    row of w's block less one table entry per element of tau; an element
+    off set(w) reads more than any row there.  The tables hold |G| n
+    (m_max + 1) binomials, m_max the widest set."""
     sizes = member.sum(axis=1)
-    width = int(sizes.max(initial=0))
-    padded = np.zeros((len(sizes), width), dtype=np.int64)
-    padded[np.arange(width) < sizes[:, None]] = np.nonzero(member)[1] + 1
-    bases: dict[int, Basis] = {}
-    for i in range(1, width + 2):
-        picks = np.array(list(itertools.combinations(range(width), i - 1)), dtype=np.int64)
-        gen, which = np.nonzero((picks < sizes[:, None, None]).all(axis=2))
-        bases[i] = Basis(gen, padded[gen[:, None], picks[which]], i - 1, n)
-    return bases
+    top = int(sizes.max(initial=0))
+    binom = binomials(top)
+    last = np.cumsum(binom[sizes], axis=0) - 1  # [w, r], the last row of w's block of F_{r+1}
+    place = np.cumsum(member, axis=1) - 1  # x_s's position in set(w); sizes - 1 - place is in 0..m
+    terms = binom[sizes[:, None] - 1 - place]  # [w, s-1, k], C(m-1-c, k)
+    terms[~member] = last.max(initial=0) + 1
+    terms = terms.ravel()
+
+    def find(gen: np.ndarray, tau: np.ndarray) -> np.ndarray:
+        r = tau.shape[1]
+        row, at = last[gen, r], (gen * member.shape[1] - 1) * (top + 1) + r
+        for j, column in enumerate(tau.T):
+            row -= terms[at + column * (top + 1) - j]
+        return np.maximum(row, -1)
+
+    return find
 
 
 def betti_from_sets(member: np.ndarray) -> tuple[int, ...]:
@@ -185,17 +176,18 @@ def betti_from_sets(member: np.ndarray) -> tuple[int, ...]:
 
 
 def stream_resolution(qs: QuotientStructure):
-    """The resolution of S/I^k one differential at a time: the complex (its
-    bases) and a generator of (i, d_i) for i = 1, 2, ... in order.  The
-    generator keeps no differential once it has yielded it, so a reader
-    that drops d_i before asking for d_{i+1} holds one at a time; one that
-    wants them all at once takes dict(differentials).
+    """The resolution of S/I^k one differential at a time: the complex and a
+    generator of (i, d_i) for i = 1, 2, ... in order.  The generator keeps
+    no differential once it has yielded it, so a reader that drops d_i
+    before asking for d_{i+1} holds one at a time; one that wants them all
+    at once takes dict(differentials).
 
     g is the definitional one, read from its cached table as it stands; the
     mapping cone needs it regular, which is checked here (CheckFailure if
     not), as are linear quotients.  The complex is refused (BudgetError)
     before anything is built when its entry bound exceeds ENTRY_BUDGET: a
-    column of d_i has at most 2i entries.
+    column of d_i has at most 2i entries.  The Betti numbers must equal the
+    block sizes the rows are found by (InvariantError if not).
     """
     if not qs.is_linear:
         raise CheckFailure("cannot resolve: linear quotients fail")
@@ -207,35 +199,35 @@ def stream_resolution(qs: QuotientStructure):
     if not report.regular:
         raise CheckFailure(f"cannot resolve: decomposition function {report.describe()}")
     g_of, coeff_of = oracle_table(qs)
-    bases = resolution_basis(qs)
-    for i, basis in bases.items():
-        if betti[i] != len(basis):
-            raise InvariantError(f"rank F_{i}: basis count {len(basis)} != beta {betti[i]}")
-    degrees = range(1, max(bases))  # d_i maps F_{i+1} to F_i
-    differentials = ((i, _differential(i, bases[i], bases[i + 1], g_of, coeff_of)) for i in degrees)
-    return ResolutionComplex(quotients=qs, bases=bases), differentials
+    sizes = qs.member.sum(axis=1)
+    counts = binomials(int(sizes.max(initial=0)))[sizes].sum(axis=0).tolist()  # |F_1|, |F_2|, ...
+    for i, (count, b) in enumerate(zip(counts, betti[1:]), start=1):
+        if count != b:
+            raise InvariantError(f"rank F_{i}: basis count {count} != beta {b}")
+    rc, find = ResolutionComplex(quotients=qs), row_finder(qs.member)
+    return rc, ((i, _differential(i, rc, betti[i], find, g_of, coeff_of)) for i in range(1, len(counts)))
 
 
-def _differential(i: int, rows: Basis, cols: Basis, g_of, coeff_of) -> DifferentialMatrix:
-    """d_i, from F_{i+1} (cols) to F_i (rows).  Column f(sigma; w) gets, for
-    each s in sigma (pos its position), the g-term (when tau = sigma minus s
-    lies in set(g)) and then the Koszul term."""
-    shape = (len(cols), i, 2)
+def _differential(i: int, rc: ResolutionComplex, nrows: int, find, g_of, coeff_of) -> DifferentialMatrix:
+    """d_i, from F_{i+1} to F_i (nrows rows, found by find).  Column f(sigma; w)
+    gets, for each s in sigma (pos its position), the g-term (when tau =
+    sigma minus s lies in set(g)) and then the Koszul term."""
+    gen, sigma = rc.symbols(i + 1)
+    shape = (len(gen), i, 2)
     at = np.empty(shape, dtype=np.int32)
     keep = np.empty(shape, dtype=bool)
     signs = np.empty(shape, dtype=np.int8)
     variables = np.empty(shape, dtype=np.int16)
     for pos in range(i):
-        s = cols.sigma[:, pos]
-        tau = cols.mask - (1 << s)
-        for half, gen in enumerate((g_of[cols.gen, s - 1], cols.gen)):
-            found = rows.find(gen, tau)  # -1 where tau is not in set(gen), which only a g-term meets
+        s, tau = sigma[:, pos], np.delete(sigma, pos, axis=1)
+        for half, w in enumerate((g_of[gen, s - 1], gen)):
+            found = find(w, tau)  # -1 where tau is not in set(w), which only a g-term meets
             at[:, pos, half], keep[:, pos, half] = found, found >= 0
         signs[:, pos] = (-1, 1) if pos % 2 else (1, -1)
-        variables[:, pos, 0], variables[:, pos, 1] = coeff_of[cols.gen, s - 1], s
+        variables[:, pos, 0], variables[:, pos, 1] = coeff_of[gen, s - 1], s
     keep = keep.ravel()
     col_of = np.repeat(np.arange(shape[0], dtype=np.int32), 2 * i)
-    return DifferentialMatrix(len(rows), shape[0], *(a.ravel()[keep] for a in (at, col_of, signs, variables)))
+    return DifferentialMatrix(nrows, shape[0], *(a.ravel()[keep] for a in (at, col_of, signs, variables)))
 
 
 def _cancels(keys: np.ndarray, values: np.ndarray) -> bool:

@@ -13,7 +13,7 @@ from .lexsegment import LexSegmentSpec, classify_linear_form
 from .monomials import Monomial, RingContext
 from .powers import PowerIdeal, power_generators
 from .quotients import QuotientStructure
-from .resolution import DifferentialMatrix, ResolutionComplex, betti_from_sets, resolution_basis
+from .resolution import DifferentialMatrix, ResolutionComplex, betti_from_sets
 
 JSON_ORDER_TAG = "increasing-revlex"
 TEXT_CELL_BUDGET = 10**7  # cells of the dense text matrices, over all degrees
@@ -74,12 +74,13 @@ _BEFORE_ROW, _BEFORE_COL = ',\n        {\n          "r": ', ',\n          "c": '
 def iter_resolution_json(rc: ResolutionComplex, differentials):
     """The JSON export in chunks that concatenate to json.dumps(..., indent=2)
     of the format in the README, byte for byte.  Only the small header
-    fields go through json.  A basis symbol is SIGMA[mask] + GEN[gen] and a
+    fields go through json.  A basis symbol is SIGMA[sigma] + GEN[gen] and a
     matrix entry _BEFORE_ROW + NUM[r] + _BEFORE_COL + NUM[c] + SIGN[sign] +
     VAR[var], from tables of the JSON text of each value: GEN built once per
-    complex, SIGMA once per basis, and NUM (the digits alone, read by rows
-    and columns), SIGN and VAR once per differential from its own arrays.
-    A chunk joins at most CHUNK_RECORDS records.
+    complex, SIGMA once per basis over its distinct sigma rows, and NUM (the
+    digits alone, read by rows and columns), SIGN and VAR once per
+    differential from its own arrays.  Each basis is made by rc.symbols as
+    it is written.  A chunk joins at most CHUNK_RECORDS records.
 
     The differentials are read in order from `differentials`, pairs (i, d_i)
     as stream_resolution yields them; each is dropped, with its tables,
@@ -92,15 +93,19 @@ def iter_resolution_json(rc: ResolutionComplex, differentials):
                      rc.power.exponent_matrix.tolist())
     yield from _rows(',\n  "sets": ', rc.quotients.sets)
     yield ",\n" + json.dumps(tail, indent=2)[2:-2] + ',\n  "bases": {'  # without "{\n", "\n}"
-    bases = sorted(rc.bases.items())
-    gen = _text_table([b.gen for _, b in bases], lambda g: f"{g}\n      }}")
-    for pos, (i, basis) in enumerate(bases):
-        _, first, sigma_of = np.unique(basis.mask, return_index=True, return_inverse=True)
-        sigma = np.array([f',\n      {{\n        "sigma": {_int_list(s, 8)},\n        "gen": '
-                          for s in basis.sigma[first].tolist()], dtype=object)
-        yield from _records(f'{"," * bool(pos)}\n    "{i}": ', len(basis),
-                            lambda lo, hi: [sigma[sigma_of[lo:hi]], gen(basis.gen[lo:hi])], 4)
-    yield ("\n  }" if bases else "}") + ',\n  "matrices": {'
+    gen_text = np.array([f"{g}\n      }}" for g in range(len(rc.power.exponent_matrix))], dtype=object)
+    for i in range(1, len(rc.betti)):
+        gen, sigma = rc.symbols(i)
+        order = np.lexsort((*sigma.T[::-1], np.zeros_like(gen)))  # by sigma; the zeros are F_1's one key
+        head = np.ones(len(gen), dtype=bool)  # the first of each distinct sigma in that order
+        head[1:] = (np.diff(sigma[order], axis=0) != 0).any(axis=1)
+        sigma_of = np.empty(len(gen), dtype=np.int64)
+        sigma_of[order] = np.cumsum(head) - 1
+        sigma_text = np.array([f',\n      {{\n        "sigma": {_int_list(s, 8)},\n        "gen": '
+                               for s in sigma[order[head]].tolist()], dtype=object)
+        yield from _records(f'{"," * (i > 1)}\n    "{i}": ', len(gen),
+                            lambda lo, hi: [sigma_text[sigma_of[lo:hi]], gen_text[gen[lo:hi]]], 4)
+    yield '\n  },\n  "matrices": {'
     opening = "\n"
     for i, mat in differentials:
         num = _text_table([mat.rows, mat.cols], str)
@@ -176,18 +181,18 @@ def _from_dict(data: dict):
             len(symbols[str(i)]) != b for i, b in enumerate(betti[1:], start=1)):
         raise ValueError("the bases are not the subsets of the sets in matrix order")
     _integers([x for b in itertools.chain(*symbols.values()) for x in (b["gen"], *b["sigma"])], "the basis symbols")
-    bases = resolution_basis(qs)
-    if any([b["gen"] for b in symbols[str(i)]] != basis.gen.tolist()
-           or [b["sigma"] for b in symbols[str(i)]] != basis.sigma.tolist() for i, basis in bases.items()):
-        raise ValueError("the bases are not the subsets of the sets in matrix order")
-    pd = max(bases)
+    rc = ResolutionComplex(quotients=qs)
+    for i in range(1, len(betti)):  # one degree's symbols at a time
+        if [(b["gen"], b["sigma"]) for b in symbols[str(i)]] != list(zip(*(a.tolist() for a in rc.symbols(i)))):
+            raise ValueError("the bases are not the subsets of the sets in matrix order")
+    pd = len(betti) - 1
     if data["matrices"].keys() != {str(i) for i in range(1, pd)}:
         raise ValueError(f"the matrices are not d1..d{pd - 1}, one each")
     differentials = []
     for i in range(1, pd):
         mat = data["matrices"][str(i)]
         shape = tuple(_integers([mat["rows"], mat["cols"]], f"the shape of d{i}"))
-        if shape != (len(bases[i]), len(bases[i + 1])):
+        if shape != (betti[i], betti[i + 1]):
             raise ValueError(f"d{i} is {shape[0]} x {shape[1]}, which its bases F_{i}, F_{i + 1} do not give")
         cells = [(e["r"], e["c"], e["sign"], e["var"]) for e in mat["entries"]]
         _integers([x for cell in cells for x in cell], f"the entries of d{i}")
@@ -204,7 +209,6 @@ def _from_dict(data: dict):
         if len(np.unique(r * shape[1] + c)) < len(r):
             raise ValueError(f"d{i} has two entries in one cell")
         differentials.append((i, DifferentialMatrix(*shape, *cells)))
-    rc = ResolutionComplex(quotients=qs, bases=bases)
     _integers([*data["betti"], *(x for shift in data["shifts"] for x in shift)], "betti and shifts")
     if tuple(data["betti"]) != rc.betti or tuple(map(tuple, data["shifts"])) != rc.shifts:
         raise ValueError(f"betti/shifts disagree with the bases, which give betti {rc.betti}")
@@ -252,16 +256,19 @@ def resolution_to_text(rc: ResolutionComplex, differentials) -> str:
     ]
     d0 = np.arange(1, len(gens) + 1)[None, :], ["0"] + gens  # its cells are G(I^k)
     grids = itertools.chain([(0, d0)], ((i, _cell_grid(mat)) for i, mat in differentials))
+    labels = ["1"]  # d_i's row labels, F_i's symbols f({2,4};u4): d_{i-1}'s column labels
     for i, (grid, texts) in grids:
         lines.append("")
         lines.append(f"d{i}  (rows F_{i}, cols F_{i + 1}):")
         width = max(map(len, texts))
         padded = np.array([f"{s:>{width}}" for s in texts], dtype=object)
-        labels = rc.bases[i].labels() if i else ["1"]
+        gen, sigma = rc.symbols(i + 1)
+        above = [f"f({{{','.join(map(str, s))}}};u{g + 1})" for s, g in zip(sigma.tolist(), gen.tolist())]
         lwidth = max(len(s) for s in labels)
-        lines.append(" " * (lwidth + 2) + "  ".join(rc.bases[i + 1].labels()))
+        lines.append(" " * (lwidth + 2) + "  ".join(above))
         for label, row in zip(labels, grid):
             lines.append(f"{label:<{lwidth}}  " + "  ".join(padded[row].tolist()))
+        labels = above
     return "\n".join(lines) + "\n"
 
 

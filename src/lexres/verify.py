@@ -32,7 +32,7 @@ from .errors import BudgetError
 from .modp import DEFAULT_PRIME, rank_mod
 from .monomials import first_divisors, minimal_rows
 from .powers import ENTRY_BUDGET
-from .resolution import Basis, DifferentialMatrix, ResolutionComplex
+from .resolution import DifferentialMatrix, ResolutionComplex
 
 DEFAULT_HILBERT_BUDGET = 200_000
 
@@ -272,36 +272,37 @@ def _evaluate_dense(mat: DifferentialMatrix, point_arr, p: int) -> np.ndarray:
     return M
 
 
-def _witness_shape(mat: DifferentialMatrix, rows: Basis, cols: Basis, s_star: np.ndarray) -> tuple[int, bool]:
-    """kappa, the number of witness columns of d_i (mat, from F_{i+1} = cols
-    to F_i = rows), and whether d_i has the witness shape, from one pass
-    over its arrays; s_star[j] is min(set(u_j)), 0 for an empty set.
+def _witness_shape(mat: DifferentialMatrix, i: int, member: np.ndarray) -> tuple[int, bool]:
+    """kappa_i, the number of witness columns of d_i (mat, from F_{i+1} to
+    F_i), and whether d_i has the witness shape, from one pass over its
+    arrays; member holds the sets.
 
     A witness column is f(sigma; w) with s* = min(set(w)) in sigma, and its
-    own row is f(sigma \\ s*; w); W is d_i on these rows and columns.  d_i is
-    shaped when every witness column has exactly one entry on its own row,
-    +-x_{s*}, and every other entry of W lies in a row of a strictly earlier
-    generator.  Ordered by generator, W is then block triangular with
-    diagonal blocks that are diagonal, so det W = prod +-x_{s*}, nonzero at
-    every point with nonzero coordinates."""
-    s_star = s_star[cols.gen]
-    wit = np.flatnonzero(cols.mask >> s_star & 1)
-    own = rows.find(cols.gen[wit], cols.mask[wit] - (1 << s_star[wit]))
-    # the witness column whose own row each row is, in a slot past the last
-    # row for a column without one (find gives -1), which no entry reads: a
-    # column without its own row, or sharing it, finds no entry there
-    owner = np.full(len(rows) + 1, -1, dtype=np.int64)
-    owner[own] = wit
-    is_wit = np.zeros(len(cols), dtype=bool)
-    is_wit[wit] = True
+    own row is f(sigma \\ s*; w); W is d_i on these rows and columns.  In
+    combinations order the witness columns of w are the first C(m-1, i-1)
+    of its block, m = |set(w)|, and the q-th has its own row C(m-1, i-2) + q
+    of w's block of F_i.  d_i is shaped when every witness column has
+    exactly one entry on its own row, +-x_{s*}, and every other entry of W
+    lies in a row of a strictly earlier generator.  Ordered by generator, W
+    is then block triangular with diagonal blocks that are diagonal, so
+    det W = prod +-x_{s*}, nonzero at every point with nonzero coordinates."""
+    sizes = member.sum(axis=1)
+    binom = resolution.binomials(int(sizes.max(initial=0)))
+    rows_at, cols_at = (resolution.block_starts(binom, sizes, j) for j in (i, i + 1))
+    gen = np.repeat(np.arange(len(sizes)), binom[sizes, i])  # of each column; an empty set has none
+    q = np.arange(mat.ncols) - cols_at[gen]
+    is_wit = q < binom[sizes[gen] - 1, i - 1]
+    wit = np.flatnonzero(is_wit)
+    owner = np.full(mat.nrows, -1, dtype=np.int64)  # the witness column whose own row each row is
+    owner[rows_at[gen[wit]] + q[wit] + (binom[sizes[gen[wit]] - 1, i - 2] if i > 1 else 0)] = wit
     at = owner[mat.rows]
     diag = at == mat.cols
     rest = is_wit[mat.cols] & (at >= 0) & ~diag
     shaped = (
-        (np.bincount(mat.cols[diag], minlength=len(cols))[wit] == 1).all()
+        (np.bincount(mat.cols[diag], minlength=mat.ncols)[wit] == 1).all()
         and (np.abs(mat.signs[diag].astype(np.int64)) == 1).all()
-        and (mat.vars[diag] == s_star[mat.cols[diag]]).all()
-        and (rows.gen[mat.rows[rest]] < cols.gen[mat.cols[rest]]).all()
+        and (mat.vars[diag] == member.argmax(axis=1)[gen[mat.cols[diag]]] + 1).all()
+        and (mat.rows[rest] < rows_at[gen[mat.cols[rest]]]).all()
     )
     return len(wit), bool(shaped)
 
@@ -343,8 +344,6 @@ def random_rank_check(rc: ResolutionComplex, seed: int, trials: int, differentia
     if trials * n > ENTRY_BUDGET:
         raise BudgetError(f"{trials} points of {n} coordinates are {trials * n} cells, over the budget {ENTRY_BUDGET}")
     points = [tuple(rng.randrange(1, p) for _ in range(n)) for _ in range(trials)]
-    member = rc.quotients.member
-    s_star = np.where(member.any(axis=1), member.argmax(axis=1) + 1, 0)
     # d0 is minimal when its entries, the generators, have positive degree
     report = RankReport(minimal=bool((gens.sum(axis=1) >= 1).all()))
     ranks, methods = [[1] for _ in points], [["dense"] for _ in points]
@@ -352,7 +351,7 @@ def random_rank_check(rc: ResolutionComplex, seed: int, trials: int, differentia
     for i, mat in differentials:
         composed = resolution.compose_check_d0(gens, mat) if prev is None else resolution.compose_check(prev, mat)
         report.composed.append(composed)
-        kappa_i, shaped_i = _witness_shape(mat, rc.bases[i], rc.bases[i + 1], s_star)
+        kappa_i, shaped_i = _witness_shape(mat, i, rc.quotients.member)
         witness = shaped and shaped_i and composed and kappa + kappa_i == mat.nrows
         for point, r, m in zip(points, ranks, methods):
             r.append(kappa_i if witness else rank_mod(_evaluate_dense(mat, np.array(point, dtype=np.int64), p)))
@@ -361,6 +360,7 @@ def random_rank_check(rc: ResolutionComplex, seed: int, trials: int, differentia
         prev, kappa, shaped = mat, kappa_i, shaped_i
     # d_{pd-1} ∘ d_pd = 0 holds vacuously: F_{pd+1} = 0, so there is no d_pd
     report.composed.append(True)
+    betti = rc.betti
     for point, r, m in zip(points, ranks, methods):
-        report.trials.append(TrialResult(point, tuple(r), rank_positions_ok(rc.betti, r), tuple(m)))
+        report.trials.append(TrialResult(point, tuple(r), rank_positions_ok(betti, r), tuple(m)))
     return report

@@ -36,7 +36,6 @@ from lexres.modp import DEFAULT_PRIME
 from lexres.monomials import _same_ctx, first_divisors, minimal_rows
 from lexres.powers import PowerIdeal
 from lexres.quotients import QuotientStructure, SetBoundViolation
-from lexres.resolution import Basis
 from lexres.serialize import iter_resolution_json
 from lexres.verify import DEFAULT_HILBERT_BUDGET, _pmul, _witness_shape
 
@@ -347,7 +346,7 @@ def compose_at(rc, mats, i):
 
 def composed(rc, mats):
     """compose_at for i = 0..pd-1, the verdicts `verify` prints in order."""
-    return [compose_at(rc, mats, i) for i in range(max(rc.bases))]
+    return [compose_at(rc, mats, i) for i in range(len(rc.betti) - 1)]
 
 
 def minimal(rc, mats):
@@ -392,9 +391,20 @@ def compose_check_loop(rc, mats, i):
 
 
 def witness_shape(rc, mats, i):
-    """lexres's (kappa, shaped) of d_i, with s* read from the sets of rc."""
-    s_star = np.array([min(s, default=0) for s in rc.quotients.sets], dtype=np.int64)
-    return _witness_shape(mats[i], rc.bases[i], rc.bases[i + 1], s_star)
+    """lexres's (kappa, shaped) of d_i."""
+    return _witness_shape(mats[i], i, rc.quotients.member)
+
+
+def bases(rc):
+    """Every basis of rc from rc.symbols, {i: (gen, sigma)} as lists, F_1 to
+    F_pd, so that two complexes' bases compare with ==."""
+    return {i: tuple(a.tolist() for a in rc.symbols(i)) for i in range(1, len(rc.betti))}
+
+
+def labels(rc, i):
+    """The symbols of F_i as text, f({2,4};u4), in matrix order."""
+    gen, sigma = rc.symbols(i)
+    return [f"f({{{','.join(map(str, s))}}};u{g + 1})" for s, g in zip(sigma.tolist(), gen.tolist())]
 
 
 def hilbert_numerator_inclusion_exclusion(rows) -> HilbertNumerator:
@@ -574,9 +584,9 @@ def linear_quotients_loop(pi):
 
 def resolution_basis_loop(qs):
     """The bases of the resolution from itertools.combinations of each
-    set(w): the loop that lexres.resolution_basis replaces by subsets of
-    positions in a padded set matrix, kept as its reference."""
-    n = qs.power.spec.ctx.n
+    set(w), {i: (gen, sigma)} as int64 arrays in matrix order: the loop that
+    ResolutionComplex.symbols replaces by subsets of positions in a padded
+    set matrix, kept as its reference."""
     bases = {}
     for i in range(1, max((len(s) for s in qs.sets), default=0) + 2):
         gen, sigma = [], []
@@ -584,8 +594,7 @@ def resolution_basis_loop(qs):
             combos = list(itertools.combinations(st, i - 1))
             gen += [w] * len(combos)
             sigma += combos
-        if gen:
-            bases[i] = Basis(gen, sigma, i - 1, n)
+        bases[i] = np.array(gen, dtype=np.int64), np.array(sigma, dtype=np.int64).reshape(len(gen), i - 1)
     return bases
 
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 import support
 from lexres import (
-    BudgetError,
     CheckFailure,
     Monomial,
     RingContext,
@@ -25,7 +24,7 @@ from lexres import resolution
 from lexres.cli import main
 from lexres.decomposition import regularity_check_oracle
 from lexres.lexsegment import LexSegmentSpec
-from lexres.resolution import Basis, DifferentialMatrix, resolution_basis, stream_resolution
+from lexres.resolution import DifferentialMatrix, ResolutionComplex, row_finder, stream_resolution
 
 # the three displayed differentials of the worked example, transcribed as
 # row-major grids against the documented basis ordering
@@ -49,7 +48,7 @@ D2_GRID = [
 
 def test_example_basis_order(example_resolution):
     rc, _ = example_resolution
-    assert rc.bases[2].labels() == [
+    assert support.labels(rc, 2) == [
         "f({2};u2)",
         "f({4};u3)",
         "f({2};u4)",
@@ -57,8 +56,8 @@ def test_example_basis_order(example_resolution):
         "f({3};u5)",
         "f({4};u5)",
     ]
-    assert rc.bases[3].labels() == ["f({2,4};u4)", "f({3,4};u5)"]
-    assert 4 not in rc.bases
+    assert support.labels(rc, 3) == ["f({2,4};u4)", "f({3,4};u5)"]
+    assert len(rc.betti) == 4  # no F_4
 
 
 def test_example_matrices_exact(example_resolution):
@@ -71,7 +70,7 @@ def test_example_betti_and_shifts(example_resolution):
     rc, _ = example_resolution
     assert rc.betti == (1, 5, 6, 2)
     assert rc.shifts == ((0, 1), (-2, 5), (-3, 6), (-4, 2))
-    assert tuple(len(rc.bases[i]) for i in (1, 2, 3)) == (5, 6, 2)
+    assert tuple(len(rc.symbols(i)[0]) for i in (1, 2, 3)) == (5, 6, 2)
 
 
 def test_zero_rule_dropped_term(example_resolution):
@@ -94,16 +93,17 @@ def test_degree_homogeneity(example_resolution, example_quotients_squared):
         gens = rc.power.exponent_matrix
         n = gens.shape[1]
 
-        def multidegree(basis, rows):
-            out = gens[basis.gen[rows]].copy()
-            for pos in range(basis.sigma.shape[1]):
-                out[np.arange(len(rows)), basis.sigma[rows, pos] - 1] += 1
+        def multidegree(i, rows):
+            gen, sigma = rc.symbols(i)
+            out = gens[gen[rows]].copy()
+            for pos in range(sigma.shape[1]):
+                out[np.arange(len(rows)), sigma[rows, pos] - 1] += 1
             return out
 
         for i, mat in mats.items():
             var = np.eye(n, dtype=np.int64)[mat.vars - 1]
-            col = multidegree(rc.bases[i + 1], mat.cols)
-            row = multidegree(rc.bases[i], mat.rows)
+            col = multidegree(i + 1, mat.cols)
+            row = multidegree(i, mat.rows)
             assert (col == row + var).all(), i
 
 
@@ -114,7 +114,7 @@ def test_single_generator_resolution():
     qs = linear_quotients_check(power_generators(spec, 1))
     rc, mats = support.resolve(qs)
     assert rc.betti == (1, 1)
-    assert max(rc.bases) == 1 and mats == {}
+    assert len(rc.betti) - 1 == 1 and mats == {}
     assert support.composed(rc, mats) == [True]
     assert support.minimal(rc, mats)
 
@@ -123,12 +123,22 @@ def test_rank_identity_binomials(example_quotients_squared):
     rc, _ = support.resolve(example_quotients_squared)
     sets = example_quotients_squared.sets
     assert rc.betti == betti_from_sets(example_quotients_squared.member)
-    for i, basis in rc.bases.items():
-        assert len(basis) == rc.betti[i]
+    for i, (gens, sigmas) in support.bases(rc).items():
+        assert len(gens) == rc.betti[i]
         # the rows are distinct (i-1)-subsets of set(gen), so the count is the binomial sum
-        assert len(set(zip(basis.gen.tolist(), map(tuple, basis.sigma.tolist())))) == len(basis)
-        for gen, sigma in zip(basis.gen.tolist(), basis.sigma.tolist()):
+        assert len(set(zip(gens, map(tuple, sigmas)))) == len(gens)
+        for gen, sigma in zip(gens, sigmas):
             assert sigma == sorted(set(sigma)) and set(sigma) <= set(sets[gen])
+
+
+def test_complex_holds_its_quotients_alone(example_quotients_squared):
+    # every basis is computed from member when a stage asks for it: the
+    # complex stores nothing that grows with the Betti numbers, before or
+    # after its differentials are built
+    rc, differentials = stream_resolution(example_quotients_squared)
+    assert vars(rc).keys() == {"quotients"}
+    assert len(dict(differentials)) == len(rc.betti) - 2
+    assert vars(rc).keys() == {"quotients"}
 
 
 def test_basis_requires_linear():
@@ -170,7 +180,7 @@ def test_family_sample_k3_properties():
         rc, mats = support.resolve(qs)
         assert all(support.composed(rc, mats))
         assert support.minimal(rc, mats)
-        assert max(rc.bases) == 1 + max(len(s) for s in qs.sets)
+        assert len(rc.betti) - 1 == 1 + max(len(s) for s in qs.sets)
 
 
 def test_closed_form_table_equals_definitional_table(example_spec, example_quotients):
@@ -182,7 +192,7 @@ def test_closed_form_table_equals_definitional_table(example_spec, example_quoti
     for q in (example_quotients, qs):
         assert "closed" not in q.g_tables and "oracle" in q.g_tables
     assert a_mats == b_mats
-    assert a.bases == b.bases
+    assert support.bases(a) == support.bases(b)
     closed, oracle = closed_form_table(example_quotients), example_quotients.g_tables["oracle"]
     assert all(np.array_equal(c, o) for c, o in zip(closed, oracle))
 
@@ -280,7 +290,7 @@ def test_compose_check_blocks_match_loop_property(monkeypatch):
             return
         rc, mats = support.resolve(qs)
         n = spec.ctx.n
-        for i in range(1, max(rc.bases) - 1):
+        for i in range(1, len(rc.betti) - 2):
             mat = mats[data.draw(st.sampled_from([i, i + 1]))]
             p = data.draw(st.integers(0, mat.entry_count() - 1))
             name = data.draw(st.sampled_from(["signs", "vars", "rows"]))
@@ -332,33 +342,41 @@ def test_compose_check_d0_beyond_int64_row_keys(n, power):
 
 
 def test_resolution_basis_matches_loop():
-    rng = random.Random(23)
-    for n, d, l, ue, ve in rng.sample(support.theorem_family_specs(), 12):
-        spec, _ = support.build_family_spec(n, ue, ve)
-        for k in (1, 2):
-            qs = linear_quotients_check(power_generators(spec, k))
-            assert resolution_basis(qs) == support.resolution_basis_loop(qs)
-            # any sorted sets, the empty one and the full range of variables included
-            sets = [tuple(sorted(rng.sample(range(1, n + 1), rng.randrange(0, n + 1))))
-                    for _ in qs.sets]
-            other = support.quotient_structure(qs.power, sets)
-            assert resolution_basis(other) == support.resolution_basis_loop(other)
+    # classified shapes, unclassified pairs as --oracle-g resolves them, and
+    # any sorted sets on their generators, the empty one and all of 1..n
+    # included: symbols(i) is the loop's basis, the row found for each
+    # symbol is its position, and a tau outside set(w) finds -1
+    seen = set()
 
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(spec=support.small_specs(), k=st.integers(1, 2), seed=st.integers(0, 2**32))
+    def check(spec, k, seed):
+        qs = linear_quotients_check(power_generators(spec, k))
+        if not qs.is_linear:
+            return
+        rng, n = random.Random(seed), spec.ctx.n
+        sets = [sorted(rng.sample(range(1, n + 1), rng.randrange(n + 1))) for _ in qs.sets]
+        sets[rng.randrange(len(sets))] = rng.choice([[], list(range(1, n + 1))])
+        for structure in (qs, support.quotient_structure(qs.power, sets)):
+            rc = ResolutionComplex(quotients=structure)
+            loop = support.resolution_basis_loop(structure)
+            find = row_finder(structure.member)
+            assert loop.keys() == set(range(1, len(rc.betti)))
+            for i, (gen, sigma) in loop.items():
+                assert all(a.dtype == np.int64 and np.array_equal(a, b) for a, b in zip(rc.symbols(i), (gen, sigma)))
+                assert find(gen, sigma).tolist() == list(range(len(gen))), i
+                # every generator against three random (i-1)-subsets of 1..n
+                w = np.arange(len(sets)).repeat(3)
+                tau = np.array([sorted(rng.sample(range(1, n + 1), i - 1)) for _ in w],
+                               dtype=np.int64).reshape(len(w), i - 1)
+                where = {(g, tuple(t)): r for r, (g, t) in enumerate(zip(gen.tolist(), sigma.tolist()))}
+                expected = [where.get((g, tuple(t)), -1) for g, t in zip(w.tolist(), tau.tolist())]
+                assert find(w, tau).tolist() == expected, i
+                seen.update(("inside", e >= 0) for e in expected)
+        seen.add(("classified", spec.l is not None))
 
-def test_basis_keys_fit_below_2_63_or_are_refused():
-    # a key is (gen << n) | (mask >> 1): at n = 61, four generators fill the
-    # 63 bits exactly and a fifth is refused before any key is made
-    top = Basis([0, 3, 3], [[1], [1], [61]], 1, 61)
-    assert top.find(np.array([3, 3, 0]), np.array([2, 1 << 61, 2])).tolist() == [1, 2, 0]
-    assert top.find(np.array([2]), np.array([2])).tolist() == [-1]
-    with pytest.raises(BudgetError, match="keys of 5 generators in 61 variables do not fit in 63 bits"):
-        Basis([0, 4], [[1], [1]], 1, 61)
-    assert len(Basis([1], [[]], 0, 62)) == 1
-    with pytest.raises(BudgetError, match="keys of 3 generators in 62 variables"):
-        Basis([2], [[]], 0, 62)
-    # the first generator's set is empty and its keys are 0 at any n
-    for n in (63, 64, 100):
-        assert Basis([0], [[]], 0, n).find(np.array([0]), np.array([0])).tolist() == [0]
+    check()
+    assert seen == {(kind, b) for kind in ("inside", "classified") for b in (True, False)}
 
 
 @pytest.mark.parametrize("field, value", [

@@ -23,7 +23,7 @@ from lexres import (
 from lexres.lexsegment import LexSegmentSpec
 from lexres.modp import DEFAULT_PRIME, rank_mod
 from lexres import resolution, verify
-from lexres.resolution import Basis, DifferentialMatrix
+from lexres.resolution import DifferentialMatrix, row_finder
 from lexres.verify import HilbertNumerator, _evaluate_dense, rank_positions_ok
 
 
@@ -362,27 +362,27 @@ def test_witness_structure_rejects_broken_shape():
     i = 2
     s_star = {w: min(st) for w, st in enumerate(qs.sets) if st}
     corruptions = ("diagonal variable", "diagonal sign", "later block", "same block",
-                   "diagonal dropped", "cancelled diagonal", "duplicated column symbol")
+                   "diagonal dropped", "cancelled diagonal")
     for corruption in corruptions:
         rc, mats = support.resolve(qs)
         everywhere = sorted(mats)
         kappa = [support.witness_shape(rc, mats, j)[0] for j in everywhere]
         assert [support.witness_shape(rc, mats, j) for j in everywhere] == [(k, True) for k in kappa]
-        mat, rows, cols = mats[i], rc.bases[i], rc.bases[i + 1]
-        gens, sigmas = cols.gen.tolist(), cols.sigma.tolist()
+        mat, (row_gen, row_sigma), (col_gen, col_sigma) = mats[i], rc.symbols(i), rc.symbols(i + 1)
+        gens, sigmas = col_gen.tolist(), col_sigma.tolist()
         # witness rows f(tau; w), s* not in tau, by generator
         witness_rows = [
-            r for r, (g, tau) in enumerate(zip(rows.gen.tolist(), rows.sigma.tolist()))
+            r for r, (g, tau) in enumerate(zip(row_gen.tolist(), row_sigma.tolist()))
             if g in s_star and s_star[g] not in tau
         ]
         # a witness column with a g-term, whose generator has another witness row
         c = next(
             c for c, g in enumerate(gens)
             if s_star.get(g) in sigmas[c] and (mat.vars[mat.cols == c] != s_star[g]).any()
-            and sum(rows.gen[r] == g for r in witness_rows) > 1
+            and sum(row_gen[r] == g for r in witness_rows) > 1
         )
         ss = s_star[gens[c]]
-        own = rows.find(cols.gen[c:c + 1], cols.mask[c:c + 1] - (1 << ss))[0]
+        own = row_finder(rc.quotients.member)(col_gen[c:c + 1], np.array([[s for s in sigmas[c] if s != ss]]))[0]
         in_col = np.flatnonzero(mat.cols == c)
         diagonal = next(p for p in in_col if mat.vars[p] == ss)
         g_term = next(p for p in in_col if mat.vars[p] != ss)
@@ -394,24 +394,18 @@ def test_witness_structure_rejects_broken_shape():
             mat.signs[diagonal] = 2 * mat.signs[diagonal]
         elif corruption == "later block":
             # an off-diagonal entry of W moved to a witness row of a later block
-            mat.rows[g_term] = max(witness_rows, key=lambda r: rows.gen[r])
+            mat.rows[g_term] = max(witness_rows, key=lambda r: row_gen[r])
         elif corruption == "same block":
             # ... or to another witness row of the column's own block
-            mat.rows[g_term] = next(r for r in witness_rows if rows.gen[r] == gens[c] and r != own)
+            mat.rows[g_term] = next(r for r in witness_rows if row_gen[r] == gens[c] and r != own)
         elif corruption == "diagonal dropped":
             keep = np.arange(mat.entry_count()) != diagonal
             mat.rows, mat.cols, mat.signs, mat.vars = (a[keep] for a in mat.arrays)
-        elif corruption == "cancelled diagonal":
+        else:
             # a second +-x_{s*} in the diagonal cell, of the other sign: the cell is 0
             mat.rows, mat.cols, mat.signs, mat.vars = (
                 np.insert(a, diagonal + 1, v) for a, v in zip(mat.arrays, (own, c, -mat.signs[diagonal], ss))
             )
-        else:
-            # another witness column takes c's symbol: the two share an own row
-            other = next(d for d, g in enumerate(gens) if d != c and s_star.get(g) in sigmas[d])
-            gen, sigma = cols.gen.copy(), cols.sigma.copy()
-            gen[other], sigma[other] = gen[c], sigma[c]
-            rc.bases[i + 1] = Basis(gen, sigma, i, rc.power.spec.ctx.n)
         # kappa counts the witness columns, whatever their entries
         shapes = [support.witness_shape(rc, mats, j) for j in everywhere]
         assert shapes == [(k, j != i) for j, k in zip(everywhere, kappa)], corruption
@@ -419,25 +413,6 @@ def test_witness_structure_rejects_broken_shape():
         report = random_rank_check(rc, seed=2, trials=1, differentials=mats.items())
         assert report.trials[0].methods == _fallback_only_at({i, i + 1}, mats), corruption
         _assert_true_ranks(rc, mats, report)
-
-
-def test_witness_shape_needs_every_own_row():
-    rc, mats = _shape_resolution()
-    i = 2
-    kappa, shaped = support.witness_shape(rc, mats, i)
-    assert shaped
-    # the last row, a witness row, renamed to a symbol of u1, whose set is
-    # empty: the column it belonged to has no own row left, but still its
-    # +-x_{s*} entry in that row
-    rows = rc.bases[i]
-    assert min(rc.quotients.sets[rows.gen[-1]]) not in rows.sigma[-1]
-    gen = rows.gen.copy()
-    gen[-1] = 0
-    rc.bases[i] = Basis(gen, rows.sigma, i - 1, rc.power.spec.ctx.n)
-    assert support.witness_shape(rc, mats, i) == (kappa, False)
-    report = random_rank_check(rc, seed=2, trials=1, differentials=mats.items())
-    assert report.trials[0].methods[i] == "dense-fallback"
-    _assert_true_ranks(rc, mats, report)
 
 
 def test_dense_fallback_budget_edge(example_quotients, monkeypatch):
@@ -483,7 +458,7 @@ def test_sparse_rank_matches_loop_on_differentials(build):
 def test_rank_check_premises_each_alone(build, monkeypatch):
     # each premise of the certificate broken alone, on a correct complex
     rc, mats = build()
-    pd, j = max(rc.bases), 2
+    pd, j = len(rc.betti) - 1, 2
     clean = random_rank_check(rc, seed=4, trials=2, differentials=mats.items())
     assert clean.composed == support.composed(rc, mats) == [True] * pd
     assert all(t.methods == _fallback_only_at(set(), mats) for t in clean.trials)
@@ -512,11 +487,11 @@ def test_rank_check_composition_premise_with_shapes_intact():
     # a flipped Koszul sign in a column of d_j that is no witness: both
     # shapes hold, but d_{j-1} ∘ d_j and d_j ∘ d_{j+1} no longer vanish
     rc, mats = _large_resolution()
-    pd, j = max(rc.bases), 2
-    mat, cols = mats[j], rc.bases[j + 1]
-    s_star = np.array([min(s) if s else 0 for s in rc.quotients.sets])[cols.gen]
-    koszul = cols.gen[mat.cols] == rc.bases[j].gen[mat.rows]
-    e = np.flatnonzero(koszul & ~(cols.mask[mat.cols] >> s_star[mat.cols] & 1).astype(bool))[0]
+    pd, j = len(rc.betti) - 1, 2
+    mat, (gen, sigma) = mats[j], rc.symbols(j + 1)
+    s_star = np.array([min(s) if s else 0 for s in rc.quotients.sets])[gen]
+    koszul = gen[mat.cols] == rc.symbols(j)[0][mat.rows]
+    e = np.flatnonzero(koszul & ~(sigma[mat.cols] == s_star[mat.cols][:, None]).any(axis=1))[0]
     mat.signs[e] *= -1
     assert all(support.witness_shape(rc, mats, i)[1] for i in mats)
     report = random_rank_check(rc, seed=4, trials=2, differentials=mats.items())
@@ -587,3 +562,17 @@ def test_witness_ranks_are_true_ranks_on_pinned_instances(seed):
                 assert t.methods == _fallback_only_at(set(), mats), inst["id"]
             _assert_true_ranks(rc, mats, report)
 
+
+
+def test_witness_count_is_a_binomial_sum_on_pinned_instances():
+    # kappa_i = sum_w C(|set(w)| - 1, i - 1) over the nonempty sets, and
+    # every d_i is shaped, at every position of every pinned family, oracle
+    # and self-test instance
+    pinned = json.loads(WORKLOADS.read_text())
+    for name in ("family", "oracle", "selftest"):
+        for inst in pinned[name]["instances"]:
+            rc, mats = support.cli_resolution(support.instance_argv(inst))
+            sizes = [len(s) for s in rc.quotients.sets if s]
+            for i in mats:
+                kappa = sum(math.comb(m - 1, i - 1) for m in sizes)
+                assert support.witness_shape(rc, mats, i) == (kappa, True), (inst["id"], i)
