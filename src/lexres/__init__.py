@@ -15,8 +15,8 @@ from .decomposition import (
     regularity_check_oracle,
 )
 from .resolution import (
-    DifferentialMatrix, ResolutionComplex, betti_from_sets, compose_check, compose_check_d0,
-    minimality_check, stream_resolution,
+    DifferentialMatrix, ResolutionComplex, compose_check, compose_check_d0, minimality_check,
+    stream_resolution,
 )
 from .verify import (
     HilbertNumerator, RankReport, euler_characteristic_numerator, hilbert_numerator,
@@ -32,7 +32,7 @@ __all__ = [
     "QuotientStructure", "colon_minimal_generators", "linear_quotients_check", "set_bound_report",
     "RegularityReport", "closed_form_matches_oracle", "closed_form_table", "oracle_table",
     "regularity_check_oracle",
-    "DifferentialMatrix", "ResolutionComplex", "betti_from_sets",
+    "DifferentialMatrix", "ResolutionComplex",
     "compose_check", "compose_check_d0", "minimality_check", "stream_resolution", "HilbertNumerator", "RankReport",
     "euler_characteristic_numerator", "hilbert_numerator",
     "random_rank_check", "BudgetError", "CheckFailure", "InvariantError",

@@ -20,6 +20,8 @@ from .monomials import (
 # products of k members of L(u, v) in powers.py, and the monomials of one
 # segment or shadow walked here
 DEFAULT_PRODUCT_BUDGET = 10**6
+# exponents of one segment walked here, members * n, each about 8 bytes held
+DEFAULT_CELL_BUDGET = 10**8
 
 
 def lex_successor(m: Monomial):
@@ -45,15 +47,17 @@ def enumerate_lexsegment(u: Monomial, v: Monomial) -> list[Monomial]:
     """All degree-d monomials w with u >=_lex w >=_lex v, lex-descending.
 
     The interval is closed at both ends; u and v are members.  The segment
-    is counted from two lex ranks first and refused (BudgetError) when it
-    holds more than DEFAULT_PRODUCT_BUDGET monomials, before it is walked.
+    is counted by segment_size and refused (BudgetError) there or when its
+    members hold more than DEFAULT_CELL_BUDGET exponents, before it is walked.
     """
     if u.degree != v.degree:
         raise ValueError(f"degree mismatch: {u.degree} vs {v.degree}")
     if cmp_lex(u, v) < 0:
         raise ValueError(f"{u} <_lex {v}: empty segment")
-    if (size := lex_rank(v) - lex_rank(u) + 1) > DEFAULT_PRODUCT_BUDGET:
-        raise BudgetError(f"L({u}, {v}) has {size} monomials, over the budget {DEFAULT_PRODUCT_BUDGET}")
+    size = segment_size(u, v)
+    if (cells := size * u.ctx.n) > DEFAULT_CELL_BUDGET:
+        raise BudgetError(f"L({u}, {v}) has {size} monomials of {u.ctx.n} exponents, {cells} cells, "
+                          f"over the budget {DEFAULT_CELL_BUDGET}")
     out = [u]
     w = u
     while cmp_lex(w, v) > 0:
@@ -62,6 +66,13 @@ def enumerate_lexsegment(u: Monomial, v: Monomial) -> list[Monomial]:
             raise InvariantError("lex walk fell off the end before reaching v")
         out.append(w)
     return out
+
+
+def segment_size(u: Monomial, v: Monomial) -> int:
+    """|L(u, v)| from two lex ranks, refused (BudgetError) past DEFAULT_PRODUCT_BUDGET."""
+    if (size := lex_rank(v) - lex_rank(u) + 1) > DEFAULT_PRODUCT_BUDGET:
+        raise BudgetError(f"L({u}, {v}) has {size} monomials, over the budget {DEFAULT_PRODUCT_BUDGET}")
+    return size
 
 
 def lex_rank(m: Monomial) -> int:
@@ -194,17 +205,19 @@ def is_completely_lexsegment(
     the shadow.  A clean run is reported as unknown-at-depth unless the
     persistence flag promotes a passing first shadow to "yes".  Every set is
     bounded by DEFAULT_PRODUCT_BUDGET before it is built: L(u, v) and each
-    lex interval by their lex ranks, each shadow by n times the one before.
+    lex interval by their lex ranks, each shadow by n times the one before,
+    Shad^1 before L(u, v) is walked.
     """
     if depth is None:
         depth = spec.ctx.n
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    current: set[Monomial] = set(enumerate_lexsegment(spec.u, spec.v))
+    current, count = None, segment_size(spec.u, spec.v)
     for i in range(1, depth + 1):
-        if (bound := spec.ctx.n * len(current)) > DEFAULT_PRODUCT_BUDGET:
+        if (bound := spec.ctx.n * count) > DEFAULT_PRODUCT_BUDGET:
             raise BudgetError(f"Shad^{i} may have {bound} monomials, over the budget {DEFAULT_PRODUCT_BUDGET}")
-        current = shadow(current)
+        current = shadow(enumerate_lexsegment(spec.u, spec.v) if current is None else current)
+        count = len(current)
         segment = enumerate_lexsegment(lex_max(current), lex_min(current))
         if len(segment) != len(current):
             witness = next(w for w in segment if w not in current)

@@ -97,6 +97,17 @@ def _exchange_neighbours(G: np.ndarray, k: int) -> np.ndarray:
     return table
 
 
+def _multisets(size: int, k: int, cap: int) -> int | None:
+    """C(size + k - 1, k), the k-multisets of size members, or None past cap:
+    with r = min(k, size - 1), C(size + k - 1 - r + j, j) grows with j = 1..r
+    up to it, so the product stops within a few dozen steps of passing 2^63."""
+    count, r = 1, min(k, size - 1)
+    for j in range(1, r + 1):
+        if (count := count * (size + k - 1 - r + j) // j) > cap:
+            return None
+    return count
+
+
 def power_generators(spec: LexSegmentSpec, k: int) -> PowerIdeal:
     """Sum the k-multisets of L(u, v) as exponent rows, sort increasing
     revlex, and keep one row of each run of equal rows.  The products are
@@ -104,13 +115,15 @@ def power_generators(spec: LexSegmentSpec, k: int) -> PowerIdeal:
     degree kd past int64 is refused (ValueError) before any row is built."""
     if k < 1:
         raise ValueError("k must be >= 1")
+    top = np.iinfo(np.int64).max
     size = lex_rank(spec.v) - lex_rank(spec.u) + 1  # |L(u, v)|, counted before it is walked
-    candidates = math.comb(size + k - 1, k)
-    if candidates > (budget := lexsegment.DEFAULT_PRODUCT_BUDGET):
-        raise BudgetError(f"|L|={size}, k={k}: {candidates} candidate products exceed budget {budget}")
+    candidates, budget = _multisets(size, k, top), lexsegment.DEFAULT_PRODUCT_BUDGET
+    if candidates is None or candidates > budget:
+        count = f"more than {top}" if candidates is None else candidates
+        raise BudgetError(f"|L|={size}, k={k}: {count} candidate products exceed budget {budget}")
     if candidates * spec.ctx.n > ENTRY_BUDGET:
         raise BudgetError(f"the candidate rows have {candidates * spec.ctx.n} cells, over the budget {ENTRY_BUDGET}")
-    if k * spec.d > (top := np.iinfo(np.int64).max):
+    if k * spec.d > top:
         raise ValueError(f"the generators of I^{k} have degree {k * spec.d}, over {top}, the int64 limit of their rows")
     segment = enumerate_lexsegment(spec.u, spec.v)
     E = np.array([m.exponents for m in segment], dtype=np.int64)

@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from .decomposition import oracle_table, regularity_check_oracle
-from .errors import BudgetError, CheckFailure, InvariantError
+from .errors import BudgetError, CheckFailure
 from .powers import ENTRY_BUDGET
 from .quotients import QuotientStructure
 
@@ -79,26 +79,40 @@ def _fitted(values, dtype, name: str) -> np.ndarray:
 
 
 class ResolutionComplex:
-    """The resolution's modules, held as the quotient structure alone.
+    """The resolution's modules: the quotient structure and the layout of
+    its bases, computed once from member.
 
     F_i (i >= 1; F_0 = S) has the basis f(sigma; w), sigma an (i-1)-subset
-    of set(w), in matrix order; symbols(i) builds it and keeps nothing.  The
-    differentials come beside the complex as (i, d_i) pairs, d_i the map
-    F_{i+1} -> F_i, and d0, the 1 x beta_1 generator row, is
-    power.exponent_matrix.  I^k is generated in the single degree kd, so
-    F_i is S(-(kd+i-1))^beta_i, beta_i = sum_w C(|set(w)|, i-1).
+    of set(w), in matrix order: w's block of F_{r+1} holds C(m, r) symbols,
+    m = sizes[w] = |set(w)|, from row starts[w, r]; binom holds C(a, b) for
+    a, b <= m_max, the widest set, and padded the 1-based variables of each
+    set(w), 0 past m.  I^k is generated in the one degree kd, so F_i is
+    S(-(kd+i-1))^beta_i, beta_i the column sum of C(m, i-1) in Python ints.
+    A complex of more than ENTRY_BUDGET entries, sum_i 2 i beta_{i+1}, is
+    refused (BudgetError) before the int64 layout is built; under it every
+    entry of binom and starts, at most a Betti number, is below 2^31.  The
+    differentials come beside it as (i, d_i) pairs, d_i: F_{i+1} -> F_i;
+    d0 is power.exponent_matrix.
     """
 
     def __init__(self, quotients):
-        self.quotients = quotients
+        self.quotients, member = quotients, quotients.member
+        self.sizes = member.sum(axis=1)
+        top = int(self.sizes.max(initial=0))
+        binom = np.array([[math.comb(a, b) for b in range(top + 1)] for a in range(top + 1)], dtype=object)
+        self.betti = (1, *(np.bincount(self.sizes, minlength=top + 1) @ binom).tolist())  # exact past int64
+        bound = sum(2 * i * b for i, b in enumerate(self.betti[2:], start=1))
+        if bound > ENTRY_BUDGET:
+            raise BudgetError(f"the complex may have {bound} entries, over the budget {ENTRY_BUDGET}")
+        self.binom = binom.astype(np.int64)
+        counts = self.binom[self.sizes]
+        self.starts = np.cumsum(counts, axis=0) - counts
+        self.padded = np.zeros((len(self.sizes), top), dtype=np.int64)
+        self.padded[np.arange(top) < self.sizes[:, None]] = np.nonzero(member)[1] + 1
 
     @property
     def power(self):
         return self.quotients.power
-
-    @property
-    def betti(self) -> tuple[int, ...]:
-        return betti_from_sets(self.quotients.member)
 
     @property
     def shifts(self) -> tuple[tuple[int, int], ...]:
@@ -107,17 +121,37 @@ class ResolutionComplex:
 
     def symbols(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """F_i's symbols f(sigma; w) in matrix order as int64 arrays: gen, the
-        position of w, and sigma, one sorted row of width i-1 per symbol,
-        taken by position: the (i-1)-subsets of positions, in combinations
-        order, of the padded row of set(w), kept where they stay below |set(w)|."""
-        member = self.quotients.member
-        sizes = member.sum(axis=1)
-        width = int(sizes.max(initial=0))
-        padded = np.zeros((len(sizes), width), dtype=np.int64)
-        padded[np.arange(width) < sizes[:, None]] = np.nonzero(member)[1] + 1
-        picks = np.array(list(itertools.combinations(range(width), i - 1)), dtype=np.int64)
-        gen, which = np.nonzero(picks.max(axis=1, initial=-1) < sizes[:, None])
-        return gen, padded.ravel()[(gen * width)[:, None] + picks[which]]
+        position of w, and sigma, one sorted row of width i-1 per symbol, one
+        gather from padded: the (i-1)-subsets of positions, in combinations
+        order, kept where they stay below |set(w)|."""
+        picks = np.array(list(itertools.combinations(range(self.padded.shape[1]), i - 1)), dtype=np.int64)
+        gen, which = np.nonzero(picks.max(axis=1, initial=-1) < self.sizes[:, None])
+        return gen, self.padded[gen[:, None], picks[which]]
+
+    def row_finder(self):
+        """The row of f(tau; w) in F_i, -1 where tau is not in set(w), as a
+        function of the generator positions gen and of tau, one sorted row
+        of i-1 variables per query: w's block start plus the rank, in
+        combinations order, of tau's positions c_0 < ... < c_{r-1} in set(w),
+        C(m, r) - 1 - sum_j C(m-1-c_j, r-j) with r = i-1 and m = |set(w)|.
+        So it is the last row of w's block less one term per element of tau,
+        an element off set(w) reading more than any row; it holds
+        |G| n (m_max + 1) terms, int32 as binom's entries fit."""
+        member, width = self.quotients.member, len(self.binom)
+        last = self.starts + self.binom[self.sizes] - 1  # [w, r], the last row of w's block of F_{r+1}
+        place = np.cumsum(member, axis=1) - 1  # x_s's position in set(w); sizes - 1 - place is in 0..m
+        terms = self.binom.astype(np.int32)[self.sizes[:, None] - 1 - place]  # [w, s-1, k], C(m-1-c, k)
+        terms[~member] = last.max(initial=0) + 1
+        terms = terms.ravel()
+
+        def find(gen: np.ndarray, tau: np.ndarray) -> np.ndarray:
+            r = tau.shape[1]
+            row, at = last[gen, r], (gen * member.shape[1] - 1) * width + r
+            for j, column in enumerate(tau.T):
+                row -= terms[at + column * width - j]
+            return np.maximum(row, -1)
+
+        return find
 
     def __eq__(self, other):
         return (
@@ -125,54 +159,6 @@ class ResolutionComplex:
             and np.array_equal(self.power.exponent_matrix, other.power.exponent_matrix)
             and np.array_equal(self.quotients.member, other.quotients.member)
         )
-
-
-def binomials(top: int) -> np.ndarray:
-    """C(a, b) for 0 <= a, b <= top in int64, 0 where b > a; top is the widest
-    set, which the entry budget keeps small, as beta >= C(m, m // 2)."""
-    return np.array([[math.comb(a, b) for b in range(top + 1)] for a in range(top + 1)], dtype=np.int64)
-
-
-def block_starts(binom: np.ndarray, sizes: np.ndarray, i: int) -> np.ndarray:
-    """The row of F_i at which each generator's block starts: F_i holds
-    C(|set(u_j)|, i-1) symbols of each u_j, generator by generator."""
-    counts = binom[sizes, i - 1]
-    return np.cumsum(counts) - counts
-
-
-def row_finder(member: np.ndarray):
-    """The row of f(tau; w) in F_i, -1 where tau is not in set(w), as a
-    function of the generator positions gen and of tau, one sorted row of
-    i-1 variables per query: w's block start plus the combinations-order
-    rank of tau's positions c_0 < ... < c_{r-1} in set(w), r = i-1 and
-    m = |set(w)|, C(m, r) - 1 - sum_j C(m-1-c_j, r-j).  So it is the last
-    row of w's block less one table entry per element of tau; an element
-    off set(w) reads more than any row there.  The tables hold |G| n
-    (m_max + 1) binomials, m_max the widest set."""
-    sizes = member.sum(axis=1)
-    top = int(sizes.max(initial=0))
-    binom = binomials(top)
-    last = np.cumsum(binom[sizes], axis=0) - 1  # [w, r], the last row of w's block of F_{r+1}
-    place = np.cumsum(member, axis=1) - 1  # x_s's position in set(w); sizes - 1 - place is in 0..m
-    terms = binom[sizes[:, None] - 1 - place]  # [w, s-1, k], C(m-1-c, k)
-    terms[~member] = last.max(initial=0) + 1
-    terms = terms.ravel()
-
-    def find(gen: np.ndarray, tau: np.ndarray) -> np.ndarray:
-        r = tau.shape[1]
-        row, at = last[gen, r], (gen * member.shape[1] - 1) * (top + 1) + r
-        for j, column in enumerate(tau.T):
-            row -= terms[at + column * (top + 1) - j]
-        return np.maximum(row, -1)
-
-    return find
-
-
-def betti_from_sets(member: np.ndarray) -> tuple[int, ...]:
-    """beta_0 = 1 and beta_i = sum_w C(|set(w)|, i-1), from the number of
-    rows of member (one set each) of every size."""
-    counts = np.bincount(member.sum(axis=1), minlength=1).tolist()
-    return (1, *(sum(c * math.comb(size, i) for size, c in enumerate(counts)) for i in range(len(counts))))
 
 
 def stream_resolution(qs: QuotientStructure):
@@ -184,32 +170,21 @@ def stream_resolution(qs: QuotientStructure):
 
     g is the definitional one, read from its cached table as it stands; the
     mapping cone needs it regular, which is checked here (CheckFailure if
-    not), as are linear quotients.  The complex is refused (BudgetError)
-    before anything is built when its entry bound exceeds ENTRY_BUDGET: a
-    column of d_i has at most 2i entries.  The Betti numbers must equal the
-    block sizes the rows are found by (InvariantError if not).
+    not), as are linear quotients, after the complex's entry budget.
     """
     if not qs.is_linear:
         raise CheckFailure("cannot resolve: linear quotients fail")
-    betti = betti_from_sets(qs.member)
-    bound = sum(2 * i * b for i, b in enumerate(betti[2:], start=1))
-    if bound > ENTRY_BUDGET:
-        raise BudgetError(f"the complex may have {bound} entries, over the budget {ENTRY_BUDGET}")
+    rc = ResolutionComplex(quotients=qs)
     report = regularity_check_oracle(qs)
     if not report.regular:
         raise CheckFailure(f"cannot resolve: decomposition function {report.describe()}")
     g_of, coeff_of = oracle_table(qs)
-    sizes = qs.member.sum(axis=1)
-    counts = binomials(int(sizes.max(initial=0)))[sizes].sum(axis=0).tolist()  # |F_1|, |F_2|, ...
-    for i, (count, b) in enumerate(zip(counts, betti[1:]), start=1):
-        if count != b:
-            raise InvariantError(f"rank F_{i}: basis count {count} != beta {b}")
-    rc, find = ResolutionComplex(quotients=qs), row_finder(qs.member)
-    return rc, ((i, _differential(i, rc, betti[i], find, g_of, coeff_of)) for i in range(1, len(counts)))
+    find = rc.row_finder()
+    return rc, ((i, _differential(i, rc, find, g_of, coeff_of)) for i in range(1, len(rc.betti) - 1))
 
 
-def _differential(i: int, rc: ResolutionComplex, nrows: int, find, g_of, coeff_of) -> DifferentialMatrix:
-    """d_i, from F_{i+1} to F_i (nrows rows, found by find).  Column f(sigma; w)
+def _differential(i: int, rc: ResolutionComplex, find, g_of, coeff_of) -> DifferentialMatrix:
+    """d_i, from F_{i+1} to F_i (rows found by find).  Column f(sigma; w)
     gets, for each s in sigma (pos its position), the g-term (when tau =
     sigma minus s lies in set(g)) and then the Koszul term."""
     gen, sigma = rc.symbols(i + 1)
@@ -225,9 +200,10 @@ def _differential(i: int, rc: ResolutionComplex, nrows: int, find, g_of, coeff_o
             at[:, pos, half], keep[:, pos, half] = found, found >= 0
         signs[:, pos] = (-1, 1) if pos % 2 else (1, -1)
         variables[:, pos, 0], variables[:, pos, 1] = coeff_of[gen, s - 1], s
+    del gen, sigma, s, tau, w, found  # the symbols and the last queries go before the entries are copied
     keep = keep.ravel()
     col_of = np.repeat(np.arange(shape[0], dtype=np.int32), 2 * i)
-    return DifferentialMatrix(nrows, shape[0], *(a.ravel()[keep] for a in (at, col_of, signs, variables)))
+    return DifferentialMatrix(rc.betti[i], shape[0], *(a.ravel()[keep] for a in (at, col_of, signs, variables)))
 
 
 def _cancels(keys: np.ndarray, values: np.ndarray) -> bool:

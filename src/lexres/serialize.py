@@ -13,7 +13,7 @@ from .lexsegment import LexSegmentSpec, classify_linear_form
 from .monomials import Monomial, RingContext
 from .powers import PowerIdeal, power_generators
 from .quotients import QuotientStructure
-from .resolution import DifferentialMatrix, ResolutionComplex, betti_from_sets
+from .resolution import DifferentialMatrix, ResolutionComplex
 
 JSON_ORDER_TAG = "increasing-revlex"
 TEXT_CELL_BUDGET = 10**7  # cells of the dense text matrices, over all degrees
@@ -138,7 +138,8 @@ def resolution_from_dict(data: dict):
     header's u, v, d and k (n exponents >= 0 each, one per set), an l other
     than classify_linear_form's, a set that is not strictly increasing
     within 1..n, or bases, matrices, Betti numbers or shifts that the sets
-    do not give."""
+    do not give.  Sets whose complex is past ENTRY_BUDGET are refused with
+    BudgetError, as the complex refuses them when it is streamed."""
     try:
         return _from_dict(data)
     except (KeyError, TypeError, AttributeError) as exc:  # a missing field, or a list where an object belongs
@@ -174,14 +175,13 @@ def _from_dict(data: dict):
         if not all(type(s) is int and 1 <= s <= ctx.n for s in st) or list(st) != sorted(set(st)):
             raise ValueError(f"set(u{j + 1}) = {list(st)} is not strictly increasing within 1..{ctx.n}")
         member[j, [s - 1 for s in st]] = True
-    qs = QuotientStructure(power=power, member=member)
+    rc = ResolutionComplex(quotients=QuotientStructure(power=power, member=member))
     # the symbol counts first, so that no basis is built larger than the file's
-    betti, symbols = betti_from_sets(member), data["bases"]
+    betti, symbols = rc.betti, data["bases"]
     if symbols.keys() != {str(i) for i in range(1, len(betti))} or any(
             len(symbols[str(i)]) != b for i, b in enumerate(betti[1:], start=1)):
         raise ValueError("the bases are not the subsets of the sets in matrix order")
     _integers([x for b in itertools.chain(*symbols.values()) for x in (b["gen"], *b["sigma"])], "the basis symbols")
-    rc = ResolutionComplex(quotients=qs)
     for i in range(1, len(betti)):  # one degree's symbols at a time
         if [(b["gen"], b["sigma"]) for b in symbols[str(i)]] != list(zip(*(a.tolist() for a in rc.symbols(i)))):
             raise ValueError("the bases are not the subsets of the sets in matrix order")

@@ -272,10 +272,10 @@ def _evaluate_dense(mat: DifferentialMatrix, point_arr, p: int) -> np.ndarray:
     return M
 
 
-def _witness_shape(mat: DifferentialMatrix, i: int, member: np.ndarray) -> tuple[int, bool]:
+def _witness_shape(mat: DifferentialMatrix, i: int, rc: ResolutionComplex) -> tuple[int, bool]:
     """kappa_i, the number of witness columns of d_i (mat, from F_{i+1} to
     F_i), and whether d_i has the witness shape, from one pass over its
-    arrays; member holds the sets.
+    arrays; rc's layout gives the blocks and s*, padded's first column.
 
     A witness column is f(sigma; w) with s* = min(set(w)) in sigma, and its
     own row is f(sigma \\ s*; w); W is d_i on these rows and columns.  In
@@ -286,9 +286,7 @@ def _witness_shape(mat: DifferentialMatrix, i: int, member: np.ndarray) -> tuple
     lies in a row of a strictly earlier generator.  Ordered by generator, W
     is then block triangular with diagonal blocks that are diagonal, so
     det W = prod +-x_{s*}, nonzero at every point with nonzero coordinates."""
-    sizes = member.sum(axis=1)
-    binom = resolution.binomials(int(sizes.max(initial=0)))
-    rows_at, cols_at = (resolution.block_starts(binom, sizes, j) for j in (i, i + 1))
+    sizes, binom, rows_at, cols_at = rc.sizes, rc.binom, rc.starts[:, i - 1], rc.starts[:, i]
     gen = np.repeat(np.arange(len(sizes)), binom[sizes, i])  # of each column; an empty set has none
     q = np.arange(mat.ncols) - cols_at[gen]
     is_wit = q < binom[sizes[gen] - 1, i - 1]
@@ -301,7 +299,7 @@ def _witness_shape(mat: DifferentialMatrix, i: int, member: np.ndarray) -> tuple
     shaped = (
         (np.bincount(mat.cols[diag], minlength=mat.ncols)[wit] == 1).all()
         and (np.abs(mat.signs[diag].astype(np.int64)) == 1).all()
-        and (mat.vars[diag] == member.argmax(axis=1)[gen[mat.cols[diag]]] + 1).all()
+        and (mat.vars[diag] == rc.padded[gen[mat.cols[diag]], 0]).all()
         and (mat.rows[rest] < rows_at[gen[mat.cols[rest]]]).all()
     )
     return len(wit), bool(shaped)
@@ -351,7 +349,7 @@ def random_rank_check(rc: ResolutionComplex, seed: int, trials: int, differentia
     for i, mat in differentials:
         composed = resolution.compose_check_d0(gens, mat) if prev is None else resolution.compose_check(prev, mat)
         report.composed.append(composed)
-        kappa_i, shaped_i = _witness_shape(mat, i, rc.quotients.member)
+        kappa_i, shaped_i = _witness_shape(mat, i, rc)
         witness = shaped and shaped_i and composed and kappa + kappa_i == mat.nrows
         for point, r, m in zip(points, ranks, methods):
             r.append(kappa_i if witness else rank_mod(_evaluate_dense(mat, np.array(point, dtype=np.int64), p)))
@@ -360,7 +358,6 @@ def random_rank_check(rc: ResolutionComplex, seed: int, trials: int, differentia
         prev, kappa, shaped = mat, kappa_i, shaped_i
     # d_{pd-1} ∘ d_pd = 0 holds vacuously: F_{pd+1} = 0, so there is no d_pd
     report.composed.append(True)
-    betti = rc.betti
     for point, r, m in zip(points, ranks, methods):
-        report.trials.append(TrialResult(point, tuple(r), rank_positions_ok(betti, r), tuple(m)))
+        report.trials.append(TrialResult(point, tuple(r), rank_positions_ok(rc.betti, r), tuple(m)))
     return report

@@ -392,7 +392,7 @@ def compose_check_loop(rc, mats, i):
 
 def witness_shape(rc, mats, i):
     """lexres's (kappa, shaped) of d_i."""
-    return _witness_shape(mats[i], i, rc.quotients.member)
+    return _witness_shape(mats[i], i, rc)
 
 
 def bases(rc):

@@ -273,14 +273,8 @@ def test_cli_verify_rejects_no_trials(capsys, monkeypatch):
 
 
 def test_cli_broken_invariant_is_check_failure(capsys, monkeypatch):
-    # a basis count that disagrees with the Betti numbers, and a lex walk that
-    # ends early: both are broken invariants, reported as exit 1 without a traceback
-    monkeypatch.setattr("lexres.resolution.betti_from_sets", lambda sets: (1, 99))
-    code = main(["resolve", "--n", "4", "--u", "x1x3", "--v", "x2x4"])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert "check failed: rank F_1: basis count 5 != beta 99" in captured.err
-    assert "Traceback" not in captured.err and captured.out == ""
+    # a lex walk that ends early is a broken invariant, reported as exit 1
+    # without a traceback
     monkeypatch.setattr("lexres.lexsegment.lex_successor", lambda m: None)
     code = main(["gen", "--n", "4", "--u", "x1x3", "--v", "x2x4"])
     captured = capsys.readouterr()
@@ -374,16 +368,49 @@ def test_cli_segment_refused_before_walk(capsys, d):
     )
 
 
+@pytest.mark.parametrize("k", [2000, 10**6])
+def test_cli_power_count_past_int64_refused_without_it(capsys, k):
+    # C(1623159 + k, k) candidate products: for k = 2000 its digits pass
+    # Python's int-to-text limit, and for k = 10^6 the exact count takes
+    # half a minute; past int64 the count is neither worked out nor printed
+    start = time.perf_counter()
+    assert main(["power", "--n", "30", "--u", "x1^6", "--v", "x30^6", "--k", str(k)]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == (
+        f"budget exceeded: |L|=1623160, k={k}: more than {2**63 - 1} candidate products exceed budget 1000000\n"
+    )
+
+
 @pytest.mark.parametrize("command", ["gen", "classify"])
 def test_cli_walks_refused_before_they_start(capsys, command):
     # gen walks L(x1^6, x30^6), all C(35, 6) = 1,623,160 sextics in 30
-    # variables, and classify starts from the same segment: counted, never walked
-    start = time.perf_counter()
-    assert main([command, "--n", "30", "--u", "x1^6", "--v", "x30^6"]) == 3
-    assert time.perf_counter() - start < 1.0
-    assert capsys.readouterr().err == (
-        "budget exceeded: L(x1^6, x30^6) has 1623160 monomials, over the budget 1000000\n"
-    )
+    # variables, and classify starts from the same segment; L(x1x2, x2x20000)
+    # holds 39,998 members of 20,000 exponents each, and classify's first
+    # shadow of L(x1x2, x2x3000) may have 3000 * 5998 monomials: counted, never
+    # walked (gen walks that last one, 17,994,000 cells, within its budget)
+    refusals = [
+        ("30", "x1^6", "x30^6", "L(x1^6, x30^6) has 1623160 monomials, over the budget 1000000"),
+        ("20000", "x1x2", "x2x20000", "L(x1x2, x2x20000) has 39998 monomials of 20000 exponents, 799960000 cells, "
+         "over the budget 100000000" if command == "gen" else "Shad^1 may have 799960000 monomials, over the budget 1000000"),
+        ("3000", "x1x2", "x2x3000", "Shad^1 may have 17994000 monomials, over the budget 1000000"),
+    ]
+    for n, u, v, err in refusals[:2] if command == "gen" else refusals:
+        start = time.perf_counter()
+        assert main([command, "--n", n, "--u", u, "--v", v]) == 3
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == f"budget exceeded: {err}\n"
+
+
+def test_cli_gen_cell_budget_edge(monkeypatch, capsys):
+    # L(x1x3, x2x4) has 5 members of 4 exponents, 20 cells
+    monkeypatch.setattr("lexres.lexsegment.DEFAULT_CELL_BUDGET", 20)
+    assert main(["gen", *_EXAMPLE]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr("lexres.lexsegment.DEFAULT_CELL_BUDGET", 19)
+    assert main(["gen", *_EXAMPLE]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "budget exceeded: L(x1x3, x2x4) has 5 monomials of 4 exponents, 20 cells, over the budget 19\n"
 
 
 def test_cli_classify_shadow_bounded_before_it_is_built(monkeypatch, capsys):

@@ -16,6 +16,7 @@ from lexres import (
     enumerate_lexsegment,
     lexsegment,
     power_generators,
+    powers,
 )
 from lexres.lexsegment import LexSegmentSpec
 
@@ -81,6 +82,14 @@ def test_budget_guard(example_spec, monkeypatch):
     with pytest.raises(BudgetError):
         power_generators(example_spec, 12)
     assert math.comb(5 + 12 - 1, 12) > 100
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(size=st.integers(1, 60), k=st.integers(1, 200), cap=st.integers(1, 2**70))
+def test_multiset_count_is_exact_up_to_its_cap(size, k, cap):
+    # C(size + k - 1, k) where it is at most cap, and None past it
+    count = math.comb(size + k - 1, k)
+    assert powers._multisets(size, k, cap) == (count if count <= cap else None)
 
 
 def test_neighbours_example(example_power):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 import tracemalloc
 
@@ -12,7 +13,6 @@ from lexres import (
     CheckFailure,
     Monomial,
     RingContext,
-    betti_from_sets,
     closed_form_table,
     compose_check,
     compose_check_d0,
@@ -24,7 +24,7 @@ from lexres import resolution
 from lexres.cli import main
 from lexres.decomposition import regularity_check_oracle
 from lexres.lexsegment import LexSegmentSpec
-from lexres.resolution import DifferentialMatrix, ResolutionComplex, row_finder, stream_resolution
+from lexres.resolution import DifferentialMatrix, ResolutionComplex, stream_resolution
 
 # the three displayed differentials of the worked example, transcribed as
 # row-major grids against the documented basis ordering
@@ -122,7 +122,7 @@ def test_single_generator_resolution():
 def test_rank_identity_binomials(example_quotients_squared):
     rc, _ = support.resolve(example_quotients_squared)
     sets = example_quotients_squared.sets
-    assert rc.betti == betti_from_sets(example_quotients_squared.member)
+    assert rc.betti == (1, *(sum(math.comb(len(s), r) for s in sets) for r in range(max(map(len, sets)) + 1)))
     for i, (gens, sigmas) in support.bases(rc).items():
         assert len(gens) == rc.betti[i]
         # the rows are distinct (i-1)-subsets of set(gen), so the count is the binomial sum
@@ -132,13 +132,21 @@ def test_rank_identity_binomials(example_quotients_squared):
 
 
 def test_complex_holds_its_quotients_alone(example_quotients_squared):
-    # every basis is computed from member when a stage asks for it: the
-    # complex stores nothing that grows with the Betti numbers, before or
-    # after its differentials are built
+    # every basis is computed from the layout when a stage asks for it:
+    # every array the complex holds has |G| rows, but the binomial table of
+    # the widest set, and none is sized by a Betti number past beta_1 = |G|,
+    # before or after its differentials are built
     rc, differentials = stream_resolution(example_quotients_squared)
-    assert vars(rc).keys() == {"quotients"}
+    r, top = len(example_quotients_squared.member), 3
+    layout = {"sizes": (r,), "starts": (r, top + 1), "padded": (r, top), "binom": (top + 1, top + 1)}
+    assert rc.betti == (1, r, 24, 13, 2)
+
+    def held():
+        return {key: a.shape for key, a in vars(rc).items() if isinstance(a, np.ndarray)}
+
+    assert vars(rc).keys() == {"quotients", "betti", *layout} and held() == layout
     assert len(dict(differentials)) == len(rc.betti) - 2
-    assert vars(rc).keys() == {"quotients"}
+    assert vars(rc).keys() == {"quotients", "betti", *layout} and held() == layout
 
 
 def test_basis_requires_linear():
@@ -344,8 +352,9 @@ def test_compose_check_d0_beyond_int64_row_keys(n, power):
 def test_resolution_basis_matches_loop():
     # classified shapes, unclassified pairs as --oracle-g resolves them, and
     # any sorted sets on their generators, the empty one and all of 1..n
-    # included: symbols(i) is the loop's basis, the row found for each
-    # symbol is its position, and a tau outside set(w) finds -1
+    # included: symbols(i) is the loop's basis, whose sizes are the Betti
+    # numbers, the row found through the layout for each symbol is its
+    # position, and a tau outside set(w) finds -1
     seen = set()
 
     @settings(derandomize=True, database=None, max_examples=60, deadline=None)
@@ -360,8 +369,9 @@ def test_resolution_basis_matches_loop():
         for structure in (qs, support.quotient_structure(qs.power, sets)):
             rc = ResolutionComplex(quotients=structure)
             loop = support.resolution_basis_loop(structure)
-            find = row_finder(structure.member)
+            find = rc.row_finder()
             assert loop.keys() == set(range(1, len(rc.betti)))
+            assert rc.betti == (1, *(len(gen) for gen, _ in loop.values()))
             for i, (gen, sigma) in loop.items():
                 assert all(a.dtype == np.int64 and np.array_equal(a, b) for a, b in zip(rc.symbols(i), (gen, sigma)))
                 assert find(gen, sigma).tolist() == list(range(len(gen))), i

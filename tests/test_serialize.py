@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 
 import support
 from lexres import (
+    BudgetError,
     Monomial,
     RingContext,
     linear_quotients_check,
     power_generators,
 )
-from lexres import serialize
+from lexres import resolution, serialize
 from lexres.lexsegment import LexSegmentSpec
 from lexres.resolution import DifferentialMatrix
 from lexres.serialize import (
@@ -94,6 +95,16 @@ def test_json_import_rejects_betti_or_shifts_off_the_bases(field, value):
     data[field] = value
     with pytest.raises(ValueError, match="disagree with the bases"):
         resolution_from_dict(data)
+
+
+def test_json_import_refuses_a_complex_past_the_entry_budget(monkeypatch):
+    # the worked example squared bounds 2*24 + 4*13 + 6*2 = 112 entries
+    text = support.resolution_to_json(*_family(4, (1, 0, 1, 0), (0, 1, 0, 1), 2))
+    monkeypatch.setattr(resolution, "ENTRY_BUDGET", 112)
+    assert resolution_from_json(text)[0].betti == (1, 14, 24, 13, 2)
+    monkeypatch.setattr(resolution, "ENTRY_BUDGET", 111)
+    with pytest.raises(BudgetError, match="^the complex may have 112 entries, over the budget 111$"):
+        resolution_from_json(text)
 
 
 _SMALL_SHAPES = [spec for spec in support.theorem_family_specs() if spec[0] <= 5]

@@ -23,7 +23,7 @@ from lexres import (
 from lexres.lexsegment import LexSegmentSpec
 from lexres.modp import DEFAULT_PRIME, rank_mod
 from lexres import resolution, verify
-from lexres.resolution import DifferentialMatrix, row_finder
+from lexres.resolution import DifferentialMatrix
 from lexres.verify import HilbertNumerator, _evaluate_dense, rank_positions_ok
 
 
@@ -382,7 +382,7 @@ def test_witness_structure_rejects_broken_shape():
             and sum(row_gen[r] == g for r in witness_rows) > 1
         )
         ss = s_star[gens[c]]
-        own = row_finder(rc.quotients.member)(col_gen[c:c + 1], np.array([[s for s in sigmas[c] if s != ss]]))[0]
+        own = rc.row_finder()(col_gen[c:c + 1], np.array([[s for s in sigmas[c] if s != ss]]))[0]
         in_col = np.flatnonzero(mat.cols == c)
         diagonal = next(p for p in in_col if mat.vars[p] == ss)
         g_term = next(p for p in in_col if mat.vars[p] != ss)
