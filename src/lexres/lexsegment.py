@@ -206,7 +206,8 @@ def is_completely_lexsegment(
     persistence flag promotes a passing first shadow to "yes".  Every set is
     bounded by DEFAULT_PRODUCT_BUDGET before it is built: L(u, v) and each
     lex interval by their lex ranks, each shadow by n times the one before,
-    Shad^1 before L(u, v) is walked.
+    Shad^1 before L(u, v) is walked.  A shadow's bound times its n exponents
+    is counted against DEFAULT_CELL_BUDGET at the same point.
     """
     if depth is None:
         depth = spec.ctx.n
@@ -216,6 +217,9 @@ def is_completely_lexsegment(
     for i in range(1, depth + 1):
         if (bound := spec.ctx.n * count) > DEFAULT_PRODUCT_BUDGET:
             raise BudgetError(f"Shad^{i} may have {bound} monomials, over the budget {DEFAULT_PRODUCT_BUDGET}")
+        if (cells := bound * spec.ctx.n) > DEFAULT_CELL_BUDGET:
+            raise BudgetError(f"Shad^{i} may have {bound} monomials of {spec.ctx.n} exponents, {cells} cells, "
+                              f"over the budget {DEFAULT_CELL_BUDGET}")
         current = shadow(enumerate_lexsegment(spec.u, spec.v) if current is None else current)
         count = len(current)
         segment = enumerate_lexsegment(lex_max(current), lex_min(current))

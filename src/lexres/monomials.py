@@ -142,14 +142,18 @@ def first_divisors(G: np.ndarray, X: np.ndarray) -> np.ndarray:
     return out
 
 
+def by_degree_lex(X: np.ndarray) -> np.ndarray:
+    """The rows of X sorted by degree, then lex."""
+    return X[np.lexsort(np.vstack([X.T[::-1], X.sum(axis=1)]))]
+
+
 def minimal_rows(X: np.ndarray) -> np.ndarray:
     """The minimal generators of the monomial ideal spanned by the rows of X,
     sorted by (degree, lex).  Repeated rows are adjacent after the sort and
     keep one copy; a distinct row can only be divided by a row of strictly
     lower degree, so each degree is scanned against the rows below it."""
+    X = by_degree_lex(X)
     degs = X.sum(axis=1)
-    order = np.lexsort(np.vstack([X.T[::-1], degs]))  # degree, then lex
-    X, degs = X[order], degs[order]
     keep = np.ones(len(X), dtype=bool)
     keep[1:] = (X[1:] != X[:-1]).any(axis=1)
     starts = (np.flatnonzero(degs[1:] != degs[:-1]) + 1).tolist()

@@ -3,13 +3,12 @@
 The Hilbert-series numerator N(t) (with Hilb = N/(1-t)^n) is computed from
 the generators alone by the variable-pivot recursion, so comparing it with
 the alternating sum of basis degrees exercises the resolution against a
-pipeline that never saw the differentials.  The recursion's ideals are
-small lists of Python int exponent tuples, and the one divisibility test of
-each colon runs on exponents packed into Python ints, or as one numpy scan
-when the colon is large.  Its base case is an ideal whose lcm grid fits
-_GRID_CELLS cells, counted cell by cell in numpy.  The randomized rank check
-evaluates the differentials at random nonzero points mod a large prime and
-tests rank additivity at every homological position; it is a necessary
+pipeline that never saw the differentials.  The recursion carries each
+ideal as int64 exponent rows, like G(I^k), and tests divisibility in each
+colon by one first_divisors scan.  Its base case is an ideal whose lcm grid
+fits _GRID_CELLS cells, counted cell by cell in numpy.  The randomized rank
+check evaluates the differentials at random nonzero points mod a large prime
+and tests rank additivity at every homological position; it is a necessary
 condition for exactness, never a proof.  Most ranks need no elimination:
 the linear quotients give every differential a witness block, triangular
 with the diagonal +-x_{s*}, which bounds its rank from below at a point
@@ -21,7 +20,6 @@ per position and point, is the only fallback.
 
 from __future__ import annotations
 
-import bisect
 import random
 from dataclasses import dataclass, field
 
@@ -30,7 +28,7 @@ import numpy as np
 from . import resolution
 from .errors import BudgetError
 from .modp import DEFAULT_PRIME, rank_mod
-from .monomials import first_divisors, minimal_rows
+from .monomials import by_degree_lex, first_divisors, minimal_rows
 from .powers import ENTRY_BUDGET
 from .resolution import DifferentialMatrix, ResolutionComplex
 
@@ -68,14 +66,6 @@ def _pmul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
         for db, cb in b.items():
             out[da + db] = out.get(da + db, 0) + ca * cb
     return out
-
-
-# (divisor, free row) pairs of a colon above which one first_divisors scan
-# replaces the packed-int tests: the measured crossover on the n = 5..8
-# ladder rows, where both take about 0.2 ms.  With the grid as base case,
-# the n = 7, 8 rows still split colons on both sides of it: packed tests
-# won at 584 pairs, the scan at 1,728
-_COLON_SCAN_PAIRS = 1024
 
 
 # cells of the lcm grid, and of every array counted from it, up to which a
@@ -133,58 +123,61 @@ def hilbert_numerator(rows: np.ndarray) -> HilbertNumerator:
 
     with closed forms for the empty set and for pure-power generators, and
     _staircase for an ideal whose lcm grid, and every array counted from it,
-    fits _GRID_CELLS cells.  J is carried as its minimal generators, sorted
-    (degree, exponent tuple, packed exponents) triples, so in (degree, lex)
-    order; x is the variable occurring in the most generators that are not
-    pure powers, the first one on ties.  Subproblems are pooled by a
-    canonical key: unused variables dropped, then columns and rows sorted,
-    since the numerator is unchanged by permuting variables.  Every call is
-    a node counted against DEFAULT_HILBERT_BUDGET, read when the recursion
-    starts, whether it splits or ends in a closed form, a memo hit or the
-    grid: an ideal that fits the grid is one node.
-
-    The packed form holds each exponent in a field of 1, 2, 4 or 8 bytes,
-    the fewest whose top bit, a guard, the input's largest exponent does not
-    reach; a divides b iff no field of (b | guard) - a borrows.  The
-    recursion never raises an exponent, so that width holds every row.
+    fits _GRID_CELLS cells.  J is carried as its minimal generators, int64
+    exponent rows sorted by (degree, lex); x is the variable occurring in the
+    most generators that are not pure powers, the first one on ties.
+    Subproblems are pooled by a canonical key, the shape and bytes of J with
+    unused variables dropped, then columns and rows sorted, since the
+    numerator is unchanged by permuting variables.  Every call is a node
+    counted against DEFAULT_HILBERT_BUDGET, read when the recursion starts,
+    whether it splits or ends in a closed form, a memo hit or the grid: an
+    ideal that fits the grid is one node.
     """
     memo: dict = {}
     nodes, budget = 0, DEFAULT_HILBERT_BUDGET
 
-    def rec(rows: list) -> dict[int, int]:
+    def rec(J: np.ndarray) -> dict[int, int]:
         nonlocal nodes
         nodes += 1
         if nodes > budget:
             raise BudgetError(f"hilbert recursion exceeded {budget} nodes")
-        if not rows:
+        if not len(J):
             return {0: 1}
-        if not rows[0][0]:  # the unit monomial sorts first
+        if not J[0].any():  # the unit monomial sorts first
             return {}
-        exps = [e for _, e, _ in rows]
-        mixed = [e for e in exps if n - e.count(0) >= 2]
-        if not mixed:
+        nonzero = J != 0
+        mixed = nonzero[nonzero.sum(axis=1) >= 2]
+        if not len(mixed):
             out = {0: 1}
-            for d, _, _ in rows:
+            for d in J.sum(axis=1).tolist():
                 out = _pmul(out, {0: 1, d: -1})
             return out
-        cols = [c for c in zip(*exps) if any(c)]
+        used = J[:, nonzero.any(axis=0)]
+        cols = used.T.tolist()
         # the column sort reads columns in row order: canonical only because
-        # the rows are in (degree, lex) order
-        key = tuple(sorted(zip(*sorted(cols))))
+        # the rows are in (degree, lex) order; sorted in Python, as a lexsort
+        # over the rows as keys took 24 ms at the n=8 root
+        key = used[:, sorted(range(len(cols)), key=cols.__getitem__)]
+        key = key[np.lexsort(key.T[::-1])]
+        key = key.shape, key.tobytes()
         hit = memo.get(key)
         if hit is not None:
             return hit
         out = _staircase(cols)
-        del cols  # held by every frame of the split, they added 3 MB to the peak on n=8
+        del used, cols  # not held by the frames of the split
         if out is None:
-            counts = [len(c) - c.count(0) for c in zip(*mixed)]
-            x = counts.index(max(counts))
-            # the rows free of x stay minimal and x divides none of them
-            free = [t for t in rows if not t[1][x]]
-            plus = free.copy()
-            bisect.insort(plus, units[x])
-            n_plus = rec(plus)
-            n_colon = rec(colon(free, x, [t for t in rows if t[1][x]]))
+            x = int(mixed.sum(axis=0).argmax())
+            # J + (x): the rows free of x stay minimal and x divides none of them
+            free = J[J[:, x] == 0]
+            n_plus = rec(by_degree_lex(np.vstack([free, units[x:x + 1]])))
+            # J : x: the other rows divided by x do not divide each other, and
+            # no free row divides one of them, as J is minimal; so a free row is
+            # dropped exactly when one of them divides it, which only one free
+            # of x can, and one first_divisors scan decides that
+            lowered = J[J[:, x] != 0] - units[x]
+            divisors = lowered[lowered[:, x] == 0]
+            kept = free[first_divisors(divisors, free) == len(divisors)]
+            n_colon = rec(by_degree_lex(np.vstack([lowered, kept])))
             out = dict(n_plus)
             for deg, coef in n_colon.items():
                 out[deg + 1] = out.get(deg + 1, 0) + coef
@@ -192,35 +185,8 @@ def hilbert_numerator(rows: np.ndarray) -> HilbertNumerator:
         memo[key] = out
         return out
 
-    def colon(free: list, x: int, divisible: list) -> list:
-        """Minimal generators of J : x, sorted, from the rows of J free of x
-        and the others.  The others divided by x do not divide each other,
-        and no free row divides one of them, as J is minimal: so a free row
-        is dropped exactly when one of them divides it, which only one free
-        of x can.  One packed-int test per pair decides that, or one divisor
-        scan on large inputs."""
-        unit = units[x][2]
-        lowered = [(d - 1, e[:x] + (e[x] - 1,) + e[x + 1:], p - unit) for d, e, p in divisible]
-        divisors = [t for t in lowered if not t[1][x]]
-        if len(free) * len(divisors) > _COLON_SCAN_PAIRS:
-            arrays = [np.array([e for _, e, _ in part], dtype=np.int64) for part in (divisors, free)]
-            divided = (first_divisors(*arrays) < len(divisors)).tolist()
-            kept = [t for t, drop in zip(free, divided) if not drop]
-        else:
-            packed = [p for _, _, p in divisors]
-            kept = [t for t in free if all(((t[2] | guard) - a) & guard != guard for a in packed)]
-        return sorted(lowered + kept)
-
-    n = rows.shape[1]
-    rows = minimal_rows(rows)
-    size = next(b for b in (1, 2, 4, 8) if rows.max(initial=0) < 1 << (8 * b - 1))
-    guard = int.from_bytes(b"\x80".rjust(size, b"\0") * n, "little")
-    fields = rows.astype(f"<u{size}")
-    units = [(1, tuple(int(i == j) for j in range(n)), 1 << (8 * size * i)) for i in range(n)]
-    # minimal_rows sorts by (degree, lex)
-    triples = zip(rows.sum(axis=1).tolist(), map(tuple, rows.tolist()),
-                  (int.from_bytes(r.tobytes(), "little") for r in fields))
-    return HilbertNumerator.from_dict(rec(list(triples)))
+    units = np.eye(rows.shape[1], dtype=np.int64)
+    return HilbertNumerator.from_dict(rec(minimal_rows(rows)))
 
 
 def euler_characteristic_numerator(rc: ResolutionComplex) -> HilbertNumerator:

@@ -387,12 +387,16 @@ def test_cli_walks_refused_before_they_start(capsys, command):
     # variables, and classify starts from the same segment; L(x1x2, x2x20000)
     # holds 39,998 members of 20,000 exponents each, and classify's first
     # shadow of L(x1x2, x2x3000) may have 3000 * 5998 monomials: counted, never
-    # walked (gen walks that last one, 17,994,000 cells, within its budget)
+    # walked (gen walks that last one, 17,994,000 cells, within its budget).
+    # The first shadow of L(x1x2, x2x700) may have 700 * 1398 monomials, within
+    # the product budget, but of 700 exponents each
     refusals = [
         ("30", "x1^6", "x30^6", "L(x1^6, x30^6) has 1623160 monomials, over the budget 1000000"),
         ("20000", "x1x2", "x2x20000", "L(x1x2, x2x20000) has 39998 monomials of 20000 exponents, 799960000 cells, "
          "over the budget 100000000" if command == "gen" else "Shad^1 may have 799960000 monomials, over the budget 1000000"),
         ("3000", "x1x2", "x2x3000", "Shad^1 may have 17994000 monomials, over the budget 1000000"),
+        ("700", "x1x2", "x2x700", "Shad^1 may have 978600 monomials of 700 exponents, 685020000 cells, "
+         "over the budget 100000000"),
     ]
     for n, u, v, err in refusals[:2] if command == "gen" else refusals:
         start = time.perf_counter()
@@ -415,13 +419,18 @@ def test_cli_gen_cell_budget_edge(monkeypatch, capsys):
 
 def test_cli_classify_shadow_bounded_before_it_is_built(monkeypatch, capsys):
     # L(x1x3, x2x4) has 5 members, so Shad^1 is bounded by 4 * 5 = 20
+    # monomials of 4 exponents, 80 cells
     argv = ["classify", *_EXAMPLE, "--depth", "1"]
-    monkeypatch.setattr("lexres.lexsegment.DEFAULT_PRODUCT_BUDGET", 20)
-    assert main(argv) == 0
-    capsys.readouterr()
-    monkeypatch.setattr("lexres.lexsegment.DEFAULT_PRODUCT_BUDGET", 19)
-    assert main(argv) == 3
-    assert capsys.readouterr().err == "budget exceeded: Shad^1 may have 20 monomials, over the budget 19\n"
+    for budget, edge, err in (("DEFAULT_PRODUCT_BUDGET", 20, "Shad^1 may have 20 monomials, over the budget 19"),
+                              ("DEFAULT_CELL_BUDGET", 80,
+                               "Shad^1 may have 20 monomials of 4 exponents, 80 cells, over the budget 79")):
+        monkeypatch.setattr(f"lexres.lexsegment.{budget}", edge)
+        assert main(argv) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(f"lexres.lexsegment.{budget}", edge - 1)
+        assert main(argv) == 3
+        assert capsys.readouterr().err == f"budget exceeded: {err}\n"
+        monkeypatch.undo()
 
 
 def test_candidate_rows_budget_edge(monkeypatch, capsys):
@@ -806,6 +815,19 @@ def test_cli_subprocess_entrypoint():
     proc = run_cli(["gen", "--n", "4", "--u", "x1x3", "--v", "x2x4"])
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "x1x3"
+
+
+@pytest.mark.parametrize("argv", [_EXAMPLE, ["--n", "6", "--u", "x1x4x5x6", "--v", "x2x6^3", "--k", "2"]],
+                         ids=["example", "large"])
+def test_cli_export_and_verify_leave_numpy_ma_unimported(argv, tmp_path):
+    # numpy imports numpy.ma lazily, from np.unique among others: about
+    # 0.85 MB of RSS that the benchmark's peak_rss_mb would read as lexres's
+    out = str(tmp_path / "out.json")
+    proc = run_python(["-c", "import sys; from lexres.cli import main; "
+                       f"assert main(['export', '--format', 'json', '--out', {out!r}, *{argv!r}]) == 0; "
+                       f"assert main(['verify', *{argv!r}]) == 0; print('numpy.ma' in sys.modules)"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def test_parser_flags():

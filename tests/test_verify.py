@@ -103,6 +103,17 @@ def test_hilbert_budget_edge(example_power_squared, monkeypatch):
             _hilbert(monkeypatch, gens, nodes - 1)
 
 
+def test_hilbert_ladder_row_n7_at_the_default_grid(monkeypatch):
+    # x1x4x5x6x7 / x2x7^4 at k=2 does not fit the grid whole: at the default
+    # _GRID_CELLS the recursion splits it, takes colons and ends in 25 nodes
+    spec, _ = support.build_family_spec(7, (1, 0, 0, 1, 1, 1, 1), (0, 1, 0, 0, 0, 0, 4))
+    gens = power_generators(spec, 2).exponent_matrix
+    assert str(_hilbert(monkeypatch, gens, 25)) == (
+        "1 - 2225t^10 + 10513t^11 - 20676t^12 + 21554t^13 - 12478t^14 + 3767t^15 - 456t^16")
+    with pytest.raises(BudgetError, match="exceeded 24 nodes"):
+        _hilbert(monkeypatch, gens, 24)
+
+
 def _hilbert_nodes(monkeypatch, gens) -> int:
     """The least budget hilbert_numerator accepts, by bisection."""
     refused, accepted = 0, 1
@@ -124,8 +135,7 @@ def _hilbert_nodes(monkeypatch, gens) -> int:
 
 def _exponent_lists():
     """n <= 8 and up to 9 exponent rows of mixed degrees, duplicates and the
-    unit monomial included; one exponent may be raised to either side of the
-    one-byte field of the packed divisibility test (127, 128)."""
+    unit monomial included; one exponent may be raised to 127 or 128."""
 
     def build(args):
         n, rows, dups, big, at = args
@@ -142,13 +152,10 @@ def _exponent_lists():
     )).map(build)
 
 
-@pytest.mark.parametrize("cut", [0, 10**9], ids=["scan", "packed"])
-def test_hilbert_matches_loop_with_exact_budget(cut, monkeypatch):
-    # the colon's divisibility test by one first_divisors scan (cut 0) and by
-    # packed ints only (a huge cut): the same numerator as the numpy loop, and
-    # the same node count, so the same budget boundary, with no node counted
-    # in the grid, as the loop counts none
-    monkeypatch.setattr("lexres.verify._COLON_SCAN_PAIRS", cut)
+def test_hilbert_matches_loop_with_exact_budget(monkeypatch):
+    # the colon's one first_divisors scan: the same numerator as the numpy
+    # loop, and the same node count, so the same budget boundary, with no
+    # node counted in the grid, as the loop counts none
     monkeypatch.setattr(verify, "_GRID_CELLS", 0)
 
     @settings(derandomize=True, database=None, max_examples=100, deadline=None)
@@ -157,6 +164,8 @@ def test_hilbert_matches_loop_with_exact_budget(cut, monkeypatch):
     @example(case=(4, [(0, 0, 0, 0), (1, 2, 0, 0), (1, 2, 0, 0)]))  # the unit ideal
     @example(case=(3, [(127, 1, 0), (128, 0, 1), (0, 1, 1), (127, 0, 1)]))
     @example(case=(3, [(128, 128, 0), (127, 128, 1), (1, 0, 128)]))
+    @example(case=(3, [(2, 1, 0), (2, 0, 1), (0, 1, 1)]))  # no divided row is free of x
+    @example(case=(3, [(1, 1, 0), (1, 0, 1)]))  # no row is free of x
     def check(case):
         n, rows = case
         gens = np.array(rows, dtype=np.int64).reshape(-1, n)
