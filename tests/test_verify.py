@@ -22,7 +22,7 @@ from lexres import (
 )
 from lexres.lexsegment import LexSegmentSpec
 from lexres.modp import DEFAULT_PRIME, rank_mod
-from lexres import resolution, verify
+from lexres import monomials, resolution, verify
 from lexres.resolution import DifferentialMatrix
 from lexres.verify import HilbertNumerator, _evaluate_dense, rank_positions_ok
 
@@ -152,10 +152,14 @@ def _exponent_lists():
     )).map(build)
 
 
-def test_hilbert_matches_loop_with_exact_budget(monkeypatch):
-    # the colon's one first_divisors scan: the same numerator as the numpy
-    # loop, and the same node count, so the same budget boundary, with no
-    # node counted in the grid, as the loop counts none
+@pytest.mark.parametrize("chunk", [monomials._SCAN_CHUNK_CELLS, 1], ids=["packed", "scan"])
+def test_hilbert_matches_loop_with_exact_budget(chunk, monkeypatch):
+    # the colon's one first_divisors scan, with every free row packed into
+    # one chunk (the default _SCAN_CHUNK_CELLS) and scanned one free row per
+    # chunk: the same numerator as the numpy loop, and the same node count,
+    # so the same budget boundary, with no node counted in the grid, as the
+    # loop counts none
+    monkeypatch.setattr("lexres.monomials._SCAN_CHUNK_CELLS", chunk)
     monkeypatch.setattr(verify, "_GRID_CELLS", 0)
 
     @settings(derandomize=True, database=None, max_examples=100, deadline=None)
