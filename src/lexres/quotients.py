@@ -5,9 +5,10 @@ is a variable x_s exactly when m_j = m_i * x_s / x_t for some t != s: set(m_i)
 is read off the exchange-neighbour table's reduction to the earliest entry
 per (i, s), PowerIdeal.earliest, which also gives the definitional g.  The
 colon (m_1,...,m_{i-1}) : (m_i) is then generated by the x_s, s in set(m_i),
-exactly when no earlier m_j is <= m_i on every column of set(m_i),
-which one earliest-divisor scan per distinct set decides for all i.  Full
-minimalization runs only on the failure path and in colon_minimal_generators.
+exactly when no earlier m_j is <= m_i on every column of set(m_i), which
+one earliest-divisor scan of G, in doubling prefix blocks, decides for all
+i.  Full minimalization runs only on the failure path and in
+colon_minimal_generators.
 """
 
 from __future__ import annotations
@@ -63,25 +64,21 @@ def _first_uncovered(G: np.ndarray, member: np.ndarray) -> int:
     """The first i with an earlier m_j <= m_i on every column of set(m_i),
     so that x_s, s in set(m_i), do not generate the colon; len(G) if none.
 
-    One earliest-divisor scan per distinct set, its generators in order from
-    a stable sort of the member rows as bytes: m_i divides itself on any
-    columns, so the scan lands below i exactly when the colon fails."""
-    keys = np.packbits(member, axis=1)
-    keys = keys.view(np.dtype((np.void, keys.shape[1]))).ravel()
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    first = len(G)
-    for members in np.split(order, np.flatnonzero(keys[1:] != keys[:-1]) + 1):
-        members = members[members < first]
-        if members.size == 0:
-            continue
-        cols = np.flatnonzero(member[members[0]])
-        top = int(members[-1]) + 1
-        found = first_divisors(G[:top, cols], G[members][:, cols])
-        below = members[found < members]
+    m_i's exponents off set(m_i) are raised to their column's maximum, so
+    that m_j divides the raised row exactly when m_j <= m_i on set(m_i); m_i
+    divides it too, so its earliest divisor lies below i exactly when the
+    colon fails.  Rows lo..2*lo are scanned against the generators up to
+    2*lo, one prefix block at a time, up to the first block that fails: about
+    two thirds of the comparisons of every row against all of G."""
+    X = np.where(member, G, G.max(axis=0, initial=0))
+    lo = 0
+    while lo < len(G):
+        hi = min(2 * lo + 1, len(G))
+        below = np.flatnonzero(first_divisors(G[:hi], X[lo:hi]) < np.arange(lo, hi))
         if below.size:
-            first = int(below[0])
-    return first
+            return lo + int(below[0])
+        lo = hi
+    return len(G)
 
 
 def linear_quotients_check(pi: PowerIdeal) -> QuotientStructure:

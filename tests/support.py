@@ -549,7 +549,7 @@ def linear_quotients_loop(pi):
     """set(m_i) one generator at a time, each from a fresh G[:i] - G[i], with
     the first non-linear colon as data: the loop that
     lexres.linear_quotients_check replaces by exchange neighbours and one
-    divisor scan per distinct set, kept as its reference."""
+    earliest-divisor scan of the generator rows, kept as its reference."""
     G = pi.exponent_matrix
     r = len(pi)
     sets = [()]

@@ -265,13 +265,25 @@ def test_linear_quotients_match_loop_on_shuffled_sets():
 
 
 def test_linear_quotients_across_scan_chunks(monkeypatch, example_power_squared):
+    # the colon scan takes rows in prefix blocks [0], [1, 2], [3..6], [7..14],
+    # [15..30]: besides two orders of the worked example squared, a colon
+    # failing on either side of each block edge, and a linear sequence whose
+    # last block is partial.  The degree-2 monomials of x1..x6 in increasing
+    # revlex have linear quotients, and x7^2 fails after any prefix of them,
+    # its colon being that prefix
     rng = random.Random(8)
     spec = example_power_squared.spec
     order = list(range(len(example_power_squared)))
     rng.shuffle(order)
     cases = [example_power_squared, PowerIdeal(spec, 2, example_power_squared.exponent_matrix[order])]
+    ctx, edges = RingContext(7), (1, 2, 3, 6, 7, 14, 15)
+    linear = sorted((m for m in support.all_monomials(ctx, 2) if m.exponents[6] == 0), key=support.revlex_key)
+    bad = variable(ctx, 7) * variable(ctx, 7)
+    for gens in [linear] + [linear[:f] + [bad] + linear[f:] for f in edges]:
+        cases.append(support.power_ideal(LexSegmentSpec(ctx=ctx, d=2, u=gens[0], v=gens[0]), 1, gens))
     whole = [_outcome(linear_quotients_check, pi) for pi in cases]
-    assert [o[0] for o in whole] == ["linear", "failure"]
+    assert [o[0] for o in whole[:3]] == ["linear", "failure", "linear"]
+    assert [o[2] for o in whole[2:]] == [None, *edges]
     monkeypatch.setattr("lexres.monomials._SCAN_CHUNK_CELLS", 1)  # one row per chunk
     assert [_outcome(linear_quotients_check, pi) for pi in cases] == whole
     assert whole == [_outcome(support.linear_quotients_loop, pi) for pi in cases]
@@ -285,17 +297,18 @@ def test_mixed_degrees_raise():
         linear_quotients_check(pi)
 
 
-def test_linear_quotients_beyond_int64_row_keys():
-    # a key with one digit per variable in base (max exponent + 2) = 4 needs
-    # 4^40 > 2^63, and in int64 the digits of x33..x40 would wrap to 0; rows
-    # compared as raw bytes stay exact
+def test_linear_quotients_on_int64_rows_at_n40():
+    # forty columns of int64 exponents: the colon scan compares whole rows,
+    # with the columns off set(m) raised to their maximum, and builds no key
+    # from them
     n = 40
     ue, ve = [0] * n, [0] * n
     ue[0], ue[2], ve[1], ve[n - 1] = 1, 1, 1, 1  # L(x1x3, x2x40), l = 2
     spec, cls = support.build_family_spec(n, tuple(ue), tuple(ve))
     assert cls.linear_form_l == 2
     pi = power_generators(spec, 1)
-    assert int(pi.exponent_matrix.max()) + 2 == 4
+    assert pi.exponent_matrix.dtype == np.int64 and pi.exponent_matrix.shape[1] == n
+    assert int(pi.exponent_matrix.max()) == 2
     got = _outcome(linear_quotients_check, pi)
     assert got == _outcome(support.linear_quotients_loop, pi)
     assert got[0] == "linear" and max(map(len, got[1])) >= 2
